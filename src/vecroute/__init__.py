@@ -45,6 +45,7 @@ from .reference import (
     route_reference,
 )
 from .optimized import (
+    BLOCK_ELEMENTS,
     FIXED_FIELD_NAMES,
     TRANSIENT_ELEMENT_BOUND_FACTOR,
     VARIABLE_FIELD_NAMES,
@@ -99,6 +100,7 @@ __all__ = [
     "AlwaysOn",
     "ArityError",
     "AttributionReport",
+    "BLOCK_ELEMENTS",
     "BenchRecord",
     "BetaPair",
     "CreditMatrix",

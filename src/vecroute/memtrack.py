@@ -18,7 +18,7 @@ from typing import Callable
 __all__ = ["PeakReport", "measure_peak", "track_peak"]
 
 
-@dataclass
+@dataclass(slots=True)
 class PeakReport:
     """Peak bytes allocated above the baseline inside a tracked block."""
 

@@ -9,19 +9,32 @@ contraction over inputs happens first:
     pooled[j, d] = sum_i credit[i, j] * x[i, d]
 
 after which the proposal network's two factors are applied to ``pooled``
-instead of to every input separately. All intermediates are then
-routing-pair-sized (n_inp * n_out) or output-sized
-(n_out * max(d_inp, d_out)); nothing of size n_inp * n_out * d_out ever
-exists. The proposals stay implicit, but :func:`materialized_votes` can
-still build the tensor explicitly for small instances so tests can
-compare both execution orders.
+instead of to every input separately, so nothing of size
+n_inp * n_out * d_out ever exists. The proposals stay implicit, but
+:func:`materialized_votes` can still build the tensor explicitly for
+small instances so tests can compare both execution orders.
+
+Every step of an iteration except that contraction is local to one
+input row: the use/ignore coefficients, the agreement score, the row
+softmax over outputs, the shares and the credit. :func:`route_optimized`
+therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
+n_out) input rows. A block computes its stages in place in one
+block-sized workspace, checks them for non-finite values once, and adds
+its ``credit.T @ x`` and ``credit.sum(0)`` into the output-sized
+partials that the M-step finishes once per iteration. With the trace off
+the only routing-pair-sized (n_inp * n_out) array is the returned final
+credit; everything else is input-sized (n_inp), block-sized, or
+output-sized (n_out * max(d_inp, d_out)). The public stage functions
+(:func:`activation_scores`, :func:`beta_pair_for`, :func:`predict_inputs`,
+:func:`score_predictions`, :func:`m_step_factored`) still take and return
+whole arrays; :func:`as_plugins` hands them to the reference router.
 
 Two parameter layouts are supported. Fixed-length mode keys activation,
 score, and use/ignore coefficients by input position, so n_inp is baked
 into the parameter shapes. Variable-length mode drops the input index
 from every parameter and instead derives the per-pair use/ignore
-coefficients from the input vectors themselves, once per pass, so one
-parameter set serves any sequence length.
+coefficients from the input vectors themselves, one block at a time, so
+one parameter set serves any sequence length.
 """
 
 from __future__ import annotations
@@ -46,10 +59,10 @@ from .tensor import (
     log_logistic,
     logistic,
     normalize_vectors,
-    softmax_rows,
 )
 
 __all__ = [
+    "BLOCK_ELEMENTS",
     "FIXED_FIELD_NAMES",
     "TRANSIENT_ELEMENT_BOUND_FACTOR",
     "VARIABLE_FIELD_NAMES",
@@ -72,6 +85,11 @@ __all__ = [
     "vote_param_count",
     "votes_for_input",
 ]
+
+# Elements (rows * n_out) of one block of the routing loop: 256 KiB per
+# float32 array, so the seven arrays of a block's workspace (1.75 MiB)
+# fit a 2 MiB per-core L2 cache.
+BLOCK_ELEMENTS = 65536
 
 # Canonical field order. Serialization, initialization draw order, and
 # parameter counting all follow this order, so it must never be permuted.
@@ -273,7 +291,10 @@ def beta_pair_for(x_inp: np.ndarray, params: RoutingParams) -> BetaPair:
         return BetaPair(params.beta_use, params.beta_ign)
     bu = x_inp @ params.beta_use_weight.array + params.beta_use_bias.array[None, :]
     bi = x_inp @ params.beta_ign_weight.array + params.beta_ign_bias.array[None, :]
-    return BetaPair(DenseTensor(bu, copy=False), DenseTensor(bi, copy=False))
+    return BetaPair(
+        DenseTensor(bu, copy=False, context="beta_use coefficients"),
+        DenseTensor(bi, copy=False, context="beta_ign coefficients"),
+    )
 
 
 def predict_inputs(x_out: np.ndarray, params: RoutingParams) -> np.ndarray:
@@ -310,12 +331,32 @@ def m_step_factored(x_inp: np.ndarray, phi: np.ndarray, params: RoutingParams) -
     the per-(input, output) proposals are never formed. The bias term
     picks up the total credit each output assigned.
     """
-    pooled = phi.T @ x_inp
-    phi_total = phi.sum(axis=0)
-    scale = _scale(x_inp.shape[0], x_inp.dtype)
+    return _finish_m_step(phi.T @ x_inp, phi.sum(axis=0), x_inp.shape[0], params)
+
+
+def _finish_m_step(pooled: np.ndarray, total: np.ndarray, n_inp: int, params: RoutingParams) -> np.ndarray:
+    """Outputs from the input-contracted credit sums of a whole sequence."""
+    scale = _scale(n_inp, pooled.dtype)
     out = ((params.vote_mix.array * pooled) @ params.vote_proj.array) * scale
-    out += phi_total[:, None] * params.vote_bias.array
+    out += total[:, None] * params.vote_bias.array
     return out
+
+
+def _log_logistic_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`vecroute.tensor.log_logistic` of ``z`` in place, same arithmetic."""
+    np.abs(z, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    np.minimum(z, 0.0, out=z)
+    z -= scratch
+
+
+def _softmax_rows_in_place(scores: np.ndarray) -> None:
+    """:func:`vecroute.tensor.softmax_rows` of ``scores``, written back into it."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
 
 
 def _dims_for_run(params: RoutingParams, dims: RoutingDims | None) -> RoutingDims:
@@ -331,6 +372,32 @@ def _dims_for_run(params: RoutingParams, dims: RoutingDims | None) -> RoutingDim
     return dims
 
 
+def _block_betas(x: np.ndarray, params: RoutingParams, rows: int, block):
+    """Function from a row slice to that block's (beta_use, beta_ign).
+
+    Fixed mode views the stored tables. Variable mode derives both sets
+    of a block with one matmul into a reused buffer, so the values match
+    :func:`beta_pair_for` without the pair-sized arrays ever existing.
+    ``block(buffer, n_rows, n_cols)`` lays out that buffer, sized for
+    blocks of up to ``rows`` rows.
+    """
+    if not params.dims.variable_length:
+        use, ign = params.beta_use.array, params.beta_ign.array
+        return lambda blk: (use[blk], ign[blk])
+    n_out = params.dims.n_out
+    weight = np.concatenate([params.beta_use_weight.array, params.beta_ign_weight.array], axis=1)
+    bias = np.concatenate([params.beta_use_bias.array, params.beta_ign_bias.array])
+    work = np.empty(2 * n_out * rows, x.dtype)
+
+    def betas(blk: slice):
+        both = block(work, blk.stop - blk.start, 2 * n_out)
+        np.matmul(x[blk], weight, out=both)
+        both += bias
+        return both[:, :n_out], both[:, n_out:]
+
+    return betas
+
+
 def route_optimized(
     x_inp,
     params: RoutingParams,
@@ -340,12 +407,15 @@ def route_optimized(
     """Run the routing loop without materializing proposals.
 
     ``dims`` may override the iteration count; its sizes must agree with
-    the parameter layout. With ``capture_trace`` off (the default, and
-    the configuration the transient-memory promise covers), per-iteration
-    arrays are dropped as soon as the loop is done with them and the
-    returned trace carries only the final credit coefficients. With it
-    on, every iteration's routing, shares, credit, and output are
-    retained, which keeps O(n_iters * n_inp * n_out) memory alive.
+    the parameter layout. Each iteration runs over blocks of
+    max(1, BLOCK_ELEMENTS // n_out) input rows; the block split and the
+    arithmetic are the same whether ``capture_trace`` is on or off. With
+    it off (the default, and the configuration the transient-memory
+    promise covers), a block's intermediates live only in the reused
+    block workspace and the returned trace carries only the final credit
+    coefficients. With it on, every iteration's scores, routing, shares,
+    credit, and output are retained, which keeps
+    O(n_iters * n_inp * n_out) memory alive.
     """
     x = as_array(x_inp, "x_inp")
     if x.ndim != 2:
@@ -359,67 +429,132 @@ def route_optimized(
     if x.dtype != params.dtype:
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
     n_out = run_dims.n_out
+    n_iters = run_dims.n_iters
     dtype = x.dtype
 
     raw = activation_scores(x, params)
     _check_step(raw, "activations")
     gates = np.asarray(logistic(raw))
-    betas = beta_pair_for(x, params)
-    bu = betas.beta_use.array
-    bi = betas.beta_ign.array
-    _check_step(bu, "beta_use coefficients")
-    _check_step(bi, "beta_ign coefficients")
+
+    rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
+    blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
+    per_row = not run_dims.variable_length  # fixed mode keys score and beta tables by input
+
+    def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
+        # Block arrays are indexed (row, output) like the full arrays.
+        # Fixed mode stores them row-major, the layout of its per-pair
+        # tables. Variable mode has no such tables and stores them
+        # output-major, so reductions and broadcasts over the outputs
+        # run along long contiguous runs even when n_out is small.
+        flat = buffer[: n * cols]
+        return flat.reshape(n, cols) if per_row else flat.reshape(cols, n).T
+
+    prior = dtype.type(1.0 / n_out)
+    # The pair-sized arrays the call returns: per iteration (scores,
+    # routing, used shares, ignored shares, credit) when tracing, the
+    # first iteration having no scores, else only the final credit.
+    # Allocating them before the block workspace puts the space the
+    # workspace frees above them. Allocated after it, a dropped trace
+    # left the top of the heap free, so the heap went back to the system
+    # and the next call faulted it in again: a third of the time of a
+    # traced three-stage chain.
+    pair = (n_inp, n_out)
+    if capture_trace:
+        kept = [
+            (
+                None if it == 1 else np.empty(pair, dtype),
+                np.full(pair, prior, dtype) if it == 1 else np.empty(pair, dtype),
+                np.empty(pair, dtype),
+                np.empty(pair, dtype),
+                np.empty(pair, dtype),
+            )
+            for it in range(1, n_iters + 1)
+        ]
+    else:
+        final_credit = np.empty(pair, dtype)
+    betas = _block_betas(x, params, rows, block)
+    gain, bias = params.score_gain.array, params.score_bias.array
+    # Block workspace: scores (which the softmax turns into routing), used
+    # shares, ignored shares, credit, scratch.
+    work = np.empty((5, rows * n_out), dtype)
+    pooled_part = np.empty((n_out, d_inp), dtype)
 
     records: list[IterationRecord] = []
     x_out = None
-    phi = None
-    for it in range(1, run_dims.n_iters + 1):
-        if it == 1:
-            routing = np.full((n_inp, n_out), 1.0 / n_out, dtype=dtype)
-            predicted = None
-            scores = None
-        else:
+    for it in range(1, n_iters + 1):
+        predicted = None
+        if it > 1:
             predicted = predict_inputs(x_out, params)
             _check_step(predicted, "predict", it)
-            scores = score_predictions(x, predicted, params)
-            _check_step(scores, "score", it)
-            routing = softmax_rows(scores).array
-        share_used = gates[:, None] * routing
-        share_ignored = gates[:, None] - share_used
-        phi = bu * share_used - bi * share_ignored
-        x_out = m_step_factored(x, phi, params)
+        if capture_trace:
+            scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
+        else:
+            credit_all = final_credit if it == n_iters else None
+        pooled = np.zeros((n_out, d_inp), dtype)
+        total = np.zeros(n_out, dtype)
+        for blk in blocks:
+            n = blk.stop - blk.start
+            scores, used, ignored, credit, scratch = (block(w, n, n_out) for w in work)
+            xb = x[blk]
+            g = gates[blk, None]
+            bu, bi = betas(blk)
+            if it == 1:
+                # Later iterations recompute the same coefficients.
+                _check_step(bu, "beta_use coefficients")
+                _check_step(bi, "beta_ign coefficients")
+                np.multiply(g, prior, out=used)
+            else:
+                np.matmul(xb, predicted.T, out=scores)
+                scores *= gain[blk] if per_row else gain
+                scores += bias[blk] if per_row else bias
+                _log_logistic_into(scores, scratch)
+                _check_step(scores, "score", it)
+                if capture_trace:
+                    scores_all[blk] = scores
+                _softmax_rows_in_place(scores)
+                if capture_trace:
+                    routing_all[blk] = scores
+                np.multiply(g, scores, out=used)
+            np.subtract(g, used, out=ignored)
+            np.multiply(bu, used, out=credit)
+            np.multiply(bi, ignored, out=scratch)
+            credit -= scratch
+            np.matmul(credit.T, xb, out=pooled_part)
+            pooled += pooled_part
+            total += credit.sum(axis=0)
+            if capture_trace:
+                used_all[blk] = used
+                ignored_all[blk] = ignored
+            if credit_all is not None:
+                credit_all[blk] = credit
+        x_out = _finish_m_step(pooled, total, n_inp, params)
         _check_step(x_out, "output update", it)
         if capture_trace:
             records.append(
                 IterationRecord(
-                    routing=DenseTensor(routing, copy=False),
-                    scores=None if scores is None else DenseTensor(scores, copy=False),
+                    routing=DenseTensor(routing_all, copy=False),
+                    scores=None if scores_all is None else DenseTensor(scores_all, copy=False),
                     predicted=None if predicted is None else DenseTensor(predicted, copy=False),
-                    share_used=DenseTensor(share_used, copy=False),
-                    share_ignored=DenseTensor(share_ignored, copy=False),
-                    credit=DenseTensor(phi, copy=False),
+                    share_used=DenseTensor(used_all, copy=False),
+                    share_ignored=DenseTensor(ignored_all, copy=False),
+                    credit=DenseTensor(credit_all, copy=False),
                     output=DenseTensor(x_out, copy=True),
                 )
             )
-        else:
-            # Keep the loop's live set at one generation of pair-sized
-            # arrays; the next iteration only needs x_out and phi.
-            del routing, share_used, share_ignored, scores, predicted
 
-    final_credit = DenseTensor(phi, copy=False)
     if capture_trace:
         trace = RoutingTrace(
             activation_scores=DenseTensor(raw, copy=False),
             activation_gates=DenseTensor(gates, copy=False),
             iterations=tuple(records),
-            final_credit=final_credit,
+            final_credit=records[-1].credit,
         )
     else:
         trace = RoutingTrace(
             activation_scores=None,
             activation_gates=None,
             iterations=(),
-            final_credit=final_credit,
+            final_credit=DenseTensor(final_credit, copy=False),
         )
     return DenseTensor(x_out, copy=False), trace
 
@@ -522,14 +657,23 @@ def total_param_count(params: RoutingParams) -> int:
 
 # Documented ceiling on transient allocations of route_optimized with the
 # trace off, in array elements (multiply by dtype itemsize for bytes).
-# The three terms cover input-sized, routing-pair-sized, and output-sized
-# intermediates; the factor absorbs the simultaneously live generations
-# of each (measured worst case: about nine pair-sized arrays live at once
-# in variable mode, so 16 leaves better than 40% headroom). The floor
-# covers interpreter-level overhead that dominates at toy sizes. The
-# bound assumes capture_trace off; trace capture retains every iteration.
-# The test suite asserts measured peaks stay under this bound.
+# Input-sized (n_inp * d_inp, which also covers every n_inp-sized
+# vector) and output-sized (n_out * (d_inp + d_out)) intermediates share
+# one factor that absorbs their simultaneously live generations. The only
+# routing-pair-sized (n_inp * n_out) array is the returned final credit,
+# counted twice for headroom; pair-dominated shapes measure at most 1.14
+# pair arrays. The block workspace is seven arrays (five in fixed mode)
+# of one block, rows * n_out elements, which is at most
+# max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
+# whole sequence fits in one block. The floor covers interpreter-level
+# overhead that dominates at toy sizes. Measured over fixed and variable
+# shapes from 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2
+# (float32), the peak reaches at most half the bound. The bound assumes
+# capture_trace off; trace capture retains every iteration. The test
+# suite asserts measured peaks stay under this bound.
 TRANSIENT_ELEMENT_BOUND_FACTOR = 16
+TRANSIENT_PAIR_FACTOR = 2
+TRANSIENT_BLOCK_FACTOR = 8
 TRANSIENT_ELEMENT_BOUND_FLOOR = 16384
 
 
@@ -539,6 +683,9 @@ def transient_element_bound(n_inp: int, n_out: int, d_inp: int, d_out: int) -> i
     Notably independent of n_inp * n_out * d_out: the proposal tensor
     never exists, so the bound carries no triple product.
     """
-    return TRANSIENT_ELEMENT_BOUND_FLOOR + TRANSIENT_ELEMENT_BOUND_FACTOR * (
-        n_inp * d_inp + n_inp * n_out + n_out * (d_inp + d_out)
+    return (
+        TRANSIENT_ELEMENT_BOUND_FLOOR
+        + TRANSIENT_ELEMENT_BOUND_FACTOR * (n_inp * d_inp + n_out * (d_inp + d_out))
+        + TRANSIENT_PAIR_FACTOR * n_inp * n_out
+        + TRANSIENT_BLOCK_FACTOR * min(n_inp * n_out, max(BLOCK_ELEMENTS, n_out))
     )

@@ -64,8 +64,20 @@ class AlwaysOn:
 ALWAYS_ON = AlwaysOn()
 
 
+# Elements scanned per step of a finite check, so the check's boolean
+# mask stays cache-sized instead of growing with the array.
+_FINITE_CHECK_ELEMENTS = 65536
+
+
 def _check_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if arr.ndim == 0 or arr.size <= _FINITE_CHECK_ELEMENTS:
+        finite = np.all(np.isfinite(arr))
+    else:
+        step = max(1, _FINITE_CHECK_ELEMENTS * arr.shape[0] // arr.size)
+        finite = all(
+            np.isfinite(arr[i : i + step]).all() for i in range(0, arr.shape[0], step)
+        )
+    if not finite:
         raise NumericError(f"non-finite values in {context}")
 
 
@@ -93,7 +105,7 @@ class DenseTensor:
         _check_finite(arr, context)
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self._a = arr
 
     @property

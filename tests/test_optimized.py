@@ -7,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vecroute import (
+    BLOCK_ELEMENTS,
+    NumericError,
     RoutingDims,
     RoutingParams,
     ShapeError,
@@ -32,10 +34,12 @@ from vecroute.memtrack import measure_peak
 
 from oracles import (
     activation_loops,
+    assert_share_laws,
     betas_loops,
     m_step_loops,
     predict_loops,
     rand_instance,
+    rand_params,
     score_loops,
     votes_loops,
 )
@@ -332,6 +336,73 @@ class TestRouteOptimized:
             xs = rng.standard_normal((rows, dims.d_inp)).astype(np.float32)
             out, _ = route_optimized(xs, params)
             assert out.shape == (dims.n_out, dims.d_out)
+
+
+def multi_block_instance(rng, mode, n_out=64, d=12, n_iters=3):
+    """(dims, params, x, rows): inputs span three blocks, the last ragged."""
+    rows = BLOCK_ELEMENTS // n_out
+    n_inp = 2 * rows + rows // 3
+    dims = RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, n_iters)
+    params = rand_params(rng, dims, n_inp)
+    x = rng.standard_normal((n_inp, d), dtype=np.float32)
+    return dims, params, x, rows
+
+
+def replaced(params, dims, **arrays):
+    return RoutingParams.from_mapping(
+        dims, {name: arrays.get(name, t) for name, t in params.field_items()}
+    )
+
+
+class TestBlockedLoop:
+    def test_matches_reference_across_blocks(self):
+        rng = np.random.default_rng(27)
+        for mode in ("fixed", "variable"):
+            dims, params, x, _ = multi_block_instance(rng, mode)
+            for dtype, tol in ((np.float32, 1e-4), (np.float64, 1e-10)):
+                p, xx = params.astype(dtype), x.astype(dtype)
+                out_fast, _ = route_optimized(xx, p)
+                nets, betas = as_plugins(xx, p)
+                out_ref, _ = route_reference(xx, nets, betas, dims, capture_trace=False)
+                assert relative_linf(out_fast.array, out_ref.array) <= tol, (mode, dtype)
+
+    def test_trace_on_and_off_agree_bitwise_across_blocks(self):
+        rng = np.random.default_rng(28)
+        for mode in ("fixed", "variable"):
+            _, params, x, _ = multi_block_instance(rng, mode)
+            out_off, trace_off = route_optimized(x, params)
+            out_on, trace_on = route_optimized(x, params, capture_trace=True)
+            assert np.array_equal(out_off.array, out_on.array)
+            assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
+            assert trace_on.final_credit is trace_on.iterations[-1].credit
+            assert_share_laws(trace_on)
+
+    def test_score_error_in_last_ragged_block_names_iteration(self):
+        # Only the last block's score tables overflow: gain * inner + bias
+        # reaches -inf wherever the inner product is below about -0.13.
+        rng = np.random.default_rng(29)
+        dims, params, x, rows = multi_block_instance(rng, "fixed")
+        last = slice(2 * rows, None)
+        gain = params.score_gain.array.copy()
+        bias = params.score_bias.array.copy()
+        gain[last] = 3e38
+        bias[last] = -3e38
+        bad = replaced(params, dims, score_gain=gain, score_bias=bias)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="score at iteration 2"):
+            route_optimized(x, bad)
+
+    @pytest.mark.parametrize("which", ["beta_use", "beta_ign"])
+    def test_beta_overflow_in_later_block_names_the_coefficients(self, which):
+        rng = np.random.default_rng(30)
+        dims, params, x, rows = multi_block_instance(rng, "variable")
+        x[: 2 * rows] *= np.float32(1e-3)  # the first two blocks stay finite
+        weight = np.full((dims.d_inp, dims.n_out), 3e38, np.float32)
+        bad = replaced(params, dims, **{f"{which}_weight": weight})
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=f"{which} coefficients"):
+                route_optimized(x, bad)
+            with pytest.raises(NumericError, match=f"{which} coefficients"):
+                beta_pair_for(x, bad)
 
 
 class TestParamCounts:

@@ -11,6 +11,7 @@ from vecroute import (
     DenseTensor,
     NumericError,
     ShapeError,
+    as_array,
     contract,
     log_logistic,
     logistic,
@@ -49,6 +50,14 @@ class TestDenseTensor:
             DenseTensor(bad)
         with pytest.raises(NumericError):
             DenseTensor(np.array([np.inf], dtype=np.float64))
+        # Large arrays are scanned in row chunks; the last, partial chunk
+        # and strided views count too.
+        big = np.zeros((1001, 97), dtype=np.float32)
+        big[-1, -1] = np.inf
+        with pytest.raises(NumericError):
+            DenseTensor(big)
+        with pytest.raises(NumericError):
+            as_array(big[:, ::-2])
 
     def test_storage_is_immutable(self):
         t = tensor([[1.0, 2.0]])
