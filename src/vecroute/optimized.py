@@ -35,6 +35,29 @@ into the parameter shapes. Variable-length mode drops the input index
 from every parameter and instead derives the per-pair use/ignore
 coefficients from the input vectors themselves, one block at a time, so
 one parameter set serves any sequence length.
+
+Iteration 1 routes every input to every output with the flat prior
+p = 1/n_out. In the variable layout its credit is then linear in the
+input, credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use -
+(1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, so its pooled sums
+need only the gated Gram matrix G = sum_i g_i x_i x_i^T and s = sum_i
+g_i x_i:
+
+    pooled = (G w1)^T + c1 s^T,    total = w1^T s + c1 * sum_i g_i
+
+Accumulating G costs 2 * d_inp**2 flops per input, against about
+6 * n_out * d_inp for the block path (two coefficient sets and the
+pooling matmul) plus its pair-sized elementwise passes, so
+:func:`route_optimized` takes the closed form exactly when
+d_inp < 3 * n_out; the rule is an operation count on the input's shape,
+not a setting. Its one-off n_out * d_inp**2 term is the size of the
+M-step's own projection matmul, so the count leaves it out. The fixed
+layout's coefficients are per-pair tables, so it always runs iteration 1
+on the blocks. Every later iteration recomputes each block's
+coefficients, so the closed form moves their finite checks there; any
+earlier failure first checks the coefficients, and a non-finite
+closed-form output redoes iteration 1 on the blocks, so errors name the
+same stage as the block path.
 """
 
 from __future__ import annotations
@@ -54,6 +77,7 @@ from .reference import (
 )
 from .tensor import (
     DenseTensor,
+    NumericError,
     ShapeError,
     as_array,
     log_logistic,
@@ -398,6 +422,45 @@ def _block_betas(x: np.ndarray, params: RoutingParams, rows: int, block):
     return betas
 
 
+def _closed_form_sums(
+    x: np.ndarray, gates: np.ndarray, work: np.ndarray, params: RoutingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration 1's (pooled, total) sums in the variable layout.
+
+    With w = [w1; c1] (see the module docstring), pooled = w^T [G; s^T]
+    and total = w1^T s + c1 * sum_i g_i. G is accumulated over blocks of
+    as many rows as ``work`` holds, each block's gated inputs written
+    into it.
+    """
+    n_inp, d = x.shape
+    gram = np.empty((d + 1, d), x.dtype)  # [G; s^T]
+    rows = work.size // d  # at least 1: d_inp < 3 * n_out <= work.size
+    for start in range(0, n_inp, rows):
+        xb = x[start : start + rows]
+        gated = work.reshape(-1)[: xb.size].reshape(xb.shape)
+        np.multiply(xb, gates[start : start + rows, None], out=gated)
+        if start == 0:
+            np.matmul(gated.T, xb, out=gram[:d])
+        else:
+            gram[:d] += gated.T @ xb
+    np.matmul(gates, x, out=gram[d])
+
+    n_out = params.dims.n_out
+    p = x.dtype.type(1.0 / n_out)
+    w = np.empty((d + 1, n_out), x.dtype)
+    for out, use, ign in (
+        (w[:d], params.beta_use_weight.array, params.beta_ign_weight.array),
+        (w[d], params.beta_use_bias.array, params.beta_ign_bias.array),
+    ):
+        # p * use - (1 - p) * ign, written without temporaries.
+        np.add(use, ign, out=out)
+        out *= p
+        out -= ign
+    total = gram[d] @ w[:d]
+    total += w[d] * gates.sum()
+    return w.T @ gram, total
+
+
 def route_optimized(
     x_inp,
     params: RoutingParams,
@@ -408,8 +471,11 @@ def route_optimized(
 
     ``dims`` may override the iteration count; its sizes must agree with
     the parameter layout. Each iteration runs over blocks of
-    max(1, BLOCK_ELEMENTS // n_out) input rows; the block split and the
-    arithmetic are the same whether ``capture_trace`` is on or off. With
+    max(1, BLOCK_ELEMENTS // n_out) input rows, except that the variable
+    layout with d_inp < 3 * n_out takes iteration 1 in closed form (see
+    :func:`_closed_form_sums`). The block split and the arithmetic that
+    produce the outputs are the same whether ``capture_trace`` is on or
+    off; tracing also records iteration 1's shares and credit. With
     it off (the default, and the configuration the transient-memory
     promise covers), a block's intermediates live only in the reused
     block workspace and the returned trace carries only the final credit
@@ -450,6 +516,9 @@ def route_optimized(
         return flat.reshape(n, cols) if per_row else flat.reshape(cols, n).T
 
     prior = dtype.type(1.0 / n_out)
+    # Iteration 1 in closed form from a gated Gram matrix; the module
+    # docstring derives it and the operation count behind the rule.
+    closed_form = run_dims.variable_length and d_inp < 3 * n_out
     # The pair-sized arrays the call returns: per iteration (scores,
     # routing, used shares, ignored shares, credit) when tracing, the
     # first iteration having no scores, else only the final credit.
@@ -475,33 +544,48 @@ def route_optimized(
     betas = _block_betas(x, params, rows, block)
     gain, bias = params.score_gain.array, params.score_bias.array
     # Block workspace: scores (which the softmax turns into routing), used
-    # shares, ignored shares, credit, scratch.
+    # shares, ignored shares, credit, scratch. The Gram matrix borrows it
+    # for its blocks of gated inputs.
     work = np.empty((5, rows * n_out), dtype)
     pooled_part = np.empty((n_out, d_inp), dtype)
+    # Every block's betas are finite-checked before any other check of the
+    # run may fail, as when iteration 1 computed them all first. The
+    # closed form computes none, so iteration 2 checks them instead.
+    betas_checked = False
 
-    records: list[IterationRecord] = []
-    x_out = None
-    for it in range(1, n_iters + 1):
-        predicted = None
-        if it > 1:
-            predicted = predict_inputs(x_out, params)
-            _check_step(predicted, "predict", it)
+    def check_betas() -> None:
+        nonlocal betas_checked
+        if betas_checked:
+            return
+        betas_checked = True
+        for blk in blocks:
+            bu, bi = betas(blk)
+            _check_step(bu, "beta_use coefficients")
+            _check_step(bi, "beta_ign coefficients")
+
+    def sweep(it: int, predicted, closed: bool):
+        """One iteration over the blocks; returns its (pooled, total) sums."""
+        nonlocal betas_checked
         if capture_trace:
             scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
         else:
             credit_all = final_credit if it == n_iters else None
-        pooled = np.zeros((n_out, d_inp), dtype)
-        total = np.zeros(n_out, dtype)
+        if closed:
+            pooled, total = _closed_form_sums(x, gates, work, params)
+            if not capture_trace:
+                return pooled, total
+        else:
+            pooled = np.zeros((n_out, d_inp), dtype)
+            total = np.zeros(n_out, dtype)
         for blk in blocks:
             n = blk.stop - blk.start
             scores, used, ignored, credit, scratch = (block(w, n, n_out) for w in work)
             xb = x[blk]
             g = gates[blk, None]
             bu, bi = betas(blk)
+            if not (betas_checked or (np.isfinite(bu).all() and np.isfinite(bi).all())):
+                check_betas()
             if it == 1:
-                # Later iterations recompute the same coefficients.
-                _check_step(bu, "beta_use coefficients")
-                _check_step(bi, "beta_ign coefficients")
                 np.multiply(g, prior, out=used)
             else:
                 np.matmul(xb, predicted.T, out=scores)
@@ -519,17 +603,38 @@ def route_optimized(
             np.multiply(bu, used, out=credit)
             np.multiply(bi, ignored, out=scratch)
             credit -= scratch
-            np.matmul(credit.T, xb, out=pooled_part)
-            pooled += pooled_part
-            total += credit.sum(axis=0)
+            if not closed:
+                np.matmul(credit.T, xb, out=pooled_part)
+                pooled += pooled_part
+                total += credit.sum(axis=0)
             if capture_trace:
                 used_all[blk] = used
                 ignored_all[blk] = ignored
             if credit_all is not None:
                 credit_all[blk] = credit
-        x_out = _finish_m_step(pooled, total, n_inp, params)
-        _check_step(x_out, "output update", it)
+        betas_checked = True
+        return pooled, total
+
+    records: list[IterationRecord] = []
+    x_out = None
+    for it in range(1, n_iters + 1):
+        predicted = None
+        closed = closed_form and it == 1
+        try:
+            if it > 1:
+                predicted = predict_inputs(x_out, params)
+                _check_step(predicted, "predict", it)
+            x_out = _finish_m_step(*sweep(it, predicted, closed), n_inp, params)
+            if closed and not np.isfinite(x_out).all():
+                # The Gram matrix can overflow where the direct sums do
+                # not; the direct pass also checks the betas first.
+                x_out = _finish_m_step(*sweep(it, None, False), n_inp, params)
+            _check_step(x_out, "output update", it)
+        except NumericError:
+            check_betas()
+            raise
         if capture_trace:
+            scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
             records.append(
                 IterationRecord(
                     routing=DenseTensor(routing_all, copy=False),
@@ -665,12 +770,16 @@ def total_param_count(params: RoutingParams) -> int:
 # pair arrays. The block workspace is seven arrays (five in fixed mode)
 # of one block, rows * n_out elements, which is at most
 # max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
-# whole sequence fits in one block. The floor covers interpreter-level
-# overhead that dominates at toy sizes. Measured over fixed and variable
-# shapes from 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2
-# (float32), the peak reaches at most half the bound. The bound assumes
-# capture_trace off; trace capture retains every iteration. The test
-# suite asserts measured peaks stay under this bound.
+# whole sequence fits in one block. The variable layout's closed-form
+# first iteration adds no term: its gated inputs reuse the block
+# workspace, and it runs only when d_inp < 3 * n_out, which makes its
+# (d_inp + 1) * d_inp Gram matrix and (d_inp + 1) * n_out coefficients
+# output-sized. The floor covers interpreter-level overhead that
+# dominates at toy sizes. Measured over fixed and variable shapes from
+# 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2 (float32), the peak
+# reaches at most half the bound. The bound assumes capture_trace off;
+# trace capture retains every iteration. The test suite asserts measured
+# peaks stay under this bound.
 TRANSIENT_ELEMENT_BOUND_FACTOR = 16
 TRANSIENT_PAIR_FACTOR = 2
 TRANSIENT_BLOCK_FACTOR = 8

@@ -404,6 +404,107 @@ class TestBlockedLoop:
             with pytest.raises(NumericError, match=f"{which} coefficients"):
                 beta_pair_for(x, bad)
 
+    # The variable layout computes iteration 1 in closed form from a
+    # gated Gram matrix when d_inp < 3 * n_out, as in the instances above;
+    # these instances (d_inp >= 3 * n_out) keep iteration 1 on the blocks.
+    DIRECT_FIRST_ITERATION = dict(n_out=4, d=16)
+
+    def test_direct_first_iteration_matches_reference(self):
+        rng = np.random.default_rng(31)
+        dims, params, x, _ = multi_block_instance(rng, "variable", **self.DIRECT_FIRST_ITERATION)
+        for dtype, tol in ((np.float32, 1e-4), (np.float64, 1e-10)):
+            p, xx = params.astype(dtype), x.astype(dtype)
+            out_fast, _ = route_optimized(xx, p)
+            nets, betas = as_plugins(xx, p)
+            out_ref, _ = route_reference(xx, nets, betas, dims, capture_trace=False)
+            assert relative_linf(out_fast.array, out_ref.array) <= tol, dtype
+
+    def test_direct_first_iteration_trace_on_and_off_agree_bitwise(self):
+        rng = np.random.default_rng(32)
+        _, params, x, _ = multi_block_instance(rng, "variable", **self.DIRECT_FIRST_ITERATION)
+        out_off, trace_off = route_optimized(x, params)
+        out_on, trace_on = route_optimized(x, params, capture_trace=True)
+        assert np.array_equal(out_off.array, out_on.array)
+        assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
+        assert_share_laws(trace_on)
+
+    @pytest.mark.parametrize("which", ["beta_use", "beta_ign"])
+    def test_direct_first_iteration_beta_overflow_names_the_coefficients(self, which):
+        rng = np.random.default_rng(33)
+        dims, params, x, rows = multi_block_instance(rng, "variable", **self.DIRECT_FIRST_ITERATION)
+        x[: 2 * rows] *= np.float32(1e-3)  # the first two blocks stay finite
+        weight = np.full((dims.d_inp, dims.n_out), 3e38, np.float32)
+        bad = replaced(params, dims, **{f"{which}_weight": weight})
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"{which} coefficients"):
+            route_optimized(x, bad)
+
+    def test_closed_form_first_iteration_matches_direct_sums(self):
+        # Iteration 1's recorded credit is computed block by block; the
+        # direct M-step over it, taken in float64, must give the closed
+        # form's output. The float32 direct sums are the less accurate
+        # side (about 1e-6 from float64 here, the closed form about 1e-7),
+        # so each dtype's closed form is held to the float64 sums.
+        # With n_out=4, d=11 the Gram matrix sums two blocks of inputs.
+        rng = np.random.default_rng(34)
+        for sizes in (dict(), dict(n_out=4, d=11)):
+            _, params, x, _ = multi_block_instance(rng, "variable", **sizes)
+            p64, x64 = params.astype(np.float64), x.astype(np.float64)
+            _, trace64 = route_optimized(x64, p64, capture_trace=True)
+            direct = m_step_factored(x64, trace64.iterations[0].credit.array, p64)
+            for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
+                p, xx = params.astype(dtype), x.astype(dtype)
+                _, trace = route_optimized(xx, p, capture_trace=True)
+                got = trace.iterations[0].output.array
+                assert relative_linf(got, direct) <= tol, (sizes, dtype)
+
+    def test_score_error_before_later_beta_overflow_names_the_coefficients(self):
+        # Feature 0 is zero in the first two blocks. Its beta_use weights
+        # overflow the third block's coefficients, but cancel exactly in
+        # the flat-prior credit (p * W_use == (1 - p) * W_ign with
+        # p = 1/64), so iteration 1 stays finite. Every score overflows
+        # where gain * inner + bias passes -3.4e38, so iteration 2 fails
+        # in the first block, before the third block's betas are seen.
+        rng = np.random.default_rng(35)
+        dims, params, x, rows = multi_block_instance(rng, "variable")
+        x[: 2 * rows, 0] = 0.0
+        x[2 * rows, 0] = 4.0
+        use = params.beta_use_weight.array.copy()
+        ign = params.beta_ign_weight.array.copy()
+        use[0], ign[0] = 63 * 2.0**121, 2.0**121
+        gain = np.full(dims.n_out, 3e38, np.float32)
+        bias = np.full(dims.n_out, -3e38, np.float32)
+        scores_only = replaced(params, dims, score_gain=gain, score_bias=bias)
+        both = replaced(
+            params, dims, score_gain=gain, score_bias=bias, beta_use_weight=use, beta_ign_weight=ign
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="score at iteration 2"):
+                route_optimized(x, scores_only)
+            with pytest.raises(NumericError, match="beta_use coefficients"):
+                route_optimized(x, both)
+            with pytest.raises(NumericError, match="beta_use coefficients"):
+                route_optimized(x, both, capture_trace=True)
+
+    def test_gram_overflow_falls_back_to_the_direct_sums(self):
+        # Inputs near 1e19 overflow the Gram matrix (x_a * x_b > 3.4e38),
+        # while tiny beta weights keep the direct sums and every later
+        # stage finite.
+        rng = np.random.default_rng(36)
+        dims, params, x, _ = multi_block_instance(rng, "variable", n_iters=2)
+        x *= np.float32(1e19)
+        tiny = np.float32(1e-20)
+        p = replaced(
+            params,
+            dims,
+            beta_use_weight=params.beta_use_weight.array * tiny,
+            beta_ign_weight=params.beta_ign_weight.array * tiny,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, _ = route_optimized(x, p)
+            nets, betas = as_plugins(x, p)
+            out_ref, _ = route_reference(x, nets, betas, dims, capture_trace=False)
+        assert relative_linf(out.array, out_ref.array) <= 1e-4
+
 
 class TestParamCounts:
     def test_documented_example(self):
