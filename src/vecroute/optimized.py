@@ -15,8 +15,8 @@ n_inp * n_out * d_out ever exists. The proposals stay implicit, but
 small instances so tests can compare both execution orders.
 
 Every step of an iteration except that contraction is local to one
-input row: the use/ignore coefficients, the agreement score, the row
-softmax over outputs, the shares and the credit. :func:`route_optimized`
+input row: the use/ignore coefficients, the agreement score, the routing
+over outputs, the shares and the credit. :func:`route_optimized`
 therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
 n_out) input rows. A block computes its stages in place in one
 block-sized workspace, checks them for non-finite values once, and adds
@@ -58,6 +58,21 @@ coefficients, so the closed form moves their finite checks there; any
 earlier failure first checks the coefficients, and a non-finite
 closed-form output redoes iteration 1 on the blocks, so errors name the
 same stage as the block path.
+
+Every later iteration routes input i by the softmax over outputs of its
+log-logistic scores, softmax_j(log sigma(z_ij)) with z = gain * inner +
+bias. That softmax is sigma(z_ij) / S_i with S_i = sum_j sigma(z_ij), so a
+block computes sigma once and scales each row by g_i / S_i, which folds
+the gate in too: five pair-sized passes (exp, +1, reciprocal, row sum,
+row scale) where the log-logistic, the max-shifted softmax and the gate
+took twelve. A block whose z holds a non-finite value, or with a row
+whose S_i falls below tiny / eps of the dtype (every sigma of the row
+near or past underflow), takes the exact path instead: the log-logistic,
+its finite check, and the max-shifted softmax. So +inf scores still
+route as a score of 0, -inf and NaN still raise, and underflowing rows
+keep full precision. The floor is a property of the dtype, not a
+setting. A trace records log sigma(z) as the scores and sigma / S as
+the routing; the outputs do not depend on whether it is on.
 """
 
 from __future__ import annotations
@@ -367,7 +382,11 @@ def _finish_m_step(pooled: np.ndarray, total: np.ndarray, n_inp: int, params: Ro
 
 
 def _log_logistic_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    """:func:`vecroute.tensor.log_logistic` of ``z`` in place, same arithmetic."""
+    """:func:`vecroute.tensor.log_logistic` of ``z`` in place, same arithmetic.
+
+    The block loop routes by sigma / sum(sigma) and uses this only for the
+    scores record of a trace and for blocks on the exact path.
+    """
     np.abs(z, out=scratch)
     np.negative(scratch, out=scratch)
     np.exp(scratch, out=scratch)
@@ -377,7 +396,11 @@ def _log_logistic_into(z: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _softmax_rows_in_place(scores: np.ndarray) -> None:
-    """:func:`vecroute.tensor.softmax_rows` of ``scores``, written back into it."""
+    """:func:`vecroute.tensor.softmax_rows` of ``scores``, written back into it.
+
+    Routes only the blocks on the exact path: a non-finite score, or a row
+    whose sigma sum is below tiny / eps of the dtype.
+    """
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=1, keepdims=True)
@@ -473,15 +496,18 @@ def route_optimized(
     the parameter layout. Each iteration runs over blocks of
     max(1, BLOCK_ELEMENTS // n_out) input rows, except that the variable
     layout with d_inp < 3 * n_out takes iteration 1 in closed form (see
-    :func:`_closed_form_sums`). The block split and the arithmetic that
-    produce the outputs are the same whether ``capture_trace`` is on or
-    off; tracing also records iteration 1's shares and credit. With
-    it off (the default, and the configuration the transient-memory
-    promise covers), a block's intermediates live only in the reused
-    block workspace and the returned trace carries only the final credit
-    coefficients. With it on, every iteration's scores, routing, shares,
-    credit, and output are retained, which keeps
-    O(n_iters * n_inp * n_out) memory alive.
+    :func:`_closed_form_sums`). Later iterations route each row by
+    sigma(z) / sum(sigma(z)), or by the max-shifted softmax of log
+    sigma(z) in a block with a non-finite score or a row sum below
+    tiny / eps of the dtype (see the module docstring). The block split
+    and the arithmetic that produce the outputs are the same whether
+    ``capture_trace`` is on or off; tracing also records iteration 1's
+    shares and credit. With it off (the default, and the configuration
+    the transient-memory promise covers), a block's intermediates live
+    only in the reused block workspace and the returned trace carries
+    only the final credit coefficients. With it on, every iteration's
+    scores, routing, shares, credit, and output are retained, which
+    keeps O(n_iters * n_inp * n_out) memory alive.
     """
     x = as_array(x_inp, "x_inp")
     if x.ndim != 2:
@@ -543,11 +569,16 @@ def route_optimized(
         final_credit = np.empty(pair, dtype)
     betas = _block_betas(x, params, rows, block)
     gain, bias = params.score_gain.array, params.score_bias.array
-    # Block workspace: scores (which the softmax turns into routing), used
-    # shares, ignored shares, credit, scratch. The Gram matrix borrows it
-    # for its blocks of gated inputs.
+    # Block workspace: scores (-z, which the exact path turns into
+    # routing), used shares, ignored shares, credit, scratch (sigma). The
+    # Gram matrix borrows it for its blocks of gated inputs.
     work = np.empty((5, rows * n_out), dtype)
     pooled_part = np.empty((n_out, d_inp), dtype)
+    # Each block's row sums S_i of sigma(z_ij), then g_i / S_i. Below the
+    # floor, sigma has lost relative precision to underflow, so such a
+    # block takes the max-shifted softmax of log sigma instead.
+    row_sums = np.empty(rows, dtype)
+    row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
     # Every block's betas are finite-checked before any other check of the
     # run may fail, as when iteration 1 computed them all first. The
     # closed form computes none, so iteration 2 checks them instead.
@@ -563,20 +594,29 @@ def route_optimized(
             _check_step(bu, "beta_use coefficients")
             _check_step(bi, "beta_ign coefficients")
 
-    def sweep(it: int, predicted, closed: bool):
-        """One iteration over the blocks; returns its (pooled, total) sums."""
+    def sweep(it: int, predicted, closed: bool) -> np.ndarray:
+        """One iteration over the blocks; returns its output update."""
         nonlocal betas_checked
         if capture_trace:
             scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
         else:
             credit_all = final_credit if it == n_iters else None
         if closed:
-            pooled, total = _closed_form_sums(x, gates, work, params)
+            # The Gram matrix can overflow where the direct sums do not;
+            # the caller then redoes the iteration on the blocks.
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_closed = _finish_m_step(*_closed_form_sums(x, gates, work, params), n_inp, params)
             if not capture_trace:
-                return pooled, total
+                return x_closed
         else:
             pooled = np.zeros((n_out, d_inp), dtype)
             total = np.zeros(n_out, dtype)
+        if it > 1:
+            # Negation is exact, so scoring against -predicted leaves
+            # -z = -(gain * inner + bias) in the scores buffer, bit for
+            # bit, and exp(-z) takes one pass. Negated in place, as a copy
+            # would raise the peak, and restored after the blocks.
+            np.negative(predicted, out=predicted)
         for blk in blocks:
             n = blk.stop - blk.start
             scores, used, ignored, credit, scratch = (block(w, n, n_out) for w in work)
@@ -590,15 +630,38 @@ def route_optimized(
             else:
                 np.matmul(xb, predicted.T, out=scores)
                 scores *= gain[blk] if per_row else gain
-                scores += bias[blk] if per_row else bias
-                _log_logistic_into(scores, scratch)
-                _check_step(scores, "score", it)
-                if capture_trace:
-                    scores_all[blk] = scores
-                _softmax_rows_in_place(scores)
-                if capture_trace:
-                    routing_all[blk] = scores
-                np.multiply(g, scores, out=used)
+                scores -= bias[blk] if per_row else bias
+                row_sum = row_sums[:n]
+                exact = not np.isfinite(scores).all()
+                if not exact:
+                    # sigma = 1 / (1 + exp(-z)); an overflowed exp gives 0.
+                    with np.errstate(over="ignore"):
+                        np.exp(scores, out=scratch)
+                    scratch += 1.0
+                    np.reciprocal(scratch, out=scratch)
+                    np.sum(scratch, axis=1, out=row_sum)
+                    exact = row_sum.min() < row_sum_floor
+                if exact:
+                    np.negative(scores, out=scores)
+                    _log_logistic_into(scores, scratch)
+                    _check_step(scores, "score", it)
+                    if capture_trace:
+                        scores_all[blk] = scores
+                    _softmax_rows_in_place(scores)
+                    if capture_trace:
+                        routing_all[blk] = scores
+                    np.multiply(g, scores, out=used)
+                else:
+                    if capture_trace:
+                        # log sigma(z) in place in the record, with the
+                        # credit buffer, not yet written, as its scratch in
+                        # the record's layout.
+                        record = scores_all[blk]
+                        np.negative(scores, out=record)
+                        _log_logistic_into(record, work[3, : n * n_out].reshape(n, n_out))
+                        np.divide(scratch, row_sum[:, None], out=routing_all[blk])
+                    np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
+                    np.multiply(scratch, row_sum[:, None], out=used)
             np.subtract(g, used, out=ignored)
             np.multiply(bu, used, out=credit)
             np.multiply(bi, ignored, out=scratch)
@@ -612,8 +675,10 @@ def route_optimized(
                 ignored_all[blk] = ignored
             if credit_all is not None:
                 credit_all[blk] = credit
+        if it > 1:
+            np.negative(predicted, out=predicted)
         betas_checked = True
-        return pooled, total
+        return x_closed if closed else _finish_m_step(pooled, total, n_inp, params)
 
     records: list[IterationRecord] = []
     x_out = None
@@ -624,11 +689,10 @@ def route_optimized(
             if it > 1:
                 predicted = predict_inputs(x_out, params)
                 _check_step(predicted, "predict", it)
-            x_out = _finish_m_step(*sweep(it, predicted, closed), n_inp, params)
+            x_out = sweep(it, predicted, closed)
             if closed and not np.isfinite(x_out).all():
-                # The Gram matrix can overflow where the direct sums do
-                # not; the direct pass also checks the betas first.
-                x_out = _finish_m_step(*sweep(it, None, False), n_inp, params)
+                # The direct pass also checks the betas first.
+                x_out = sweep(it, None, False)
             _check_step(x_out, "output update", it)
         except NumericError:
             check_betas()

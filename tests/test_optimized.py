@@ -24,12 +24,14 @@ from vecroute import (
     route_optimized,
     route_reference,
     score_predictions,
+    softmax_rows,
     total_param_count,
     transient_element_bound,
     vote_param_budget,
     vote_param_count,
     votes_for_input,
 )
+from vecroute import optimized
 from vecroute.memtrack import measure_peak
 
 from oracles import (
@@ -354,6 +356,22 @@ def replaced(params, dims, **arrays):
     )
 
 
+def pinned_predictions(params, dims, values, gain=1.0):
+    """Params whose predictions hold ``values[k]`` in feature k for every output.
+
+    Input i's score against output j is then gain * (sum_k x[i, k] *
+    values[k] + r_ij) + bias, with r_ij over the remaining features, so
+    the leading features of a block's inputs steer its scores.
+    """
+    k = len(values)
+    pred_gate = params.pred_gate.array.copy()
+    pred_bias = params.pred_bias.array.copy()
+    pred_gate[:, :k] = 0.0
+    pred_bias[:, :k] = values
+    score_gain = np.full(params.score_gain.shape, gain, np.float32)
+    return replaced(params, dims, pred_gate=pred_gate, pred_bias=pred_bias, score_gain=score_gain)
+
+
 class TestBlockedLoop:
     def test_matches_reference_across_blocks(self):
         rng = np.random.default_rng(27)
@@ -504,6 +522,87 @@ class TestBlockedLoop:
             nets, betas = as_plugins(x, p)
             out_ref, _ = route_reference(x, nets, betas, dims, capture_trace=False)
         assert relative_linf(out.array, out_ref.array) <= 1e-4
+
+    # Iterations >= 2 route by sigma(z) / sum_j sigma(z_j); a block with a
+    # non-finite z, or a row whose sum falls below tiny / eps of the
+    # dtype, takes the max-shifted softmax of log sigma instead.
+
+    def test_routing_record_is_softmax_of_scores_record(self):
+        rng = np.random.default_rng(37)
+        for mode in ("fixed", "variable"):
+            _, params, x, _ = multi_block_instance(rng, mode)
+            for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
+                _, trace = route_optimized(x.astype(dtype), params.astype(dtype), capture_trace=True)
+                for record in trace.iterations[1:]:
+                    expected = softmax_rows(record.scores.array).array
+                    assert np.max(np.abs(record.routing.array - expected)) <= tol, (mode, dtype)
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_underflowing_last_block_takes_the_softmax(self, mode, monkeypatch):
+        # Feature 0 shifts z by -95 (float32) or -800 (float64) in the last
+        # block only, so every sigma there underflows below the floor and
+        # that block alone takes the softmax, once per later iteration.
+        softmax_blocks = []
+        softmax = optimized._softmax_rows_in_place
+
+        def counted_softmax(scores):
+            softmax_blocks.append(scores.shape)
+            softmax(scores)
+
+        monkeypatch.setattr(optimized, "_softmax_rows_in_place", counted_softmax)
+        rng = np.random.default_rng(38)
+        dims, params, x, rows = multi_block_instance(rng, mode)
+        params = pinned_predictions(params, dims, [1.0])
+        x[:, 0] = 0.0
+        for dtype, shift, tol in ((np.float32, -95.0, 1e-4), (np.float64, -800.0, 1e-10)):
+            p, xx = params.astype(dtype), x.astype(dtype)
+            xx[2 * rows :, 0] = shift
+            softmax_blocks.clear()
+            out_off, trace_off = route_optimized(xx, p)
+            assert len(softmax_blocks) == dims.n_iters - 1, dtype
+            out_on, trace_on = route_optimized(xx, p, capture_trace=True)
+            assert np.array_equal(out_off.array, out_on.array)
+            assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
+            assert_share_laws(trace_on)
+            nets, betas = as_plugins(xx, p)
+            out_ref, _ = route_reference(xx, nets, betas, dims, capture_trace=False)
+            assert relative_linf(out_off.array, out_ref.array) <= tol, dtype
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_infinite_score_block_routes_like_the_reference(self, mode):
+        # Feature 0 (1e10 in the middle block, 0 elsewhere) meets a
+        # prediction of 1e30, so the middle block's scores overflow to +inf.
+        rng = np.random.default_rng(39)
+        dims, params, x, rows = multi_block_instance(rng, mode)
+        params = pinned_predictions(params, dims, [1e30])
+        x[:, 0] = 0.0
+        middle = slice(rows, 2 * rows)
+        x[middle, 0] = 1e10
+        with np.errstate(over="ignore"):
+            out, trace = route_optimized(x, params, capture_trace=True)
+            nets, betas = as_plugins(x, params)
+            out_ref, trace_ref = route_reference(x, nets, betas, dims)
+        assert relative_linf(out.array, out_ref.array) <= 1e-4
+        for record, record_ref in zip(trace.iterations[1:], trace_ref.iterations[1:]):
+            assert np.all(record.scores.array[middle] == 0.0)
+            assert relative_linf(record.routing.array, record_ref.routing.array) <= 1e-4
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_nan_score_block_names_iteration(self, mode):
+        # As above, with output 0's gain zeroed: 0 * inf in the middle block.
+        rng = np.random.default_rng(40)
+        dims, params, x, rows = multi_block_instance(rng, mode)
+        params = pinned_predictions(params, dims, [1e30])
+        gain = params.score_gain.array.copy()
+        gain[..., 0] = 0.0
+        params = replaced(params, dims, score_gain=gain)
+        x[:, 0] = 0.0
+        x[rows : 2 * rows, 0] = 1e10
+        for capture_trace in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match="score at iteration 2"
+            ):
+                route_optimized(x, params, capture_trace=capture_trace)
 
 
 class TestParamCounts:
