@@ -23,7 +23,6 @@ from .tensor import (
     NumericError,
     ShapeError,
     as_array,
-    contract,
     log_logistic,
     logistic,
     normalize_vectors,
@@ -46,16 +45,13 @@ from .reference import (
 )
 from .optimized import (
     BLOCK_ELEMENTS,
-    FIXED_FIELD_NAMES,
     TRANSIENT_ELEMENT_BOUND_FACTOR,
-    VARIABLE_FIELD_NAMES,
     RoutingParams,
     VoteParamBudget,
     activation_scores,
     as_plugins,
     beta_pair_for,
     field_shapes,
-    fixed_field_shapes,
     m_step_factored,
     materialized_votes,
     predict_inputs,
@@ -63,7 +59,6 @@ from .optimized import (
     score_predictions,
     total_param_count,
     transient_element_bound,
-    variable_field_shapes,
     vote_param_budget,
     vote_param_count,
     votes_for_input,
@@ -106,7 +101,6 @@ __all__ = [
     "CreditMatrix",
     "DegenerateCreditError",
     "DenseTensor",
-    "FIXED_FIELD_NAMES",
     "HopfieldReductionReport",
     "IterationRecord",
     "LinearFit",
@@ -121,7 +115,6 @@ __all__ = [
     "ShapeError",
     "SweepSpec",
     "TRANSIENT_ELEMENT_BOUND_FACTOR",
-    "VARIABLE_FIELD_NAMES",
     "VARIANCE_EPS",
     "VoteParamBudget",
     "activation_scores",
@@ -135,11 +128,9 @@ __all__ = [
     "compose_residual",
     "compose_sequential",
     "compose_sum",
-    "contract",
     "credit_from_trace",
     "end_to_end_three",
     "field_shapes",
-    "fixed_field_shapes",
     "hopfield_reduction_check",
     "init_params",
     "linear_fit",
@@ -164,7 +155,6 @@ __all__ = [
     "total_param_count",
     "track_peak",
     "transient_element_bound",
-    "variable_field_shapes",
     "vote_param_budget",
     "vote_param_count",
     "votes_for_input",

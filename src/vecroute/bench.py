@@ -320,11 +320,18 @@ def big_route_demo(
     )
 
 
-def _parse_values(text: str) -> tuple[int, ...]:
+def _positive_int(text: str, what: str) -> int:
     try:
-        values = tuple(int(part) for part in text.split(",") if part)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"values {text!r} must be comma-separated integers")
+        raise argparse.ArgumentTypeError(f"{what} {text!r} not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{what} {text!r} must be positive")
+    return value
+
+
+def _parse_values(text: str) -> tuple[int, ...]:
+    values = tuple(_positive_int(part, "value") for part in text.split(",") if part)
     if not values:
         raise argparse.ArgumentTypeError("empty value list")
     return values
@@ -338,10 +345,7 @@ def _parse_baseline(text: str) -> dict[str, int]:
         key, eq, val = part.partition("=")
         if not eq or key not in SWEEP_DIMENSIONS:
             raise argparse.ArgumentTypeError(f"bad baseline entry {part!r}")
-        try:
-            out[key] = int(val)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"baseline {key} value {val!r} not an integer")
+        out[key] = _positive_int(val, f"baseline {key} value")
     return out
 
 
@@ -372,7 +376,12 @@ def main(argv=None) -> int:
         type=_parse_baseline,
         help="fixed sizes, e.g. n_inp=4096,n_out=64,d_inp=128,d_out=128,n_iters=2",
     )
-    parser.add_argument("--repeats", type=int, default=5, help="timed runs per point")
+    parser.add_argument(
+        "--repeats",
+        type=lambda text: _positive_int(text, "repeats"),
+        default=5,
+        help="timed runs per point",
+    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--csv", help="write records to this CSV path")
     parser.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)

@@ -34,7 +34,10 @@ score, and use/ignore coefficients by input position, so n_inp is baked
 into the parameter shapes. Variable-length mode drops the input index
 from every parameter and instead derives the per-pair use/ignore
 coefficients from the input vectors themselves, one block at a time, so
-one parameter set serves any sequence length.
+one parameter set serves any sequence length. Each layout is one ordered
+table of (name, shape, init) rows, ``_LAYOUTS`` below; the parameter
+names, shapes, initialization, validation and file layout all derive
+from it.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out. In the variable layout its credit is then linear in the
@@ -77,8 +80,9 @@ the routing; the outputs do not depend on whether it is on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -102,17 +106,13 @@ from .tensor import (
 
 __all__ = [
     "BLOCK_ELEMENTS",
-    "FIXED_FIELD_NAMES",
     "TRANSIENT_ELEMENT_BOUND_FACTOR",
-    "VARIABLE_FIELD_NAMES",
     "RoutingParams",
     "VoteParamBudget",
     "activation_scores",
     "as_plugins",
     "beta_pair_for",
     "field_shapes",
-    "fixed_field_shapes",
-    "variable_field_shapes",
     "m_step_factored",
     "materialized_votes",
     "predict_inputs",
@@ -130,169 +130,141 @@ __all__ = [
 # fit a 2 MiB per-core L2 cache.
 BLOCK_ELEMENTS = 65536
 
-# Canonical field order. Serialization, initialization draw order, and
-# parameter counting all follow this order, so it must never be permuted.
-FIXED_FIELD_NAMES = (
-    "act_weight",
-    "act_bias",
-    "vote_mix",
-    "vote_proj",
-    "vote_bias",
-    "pred_proj",
-    "pred_gate",
-    "pred_bias",
-    "score_gain",
-    "score_bias",
-    "beta_use",
-    "beta_ign",
+
+class FanIn(NamedTuple):
+    """Init rule: a zero-mean normal draw with standard deviation
+    1/sqrt(extent), where ``extent`` is the fan-in (the number of summands
+    feeding one element of the op that consumes the tensor), named as a
+    RoutingDims field or given as a count."""
+
+    extent: str | int
+
+
+# The parameter layouts: one ordered table of (name, shape, init) per
+# layout. Names, shapes, initialization, validation, the file layout and
+# parameter counting all derive from these tables, and serialization and
+# the initialization draw order follow their row order, so it must never
+# be permuted (docs/param-format.md). A shape names RoutingDims fields.
+# The variable layout has n_inp None and so drops the input index from
+# every parameter; a parameter left with no index (act_bias) is stored
+# as shape (1,) so every parameter is a tensor. ``init`` is a FanIn draw
+# or a constant fill: biases start at 0, and the use/ignore coefficients
+# at the neutral point (use 1, ignore 0) where routing behaves like plain
+# associative recall.
+_SHARED_FIELDS = (
+    ("act_weight", ("n_inp", "d_inp"), FanIn("d_inp")),
+    ("act_bias", ("n_inp",), 0.0),
+    ("vote_mix", ("n_out", "d_inp"), FanIn("d_inp")),
+    ("vote_proj", ("d_inp", "d_out"), FanIn("d_inp")),
+    ("vote_bias", ("n_out", "d_out"), 0.0),
+    ("pred_proj", ("d_out", "d_inp"), FanIn("d_out")),
+    ("pred_gate", ("n_out", "d_inp"), FanIn(1)),  # an elementwise gain
+    ("pred_bias", ("n_out", "d_inp"), 0.0),
+    ("score_gain", ("n_inp", "n_out"), FanIn("d_inp")),
+    ("score_bias", ("n_inp", "n_out"), 0.0),
 )
-VARIABLE_FIELD_NAMES = (
-    "act_weight",
-    "act_bias",
-    "vote_mix",
-    "vote_proj",
-    "vote_bias",
-    "pred_proj",
-    "pred_gate",
-    "pred_bias",
-    "score_gain",
-    "score_bias",
-    "beta_use_weight",
-    "beta_use_bias",
-    "beta_ign_weight",
-    "beta_ign_bias",
-)
+_LAYOUTS = {
+    # Per-pair use/ignore coefficient tables.
+    "fixed": _SHARED_FIELDS
+    + (
+        ("beta_use", ("n_inp", "n_out"), 1.0),
+        ("beta_ign", ("n_inp", "n_out"), 0.0),
+    ),
+    # Per-output linear maps that derive the coefficients from each input;
+    # zero weights start every input at the fixed layout's neutral point.
+    "variable": _SHARED_FIELDS
+    + (
+        ("beta_use_weight", ("d_inp", "n_out"), 0.0),
+        ("beta_use_bias", ("n_out",), 1.0),
+        ("beta_ign_weight", ("d_inp", "n_out"), 0.0),
+        ("beta_ign_bias", ("n_out",), 0.0),
+    ),
+}
 
 
-def fixed_field_shapes(dims: RoutingDims) -> dict[str, tuple[int, ...]]:
-    if dims.variable_length:
-        raise ValueError("dims are variable-length; no fixed layout exists")
-    return {
-        "act_weight": (dims.n_inp, dims.d_inp),
-        "act_bias": (dims.n_inp,),
-        "vote_mix": (dims.n_out, dims.d_inp),
-        "vote_proj": (dims.d_inp, dims.d_out),
-        "vote_bias": (dims.n_out, dims.d_out),
-        "pred_proj": (dims.d_out, dims.d_inp),
-        "pred_gate": (dims.n_out, dims.d_inp),
-        "pred_bias": (dims.n_out, dims.d_inp),
-        "score_gain": (dims.n_inp, dims.n_out),
-        "score_bias": (dims.n_inp, dims.n_out),
-        "beta_use": (dims.n_inp, dims.n_out),
-        "beta_ign": (dims.n_inp, dims.n_out),
-    }
+def _mode(dims: RoutingDims) -> str:
+    return "variable" if dims.variable_length else "fixed"
 
 
-def variable_field_shapes(dims: RoutingDims) -> dict[str, tuple[int, ...]]:
-    # Scalars are stored shape (1,) so every parameter is a tensor.
-    return {
-        "act_weight": (dims.d_inp,),
-        "act_bias": (1,),
-        "vote_mix": (dims.n_out, dims.d_inp),
-        "vote_proj": (dims.d_inp, dims.d_out),
-        "vote_bias": (dims.n_out, dims.d_out),
-        "pred_proj": (dims.d_out, dims.d_inp),
-        "pred_gate": (dims.n_out, dims.d_inp),
-        "pred_bias": (dims.n_out, dims.d_inp),
-        "score_gain": (dims.n_out,),
-        "score_bias": (dims.n_out,),
-        "beta_use_weight": (dims.d_inp, dims.n_out),
-        "beta_use_bias": (dims.n_out,),
-        "beta_ign_weight": (dims.d_inp, dims.n_out),
-        "beta_ign_bias": (dims.n_out,),
-    }
+def _layout(dims: RoutingDims) -> tuple[tuple[str, tuple[int, ...], FanIn | float], ...]:
+    """The layout table ``dims`` selects, with extents resolved to numbers."""
+
+    def extent(axis: str | int) -> int | None:
+        return getattr(dims, axis) if isinstance(axis, str) else axis
+
+    return tuple(
+        (
+            name,
+            tuple(e for e in map(extent, axes) if e is not None) or (1,),
+            FanIn(extent(init.extent)) if isinstance(init, FanIn) else init,
+        )
+        for name, axes, init in _LAYOUTS[_mode(dims)]
+    )
 
 
 def field_shapes(dims: RoutingDims) -> dict[str, tuple[int, ...]]:
-    """Name -> required shape for the layout ``dims`` selects."""
-    if dims.variable_length:
-        return variable_field_shapes(dims)
-    return fixed_field_shapes(dims)
+    """Name -> required shape, in canonical order, for the layout ``dims`` selects."""
+    return {name: shape for name, shape, _ in _layout(dims)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RoutingParams:
     """One complete parameter set for the concrete router.
 
-    Exactly one layout's fields are populated; the other layout's fields
-    stay None. Every tensor shares one dtype (float32 by default,
-    float64 for high-precision cross-checks). ``dims`` rides along so a
-    parameter set is self-describing.
+    ``RoutingParams(dims, **tensors)`` takes exactly the names of the
+    layout ``dims`` selects, each a DenseTensor or array of the table's
+    shape, all of one dtype (float32 by default, float64 for
+    high-precision cross-checks). The tensors read as attributes
+    (``params.vote_mix``) or from ``tensors`` in canonical order.
+    ``dims`` rides along so a parameter set is self-describing.
     """
 
     dims: RoutingDims
-    act_weight: DenseTensor | None = None
-    act_bias: DenseTensor | None = None
-    vote_mix: DenseTensor | None = None
-    vote_proj: DenseTensor | None = None
-    vote_bias: DenseTensor | None = None
-    pred_proj: DenseTensor | None = None
-    pred_gate: DenseTensor | None = None
-    pred_bias: DenseTensor | None = None
-    score_gain: DenseTensor | None = None
-    score_bias: DenseTensor | None = None
-    beta_use: DenseTensor | None = None
-    beta_ign: DenseTensor | None = None
-    beta_use_weight: DenseTensor | None = None
-    beta_use_bias: DenseTensor | None = None
-    beta_ign_weight: DenseTensor | None = None
-    beta_ign_bias: DenseTensor | None = None
+    tensors: Mapping[str, DenseTensor]
 
-    def __post_init__(self):
-        required = field_shapes(self.dims)
-        tensor_names = {f.name for f in dataclass_fields(self)} - {"dims"}
-        dtypes = set()
-        for name in sorted(tensor_names):
-            value = getattr(self, name)
-            if name not in required:
-                if value is not None:
-                    raise ValueError(
-                        f"{name} does not belong to {self.mode}-length parameters"
-                    )
-                continue
-            if value is None:
-                raise ValueError(f"missing parameter {name} for {self.mode}-length mode")
+    def __init__(self, dims: RoutingDims, **tensors):
+        shapes = field_shapes(dims)
+        if tensors.keys() != shapes.keys():
+            missing = sorted(shapes.keys() - tensors.keys())
+            extra = sorted(tensors.keys() - shapes.keys())
+            raise ValueError(f"parameter names mismatch: missing {missing}, extra {extra}")
+        checked = {}
+        for name, shape in shapes.items():
+            value = tensors[name]
             if not isinstance(value, DenseTensor):
                 value = DenseTensor(value, context=name)
-                object.__setattr__(self, name, value)
-            if value.shape != required[name]:
-                raise ShapeError(
-                    f"{name} shape {value.shape} != required {required[name]}"
-                )
-            dtypes.add(value.dtype)
+            if value.shape != shape:
+                raise ShapeError(f"{name} shape {value.shape} != required {shape}")
+            checked[name] = value
+        dtypes = {t.dtype for t in checked.values()}
         if len(dtypes) != 1:
             raise ValueError(f"parameters mix dtypes {sorted(str(d) for d in dtypes)}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "tensors", MappingProxyType(checked))
+
+    def __getattr__(self, name: str) -> DenseTensor:
+        # Reached only for names that are not attributes: the tensors.
+        tensors = self.__dict__.get("tensors", {})
+        if name in tensors:
+            return tensors[name]
+        raise AttributeError(f"RoutingParams has no attribute {name!r}")
 
     @property
     def mode(self) -> str:
-        return "variable" if self.dims.variable_length else "fixed"
+        return _mode(self.dims)
 
     @property
     def dtype(self) -> np.dtype:
         return self.vote_mix.dtype
 
-    def field_names(self) -> tuple[str, ...]:
-        return VARIABLE_FIELD_NAMES if self.dims.variable_length else FIXED_FIELD_NAMES
-
     def field_items(self) -> tuple[tuple[str, DenseTensor], ...]:
         """(name, tensor) pairs in the canonical order for this layout."""
-        return tuple((name, getattr(self, name)) for name in self.field_names())
+        return tuple(self.tensors.items())
 
     def astype(self, dtype) -> "RoutingParams":
         return RoutingParams(
-            dims=self.dims,
-            **{name: t.astype(dtype) for name, t in self.field_items()},
+            self.dims, **{name: t.astype(dtype) for name, t in self.tensors.items()}
         )
-
-    @classmethod
-    def from_mapping(cls, dims: RoutingDims, tensors: Mapping[str, DenseTensor]) -> "RoutingParams":
-        expected = set(field_shapes(dims))
-        given = set(tensors)
-        if given != expected:
-            missing = sorted(expected - given)
-            extra = sorted(given - expected)
-            raise ValueError(f"parameter names mismatch: missing {missing}, extra {extra}")
-        return cls(dims=dims, **dict(tensors))
 
 
 def _scale(n_inp: int, dtype) -> np.ndarray:
@@ -514,6 +486,8 @@ def route_optimized(
         raise ShapeError(f"x_inp must be rank 2, got rank {x.ndim}")
     run_dims = _dims_for_run(params, dims)
     n_inp, d_inp = x.shape
+    if n_inp == 0:
+        raise ShapeError("x_inp has 0 rows; routing needs at least one input")
     if not run_dims.variable_length and n_inp != run_dims.n_inp:
         raise ShapeError(f"x_inp has {n_inp} rows, params fix n_inp={run_dims.n_inp}")
     if d_inp != run_dims.d_inp:

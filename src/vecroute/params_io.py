@@ -1,11 +1,12 @@
 """Deterministic parameter initialization and a portable on-disk format.
 
-Initialization is a pure function of (dims, seed): weight tensors draw
-from a zero-mean normal with standard deviation 1/sqrt(fan_in), biases
-start at zero, and the use/ignore coefficients start at the neutral
-point (use 1, ignore 0) where routing behaves like plain associative
-recall. Draws happen in canonical field order from one seeded generator,
-so the same arguments always give bit-identical tensors.
+Initialization is a pure function of (dims, seed) that follows the
+layout tables in :mod:`vecroute.optimized`: weight tensors draw from a
+zero-mean normal with standard deviation 1/sqrt(fan_in), biases start at
+zero, and the use/ignore coefficients start at the neutral point (use 1,
+ignore 0) where routing behaves like plain associative recall. Draws
+happen in canonical field order from one seeded generator, so the same
+arguments always give bit-identical tensors.
 
 The file format is a human-readable ASCII header followed by a raw
 little-endian IEEE-754 float32 payload, row-major per tensor, in
@@ -23,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .optimized import RoutingParams, field_shapes
+from .optimized import FanIn, RoutingParams, _layout, field_shapes
 from .reference import RoutingDims
 from .tensor import DenseTensor
 
@@ -38,30 +39,6 @@ __all__ = [
 
 FORMAT_MAGIC = "vecroute-params"
 FORMAT_VERSION = 1
-
-# Standard deviation of each drawn tensor is 1/sqrt of its fan-in: the
-# number of summands feeding one element of the op that consumes it.
-# Elementwise gains (pred_gate) have fan-in 1. Bias-like tensors and the
-# use/ignore neutral points are set directly, not drawn.
-_DRAWN_FAN_IN = {
-    "act_weight": lambda d: d.d_inp,
-    "vote_mix": lambda d: d.d_inp,
-    "vote_proj": lambda d: d.d_inp,
-    "pred_proj": lambda d: d.d_out,
-    "pred_gate": lambda d: 1,
-    "score_gain": lambda d: d.d_inp,
-}
-_ONES = ("beta_use", "beta_use_bias")
-_ZEROS = (
-    "act_bias",
-    "vote_bias",
-    "pred_bias",
-    "score_bias",
-    "beta_ign",
-    "beta_ign_bias",
-    "beta_use_weight",
-    "beta_ign_weight",
-)
 
 
 class ParamFormatError(ValueError):
@@ -82,28 +59,20 @@ def init_params(
     fixed-mode start for every input.
     """
     rng = np.random.default_rng(seed)
-    shapes = field_shapes(dims)
-    tensors: dict[str, DenseTensor] = {}
-    for name, shape in shapes.items():
-        if name in _DRAWN_FAN_IN:
-            std = np.float32(1.0 / np.sqrt(_DRAWN_FAN_IN[name](dims)))
+    tensors: dict[str, object] = {}
+    for name, shape, init in _layout(dims):
+        if isinstance(init, FanIn):
+            std = np.float32(1.0 / np.sqrt(init.extent))
             values = rng.standard_normal(shape, dtype=np.float32) * std
-        elif name in _ONES:
-            values = np.ones(shape, dtype=np.float32)
-        elif name in _ZEROS:
-            values = np.zeros(shape, dtype=np.float32)
         else:
-            raise AssertionError(f"no initialization rule for {name}")
+            values = np.full(shape, init, dtype=np.float32)
         tensors[name] = DenseTensor(values, copy=False, context=name)
     if overrides:
-        unknown = sorted(set(overrides) - set(shapes))
+        unknown = sorted(set(overrides) - set(tensors))
         if unknown:
             raise ValueError(f"overrides name unknown parameters {unknown}")
-        for name, value in overrides.items():
-            tensors[name] = (
-                value if isinstance(value, DenseTensor) else DenseTensor(value, context=name)
-            )
-    return RoutingParams.from_mapping(dims, tensors)
+        tensors.update(overrides)
+    return RoutingParams(dims, **tensors)
 
 
 def _dims_header(dims: RoutingDims) -> str:
@@ -279,4 +248,4 @@ def load_params(path) -> RoutingParams:
             tensors[name] = DenseTensor(arr, context=name)
         except ArithmeticError as exc:
             raise _fail(f"tensor {name} holds non-finite values: {exc}") from None
-    return RoutingParams.from_mapping(dims, tensors)
+    return RoutingParams(dims, **tensors)

@@ -21,7 +21,6 @@ __all__ = [
     "NumericError",
     "ShapeError",
     "VARIANCE_EPS",
-    "contract",
     "log_logistic",
     "logistic",
     "normalize_vectors",
@@ -103,8 +102,6 @@ class DenseTensor:
         if min(arr.shape) < 1:
             raise ShapeError(f"extents must be positive, got {arr.shape}")
         _check_finite(arr, context)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self._a = arr
 
@@ -134,9 +131,6 @@ class DenseTensor:
             return self
         return DenseTensor(self._a.astype(dtype), copy=False)
 
-    def tolist(self) -> list:
-        return self._a.tolist()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseTensor):
             return NotImplemented
@@ -146,39 +140,8 @@ class DenseTensor:
             and bool(np.array_equal(self._a, other._a))
         )
 
-    def __hash__(self):
-        return hash((self._a.shape, self._a.dtype.str, self._a.tobytes()))
-
     def __repr__(self) -> str:
         return f"DenseTensor(shape={self._a.shape}, dtype={self._a.dtype.name})"
-
-    # Elementwise arithmetic broadcasts over missing indices (numpy rules).
-    def _binary(self, other, op, name: str) -> "DenseTensor":
-        rhs = other._a if isinstance(other, DenseTensor) else other
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = op(self._a, rhs)
-        except ValueError as exc:
-            raise ShapeError(f"{name}: {exc}") from None
-        return DenseTensor(out, copy=False, context=name)
-
-    def __add__(self, other):
-        return self._binary(other, np.add, "add")
-
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: np.add(b, a), "add")
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract, "subtract")
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: np.subtract(b, a), "subtract")
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply, "multiply")
-
-    def __rmul__(self, other):
-        return self._binary(other, lambda a, b: np.multiply(b, a), "multiply")
 
 
 def tensor(data, dtype=np.float32) -> DenseTensor:
@@ -197,74 +160,20 @@ def as_array(x, name: str = "input") -> np.ndarray:
     return arr
 
 
-def contract(
-    a: DenseTensor | np.ndarray,
-    b: DenseTensor | np.ndarray,
-    a_indices: str,
-    b_indices: str,
-    sum_over: str,
-) -> DenseTensor:
-    """Explicit-summation contraction of two tensors over named indices.
-
-    ``a_indices`` and ``b_indices`` label the axes of each operand with
-    single letters (e.g. ``"ij"``, ``"jk"``). Every index in ``sum_over``
-    must appear in both operands and is summed away; indices shared but
-    not summed stay aligned elementwise. Surviving indices appear in the
-    result in operand order: a's first, then b's.
-
-    Summed axes are eliminated in ascending index order; the per-axis
-    accumulation is delegated to the backing library and is deterministic
-    within one build. Cross-schedule comparisons should use tolerances,
-    not bit equality.
-    """
-    arr_a = as_array(a, "contract lhs")
-    arr_b = as_array(b, "contract rhs")
-    if len(a_indices) != arr_a.ndim or len(b_indices) != arr_b.ndim:
-        raise ShapeError(
-            f"index labels '{a_indices}','{b_indices}' do not match operand "
-            f"ranks {arr_a.ndim},{arr_b.ndim}"
-        )
-    if len(set(a_indices)) != len(a_indices) or len(set(b_indices)) != len(b_indices):
-        raise ShapeError("repeated index label within one operand")
-    summed = set(sum_over)
-    for idx in sorted(summed):
-        if idx not in a_indices or idx not in b_indices:
-            raise ShapeError(f"summed index '{idx}' must appear in both operands")
-    extents: dict[str, int] = {}
-    for labels, arr, side in ((a_indices, arr_a, "left"), (b_indices, arr_b, "right")):
-        for idx, n in zip(labels, arr.shape):
-            if idx in extents and extents[idx] != n:
-                raise ShapeError(
-                    f"index '{idx}' has extent {extents[idx]} in left operand "
-                    f"but {n} in right operand"
-                )
-            extents[idx] = n
-    out_indices = [i for i in a_indices if i not in summed]
-    out_indices += [i for i in b_indices if i not in summed and i not in out_indices]
-    spec = f"{a_indices},{b_indices}->{''.join(out_indices)}"
-    out = np.einsum(spec, arr_a, arr_b)
-    if out.ndim == 0:
-        out = out.reshape(1)
-    return DenseTensor(out, copy=False, context="contract")
-
-
 def logistic(z):
     """Logistic gate 1 / (1 + e^(-z)), overflow-safe for any finite input.
 
-    Accepts scalars, arrays, DenseTensor, or the ALWAYS_ON marker (which
-    maps to exactly 1.0). Only negative arguments are ever exponentiated,
+    Accepts scalars, arrays, or the ALWAYS_ON marker (which maps to
+    exactly 1.0). Only negative arguments are ever exponentiated,
     so extreme magnitudes saturate to 0 or 1 without overflow.
     """
     if isinstance(z, AlwaysOn):
         return 1.0
-    wrap = isinstance(z, DenseTensor)
-    arr = z.array if wrap else np.asarray(z)
+    arr = np.asarray(z)
     t = np.exp(-np.abs(arr))
     out = np.where(arr >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
     if arr.dtype in _ALLOWED_DTYPES:
         out = out.astype(arr.dtype)
-    if wrap:
-        return DenseTensor(out, copy=False, context="logistic")
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
@@ -274,13 +183,10 @@ def log_logistic(z):
     Always <= 0; never overflows and keeps full precision in both tails
     (approaches z for large negative z, -e^(-z) for large positive z).
     """
-    wrap = isinstance(z, DenseTensor)
-    arr = z.array if wrap else np.asarray(z)
+    arr = np.asarray(z)
     out = np.minimum(arr, 0.0) - np.log1p(np.exp(-np.abs(arr)))
     if arr.dtype in _ALLOWED_DTYPES:
         out = out.astype(arr.dtype)
-    if wrap:
-        return DenseTensor(out, copy=False, context="log_logistic")
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 

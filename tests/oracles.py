@@ -3,12 +3,15 @@
 Everything here is written as plain scalar loops in float64 (or the most
 literal transcription of a formula), sharing no code with the library's
 vectorized paths, so every comparison pits two implementations that have
-only the definitions in common.
+only the definitions in common. The parameter schema likewise comes from
+the tables in docs/param-format.md and a literal per-name init rule,
+never from the library's own layout tables.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -238,6 +241,73 @@ def m_step_loops(x, phi, mix, proj, bias) -> np.ndarray:
     return out
 
 
+PARAM_FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "param-format.md"
+
+# Initialization of each parameter, transcribed from the rule stated in
+# vecroute.params_io: ("normal", fan-in) draws with standard deviation
+# 1/sqrt(fan-in), the fan-in a dims field or a literal count, and
+# ("fill", value) is a constant.
+INIT_RULES = {
+    "act_weight": ("normal", "d_inp"),
+    "act_bias": ("fill", 0.0),
+    "vote_mix": ("normal", "d_inp"),
+    "vote_proj": ("normal", "d_inp"),
+    "vote_bias": ("fill", 0.0),
+    "pred_proj": ("normal", "d_out"),
+    "pred_gate": ("normal", 1),
+    "pred_bias": ("fill", 0.0),
+    "score_gain": ("normal", "d_inp"),
+    "score_bias": ("fill", 0.0),
+    "beta_use": ("fill", 1.0),
+    "beta_ign": ("fill", 0.0),
+    "beta_use_weight": ("fill", 0.0),
+    "beta_use_bias": ("fill", 1.0),
+    "beta_ign_weight": ("fill", 0.0),
+    "beta_ign_bias": ("fill", 0.0),
+}
+
+
+def doc_layout(mode: str) -> list[tuple[str, tuple[str, ...]]]:
+    """(name, shape symbols) rows of one mode's table in docs/param-format.md."""
+    heading = {"fixed": "Fixed-length mode", "variable": "Variable-length mode"}[mode]
+    after = PARAM_FORMAT_DOC.read_text().split(heading, 1)[1].split("\n")
+    table = []
+    for line in after:
+        if line.startswith("|"):
+            table.append(line)
+        elif table:
+            break
+    rows = []
+    for line in table[2:]:  # past the header and the separator
+        name, shape = (cell.strip() for cell in line.strip("|").split("|"))
+        rows.append((name, tuple(s.strip() for s in shape.strip("()").split(",") if s.strip())))
+    return rows
+
+
+def doc_shapes(dims: RoutingDims) -> dict[str, tuple[int, ...]]:
+    """Name -> shape in the canonical order the doc gives for ``dims``'s mode."""
+    mode = "variable" if dims.n_inp is None else "fixed"
+    return {
+        name: tuple(int(s) if s.isdigit() else getattr(dims, s) for s in symbols)
+        for name, symbols in doc_layout(mode)
+    }
+
+
+def init_draw(dims: RoutingDims, seed: int) -> dict[str, np.ndarray]:
+    """The float32 draw init_params documents, from the doc tables and INIT_RULES."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, shape in doc_shapes(dims).items():
+        kind, arg = INIT_RULES[name]
+        if kind == "fill":
+            out[name] = np.full(shape, arg, dtype=np.float32)
+        else:
+            fan_in = arg if isinstance(arg, int) else getattr(dims, arg)
+            std = np.float32(1.0 / math.sqrt(fan_in))
+            out[name] = rng.standard_normal(shape, dtype=np.float32) * std
+    return out
+
+
 def rand_dims(
     rng: np.random.Generator,
     mode: str = "fixed",
@@ -264,8 +334,6 @@ def rand_params(rng: np.random.Generator, dims: RoutingDims, n_inp: int | None =
     Randomizing every tensor, including both beta paths, keeps equivalence
     tests honest: no term of the update can vanish identically.
     """
-    from vecroute import field_shapes
-
     def draw(shape, scale, loc=0.0):
         return rng.standard_normal(shape, dtype=np.float32) * np.float32(scale) + np.float32(loc)
 
@@ -288,7 +356,7 @@ def rand_params(rng: np.random.Generator, dims: RoutingDims, n_inp: int | None =
         "beta_ign_bias": (0.3, 0.1),
     }
     overrides = {
-        name: draw(shape, *scales[name]) for name, shape in field_shapes(dims).items()
+        name: draw(shape, *scales[name]) for name, shape in doc_shapes(dims).items()
     }
     return init_params(dims, seed=int(rng.integers(2**31)), overrides=overrides)
 

@@ -203,3 +203,20 @@ class TestMain:
     def test_rejects_malformed_baseline(self):
         with pytest.raises(SystemExit):
             main(["--sweep", "n_inp", "--baseline", "depth=3"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--sweep", "n_inp", "--values", "0,4"], "argument --values: value '0' must be positive"),
+            (["--sweep", "n_inp", "--repeats", "0"], "argument --repeats: repeats '0' must be positive"),
+            (
+                ["--big-route", "--baseline", "n_inp=0"],
+                "argument --baseline: baseline n_inp value '0' must be positive",
+            ),
+        ],
+    )
+    def test_non_positive_numbers_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err

@@ -60,9 +60,9 @@ class TestActivationScores:
     def test_zero_weight_gives_bias(self):
         rng = np.random.default_rng(1)
         dims, params, x = rand_instance(rng, "fixed")
-        params = RoutingParams.from_mapping(
+        params = RoutingParams(
             dims,
-            {
+            **{
                 name: (t if name != "act_weight" else np.zeros(t.shape, np.float32))
                 for name, t in params.field_items()
             },
@@ -146,9 +146,9 @@ class TestPredictInputs:
     def test_zero_gate_gives_bias(self):
         rng = np.random.default_rng(8)
         dims, params, _ = rand_instance(rng, "fixed")
-        params = RoutingParams.from_mapping(
+        params = RoutingParams(
             dims,
-            {
+            **{
                 name: (t if name != "pred_gate" else np.zeros(t.shape, np.float32))
                 for name, t in params.field_items()
             },
@@ -293,7 +293,7 @@ class TestRouteOptimized:
             elif name == "beta_ign":
                 arr = np.zeros(t.shape, np.float32)
             overrides[name] = arr
-        params = RoutingParams.from_mapping(dims, overrides)
+        params = RoutingParams(dims, **overrides)
         _, trace = route_optimized(x, params, capture_trace=True)
         assert np.all(trace.activation_gates.array == 1.0)
         votes = materialized_votes(x, params).array
@@ -339,6 +339,67 @@ class TestRouteOptimized:
             out, _ = route_optimized(xs, params)
             assert out.shape == (dims.n_out, dims.d_out)
 
+    def test_empty_sequence_is_a_shape_error_in_both_routers(self):
+        rng = np.random.default_rng(25)
+        dims, params, x = rand_instance(rng, "variable")
+        empty = np.zeros((0, dims.d_inp), np.float32)
+        with pytest.raises(ShapeError, match="x_inp has 0 rows"):
+            route_optimized(empty, params)
+        nets, betas = as_plugins(x, params)
+        with pytest.raises(ShapeError):
+            route_reference(empty, nets, betas, dims)
+
+
+class TestRoutingParamsValidation:
+    def tensors(self, mode):
+        rng = np.random.default_rng(26)
+        dims, params, _ = rand_instance(rng, mode)
+        return dims, {name: t.array for name, t in params.field_items()}
+
+    def test_missing_name(self):
+        dims, tensors = self.tensors("fixed")
+        del tensors["pred_gate"]
+        with pytest.raises(
+            ValueError, match=r"parameter names mismatch: missing \['pred_gate'\], extra \[\]"
+        ):
+            RoutingParams(dims, **tensors)
+
+    def test_name_from_the_other_layout(self):
+        dims, tensors = self.tensors("variable")
+        tensors["beta_use"] = tensors["beta_use_bias"]
+        with pytest.raises(
+            ValueError, match=r"parameter names mismatch: missing \[\], extra \['beta_use'\]"
+        ):
+            RoutingParams(dims, **tensors)
+
+    def test_wrong_shape_names_the_field(self):
+        dims, tensors = self.tensors("variable")
+        tensors["score_gain"] = np.zeros((dims.n_out + 1,), np.float32)
+        with pytest.raises(ShapeError, match="score_gain shape"):
+            RoutingParams(dims, **tensors)
+
+    def test_mixed_dtypes(self):
+        dims, tensors = self.tensors("fixed")
+        tensors["vote_bias"] = tensors["vote_bias"].astype(np.float64)
+        with pytest.raises(ValueError, match="parameters mix dtypes"):
+            RoutingParams(dims, **tensors)
+
+    def test_nan_in_raw_array_names_the_field(self):
+        dims, tensors = self.tensors("variable")
+        bad = tensors["beta_ign_weight"].copy()
+        bad[0, 0] = np.nan
+        tensors["beta_ign_weight"] = bad
+        with pytest.raises(NumericError, match="beta_ign_weight"):
+            RoutingParams(dims, **tensors)
+
+    def test_valid_set_reads_by_attribute_in_canonical_order(self):
+        dims, tensors = self.tensors("fixed")
+        params = RoutingParams(dims, **dict(reversed(tensors.items())))
+        assert [name for name, _ in params.field_items()] == list(tensors)
+        assert np.array_equal(params.vote_mix.array, tensors["vote_mix"])
+        with pytest.raises(AttributeError):
+            params.beta_use_weight
+
 
 def multi_block_instance(rng, mode, n_out=64, d=12, n_iters=3):
     """(dims, params, x, rows): inputs span three blocks, the last ragged."""
@@ -351,8 +412,8 @@ def multi_block_instance(rng, mode, n_out=64, d=12, n_iters=3):
 
 
 def replaced(params, dims, **arrays):
-    return RoutingParams.from_mapping(
-        dims, {name: arrays.get(name, t) for name, t in params.field_items()}
+    return RoutingParams(
+        dims, **{name: arrays.get(name, t) for name, t in params.field_items()}
     )
 
 

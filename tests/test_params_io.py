@@ -12,12 +12,13 @@ from vecroute import (
     RoutingDims,
     RoutingParams,
     ShapeError,
-    fixed_field_shapes,
+    field_shapes,
     init_params,
     load_params,
     save_params,
-    variable_field_shapes,
 )
+
+from oracles import doc_shapes, init_draw
 
 FIXED_DIMS = RoutingDims(5, 3, 6, 4, 2)
 VARIABLE_DIMS = RoutingDims(None, 3, 6, 4, 3)
@@ -76,7 +77,7 @@ class TestInitParams:
 
     def test_overrides_replace_without_disturbing_others(self):
         base = init_params(FIXED_DIMS, seed=5)
-        custom = np.full(fixed_field_shapes(FIXED_DIMS)["vote_mix"], 0.5, np.float32)
+        custom = np.full(field_shapes(FIXED_DIMS)["vote_mix"], 0.5, np.float32)
         p = init_params(FIXED_DIMS, seed=5, overrides={"vote_mix": custom})
         assert np.array_equal(p.vote_mix.array, custom)
         for name, t in p.field_items():
@@ -90,6 +91,41 @@ class TestInitParams:
     def test_wrong_override_shape_rejected(self):
         with pytest.raises(ShapeError):
             init_params(FIXED_DIMS, seed=0, overrides={"vote_mix": np.zeros((1, 1), np.float32)})
+
+
+SCHEMA_CASES = [
+    (RoutingDims(5, 3, 4, 2, 2), 0),
+    (RoutingDims(None, 3, 4, 2, 2), 0),
+    (RoutingDims(64, 16, 32, 8, 3), 7),
+    (RoutingDims(None, 7, 9, 5, 2), 3),
+    (RoutingDims(1, 1, 1, 1, 2), 12),
+    (RoutingDims(None, 1, 1, 1, 2), 12),
+]
+
+
+class TestSchemaAgainstDoc:
+    @pytest.mark.parametrize("dims, seed", SCHEMA_CASES)
+    def test_field_shapes_match_the_doc_tables(self, dims, seed):
+        shapes = field_shapes(dims)
+        assert list(shapes.items()) == list(doc_shapes(dims).items())
+
+    @pytest.mark.parametrize("dims, seed", SCHEMA_CASES)
+    def test_init_matches_the_oracle_draw_bit_for_bit(self, dims, seed):
+        p = init_params(dims, seed)
+        want = init_draw(dims, seed)
+        assert [name for name, _ in p.field_items()] == list(want)
+        for name, t in p.field_items():
+            assert t.dtype == np.float32, name
+            assert np.array_equal(t.array, want[name]), name
+
+    @pytest.mark.parametrize("dims", [FIXED_DIMS, VARIABLE_DIMS])
+    def test_override_leaves_the_oracle_draw_of_the_rest(self, dims):
+        custom = np.full(doc_shapes(dims)["pred_proj"], -0.25, np.float32)
+        p = init_params(dims, seed=8, overrides={"pred_proj": custom})
+        want = init_draw(dims, seed=8)
+        want["pred_proj"] = custom
+        for name, t in p.field_items():
+            assert np.array_equal(t.array, want[name]), name
 
 
 class TestRoundTrip:
@@ -261,9 +297,7 @@ class TestRejection:
 
 def independent_write(path, dims: RoutingDims, arrays: dict) -> None:
     """Second writer, built from docs/param-format.md and nothing else."""
-    order = (
-        variable_field_shapes(dims) if dims.n_inp is None else fixed_field_shapes(dims)
-    )
+    order = doc_shapes(dims)
     payload = b"".join(
         b"".join(struct.pack("<f", float(v)) for v in np.asarray(arrays[name]).ravel())
         for name in order
@@ -311,12 +345,9 @@ class TestCrossWriter:
     @pytest.mark.parametrize("dims", [FIXED_DIMS, VARIABLE_DIMS])
     def test_foreign_file_loads_bit_exact(self, dims, tmp_path):
         rng = np.random.default_rng(33)
-        shapes = (
-            variable_field_shapes(dims) if dims.n_inp is None else fixed_field_shapes(dims)
-        )
         arrays = {
             name: rng.standard_normal(shape).astype(np.float32)
-            for name, shape in shapes.items()
+            for name, shape in doc_shapes(dims).items()
         }
         path = tmp_path / "foreign.bin"
         independent_write(path, dims, arrays)
