@@ -78,15 +78,6 @@ from .credit import (
 )
 from .params_io import ParamFormatError, init_params, load_params, save_params
 from .memtrack import PeakReport, measure_peak, track_peak
-from .bench import (
-    BenchRecord,
-    LinearFit,
-    MemoryBudgetError,
-    SweepSpec,
-    big_route_demo,
-    linear_fit,
-    run_sweep,
-)
 
 __version__ = "0.1.0"
 
@@ -96,15 +87,12 @@ __all__ = [
     "ArityError",
     "AttributionReport",
     "BLOCK_ELEMENTS",
-    "BenchRecord",
     "BetaPair",
     "CreditMatrix",
     "DegenerateCreditError",
     "DenseTensor",
     "HopfieldReductionReport",
     "IterationRecord",
-    "LinearFit",
-    "MemoryBudgetError",
     "NumericError",
     "ParamFormatError",
     "PeakReport",
@@ -113,7 +101,6 @@ __all__ = [
     "RoutingParams",
     "RoutingTrace",
     "ShapeError",
-    "SweepSpec",
     "TRANSIENT_ELEMENT_BOUND_FACTOR",
     "VARIANCE_EPS",
     "VoteParamBudget",
@@ -123,7 +110,6 @@ __all__ = [
     "as_plugins",
     "attribution_report",
     "beta_pair_for",
-    "big_route_demo",
     "compose_concat",
     "compose_residual",
     "compose_sequential",
@@ -133,7 +119,6 @@ __all__ = [
     "field_shapes",
     "hopfield_reduction_check",
     "init_params",
-    "linear_fit",
     "load_params",
     "log_logistic",
     "logistic",
@@ -147,7 +132,6 @@ __all__ = [
     "relative_linf",
     "route_optimized",
     "route_reference",
-    "run_sweep",
     "save_params",
     "score_predictions",
     "softmax_rows",

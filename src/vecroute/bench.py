@@ -6,8 +6,12 @@ count, peak transient allocation during one forward pass, and median
 wall time. Peak memory comes from the in-process allocation accounting
 in :mod:`vecroute.memtrack` rather than OS RSS, so figures are stable
 across environments; wall time is measured in separate untraced runs so
-the accounting overhead never pollutes timing. Results print as a table
-and optionally land in a CSV for plotting.
+the accounting overhead never pollutes timing. The untraced runs go
+round-robin, one pass of every point per round with the direction
+reversed each round, so a burst of machine noise slows one round of
+every point, which the median drops, rather than every repeat of one
+point. Results print as a table and optionally land in a CSV for
+plotting.
 
 A separate demo routes one million input vectors in a single pass in
 variable-length mode and checks the headline memory property: the peak
@@ -36,7 +40,6 @@ from .optimized import (
     route_optimized,
     total_param_count,
     transient_element_bound,
-    vote_param_budget,
 )
 from .params_io import init_params
 from .reference import RoutingDims
@@ -103,6 +106,9 @@ class SweepSpec:
         missing = sorted(needed - set(self.baseline))
         if missing:
             raise ValueError(f"baseline misses {missing}")
+        iters = self.values if self.dimension == "n_iters" else (self.baseline["n_iters"],)
+        if min(iters) < 2:
+            raise ValueError(f"n_iters must be at least 2, got {min(iters)}")
 
     def point(self, value: int) -> dict[str, int]:
         sizes = dict(self.baseline)
@@ -180,20 +186,33 @@ def _predicted_point_bytes(sizes: dict[str, int], params: RoutingParams) -> int:
     return transient + input_bytes + _param_bytes(params)
 
 
-def _measure(params: RoutingParams, x: np.ndarray, n_iters: int, repeats: int) -> tuple[int, float]:
-    """Peak bytes of one traced pass and median wall ms of untraced passes."""
-    dims = replace(params.dims, n_iters=n_iters)
-    # Warm-up pass, discarded: first-call caches would otherwise land in
-    # the traced peak and the first timing.
-    route_optimized(x, params, dims=dims)
-    with track_peak() as report:
+_Point = tuple[RoutingParams, np.ndarray, RoutingDims]  # params, input, dims of the run
+
+
+def _measure(points: list[_Point], repeats: int) -> list[tuple[int, float]]:
+    """(peak bytes of one traced pass, median wall ms of untraced passes) per point.
+
+    Every point is warmed up and traced first; then ``repeats`` rounds
+    each time one pass of every point, alternating the direction.
+    """
+    peaks = []
+    for params, x, dims in points:
+        # Warm-up pass, discarded: first-call caches would otherwise land in
+        # the traced peak and the first timing.
         route_optimized(x, params, dims=dims)
-    times = []
+        with track_peak() as report:
+            route_optimized(x, params, dims=dims)
+        peaks.append(report.peak_bytes)
+    times: list[list[float]] = [[] for _ in points]
+    order = list(range(len(points)))
     for _ in range(repeats):
-        start = time.perf_counter()
-        route_optimized(x, params, dims=dims)
-        times.append((time.perf_counter() - start) * 1e3)
-    return report.peak_bytes, float(statistics.median(times))
+        for k in order:
+            params, x, dims = points[k]
+            start = time.perf_counter()
+            route_optimized(x, params, dims=dims)
+            times[k].append((time.perf_counter() - start) * 1e3)
+        order.reverse()
+    return [(peak, float(statistics.median(t))) for peak, t in zip(peaks, times)]
 
 
 def run_sweep(
@@ -203,11 +222,13 @@ def run_sweep(
 ) -> list[BenchRecord]:
     """Measure every ladder point; skip (and flag) points over budget.
 
-    The budget check is a pre-run estimate (documented transient bound
-    plus parameters plus input), so an oversized point is skipped before
-    it can thrash the machine; the sweep continues past it.
+    The budget check is a pre-run estimate per point (documented transient
+    bound plus parameters plus input), so an oversized point is skipped
+    before it can thrash the machine; the sweep continues past it. Every
+    point that passes is built before any is measured, so the sweep holds
+    all of their inputs and parameters at once.
     """
-    records: list[BenchRecord] = []
+    points: list[tuple[int, _Point | None]] = []  # None marks a skipped value
     for value in spec.values:
         sizes = spec.point(value)
         params, x = _build_point(sizes, spec.mode, spec.seed)
@@ -218,27 +239,22 @@ def run_sweep(
                 f"{predicted} bytes over budget {budget_bytes}",
                 file=sys.stderr,
             )
-            records.append(
-                BenchRecord(
-                    dimension=spec.dimension,
-                    value=value,
-                    params=None,
-                    peak_bytes=None,
-                    wall_ms=None,
-                    repeats=spec.repeats,
-                    skipped=True,
-                )
-            )
-            continue
-        peak, wall = _measure(params, x, sizes["n_iters"], spec.repeats)
+            points.append((value, None))
+        else:
+            points.append((value, (params, x, replace(params.dims, n_iters=sizes["n_iters"]))))
+    measured = iter(_measure([p for _, p in points if p is not None], spec.repeats))
+    records = []
+    for value, point in points:
+        peak, wall = (None, None) if point is None else next(measured)
         records.append(
             BenchRecord(
                 dimension=spec.dimension,
                 value=value,
-                params=total_param_count(params),
+                params=None if point is None else total_param_count(point[0]),
                 peak_bytes=peak,
                 wall_ms=wall,
                 repeats=spec.repeats,
+                skipped=point is None,
             )
         )
     if csv_path is not None:
@@ -417,14 +433,17 @@ def main(argv=None) -> int:
     baseline = dict(default_baseline)
     if args.baseline:
         baseline.update(args.baseline)
-    spec = SweepSpec(
-        dimension=args.sweep,
-        values=values,
-        baseline=baseline,
-        repeats=args.repeats,
-        seed=args.seed,
-        mode=args.mode,
-    )
+    try:
+        spec = SweepSpec(
+            dimension=args.sweep,
+            values=values,
+            baseline=baseline,
+            repeats=args.repeats,
+            seed=args.seed,
+            mode=args.mode,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     records = run_sweep(spec, csv_path=args.csv, budget_bytes=args.budget_bytes)
     _print_records(records)
     return 0

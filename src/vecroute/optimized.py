@@ -68,14 +68,15 @@ bias. That softmax is sigma(z_ij) / S_i with S_i = sum_j sigma(z_ij), so a
 block computes sigma once and scales each row by g_i / S_i, which folds
 the gate in too: five pair-sized passes (exp, +1, reciprocal, row sum,
 row scale) where the log-logistic, the max-shifted softmax and the gate
-took twelve. A block whose z holds a non-finite value, or with a row
-whose S_i falls below tiny / eps of the dtype (every sigma of the row
-near or past underflow), takes the exact path instead: the log-logistic,
-its finite check, and the max-shifted softmax. So +inf scores still
-route as a score of 0, -inf and NaN still raise, and underflowing rows
-keep full precision. The floor is a property of the dtype, not a
-setting. A trace records log sigma(z) as the scores and sigma / S as
-the routing; the outputs do not depend on whether it is on.
+took twelve. z = +inf gives sigma = 1, the score 0 of the log-logistic;
+z = -inf and NaN raise. A row whose S_i falls below tiny / eps of the
+dtype (every sigma of the row near or past underflow) is rescued: it
+takes the max-shifted softmax of z, on a copy of just the rescued rows,
+with S_i = 1. Below that floor log sigma(z) rounds to z, so the rescue
+is the softmax of the scores, at full precision. The floor is a
+property of the dtype, not a setting. A trace records log sigma(z) as
+the scores and sigma / S as the routing; the outputs do not depend on
+whether it is on.
 """
 
 from __future__ import annotations
@@ -92,12 +93,14 @@ from .reference import (
     PluggableNetworks,
     RoutingDims,
     RoutingTrace,
-    _check_step,
 )
 from .tensor import (
     DenseTensor,
     NumericError,
     ShapeError,
+    _check_finite,
+    _log_logistic_into,
+    _softmax_rows_in_place,
     as_array,
     log_logistic,
     logistic,
@@ -353,31 +356,6 @@ def _finish_m_step(pooled: np.ndarray, total: np.ndarray, n_inp: int, params: Ro
     return out
 
 
-def _log_logistic_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    """:func:`vecroute.tensor.log_logistic` of ``z`` in place, same arithmetic.
-
-    The block loop routes by sigma / sum(sigma) and uses this only for the
-    scores record of a trace and for blocks on the exact path.
-    """
-    np.abs(z, out=scratch)
-    np.negative(scratch, out=scratch)
-    np.exp(scratch, out=scratch)
-    np.log1p(scratch, out=scratch)
-    np.minimum(z, 0.0, out=z)
-    z -= scratch
-
-
-def _softmax_rows_in_place(scores: np.ndarray) -> None:
-    """:func:`vecroute.tensor.softmax_rows` of ``scores``, written back into it.
-
-    Routes only the blocks on the exact path: a non-finite score, or a row
-    whose sigma sum is below tiny / eps of the dtype.
-    """
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-
-
 def _dims_for_run(params: RoutingParams, dims: RoutingDims | None) -> RoutingDims:
     if dims is None:
         return params.dims
@@ -469,9 +447,9 @@ def route_optimized(
     max(1, BLOCK_ELEMENTS // n_out) input rows, except that the variable
     layout with d_inp < 3 * n_out takes iteration 1 in closed form (see
     :func:`_closed_form_sums`). Later iterations route each row by
-    sigma(z) / sum(sigma(z)), or by the max-shifted softmax of log
-    sigma(z) in a block with a non-finite score or a row sum below
-    tiny / eps of the dtype (see the module docstring). The block split
+    sigma(z) / sum(sigma(z)), or, for a row whose sum falls below
+    tiny / eps of the dtype, by the max-shifted softmax of z (see the
+    module docstring). The block split
     and the arithmetic that produce the outputs are the same whether
     ``capture_trace`` is on or off; tracing also records iteration 1's
     shares and credit. With it off (the default, and the configuration
@@ -499,7 +477,7 @@ def route_optimized(
     dtype = x.dtype
 
     raw = activation_scores(x, params)
-    _check_step(raw, "activations")
+    _check_finite(raw, "activations")
     gates = np.asarray(logistic(raw))
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
@@ -543,14 +521,14 @@ def route_optimized(
         final_credit = np.empty(pair, dtype)
     betas = _block_betas(x, params, rows, block)
     gain, bias = params.score_gain.array, params.score_bias.array
-    # Block workspace: scores (-z, which the exact path turns into
-    # routing), used shares, ignored shares, credit, scratch (sigma). The
-    # Gram matrix borrows it for its blocks of gated inputs.
+    # Block workspace: scores (-z), used shares, ignored shares, credit,
+    # scratch (sigma, then the routing before the gate). The Gram matrix
+    # borrows it for its blocks of gated inputs.
     work = np.empty((5, rows * n_out), dtype)
     pooled_part = np.empty((n_out, d_inp), dtype)
     # Each block's row sums S_i of sigma(z_ij), then g_i / S_i. Below the
     # floor, sigma has lost relative precision to underflow, so such a
-    # block takes the max-shifted softmax of log sigma instead.
+    # row is rescued by the max-shifted softmax of z instead.
     row_sums = np.empty(rows, dtype)
     row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
     # Every block's betas are finite-checked before any other check of the
@@ -565,8 +543,8 @@ def route_optimized(
         betas_checked = True
         for blk in blocks:
             bu, bi = betas(blk)
-            _check_step(bu, "beta_use coefficients")
-            _check_step(bi, "beta_ign coefficients")
+            _check_finite(bu, "beta_use coefficients")
+            _check_finite(bi, "beta_ign coefficients")
 
     def sweep(it: int, predicted, closed: bool) -> np.ndarray:
         """One iteration over the blocks; returns its output update."""
@@ -605,37 +583,33 @@ def route_optimized(
                 np.matmul(xb, predicted.T, out=scores)
                 scores *= gain[blk] if per_row else gain
                 scores -= bias[blk] if per_row else bias
+                # -z = +inf (z = -inf) and NaN fail; -z = -inf is z = +inf,
+                # sigma = 1, the score 0 of the log-logistic.
+                if not scores.max() < np.inf:
+                    raise NumericError(f"non-finite values in score at iteration {it}")
+                # sigma = 1 / (1 + exp(-z)); an overflowed exp gives 0.
+                with np.errstate(over="ignore"):
+                    np.exp(scores, out=scratch)
+                scratch += 1.0
+                np.reciprocal(scratch, out=scratch)
                 row_sum = row_sums[:n]
-                exact = not np.isfinite(scores).all()
-                if not exact:
-                    # sigma = 1 / (1 + exp(-z)); an overflowed exp gives 0.
-                    with np.errstate(over="ignore"):
-                        np.exp(scores, out=scratch)
-                    scratch += 1.0
-                    np.reciprocal(scratch, out=scratch)
-                    np.sum(scratch, axis=1, out=row_sum)
-                    exact = row_sum.min() < row_sum_floor
-                if exact:
-                    np.negative(scores, out=scores)
-                    _log_logistic_into(scores, scratch)
-                    _check_step(scores, "score", it)
-                    if capture_trace:
-                        scores_all[blk] = scores
-                    _softmax_rows_in_place(scores)
-                    if capture_trace:
-                        routing_all[blk] = scores
-                    np.multiply(g, scores, out=used)
-                else:
-                    if capture_trace:
-                        # log sigma(z) in place in the record, with the
-                        # credit buffer, not yet written, as its scratch in
-                        # the record's layout.
-                        record = scores_all[blk]
-                        np.negative(scores, out=record)
-                        _log_logistic_into(record, work[3, : n * n_out].reshape(n, n_out))
-                        np.divide(scratch, row_sum[:, None], out=routing_all[blk])
-                    np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
-                    np.multiply(scratch, row_sum[:, None], out=used)
+                np.sum(scratch, axis=1, out=row_sum)
+                low = np.flatnonzero(row_sum < row_sum_floor)
+                if low.size:
+                    rescued = np.negative(scores[low])
+                    _softmax_rows_in_place(rescued)
+                    scratch[low] = rescued
+                    row_sum[low] = 1.0
+                if capture_trace:
+                    # log sigma(z) in place in the record, with the credit
+                    # buffer, not yet written, as its scratch in the
+                    # record's layout.
+                    record = scores_all[blk]
+                    np.negative(scores, out=record)
+                    _log_logistic_into(record, work[3, : n * n_out].reshape(n, n_out))
+                    np.divide(scratch, row_sum[:, None], out=routing_all[blk])
+                np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
+                np.multiply(scratch, row_sum[:, None], out=used)
             np.subtract(g, used, out=ignored)
             np.multiply(bu, used, out=credit)
             np.multiply(bi, ignored, out=scratch)
@@ -662,12 +636,12 @@ def route_optimized(
         try:
             if it > 1:
                 predicted = predict_inputs(x_out, params)
-                _check_step(predicted, "predict", it)
+                _check_finite(predicted, "predict", it)
             x_out = sweep(it, predicted, closed)
             if closed and not np.isfinite(x_out).all():
                 # The direct pass also checks the betas first.
                 x_out = sweep(it, None, False)
-            _check_step(x_out, "output update", it)
+            _check_finite(x_out, "output update", it)
         except NumericError:
             check_betas()
             raise

@@ -68,7 +68,7 @@ ALWAYS_ON = AlwaysOn()
 _FINITE_CHECK_ELEMENTS = 65536
 
 
-def _check_finite(arr: np.ndarray, context: str) -> None:
+def _check_finite(arr: np.ndarray, context: str, iteration: int | None = None) -> None:
     if arr.ndim == 0 or arr.size <= _FINITE_CHECK_ELEMENTS:
         finite = np.all(np.isfinite(arr))
     else:
@@ -77,20 +77,23 @@ def _check_finite(arr: np.ndarray, context: str) -> None:
             np.isfinite(arr[i : i + step]).all() for i in range(0, arr.shape[0], step)
         )
     if not finite:
-        raise NumericError(f"non-finite values in {context}")
+        where = f" at iteration {iteration}" if iteration is not None else ""
+        raise NumericError(f"non-finite values in {context}{where}")
 
 
 class DenseTensor:
     """Immutable row-major real tensor of rank 1 to 3.
 
     Wraps a read-only, C-contiguous numpy array. ``copy=False`` adopts a
-    freshly computed array without copying; the adopted array is frozen.
+    freshly computed C-order array without copying (copying any other);
+    the adopted array is frozen.
     """
 
     __slots__ = ("_a",)
 
     def __init__(self, data, dtype=None, *, copy: bool = True, context: str = "tensor"):
-        arr = np.array(data, dtype=dtype, copy=copy, order="C")
+        convert = np.array if copy else np.asarray  # asarray copies only when it must
+        arr = convert(data, dtype=dtype, order="C")
         if arr.dtype not in _ALLOWED_DTYPES:
             # Integer literals are a convenience; anything else is a bug.
             if np.issubdtype(arr.dtype, np.integer) and dtype is None:
@@ -177,16 +180,33 @@ def logistic(z):
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
+def _log_logistic_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`log_logistic` of ``z`` written back into ``z``, using a same-shaped ``scratch``."""
+    np.abs(z, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    np.minimum(z, 0.0, out=z)
+    z -= scratch
+
+
+def _softmax_rows_in_place(scores: np.ndarray) -> None:
+    """:func:`softmax_rows` of a rank-2 array, written back into it."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+
+
 def log_logistic(z):
     """log of the logistic gate, computed as min(z, 0) - log1p(e^(-|z|)).
 
     Always <= 0; never overflows and keeps full precision in both tails
     (approaches z for large negative z, -e^(-z) for large positive z).
+    Non-float input computes in float64.
     """
     arr = np.asarray(z)
-    out = np.minimum(arr, 0.0) - np.log1p(np.exp(-np.abs(arr)))
-    if arr.dtype in _ALLOWED_DTYPES:
-        out = out.astype(arr.dtype)
+    out = arr.astype(np.result_type(arr, 0.0))  # a copy, in the dtype of the arithmetic
+    _log_logistic_into(out, np.empty_like(out))
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
@@ -195,9 +215,8 @@ def softmax_rows(scores: DenseTensor | np.ndarray) -> DenseTensor:
     arr = as_array(scores, "softmax_rows input")
     if arr.ndim != 2:
         raise ShapeError(f"softmax_rows expects rank 2, got rank {arr.ndim}")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = np.array(arr, order="C")  # rows reduce in C order whatever the input's layout
+    _softmax_rows_in_place(out)
     return DenseTensor(out, copy=False, context="softmax_rows")
 
 
@@ -210,6 +229,7 @@ def normalize_vectors(x: DenseTensor | np.ndarray) -> DenseTensor:
     arr = as_array(x, "normalize_vectors input")
     if arr.ndim != 2:
         raise ShapeError(f"normalize_vectors expects rank 2, got rank {arr.ndim}")
+    arr = np.ascontiguousarray(arr)  # rows reduce in C order whatever the input's layout
     centered = arr - arr.mean(axis=1, keepdims=True)
     var = np.mean(centered * centered, axis=1, keepdims=True)
     out = centered / np.sqrt(var + np.asarray(VARIANCE_EPS, dtype=arr.dtype))

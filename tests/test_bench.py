@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from vecroute import bench
 from vecroute.bench import (
     CSV_COLUMNS,
     DEFAULT_LADDERS,
@@ -129,6 +130,27 @@ class TestRunSweep:
             rows = list(csv.reader(fh))
         assert rows[2][2:5] == ["", "", ""]
 
+    def test_points_are_timed_round_robin(self, monkeypatch):
+        # Each point is warmed up and traced once, in ladder order; then
+        # each round times every point once, reversing the direction.
+        calls = []
+        route = bench.route_optimized
+
+        def recorded(x, params, dims):
+            calls.append(x.shape[0])
+            return route(x, params, dims=dims)
+
+        monkeypatch.setattr(bench, "route_optimized", recorded)
+        records = run_sweep(tiny_spec("n_inp", values=(8, 16, 32), repeats=3))
+        assert calls == [8, 8, 16, 16, 32, 32] + [8, 16, 32] + [32, 16, 8] + [8, 16, 32]
+        assert [r.value for r in records] == [8, 16, 32]
+
+    def test_spec_rejects_fewer_than_two_iterations(self):
+        with pytest.raises(ValueError, match="n_iters must be at least 2, got 1"):
+            tiny_spec("n_iters", values=(1, 2))
+        with pytest.raises(ValueError, match="n_iters must be at least 2, got 1"):
+            SweepSpec(dimension="n_out", values=(4,), baseline={**TINY_BASELINE, "n_iters": 1})
+
     def test_no_budget_disables_the_check(self):
         records = run_sweep(tiny_spec(), budget_bytes=None)
         assert not any(r.skipped for r in records)
@@ -220,3 +242,16 @@ class TestMain:
             main(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sweep", "n_out", "--values", "4", "--baseline", "n_inp=8,d_inp=4,d_out=4,n_iters=1"],
+            ["--sweep", "n_iters", "--values", "1,2"],
+        ],
+    )
+    def test_fewer_than_two_iterations_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "error: n_iters must be at least 2, got 1" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Concrete memory-lean router: per-op oracles, equivalence, budgets."""
 
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -584,9 +586,9 @@ class TestBlockedLoop:
             out_ref, _ = route_reference(x, nets, betas, dims, capture_trace=False)
         assert relative_linf(out.array, out_ref.array) <= 1e-4
 
-    # Iterations >= 2 route by sigma(z) / sum_j sigma(z_j); a block with a
-    # non-finite z, or a row whose sum falls below tiny / eps of the
-    # dtype, takes the max-shifted softmax of log sigma instead.
+    # Iterations >= 2 route by sigma(z) / sum_j sigma(z_j); a row whose
+    # sum falls below tiny / eps of the dtype is rescued by the
+    # max-shifted softmax of z instead.
 
     def test_routing_record_is_softmax_of_scores_record(self):
         rng = np.random.default_rng(37)
@@ -630,9 +632,49 @@ class TestBlockedLoop:
             assert relative_linf(out_off.array, out_ref.array) <= tol, dtype
 
     @pytest.mark.parametrize("mode", ["fixed", "variable"])
-    def test_infinite_score_block_routes_like_the_reference(self, mode):
+    def test_rescue_takes_exactly_the_underflowing_rows(self, mode, monkeypatch):
+        # Feature 0 shifts z by -95 (float32) or -800 (float64) on every
+        # other row of the middle block, so those rows alone fall below
+        # the floor; the rescue gets z of exactly those rows, once per
+        # later iteration, and the recorded scores there are z bit for bit.
+        rescued = []
+        softmax = optimized._softmax_rows_in_place
+
+        def counted_softmax(scores):
+            rescued.append(scores.copy())
+            softmax(scores)
+
+        monkeypatch.setattr(optimized, "_softmax_rows_in_place", counted_softmax)
+        rng = np.random.default_rng(41)
+        dims, params, x, rows = multi_block_instance(rng, mode)
+        params = pinned_predictions(params, dims, [1.0])
+        x[:, 0] = 0.0
+        shifted = np.arange(rows, 2 * rows, 2)
+        for dtype, shift, tol in ((np.float32, -95.0, 1e-4), (np.float64, -800.0, 1e-10)):
+            p, xx = params.astype(dtype), x.astype(dtype)
+            xx[shifted, 0] = shift
+            rescued.clear()
+            out_off, trace_off = route_optimized(xx, p)
+            out_on, trace_on = route_optimized(xx, p, capture_trace=True)
+            later = trace_on.iterations[1:]
+            assert len(rescued) == 2 * len(later), dtype
+            for got_off, got_on, record in zip(rescued, rescued[len(later) :], later):
+                assert np.array_equal(got_off, record.scores.array[shifted])
+                assert np.array_equal(got_on, got_off)
+            assert np.array_equal(out_off.array, out_on.array)
+            assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
+            assert_share_laws(trace_on)
+            nets, betas = as_plugins(xx, p)
+            out_ref, _ = route_reference(xx, nets, betas, dims, capture_trace=False)
+            assert relative_linf(out_off.array, out_ref.array) <= tol, dtype
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_infinite_score_block_routes_like_the_reference(self, mode, monkeypatch):
         # Feature 0 (1e10 in the middle block, 0 elsewhere) meets a
-        # prediction of 1e30, so the middle block's scores overflow to +inf.
+        # prediction of 1e30, so the middle block's scores overflow to +inf:
+        # sigma = 1 there, so no row needs the underflow rescue.
+        rescued = []
+        monkeypatch.setattr(optimized, "_softmax_rows_in_place", rescued.append)
         rng = np.random.default_rng(39)
         dims, params, x, rows = multi_block_instance(rng, mode)
         params = pinned_predictions(params, dims, [1e30])
@@ -643,6 +685,7 @@ class TestBlockedLoop:
             out, trace = route_optimized(x, params, capture_trace=True)
             nets, betas = as_plugins(x, params)
             out_ref, trace_ref = route_reference(x, nets, betas, dims)
+        assert rescued == []
         assert relative_linf(out.array, out_ref.array) <= 1e-4
         for record, record_ref in zip(trace.iterations[1:], trace_ref.iterations[1:]):
             assert np.all(record.scores.array[middle] == 0.0)
@@ -664,6 +707,18 @@ class TestBlockedLoop:
                 NumericError, match="score at iteration 2"
             ):
                 route_optimized(x, params, capture_trace=capture_trace)
+
+
+def test_router_takes_only_shared_types_from_the_reference():
+    # route_reference is the oracle route_optimized is checked against, so
+    # the router may share its data types but none of its code.
+    taken = {
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(optimized)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("reference")
+        for alias in node.names
+    }
+    assert taken == {"BetaPair", "IterationRecord", "PluggableNetworks", "RoutingDims", "RoutingTrace"}
 
 
 class TestParamCounts:

@@ -67,6 +67,24 @@ class TestDenseTensor:
         t = DenseTensor(np.zeros((2, 3, 4), dtype=np.float32))
         assert t.size == 24
 
+    def test_adopts_c_order_arrays_and_copies_others(self):
+        a = np.arange(12, dtype=np.float32).reshape(3, 4)
+        assert np.shares_memory(DenseTensor(a, copy=False).array, a)
+        b = np.arange(12, dtype=np.float32).reshape(3, 4)
+        t = DenseTensor(b.T, copy=False)
+        assert t.array.flags.c_contiguous and np.array_equal(t.array, b.T)
+        assert b.flags.writeable
+
+
+def test_transposed_input_matches_its_c_order_copy():
+    # Rows of 37 elements, long enough for numpy's pairwise row sums,
+    # which a strided row would otherwise skip.
+    a = np.random.default_rng(11).standard_normal((37, 300)).astype(np.float32)
+    c = np.ascontiguousarray(a.T)
+    assert np.array_equal(DenseTensor(a.T, copy=False).array, c)
+    assert np.array_equal(normalize_vectors(a.T).array, normalize_vectors(c).array)
+    assert np.array_equal(softmax_rows(a.T).array, softmax_rows(c).array)
+
 
 class TestLogistic:
     def test_symmetry_point(self):
@@ -105,6 +123,27 @@ class TestLogLogistic:
     def test_never_positive(self):
         zs = np.linspace(-100, 100, 201)
         assert np.all(np.asarray(log_logistic(zs)) <= 0.0)
+
+    @pytest.mark.parametrize("dtype, int_view", [(np.float32, np.int32), (np.float64, np.int64)])
+    def test_is_z_wherever_sigma_is_below_the_routing_floor(self, dtype, int_view):
+        # The routing loop rescues a row whose sum of sigma(z) falls below
+        # tiny / eps with the softmax of z itself, exact because there the
+        # log-logistic rounds to z. Checked on every value within 2**18
+        # ulps of the floor's edge, on random values below it, and on
+        # magnitudes up to the largest finite.
+        info = np.finfo(dtype)
+        floor = info.tiny / info.eps
+        edge = np.array(np.log(floor), dtype)
+        near = (edge.view(int_view) + np.arange(-(2**18), 2**18, dtype=int_view)).view(dtype)
+        rng = np.random.default_rng(12)
+        below = rng.uniform(2.0 * edge, edge, 2**18).astype(dtype)
+        far = -np.ldexp(rng.uniform(0.5, 1.0, 4096), rng.integers(8, info.maxexp, 4096))
+        z = np.concatenate([near, below, far.astype(dtype), [-info.max]])
+        with np.errstate(over="ignore"):
+            sigma = 1.0 / (1.0 + np.exp(-z))  # as the routing loop computes it
+        rescued = sigma < floor
+        assert rescued.sum() > 2**18 and not rescued.all()
+        assert np.array_equal(log_logistic(z[rescued]), z[rescued])
 
 
 class TestSoftmaxRows:
