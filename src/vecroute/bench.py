@@ -27,16 +27,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .memtrack import track_peak
 from .optimized import (
     RoutingParams,
+    field_shapes,
     route_optimized,
     total_param_count,
     transient_element_bound,
@@ -160,30 +162,32 @@ def linear_fit(xs, ys) -> LinearFit:
     return LinearFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
-def _build_point(sizes: dict[str, int], mode: str, seed: int):
-    param_dims = RoutingDims(
+def _point_dims(sizes: dict[str, int], mode: str) -> RoutingDims:
+    return RoutingDims(
         n_inp=None if mode == "variable" else sizes["n_inp"],
         n_out=sizes["n_out"],
         d_inp=sizes["d_inp"],
         d_out=sizes["d_out"],
         n_iters=sizes["n_iters"],
     )
+
+
+def _build_point(sizes: dict[str, int], param_dims: RoutingDims, seed: int):
     params = init_params(param_dims, seed)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((sizes["n_inp"], sizes["d_inp"]), dtype=np.float32)
     return params, x
 
 
-def _param_bytes(params: RoutingParams) -> int:
-    return 4 * total_param_count(params)
-
-
-def _predicted_point_bytes(sizes: dict[str, int], params: RoutingParams) -> int:
+def _predicted_point_bytes(sizes: dict[str, int], param_dims: RoutingDims) -> int:
+    """Documented transient bound plus input plus parameters, float32, from
+    the sizes alone: nothing of the point is drawn to predict it."""
     transient = 4 * transient_element_bound(
         sizes["n_inp"], sizes["n_out"], sizes["d_inp"], sizes["d_out"]
     )
     input_bytes = 4 * sizes["n_inp"] * sizes["d_inp"]
-    return transient + input_bytes + _param_bytes(params)
+    param_bytes = 4 * sum(math.prod(shape) for shape in field_shapes(param_dims).values())
+    return transient + input_bytes + param_bytes
 
 
 _Point = tuple[RoutingParams, np.ndarray, RoutingDims]  # params, input, dims of the run
@@ -223,16 +227,17 @@ def run_sweep(
     """Measure every ladder point; skip (and flag) points over budget.
 
     The budget check is a pre-run estimate per point (documented transient
-    bound plus parameters plus input), so an oversized point is skipped
-    before it can thrash the machine; the sweep continues past it. Every
-    point that passes is built before any is measured, so the sweep holds
-    all of their inputs and parameters at once.
+    bound plus parameters plus input), made from the point's sizes before
+    its parameters or inputs are drawn, so an oversized point is skipped
+    without allocating anything of its size; the sweep continues past it.
+    Every point that passes is built before any is measured, so the sweep
+    holds all of their inputs and parameters at once.
     """
     points: list[tuple[int, _Point | None]] = []  # None marks a skipped value
     for value in spec.values:
         sizes = spec.point(value)
-        params, x = _build_point(sizes, spec.mode, spec.seed)
-        predicted = _predicted_point_bytes(sizes, params)
+        param_dims = _point_dims(sizes, spec.mode)
+        predicted = _predicted_point_bytes(sizes, param_dims)
         if budget_bytes is not None and predicted > budget_bytes:
             print(
                 f"warning: {spec.dimension}={value} skipped, predicted "
@@ -241,7 +246,8 @@ def run_sweep(
             )
             points.append((value, None))
         else:
-            points.append((value, (params, x, replace(params.dims, n_iters=sizes["n_iters"]))))
+            params, x = _build_point(sizes, param_dims, spec.seed)
+            points.append((value, (params, x, param_dims)))
     measured = iter(_measure([p for _, p in points if p is not None], spec.repeats))
     records = []
     for value, point in points:

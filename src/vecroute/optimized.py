@@ -23,8 +23,9 @@ block-sized workspace, checks them for non-finite values once, and adds
 its ``credit.T @ x`` and ``credit.sum(0)`` into the output-sized
 partials that the M-step finishes once per iteration. With the trace off
 the only routing-pair-sized (n_inp * n_out) array is the returned final
-credit; everything else is input-sized (n_inp), block-sized, or
-output-sized (n_out * max(d_inp, d_out)). The public stage functions
+credit and the only input-sized (n_inp) one the gates; everything else
+is block-sized or output-sized (n_out * max(d_inp, d_out)). The public
+stage functions
 (:func:`activation_scores`, :func:`beta_pair_for`, :func:`predict_inputs`,
 :func:`score_predictions`, :func:`m_step_factored`) still take and return
 whole arrays; :func:`as_plugins` hands them to the reference router.
@@ -42,31 +43,36 @@ from it.
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out. In the variable layout its credit is then linear in the
 input, credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use -
-(1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, so its pooled sums
-need only the gated Gram matrix G = sum_i g_i x_i x_i^T and s = sum_i
-g_i x_i:
+(1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, so a block takes
+it from one n_out-column matmul against w1, a bias pass and a gate pass,
+without the coefficients or the shares. Its pooled sums need only the
+gated Gram matrix G = sum_i g_i x_i x_i^T and s = sum_i g_i x_i:
 
     pooled = (G w1)^T + c1 s^T,    total = w1^T s + c1 * sum_i g_i
 
-Accumulating G costs 2 * d_inp**2 flops per input, against about
-6 * n_out * d_inp for the block path (two coefficient sets and the
-pooling matmul) plus its pair-sized elementwise passes, so
-:func:`route_optimized` takes the closed form exactly when
-d_inp < 3 * n_out; the rule is an operation count on the input's shape,
-not a setting. Its one-off n_out * d_inp**2 term is the size of the
-M-step's own projection matmul, so the count leaves it out. The fixed
-layout's coefficients are per-pair tables, so it always runs iteration 1
-on the blocks. Every later iteration recomputes each block's
-coefficients, so the closed form moves their finite checks there; any
-earlier failure first checks the coefficients, and a non-finite
-closed-form output redoes iteration 1 on the blocks, so errors name the
-same stage as the block path.
+Accumulating G costs 2 * d_inp**2 flops per input; its one-off
+n_out * d_inp**2 term is the size of the M-step's own projection matmul,
+so the count leaves it out. :func:`route_optimized` takes the closed
+form exactly when d_inp < 3 * n_out, an operation count on the input's
+shape, not a setting. The count dates from a block path of about
+6 * n_out * d_inp flops (two coefficient sets and the pooling matmul).
+The linear block path costs about 4 * n_out * d_inp plus three
+pair-sized passes, and measures about as fast as the closed form for
+2 * n_out <= d_inp < 3 * n_out. The fixed layout's coefficients are
+per-pair tables, so it runs iteration 1 on the blocks from the
+flat-prior shares. Neither variable-layout form computes the
+coefficients, so iteration 2 checks them as it computes them, and any
+earlier failure checks them first: errors name the same stage as when
+iteration 1 computed them. A non-finite closed-form output redoes
+iteration 1 on the blocks.
 
 Every later iteration routes input i by the softmax over outputs of its
 log-logistic scores, softmax_j(log sigma(z_ij)) with z = gain * inner +
-bias. That softmax is sigma(z_ij) / S_i with S_i = sum_j sigma(z_ij), so a
-block computes sigma once and scales each row by g_i / S_i, which folds
-the gate in too: five pair-sized passes (exp, +1, reciprocal, row sum,
+bias. A block takes its coefficients and its inner products from one
+matmul against [W_use | W_ign | -predicted^T] (against -predicted^T
+alone in the fixed layout). The softmax is sigma(z_ij) / S_i with
+S_i = sum_j sigma(z_ij), so a block computes sigma once and scales each
+row by g_i / S_i, which folds the gate in too: five pair-sized passes (exp, +1, reciprocal, row sum,
 row scale) where the log-logistic, the max-shifted softmax and the gate
 took twelve. z = +inf gives sigma = 1, the score 0 of the log-logistic;
 z = -inf and NaN raise. A row whose S_i falls below tiny / eps of the
@@ -369,41 +375,31 @@ def _dims_for_run(params: RoutingParams, dims: RoutingDims | None) -> RoutingDim
     return dims
 
 
-def _block_betas(x: np.ndarray, params: RoutingParams, rows: int, block):
-    """Function from a row slice to that block's (beta_use, beta_ign).
-
-    Fixed mode views the stored tables. Variable mode derives both sets
-    of a block with one matmul into a reused buffer, so the values match
-    :func:`beta_pair_for` without the pair-sized arrays ever existing.
-    ``block(buffer, n_rows, n_cols)`` lays out that buffer, sized for
-    blocks of up to ``rows`` rows.
-    """
-    if not params.dims.variable_length:
-        use, ign = params.beta_use.array, params.beta_ign.array
-        return lambda blk: (use[blk], ign[blk])
-    n_out = params.dims.n_out
-    weight = np.concatenate([params.beta_use_weight.array, params.beta_ign_weight.array], axis=1)
-    bias = np.concatenate([params.beta_use_bias.array, params.beta_ign_bias.array])
-    work = np.empty(2 * n_out * rows, x.dtype)
-
-    def betas(blk: slice):
-        both = block(work, blk.stop - blk.start, 2 * n_out)
-        np.matmul(x[blk], weight, out=both)
-        both += bias
-        return both[:, :n_out], both[:, n_out:]
-
-    return betas
+def _first_iteration_weights(params: RoutingParams) -> np.ndarray:
+    """[w1; c1], shape (d_inp + 1, n_out): iteration 1's credit is
+    g_i * (x_i . w1 + c1) in the variable layout (see the module docstring)."""
+    d, n_out = params.dims.d_inp, params.dims.n_out
+    p = params.dtype.type(1.0 / n_out)
+    w = np.empty((d + 1, n_out), params.dtype)
+    for out, use, ign in (
+        (w[:d], params.beta_use_weight.array, params.beta_ign_weight.array),
+        (w[d], params.beta_use_bias.array, params.beta_ign_bias.array),
+    ):
+        # p * use - (1 - p) * ign, written without temporaries.
+        np.add(use, ign, out=out)
+        out *= p
+        out -= ign
+    return w
 
 
 def _closed_form_sums(
-    x: np.ndarray, gates: np.ndarray, work: np.ndarray, params: RoutingParams
+    x: np.ndarray, gates: np.ndarray, work: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Iteration 1's (pooled, total) sums in the variable layout.
+    """Iteration 1's (pooled, total) sums from its weights ``w`` = [w1; c1].
 
-    With w = [w1; c1] (see the module docstring), pooled = w^T [G; s^T]
-    and total = w1^T s + c1 * sum_i g_i. G is accumulated over blocks of
-    as many rows as ``work`` holds, each block's gated inputs written
-    into it.
+    pooled = w^T [G; s^T] and total = w1^T s + c1 * sum_i g_i. G is
+    accumulated over blocks of as many rows as ``work`` holds, each
+    block's gated inputs written into it.
     """
     n_inp, d = x.shape
     gram = np.empty((d + 1, d), x.dtype)  # [G; s^T]
@@ -417,18 +413,6 @@ def _closed_form_sums(
         else:
             gram[:d] += gated.T @ xb
     np.matmul(gates, x, out=gram[d])
-
-    n_out = params.dims.n_out
-    p = x.dtype.type(1.0 / n_out)
-    w = np.empty((d + 1, n_out), x.dtype)
-    for out, use, ign in (
-        (w[:d], params.beta_use_weight.array, params.beta_ign_weight.array),
-        (w[d], params.beta_use_bias.array, params.beta_ign_bias.array),
-    ):
-        # p * use - (1 - p) * ign, written without temporaries.
-        np.add(use, ign, out=out)
-        out *= p
-        out -= ign
     total = gram[d] @ w[:d]
     total += w[d] * gates.sum()
     return w.T @ gram, total
@@ -446,18 +430,22 @@ def route_optimized(
     the parameter layout. Each iteration runs over blocks of
     max(1, BLOCK_ELEMENTS // n_out) input rows, except that the variable
     layout with d_inp < 3 * n_out takes iteration 1 in closed form (see
-    :func:`_closed_form_sums`). Later iterations route each row by
+    :func:`_closed_form_sums`). In the variable layout iteration 1's
+    credit is the linear g * (x . w1 + c1), on the blocks or in closed
+    form, and each block of a later iteration gets its coefficients and
+    -inner from one matmul. Later iterations route each row by
     sigma(z) / sum(sigma(z)), or, for a row whose sum falls below
     tiny / eps of the dtype, by the max-shifted softmax of z (see the
-    module docstring). The block split
-    and the arithmetic that produce the outputs are the same whether
-    ``capture_trace`` is on or off; tracing also records iteration 1's
-    shares and credit. With it off (the default, and the configuration
-    the transient-memory promise covers), a block's intermediates live
-    only in the reused block workspace and the returned trace carries
-    only the final credit coefficients. With it on, every iteration's
-    scores, routing, shares, credit, and output are retained, which
-    keeps O(n_iters * n_inp * n_out) memory alive.
+    module docstring). The block split and the arithmetic that produce
+    the outputs are the same whether ``capture_trace`` is on or off;
+    tracing also records iteration 1's shares and credit. With it off
+    (the default, and the configuration the transient-memory promise
+    covers), a block's intermediates live only in the reused block
+    workspace, the activation scores are dropped once the gates exist,
+    and the returned trace carries only the final credit coefficients.
+    With it on, every iteration's scores, routing, shares, credit, and
+    output are retained, which keeps O(n_iters * n_inp * n_out) memory
+    alive.
     """
     x = as_array(x_inp, "x_inp")
     if x.ndim != 2:
@@ -479,10 +467,13 @@ def route_optimized(
     raw = activation_scores(x, params)
     _check_finite(raw, "activations")
     gates = np.asarray(logistic(raw))
+    if not capture_trace:
+        raw = None  # so only the gates stay input-sized beside the credit
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
-    per_row = not run_dims.variable_length  # fixed mode keys score and beta tables by input
+    variable = run_dims.variable_length
+    per_row = not variable  # fixed mode keys score and beta tables by input
 
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
         # Block arrays are indexed (row, output) like the full arrays.
@@ -496,7 +487,7 @@ def route_optimized(
     prior = dtype.type(1.0 / n_out)
     # Iteration 1 in closed form from a gated Gram matrix; the module
     # docstring derives it and the operation count behind the rule.
-    closed_form = run_dims.variable_length and d_inp < 3 * n_out
+    closed_form = variable and d_inp < 3 * n_out
     # The pair-sized arrays the call returns: per iteration (scores,
     # routing, used shares, ignored shares, credit) when tracing, the
     # first iteration having no scores, else only the final credit.
@@ -519,12 +510,27 @@ def route_optimized(
         ]
     else:
         final_credit = np.empty(pair, dtype)
-    betas = _block_betas(x, params, rows, block)
+    # A later iteration's one matmul per block: x_blk @ weight gives the
+    # block's (beta_use, beta_ign, -inner) with weight = [W_use | W_ign |
+    # -predicted^T] in the variable layout, and -inner alone against
+    # weight = -predicted^T in the fixed one, which stores its
+    # coefficient tables. Negation is exact, so -z = -(gain * inner +
+    # bias) lands in the score columns bit for bit, and exp(-z) takes one
+    # pass. check_betas multiplies by the leading n_beta columns only.
+    n_beta = 2 * n_out if variable else 0
+    weight = np.empty((d_inp, n_beta + n_out), dtype)
+    if variable:
+        weight[:, :n_out] = params.beta_use_weight.array
+        weight[:, n_out:n_beta] = params.beta_ign_weight.array
+        beta_bias = np.concatenate([params.beta_use_bias.array, params.beta_ign_bias.array])
+    else:
+        beta_use, beta_ign = params.beta_use.array, params.beta_ign.array
     gain, bias = params.score_gain.array, params.score_bias.array
-    # Block workspace: scores (-z), used shares, ignored shares, credit,
-    # scratch (sigma, then the routing before the gate). The Gram matrix
-    # borrows it for its blocks of gated inputs.
-    work = np.empty((5, rows * n_out), dtype)
+    # Block workspace: used shares, ignored shares, credit, scratch
+    # (sigma, then the routing before the gate), then the matmul's
+    # columns. The Gram matrix borrows the first four for gated inputs.
+    work = np.empty((4, rows * n_out), dtype)
+    coef_work = np.empty(rows * (n_beta + n_out), dtype)
     pooled_part = np.empty((n_out, d_inp), dtype)
     # Each block's row sums S_i of sigma(z_ij), then g_i / S_i. Below the
     # floor, sigma has lost relative precision to underflow, so such a
@@ -532,9 +538,17 @@ def route_optimized(
     row_sums = np.empty(rows, dtype)
     row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
     # Every block's betas are finite-checked before any other check of the
-    # run may fail, as when iteration 1 computed them all first. The
-    # closed form computes none, so iteration 2 checks them instead.
-    betas_checked = False
+    # run may fail. The fixed layout's tables were checked with the
+    # parameters. The variable layout's first iteration computes none, so
+    # iteration 2 checks them, and an earlier failure checks them first.
+    betas_checked = not variable
+
+    def coefficients(blk: slice, cols: int) -> np.ndarray:
+        coef = block(coef_work, blk.stop - blk.start, n_beta + n_out)
+        np.matmul(x[blk], weight[:, :cols], out=coef[:, :cols])
+        if variable:
+            coef[:, :n_beta] += beta_bias
+        return coef
 
     def check_betas() -> None:
         nonlocal betas_checked
@@ -542,11 +556,11 @@ def route_optimized(
             return
         betas_checked = True
         for blk in blocks:
-            bu, bi = betas(blk)
-            _check_finite(bu, "beta_use coefficients")
-            _check_finite(bi, "beta_ign coefficients")
+            coef = coefficients(blk, n_beta)
+            _check_finite(coef[:, :n_out], "beta_use coefficients")
+            _check_finite(coef[:, n_out:n_beta], "beta_ign coefficients")
 
-    def sweep(it: int, predicted, closed: bool) -> np.ndarray:
+    def sweep(it: int, closed: bool) -> np.ndarray:
         """One iteration over the blocks; returns its output update."""
         nonlocal betas_checked
         if capture_trace:
@@ -554,93 +568,109 @@ def route_optimized(
         else:
             credit_all = final_credit if it == n_iters else None
         if closed:
-            # The Gram matrix can overflow where the direct sums do not;
-            # the caller then redoes the iteration on the blocks.
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_closed = _finish_m_step(*_closed_form_sums(x, gates, work, params), n_inp, params)
+            x_closed = _finish_m_step(*_closed_form_sums(x, gates, work, first), n_inp, params)
             if not capture_trace:
                 return x_closed
         else:
             pooled = np.zeros((n_out, d_inp), dtype)
             total = np.zeros(n_out, dtype)
-        if it > 1:
-            # Negation is exact, so scoring against -predicted leaves
-            # -z = -(gain * inner + bias) in the scores buffer, bit for
-            # bit, and exp(-z) takes one pass. Negated in place, as a copy
-            # would raise the peak, and restored after the blocks.
-            np.negative(predicted, out=predicted)
         for blk in blocks:
             n = blk.stop - blk.start
-            scores, used, ignored, credit, scratch = (block(w, n, n_out) for w in work)
+            used, ignored, credit, scratch = (block(w, n, n_out) for w in work)
             xb = x[blk]
             g = gates[blk, None]
-            bu, bi = betas(blk)
-            if not (betas_checked or (np.isfinite(bu).all() and np.isfinite(bi).all())):
-                check_betas()
-            if it == 1:
-                np.multiply(g, prior, out=used)
-            else:
-                np.matmul(xb, predicted.T, out=scores)
-                scores *= gain[blk] if per_row else gain
-                scores -= bias[blk] if per_row else bias
-                # -z = +inf (z = -inf) and NaN fail; -z = -inf is z = +inf,
-                # sigma = 1, the score 0 of the log-logistic.
-                if not scores.max() < np.inf:
-                    raise NumericError(f"non-finite values in score at iteration {it}")
-                # sigma = 1 / (1 + exp(-z)); an overflowed exp gives 0.
-                with np.errstate(over="ignore"):
-                    np.exp(scores, out=scratch)
-                scratch += 1.0
-                np.reciprocal(scratch, out=scratch)
-                row_sum = row_sums[:n]
-                np.sum(scratch, axis=1, out=row_sum)
-                low = np.flatnonzero(row_sum < row_sum_floor)
-                if low.size:
-                    rescued = np.negative(scores[low])
-                    _softmax_rows_in_place(rescued)
-                    scratch[low] = rescued
-                    row_sum[low] = 1.0
+            if it == 1 and variable:
+                # The flat prior's credit is linear in the input.
+                np.matmul(xb, first[:d_inp], out=credit)
+                credit += first[d_inp]
+                credit *= g
                 if capture_trace:
-                    # log sigma(z) in place in the record, with the credit
-                    # buffer, not yet written, as its scratch in the
-                    # record's layout.
-                    record = scores_all[blk]
-                    np.negative(scores, out=record)
-                    _log_logistic_into(record, work[3, : n * n_out].reshape(n, n_out))
-                    np.divide(scratch, row_sum[:, None], out=routing_all[blk])
-                np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
-                np.multiply(scratch, row_sum[:, None], out=used)
-            np.subtract(g, used, out=ignored)
-            np.multiply(bu, used, out=credit)
-            np.multiply(bi, ignored, out=scratch)
-            credit -= scratch
+                    np.multiply(g, prior, out=used_all[blk])
+                    np.subtract(g, used_all[blk], out=ignored_all[blk])
+            else:
+                if it == 1:
+                    np.multiply(g, prior, out=used)
+                else:
+                    coef = coefficients(blk, n_beta + n_out)
+                    # max and min are NaN if any value is, and allocate nothing.
+                    both = coef[:, :n_beta]
+                    if not (betas_checked or -np.inf < both.min() and both.max() < np.inf):
+                        check_betas()
+                    scores = coef[:, n_beta:]
+                    scores *= gain[blk] if per_row else gain
+                    scores -= bias[blk] if per_row else bias
+                    # -z = +inf (z = -inf) and NaN fail; -z = -inf is z = +inf,
+                    # sigma = 1, the score 0 of the log-logistic.
+                    if not scores.max() < np.inf:
+                        raise NumericError(f"non-finite values in score at iteration {it}")
+                    # sigma = 1 / (1 + exp(-z)); an overflowed exp gives 0.
+                    with np.errstate(over="ignore"):
+                        np.exp(scores, out=scratch)
+                    scratch += 1.0
+                    np.reciprocal(scratch, out=scratch)
+                    row_sum = row_sums[:n]
+                    np.sum(scratch, axis=1, out=row_sum)
+                    low = np.flatnonzero(row_sum < row_sum_floor)
+                    if low.size:
+                        rescued = np.negative(scores[low])
+                        _softmax_rows_in_place(rescued)
+                        scratch[low] = rescued
+                        row_sum[low] = 1.0
+                    if capture_trace:
+                        # log sigma(z) in place in the record, with the credit
+                        # buffer, not yet written, as its scratch in the
+                        # record's layout.
+                        record = scores_all[blk]
+                        np.negative(scores, out=record)
+                        _log_logistic_into(record, work[2, : n * n_out].reshape(n, n_out))
+                        np.divide(scratch, row_sum[:, None], out=routing_all[blk])
+                    np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
+                    np.multiply(scratch, row_sum[:, None], out=used)
+                if variable:
+                    bu, bi = coef[:, :n_out], coef[:, n_out:n_beta]
+                else:
+                    bu, bi = beta_use[blk], beta_ign[blk]
+                np.subtract(g, used, out=ignored)
+                np.multiply(bu, used, out=credit)
+                np.multiply(bi, ignored, out=scratch)
+                credit -= scratch
+                if capture_trace:
+                    used_all[blk] = used
+                    ignored_all[blk] = ignored
             if not closed:
                 np.matmul(credit.T, xb, out=pooled_part)
                 pooled += pooled_part
                 total += credit.sum(axis=0)
-            if capture_trace:
-                used_all[blk] = used
-                ignored_all[blk] = ignored
             if credit_all is not None:
                 credit_all[blk] = credit
         if it > 1:
-            np.negative(predicted, out=predicted)
-        betas_checked = True
+            betas_checked = True
         return x_closed if closed else _finish_m_step(pooled, total, n_inp, params)
 
     records: list[IterationRecord] = []
     x_out = None
     for it in range(1, n_iters + 1):
         predicted = None
-        closed = closed_form and it == 1
         try:
-            if it > 1:
-                predicted = predict_inputs(x_out, params)
-                _check_finite(predicted, "predict", it)
-            x_out = sweep(it, predicted, closed)
-            if closed and not np.isfinite(x_out).all():
-                # The direct pass also checks the betas first.
-                x_out = sweep(it, None, False)
+            if it == 1 and variable:
+                # The linear form can overflow where the coefficients do
+                # not, and the Gram matrix where the direct sums do not:
+                # a non-finite closed form is redone on the blocks, and a
+                # non-finite output checks the betas before it fails.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    first = _first_iteration_weights(params)
+                    x_out = sweep(it, closed_form)
+                    if closed_form and not np.isfinite(x_out).all():
+                        x_out = sweep(it, False)
+                first = None
+            else:
+                if it > 1:
+                    predicted = predict_inputs(x_out, params)
+                    _check_finite(predicted, "predict", it)
+                    np.negative(predicted.T, out=weight[:, n_beta:])
+                    if not capture_trace:
+                        predicted = None  # its negated copy in the weight serves the blocks
+                x_out = sweep(it, False)
             _check_finite(x_out, "output update", it)
         except NumericError:
             check_betas()

@@ -241,6 +241,34 @@ def m_step_loops(x, phi, mix, proj, bias) -> np.ndarray:
     return out
 
 
+def credit_vote_sum_streamed(x, credit, mix, proj, bias, rows: int = 1024) -> np.ndarray:
+    """sum_i credit[i, j] * vote[i, j, h] in float64, votes built per block.
+
+    For sequences too long for :func:`m_step_loops`: each block of
+    ``rows`` inputs gets its votes vote[i, j, h] = scale * sum_d x[i, d]
+    mix[j, d] proj[d, h] + bias[j, h] explicitly, one (rows, n_out,
+    d_out) array from one einsum that forms each output's d_inp x d_out
+    map mix[j, d] proj[d, h] before it meets the inputs, and they are
+    contracted with that block's credit before the next block is built.
+    Inputs are never pooled first, unlike the factored M-step.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    credit = np.asarray(credit, dtype=np.float64)
+    mix = np.asarray(mix, dtype=np.float64)
+    proj = np.asarray(proj, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    n_inp = x.shape[0]
+    scale = 1.0 / math.sqrt(n_inp)
+    maps_first = ["einsum_path", (1, 2), (0, 1)]
+    out = np.zeros(bias.shape)
+    for start in range(0, n_inp, rows):
+        votes = np.einsum("id,jd,dh->ijh", x[start : start + rows], mix, proj, optimize=maps_first)
+        votes *= scale
+        votes += bias
+        out += np.einsum("ij,ijh->jh", credit[start : start + rows], votes)
+    return out
+
+
 PARAM_FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "param-format.md"
 
 # Initialization of each parameter, transcribed from the rule stated in

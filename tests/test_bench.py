@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vecroute import bench
+from vecroute.memtrack import measure_peak
 from vecroute.bench import (
     CSV_COLUMNS,
     DEFAULT_LADDERS,
@@ -129,6 +130,14 @@ class TestRunSweep:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[2][2:5] == ["", "", ""]
+
+    def test_over_budget_point_is_skipped_before_it_is_built(self):
+        # The point's input alone is 51 MB; a check made after drawing it
+        # would already have allocated that much against a 1 MB budget.
+        spec = SweepSpec("n_inp", (200000,), dict(n_out=4, d_inp=64, d_out=8, n_iters=2))
+        records, peak = measure_peak(lambda: run_sweep(spec, budget_bytes=1_000_000))
+        assert [r.skipped for r in records] == [True]
+        assert peak < 1_000_000
 
     def test_points_are_timed_round_robin(self, monkeypatch):
         # Each point is warmed up and traced once, in ladder order; then

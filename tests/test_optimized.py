@@ -19,6 +19,7 @@ from vecroute import (
     as_plugins,
     beta_pair_for,
     init_params,
+    logistic,
     m_step_factored,
     materialized_votes,
     predict_inputs,
@@ -40,6 +41,7 @@ from oracles import (
     activation_loops,
     assert_share_laws,
     betas_loops,
+    credit_vote_sum_streamed,
     m_step_loops,
     predict_loops,
     rand_instance,
@@ -519,6 +521,46 @@ class TestBlockedLoop:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"{which} coefficients"):
             route_optimized(x, bad)
 
+    def test_direct_iterations_match_the_float64_reference(self):
+        # Random beta weights and biases, so iteration 1's linear credit
+        # g * (x . w1 + c1) has both terms; three blocks, the last ragged.
+        rng = np.random.default_rng(42)
+        dims, params, x, _ = multi_block_instance(rng, "variable", **self.DIRECT_FIRST_ITERATION)
+        p64, x64 = params.astype(np.float64), x.astype(np.float64)
+        nets, betas = as_plugins(x64, p64)
+        _, trace_ref = route_reference(x64, nets, betas, dims)
+        for dtype, first_tol, later_tol in ((np.float32, 1e-6, 1e-4), (np.float64, 1e-12, 1e-10)):
+            _, trace = route_optimized(x.astype(dtype), params.astype(dtype), capture_trace=True)
+            got = [record.output.array for record in trace.iterations]
+            want = [record.output.array for record in trace_ref.iterations]
+            assert relative_linf(got[0], want[0]) <= first_tol, dtype
+            for it, (g, w) in enumerate(zip(got[1:], want[1:]), start=2):
+                assert relative_linf(g, w) <= later_tol, (dtype, it)
+
+    @pytest.mark.parametrize("which", ["beta_use", "beta_ign"])
+    def test_beta_overflow_first_met_in_a_later_iteration_names_the_coefficients(self, which):
+        # Feature 0 is 4 on ten rows of the last block and 0 elsewhere, and
+        # its weight of 1e38 overflows those rows' coefficients. Feature 1
+        # drives their activation to -5000, a gate of exactly 0, so their
+        # iteration-1 credit g * (x . w1 + c1) is 0 and iteration 1 stays
+        # finite: iteration 2's matmul meets the overflow first.
+        rng = np.random.default_rng(43)
+        dims, params, x, rows = multi_block_instance(rng, "variable", **self.DIRECT_FIRST_ITERATION)
+        hit = slice(2 * rows, 2 * rows + 10)
+        x[:, :2] = 0.0
+        x[hit, 0] = 4.0
+        x[hit, 1] = -1.0
+        act = params.act_weight.array.copy()
+        act[1] = 5000.0 * np.sqrt(np.float32(x.shape[0]))
+        weight = getattr(params, f"{which}_weight").array.copy()
+        weight[0] = 1e38
+        bad = replaced(params, dims, act_weight=act, **{f"{which}_weight": weight})
+        for capture_trace in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericError, match=f"{which} coefficients"):
+                    route_optimized(x, bad, capture_trace=capture_trace)
+        assert np.all(logistic(activation_scores(x, bad))[hit] == 0.0)
+
     def test_closed_form_first_iteration_matches_direct_sums(self):
         # Iteration 1's recorded credit is computed block by block; the
         # direct M-step over it, taken in float64, must give the closed
@@ -772,8 +814,50 @@ class TestTransientMemory:
             )
             assert peak < bound, f"{mode}: peak {peak} >= bound {bound}"
 
+    def test_long_sequence_keeps_only_the_gates_beside_the_credit(self):
+        # With the trace off, what grows with the sequence is the returned
+        # final credit, the gates and, up to a block, the seven block
+        # arrays; the rest fits the bound's output-sized terms and floor.
+        # The slack is below one more input-length array, so keeping the
+        # activation scores beside the gates would fail.
+        n_inp, n_out, d = 262_144, 16, 64
+        dims = RoutingDims(None, n_out, d, d, 2)
+        params = init_params(dims, seed=3)
+        x = np.random.default_rng(45).standard_normal((n_inp, d), dtype=np.float32)
+        route_optimized(x, params)  # warm-up stabilizes allocator state
+        _, peak = measure_peak(lambda: route_optimized(x, params))
+        elements = (
+            n_inp * n_out
+            + n_inp
+            + 7 * min(n_inp * n_out, max(BLOCK_ELEMENTS, n_out))
+            + optimized.TRANSIENT_ELEMENT_BOUND_FACTOR * n_out * (d + d)
+            + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
+        )
+        assert peak < 4 * elements
+        assert 4 * elements - peak < 4 * n_inp
+
     def test_bound_has_no_triple_product_term(self):
         small = transient_element_bound(256, 64, 32, 32)
         grown = transient_element_bound(256, 64, 32, 64)
         # Growing d_out touches only the n_out * d_out term.
         assert grown - small == 16 * 64 * 32
+
+
+class TestAccuracyAtScale:
+    # A long sequence on the block path (d_inp >= 3 * n_out), every
+    # parameter random: 98 blocks, the last ragged; about 4.4 s on 2 CPUs
+    # with 2 BLAS threads.
+    def test_long_sequence_float32_tracks_float64_and_decomposes(self):
+        n_inp, n_out, d = 400_000, 16, 64
+        dims = RoutingDims(None, n_out, d, d, 2)
+        rng = np.random.default_rng(44)
+        params = rand_params(rng, dims)
+        x = rng.standard_normal((n_inp, d), dtype=np.float32)
+        out32, _ = route_optimized(x, params)
+        p64, x64 = params.astype(np.float64), x.astype(np.float64)
+        out64, trace64 = route_optimized(x64, p64)
+        assert relative_linf(out32.array, out64.array) <= 1e-5
+        rebuilt = credit_vote_sum_streamed(
+            x64, trace64.final_credit.array, p64.vote_mix.array, p64.vote_proj.array, p64.vote_bias.array
+        )
+        assert relative_linf(out64.array, rebuilt) <= 1e-12
