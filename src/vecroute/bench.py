@@ -190,7 +190,7 @@ def _predicted_point_bytes(sizes: dict[str, int], param_dims: RoutingDims) -> in
     return transient + input_bytes + param_bytes
 
 
-_Point = tuple[RoutingParams, np.ndarray, RoutingDims]  # params, input, dims of the run
+_Point = tuple[RoutingParams, np.ndarray]  # params, input
 
 
 def _measure(points: list[_Point], repeats: int) -> list[tuple[int, float]]:
@@ -200,20 +200,20 @@ def _measure(points: list[_Point], repeats: int) -> list[tuple[int, float]]:
     each time one pass of every point, alternating the direction.
     """
     peaks = []
-    for params, x, dims in points:
+    for params, x in points:
         # Warm-up pass, discarded: first-call caches would otherwise land in
         # the traced peak and the first timing.
-        route_optimized(x, params, dims=dims)
+        route_optimized(x, params)
         with track_peak() as report:
-            route_optimized(x, params, dims=dims)
+            route_optimized(x, params)
         peaks.append(report.peak_bytes)
     times: list[list[float]] = [[] for _ in points]
     order = list(range(len(points)))
     for _ in range(repeats):
         for k in order:
-            params, x, dims = points[k]
+            params, x = points[k]
             start = time.perf_counter()
-            route_optimized(x, params, dims=dims)
+            route_optimized(x, params)
             times[k].append((time.perf_counter() - start) * 1e3)
         order.reverse()
     return [(peak, float(statistics.median(t))) for peak, t in zip(peaks, times)]
@@ -246,8 +246,7 @@ def run_sweep(
             )
             points.append((value, None))
         else:
-            params, x = _build_point(sizes, param_dims, spec.seed)
-            points.append((value, (params, x, param_dims)))
+            points.append((value, _build_point(sizes, param_dims, spec.seed)))
     measured = iter(_measure([p for _, p in points if p is not None], spec.repeats))
     records = []
     for value, point in points:

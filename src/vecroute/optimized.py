@@ -41,12 +41,16 @@ names, shapes, initialization, validation and file layout all derive
 from it.
 
 Iteration 1 routes every input to every output with the flat prior
-p = 1/n_out. In the variable layout its credit is then linear in the
-input, credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use -
-(1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, so a block takes
-it from one n_out-column matmul against w1, a bias pass and a gate pass,
-without the coefficients or the shares. Its pooled sums need only the
-gated Gram matrix G = sum_i g_i x_i x_i^T and s = sum_i g_i x_i:
+p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
+without the shares. Each product is taken separately, so the credit is
+finite wherever the coefficients are. The fixed layout takes it per
+block from its stored tables. In the variable layout it is linear in
+the input, credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use
+- (1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, the same formula
+applied to the weights, so a block takes it from one n_out-column matmul
+against w1, a bias pass and a gate pass, without the coefficients. Its
+pooled sums need only the gated Gram matrix G = sum_i g_i x_i x_i^T and
+s = sum_i g_i x_i:
 
     pooled = (G w1)^T + c1 s^T,    total = w1^T s + c1 * sum_i g_i
 
@@ -58,12 +62,10 @@ shape, not a setting. The count dates from a block path of about
 6 * n_out * d_inp flops (two coefficient sets and the pooling matmul).
 The linear block path costs about 4 * n_out * d_inp plus three
 pair-sized passes, and measures about as fast as the closed form for
-2 * n_out <= d_inp < 3 * n_out. The fixed layout's coefficients are
-per-pair tables, so it runs iteration 1 on the blocks from the
-flat-prior shares. Neither variable-layout form computes the
-coefficients, so iteration 2 checks them as it computes them, and any
-earlier failure checks them first: errors name the same stage as when
-iteration 1 computed them. A non-finite closed-form output redoes
+2 * n_out <= d_inp < 3 * n_out. Neither variable-layout form computes
+the coefficients, so iteration 2 checks them as it computes them, and
+any earlier failure checks them first: errors name the same stage as
+when iteration 1 computed them. A non-finite closed-form output redoes
 iteration 1 on the blocks.
 
 Every later iteration routes input i by the softmax over outputs of its
@@ -72,9 +74,12 @@ bias. A block takes its coefficients and its inner products from one
 matmul against [W_use | W_ign | -predicted^T] (against -predicted^T
 alone in the fixed layout). The softmax is sigma(z_ij) / S_i with
 S_i = sum_j sigma(z_ij), so a block computes sigma once and scales each
-row by g_i / S_i, which folds the gate in too: five pair-sized passes (exp, +1, reciprocal, row sum,
-row scale) where the log-logistic, the max-shifted softmax and the gate
-took twelve. z = +inf gives sigma = 1, the score 0 of the log-logistic;
+row by g_i / S_i, which folds the gate in too: five pair-sized passes
+(exp, +1, reciprocal, row sum, row scale) where the log-logistic, the
+max-shifted softmax and the gate took twelve. The first three are the
+kernel that also computes the gates, sigma = 1 / (1 + exp(-z)) from -z,
+where an overflowing exp gives sigma = 0. z = +inf gives sigma = 1, the
+score 0 of the log-logistic;
 z = -inf and NaN raise. A row whose S_i falls below tiny / eps of the
 dtype (every sigma of the row near or past underflow) is rescued: it
 takes the max-shifted softmax of z, on a copy of just the rescued rows,
@@ -106,6 +111,7 @@ from .tensor import (
     ShapeError,
     _check_finite,
     _log_logistic_into,
+    _logistic_of_negated_into,
     _softmax_rows_in_place,
     as_array,
     log_logistic,
@@ -362,17 +368,17 @@ def _finish_m_step(pooled: np.ndarray, total: np.ndarray, n_inp: int, params: Ro
     return out
 
 
-def _dims_for_run(params: RoutingParams, dims: RoutingDims | None) -> RoutingDims:
-    if dims is None:
-        return params.dims
-    fixed = ("n_inp", "n_out", "d_inp", "d_out")
-    for name in fixed:
-        if getattr(dims, name) != getattr(params.dims, name):
-            raise ShapeError(
-                f"dims.{name}={getattr(dims, name)} conflicts with parameter "
-                f"layout {name}={getattr(params.dims, name)}"
-            )
-    return dims
+def _flat_prior_credit(
+    use: np.ndarray, ign: np.ndarray, p: np.generic, out: np.ndarray, scratch: np.ndarray
+) -> None:
+    """p * use - (1 - p) * ign into ``out``: iteration 1's credit per unit gate.
+
+    Each product is taken separately, so the result, a convex combination
+    of use and -ign, is finite wherever both are.
+    """
+    np.multiply(use, p, out=out)
+    np.multiply(ign, 1 - p, out=scratch)
+    out -= scratch
 
 
 def _first_iteration_weights(params: RoutingParams) -> np.ndarray:
@@ -381,14 +387,12 @@ def _first_iteration_weights(params: RoutingParams) -> np.ndarray:
     d, n_out = params.dims.d_inp, params.dims.n_out
     p = params.dtype.type(1.0 / n_out)
     w = np.empty((d + 1, n_out), params.dtype)
-    for out, use, ign in (
-        (w[:d], params.beta_use_weight.array, params.beta_ign_weight.array),
-        (w[d], params.beta_use_bias.array, params.beta_ign_bias.array),
+    scratch = np.empty_like(w)
+    for rows, use, ign in (
+        (slice(d), params.beta_use_weight, params.beta_ign_weight),
+        (d, params.beta_use_bias, params.beta_ign_bias),
     ):
-        # p * use - (1 - p) * ign, written without temporaries.
-        np.add(use, ign, out=out)
-        out *= p
-        out -= ign
+        _flat_prior_credit(use.array, ign.array, p, w[rows], scratch[rows])
     return w
 
 
@@ -421,25 +425,23 @@ def _closed_form_sums(
 def route_optimized(
     x_inp,
     params: RoutingParams,
-    dims: RoutingDims | None = None,
     capture_trace: bool = False,
 ) -> tuple[DenseTensor, RoutingTrace]:
     """Run the routing loop without materializing proposals.
 
-    ``dims`` may override the iteration count; its sizes must agree with
-    the parameter layout. Each iteration runs over blocks of
-    max(1, BLOCK_ELEMENTS // n_out) input rows, except that the variable
-    layout with d_inp < 3 * n_out takes iteration 1 in closed form (see
-    :func:`_closed_form_sums`). In the variable layout iteration 1's
-    credit is the linear g * (x . w1 + c1), on the blocks or in closed
-    form, and each block of a later iteration gets its coefficients and
-    -inner from one matmul. Later iterations route each row by
-    sigma(z) / sum(sigma(z)), or, for a row whose sum falls below
-    tiny / eps of the dtype, by the max-shifted softmax of z (see the
-    module docstring). The block split and the arithmetic that produce
-    the outputs are the same whether ``capture_trace`` is on or off;
-    tracing also records iteration 1's shares and credit. With it off
-    (the default, and the configuration the transient-memory promise
+    Each iteration runs over blocks of max(1, BLOCK_ELEMENTS // n_out)
+    input rows, except that the variable layout with d_inp < 3 * n_out
+    takes iteration 1 in closed form (see :func:`_closed_form_sums`).
+    Iteration 1's credit is the flat prior's g * (p * beta_use - (1 - p)
+    * beta_ign): from the stored tables in the fixed layout, and as the
+    linear g * (x . w1 + c1) in the variable one. Each block of a later
+    iteration gets its coefficients and -inner from one matmul and routes
+    each row by sigma(z) / sum(sigma(z)), or, for a row whose sum falls
+    below tiny / eps of the dtype, by the max-shifted softmax of z (see
+    the module docstring). The block split and the arithmetic that
+    produce the outputs are the same whether ``capture_trace`` is on or
+    off; tracing also records iteration 1's shares and credit. With it
+    off (the default, and the configuration the transient-memory promise
     covers), a block's intermediates live only in the reused block
     workspace, the activation scores are dropped once the gates exist,
     and the returned trace carries only the final credit coefficients.
@@ -450,18 +452,18 @@ def route_optimized(
     x = as_array(x_inp, "x_inp")
     if x.ndim != 2:
         raise ShapeError(f"x_inp must be rank 2, got rank {x.ndim}")
-    run_dims = _dims_for_run(params, dims)
+    dims = params.dims
     n_inp, d_inp = x.shape
     if n_inp == 0:
         raise ShapeError("x_inp has 0 rows; routing needs at least one input")
-    if not run_dims.variable_length and n_inp != run_dims.n_inp:
-        raise ShapeError(f"x_inp has {n_inp} rows, params fix n_inp={run_dims.n_inp}")
-    if d_inp != run_dims.d_inp:
-        raise ShapeError(f"x_inp has {d_inp} columns, params fix d_inp={run_dims.d_inp}")
+    if not dims.variable_length and n_inp != dims.n_inp:
+        raise ShapeError(f"x_inp has {n_inp} rows, params fix n_inp={dims.n_inp}")
+    if d_inp != dims.d_inp:
+        raise ShapeError(f"x_inp has {d_inp} columns, params fix d_inp={dims.d_inp}")
     if x.dtype != params.dtype:
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
-    n_out = run_dims.n_out
-    n_iters = run_dims.n_iters
+    n_out = dims.n_out
+    n_iters = dims.n_iters
     dtype = x.dtype
 
     raw = activation_scores(x, params)
@@ -472,7 +474,7 @@ def route_optimized(
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
-    variable = run_dims.variable_length
+    variable = dims.variable_length
     per_row = not variable  # fixed mode keys score and beta tables by input
 
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
@@ -537,11 +539,6 @@ def route_optimized(
     # row is rescued by the max-shifted softmax of z instead.
     row_sums = np.empty(rows, dtype)
     row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
-    # Every block's betas are finite-checked before any other check of the
-    # run may fail. The fixed layout's tables were checked with the
-    # parameters. The variable layout's first iteration computes none, so
-    # iteration 2 checks them, and an earlier failure checks them first.
-    betas_checked = not variable
 
     def coefficients(blk: slice, cols: int) -> np.ndarray:
         coef = block(coef_work, blk.stop - blk.start, n_beta + n_out)
@@ -550,11 +547,11 @@ def route_optimized(
             coef[:, :n_beta] += beta_bias
         return coef
 
+    # Every block's betas are finite-checked before any other check of the
+    # run may fail. The fixed layout's tables were checked with the
+    # parameters. The variable layout's first iteration computes none, so
+    # iteration 2 checks them, and a failure up to then checks them first.
     def check_betas() -> None:
-        nonlocal betas_checked
-        if betas_checked:
-            return
-        betas_checked = True
         for blk in blocks:
             coef = coefficients(blk, n_beta)
             _check_finite(coef[:, :n_out], "beta_use coefficients")
@@ -562,7 +559,6 @@ def route_optimized(
 
     def sweep(it: int, closed: bool) -> np.ndarray:
         """One iteration over the blocks; returns its output update."""
-        nonlocal betas_checked
         if capture_trace:
             scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
         else:
@@ -579,53 +575,50 @@ def route_optimized(
             used, ignored, credit, scratch = (block(w, n, n_out) for w in work)
             xb = x[blk]
             g = gates[blk, None]
-            if it == 1 and variable:
-                # The flat prior's credit is linear in the input.
-                np.matmul(xb, first[:d_inp], out=credit)
-                credit += first[d_inp]
+            if it == 1:
+                # The flat prior's credit (see the module docstring).
+                if variable:
+                    np.matmul(xb, first[:d_inp], out=credit)
+                    credit += first[d_inp]
+                else:
+                    _flat_prior_credit(beta_use[blk], beta_ign[blk], prior, credit, scratch)
                 credit *= g
                 if capture_trace:
                     np.multiply(g, prior, out=used_all[blk])
                     np.subtract(g, used_all[blk], out=ignored_all[blk])
             else:
-                if it == 1:
-                    np.multiply(g, prior, out=used)
-                else:
-                    coef = coefficients(blk, n_beta + n_out)
+                coef = coefficients(blk, n_beta + n_out)
+                if variable and it == 2:
                     # max and min are NaN if any value is, and allocate nothing.
                     both = coef[:, :n_beta]
-                    if not (betas_checked or -np.inf < both.min() and both.max() < np.inf):
+                    if not (-np.inf < both.min() and both.max() < np.inf):
                         check_betas()
-                    scores = coef[:, n_beta:]
-                    scores *= gain[blk] if per_row else gain
-                    scores -= bias[blk] if per_row else bias
-                    # -z = +inf (z = -inf) and NaN fail; -z = -inf is z = +inf,
-                    # sigma = 1, the score 0 of the log-logistic.
-                    if not scores.max() < np.inf:
-                        raise NumericError(f"non-finite values in score at iteration {it}")
-                    # sigma = 1 / (1 + exp(-z)); an overflowed exp gives 0.
-                    with np.errstate(over="ignore"):
-                        np.exp(scores, out=scratch)
-                    scratch += 1.0
-                    np.reciprocal(scratch, out=scratch)
-                    row_sum = row_sums[:n]
-                    np.sum(scratch, axis=1, out=row_sum)
-                    low = np.flatnonzero(row_sum < row_sum_floor)
-                    if low.size:
-                        rescued = np.negative(scores[low])
-                        _softmax_rows_in_place(rescued)
-                        scratch[low] = rescued
-                        row_sum[low] = 1.0
-                    if capture_trace:
-                        # log sigma(z) in place in the record, with the credit
-                        # buffer, not yet written, as its scratch in the
-                        # record's layout.
-                        record = scores_all[blk]
-                        np.negative(scores, out=record)
-                        _log_logistic_into(record, work[2, : n * n_out].reshape(n, n_out))
-                        np.divide(scratch, row_sum[:, None], out=routing_all[blk])
-                    np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
-                    np.multiply(scratch, row_sum[:, None], out=used)
+                scores = coef[:, n_beta:]
+                scores *= gain[blk] if per_row else gain
+                scores -= bias[blk] if per_row else bias
+                # -z = +inf (z = -inf) and NaN fail; -z = -inf is z = +inf,
+                # sigma = 1, the score 0 of the log-logistic.
+                if not scores.max() < np.inf:
+                    raise NumericError(f"non-finite values in score at iteration {it}")
+                _logistic_of_negated_into(scores, scratch)
+                row_sum = row_sums[:n]
+                np.sum(scratch, axis=1, out=row_sum)
+                low = np.flatnonzero(row_sum < row_sum_floor)
+                if low.size:
+                    rescued = np.negative(scores[low])
+                    _softmax_rows_in_place(rescued)
+                    scratch[low] = rescued
+                    row_sum[low] = 1.0
+                if capture_trace:
+                    # log sigma(z) in place in the record, with the credit
+                    # buffer, not yet written, as its scratch in the
+                    # record's layout.
+                    record = scores_all[blk]
+                    np.negative(scores, out=record)
+                    _log_logistic_into(record, work[2, : n * n_out].reshape(n, n_out))
+                    np.divide(scratch, row_sum[:, None], out=routing_all[blk])
+                np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
+                np.multiply(scratch, row_sum[:, None], out=used)
                 if variable:
                     bu, bi = coef[:, :n_out], coef[:, n_out:n_beta]
                 else:
@@ -643,8 +636,6 @@ def route_optimized(
                 total += credit.sum(axis=0)
             if credit_all is not None:
                 credit_all[blk] = credit
-        if it > 1:
-            betas_checked = True
         return x_closed if closed else _finish_m_step(pooled, total, n_inp, params)
 
     records: list[IterationRecord] = []
@@ -652,28 +643,29 @@ def route_optimized(
     for it in range(1, n_iters + 1):
         predicted = None
         try:
-            if it == 1 and variable:
-                # The linear form can overflow where the coefficients do
-                # not, and the Gram matrix where the direct sums do not:
-                # a non-finite closed form is redone on the blocks, and a
-                # non-finite output checks the betas before it fails.
+            if it == 1:
+                # The variable layout's linear form can overflow where the
+                # coefficients do not, and the Gram matrix where the direct
+                # sums do not: a non-finite closed form is redone on the
+                # blocks, and a non-finite output checks the betas before
+                # it fails.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    first = _first_iteration_weights(params)
+                    first = _first_iteration_weights(params) if variable else None
                     x_out = sweep(it, closed_form)
                     if closed_form and not np.isfinite(x_out).all():
                         x_out = sweep(it, False)
                 first = None
             else:
-                if it > 1:
-                    predicted = predict_inputs(x_out, params)
-                    _check_finite(predicted, "predict", it)
-                    np.negative(predicted.T, out=weight[:, n_beta:])
-                    if not capture_trace:
-                        predicted = None  # its negated copy in the weight serves the blocks
+                predicted = predict_inputs(x_out, params)
+                _check_finite(predicted, "predict", it)
+                np.negative(predicted.T, out=weight[:, n_beta:])
+                if not capture_trace:
+                    predicted = None  # its negated copy in the weight serves the blocks
                 x_out = sweep(it, False)
             _check_finite(x_out, "output update", it)
         except NumericError:
-            check_betas()
+            if variable and it <= 2:
+                check_betas()
             raise
         if capture_trace:
             scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]

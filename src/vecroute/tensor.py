@@ -164,20 +164,28 @@ def as_array(x, name: str = "input") -> np.ndarray:
 
 
 def logistic(z):
-    """Logistic gate 1 / (1 + e^(-z)), overflow-safe for any finite input.
+    """Logistic gate 1 / (1 + e^(-z)) for any finite input.
 
     Accepts scalars, arrays, or the ALWAYS_ON marker (which maps to
-    exactly 1.0). Only negative arguments are ever exponentiated,
-    so extreme magnitudes saturate to 0 or 1 without overflow.
+    exactly 1.0). An overflowing e^(-z) saturates the gate to 0, and a
+    vanishing one to 1. The result keeps a float input's dtype; other
+    input computes in float64.
     """
     if isinstance(z, AlwaysOn):
         return 1.0
     arr = np.asarray(z)
-    t = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    if arr.dtype in _ALLOWED_DTYPES:
-        out = out.astype(arr.dtype)
+    out = np.empty(arr.shape, np.result_type(arr, 0.0))
+    np.negative(arr, out=out)
+    _logistic_of_negated_into(out, out)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+
+
+def _logistic_of_negated_into(neg_z: np.ndarray, out: np.ndarray) -> None:
+    """sigma(z) = 1 / (1 + e^(-z)) from ``neg_z`` = -z into ``out``, which may be ``neg_z``."""
+    with np.errstate(over="ignore"):  # e^(-z) = inf gives sigma = 0
+        np.exp(neg_z, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
 
 
 def _log_logistic_into(z: np.ndarray, scratch: np.ndarray) -> None:

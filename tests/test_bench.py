@@ -145,9 +145,9 @@ class TestRunSweep:
         calls = []
         route = bench.route_optimized
 
-        def recorded(x, params, dims):
+        def recorded(x, params):
             calls.append(x.shape[0])
-            return route(x, params, dims=dims)
+            return route(x, params)
 
         monkeypatch.setattr(bench, "route_optimized", recorded)
         records = run_sweep(tiny_spec("n_inp", values=(8, 16, 32), repeats=3))

@@ -18,6 +18,7 @@ from vecroute import (
     softmax_rows,
     tensor,
 )
+from vecroute.memtrack import measure_peak
 
 from oracles import log_logistic_scalar, logistic_scalar, normalize_rows_loops
 
@@ -103,6 +104,17 @@ class TestLogistic:
         want = [logistic_scalar(z) for z in zs]
         assert_allclose(got, want, rtol=1e-12)
 
+    def test_keeps_the_input_dtype(self):
+        for dtype in (np.float32, np.float64):
+            assert logistic(np.linspace(-100, 100, 9, dtype=dtype)).dtype == dtype
+
+    def test_million_gates_take_one_input_sized_array(self):
+        # The result is the only input-sized allocation: no branch
+        # arrays, no dtype copy.
+        z = np.random.default_rng(14).standard_normal(1_000_000, dtype=np.float32) * 30
+        _, peak = measure_peak(lambda: logistic(z))
+        assert peak < 1.5 * z.nbytes
+
 
 class TestLogLogistic:
     def test_zero_gives_minus_log_two(self):
@@ -139,9 +151,7 @@ class TestLogLogistic:
         below = rng.uniform(2.0 * edge, edge, 2**18).astype(dtype)
         far = -np.ldexp(rng.uniform(0.5, 1.0, 4096), rng.integers(8, info.maxexp, 4096))
         z = np.concatenate([near, below, far.astype(dtype), [-info.max]])
-        with np.errstate(over="ignore"):
-            sigma = 1.0 / (1.0 + np.exp(-z))  # as the routing loop computes it
-        rescued = sigma < floor
+        rescued = logistic(z) < floor  # sigma as the routing loop computes it
         assert rescued.sum() > 2**18 and not rescued.all()
         assert np.array_equal(log_logistic(z[rescued]), z[rescued])
 
