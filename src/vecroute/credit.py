@@ -237,8 +237,17 @@ def attribution_report(e2e: CreditMatrix, groups: Sequence[Sequence[int]]) -> At
         missing = sorted(set(range(e2e.input_arity)) - seen)
         raise ValueError(f"groups do not cover inputs {missing}; not a partition")
 
+    # Every group's total adds its members one by one in the order given,
+    # as a per-group sum does, but a step adds the k-th member of every
+    # group at once: as many steps as the largest group has members.
     arr = e2e.array
-    totals = np.stack([arr[list(members), :].sum(axis=0) for members in normalized])
+    sizes = np.fromiter(map(len, normalized), np.intp, len(normalized))
+    members = np.fromiter((i for group in normalized for i in group), np.intp, count)
+    firsts = np.cumsum(sizes) - sizes
+    totals = arr[members[firsts]]
+    for k in range(1, int(sizes.max())):
+        longer = sizes > k
+        totals[longer] += arr[members[firsts[longer] + k]]
     return AttributionReport(
         groups=tuple(normalized),
         totals=DenseTensor(totals, copy=False, context="attribution totals"),

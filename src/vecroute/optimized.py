@@ -88,6 +88,23 @@ is the softmax of the scores, at full precision. The floor is a
 property of the dtype, not a setting. A trace records log sigma(z) as
 the scores and sigma / S as the routing; the outputs do not depend on
 whether it is on.
+
+A trace costs its record writes and little more. log sigma(z) =
+-log1p(e^(-z)) comes from the e^(-z) the sigma kernel already holds, in
+two passes (z itself where e^(-z) overflows). Fixed-layout blocks are
+row-major like the records, so their shares and credit are computed in
+the records themselves; the variable layout's output-major blocks are
+copied in. No pair-sized record is scanned for non-finite values a
+second time. Routing, shares and scores are finite by construction
+(sigma <= 1, S_i >= tiny / eps, gates in [0, 1], a rescued row is the
+softmax of a finite z). Every credit array that a block pools, each
+traced record and the returned final credit, feeds total_j = sum_i
+credit_ij and so every output row, so the iteration's output update
+check fails first on a non-finite one. The one exception is the closed
+form's iteration 1, whose traced credit is not pooled: that record is
+scanned. The records but the final credit share a few allocations
+(``_TRACE_CHUNK_BYTES``), so that repeated traced calls reuse heap
+memory instead of faulting in fresh pages.
 """
 
 from __future__ import annotations
@@ -110,7 +127,6 @@ from .tensor import (
     NumericError,
     ShapeError,
     _check_finite,
-    _log_logistic_into,
     _logistic_of_negated_into,
     _softmax_rows_in_place,
     as_array,
@@ -144,6 +160,17 @@ __all__ = [
 # float32 array, so the seven arrays of a block's workspace (1.75 MiB)
 # fit a 2 MiB per-core L2 cache.
 BLOCK_ELEMENTS = 65536
+
+# Largest allocation a trace's records share (the final credit, which a
+# caller may keep alone, has its own). glibc's malloc maps a request
+# above its mmap threshold afresh; freeing such a mapping of at most
+# 32 MiB raises that threshold to its size and the heap's trim threshold
+# to twice it. So after the first traced call, later traces come from
+# the heap, and a dropped trace under twice this size stays there for
+# the next call instead of going back to the system to be faulted in
+# again. Records allocated one by one keep the trim threshold low, and a
+# dropped trace is handed back whenever nothing live sits above it.
+_TRACE_CHUNK_BYTES = 31 * 2**20
 
 
 class FanIn(NamedTuple):
@@ -447,7 +474,10 @@ def route_optimized(
     and the returned trace carries only the final credit coefficients.
     With it on, every iteration's scores, routing, shares, credit, and
     output are retained, which keeps O(n_iters * n_inp * n_out) memory
-    alive.
+    alive; it costs about its record writes (see the module docstring).
+    The records but the final credit are views of a few shared
+    allocations, so one kept after its trace is dropped keeps its
+    allocation alive.
     """
     x = as_array(x_inp, "x_inp")
     if x.ndim != 2:
@@ -497,19 +527,28 @@ def route_optimized(
     # workspace frees above them. Allocated after it, a dropped trace
     # left the top of the heap free, so the heap went back to the system
     # and the next call faulted it in again: a third of the time of a
-    # traced three-stage chain.
+    # traced three-stage chain. A trace's records but the final credit
+    # share allocations of at most _TRACE_CHUNK_BYTES for the same reason.
     pair = (n_inp, n_out)
     if capture_trace:
+        n_shared = 5 * n_iters - 2
+        per_chunk = max(1, _TRACE_CHUNK_BYTES // (n_inp * n_out * dtype.itemsize))
+        shared = (
+            record
+            for start in range(0, n_shared, per_chunk)
+            for record in np.empty((min(per_chunk, n_shared - start),) + pair, dtype)
+        )
         kept = [
             (
-                None if it == 1 else np.empty(pair, dtype),
-                np.full(pair, prior, dtype) if it == 1 else np.empty(pair, dtype),
-                np.empty(pair, dtype),
-                np.empty(pair, dtype),
-                np.empty(pair, dtype),
+                None if it == 1 else next(shared),
+                next(shared),
+                next(shared),
+                next(shared),
+                np.empty(pair, dtype) if it == n_iters else next(shared),
             )
             for it in range(1, n_iters + 1)
         ]
+        kept[0][1].fill(prior)  # iteration 1 routes by the flat prior
     else:
         final_credit = np.empty(pair, dtype)
     # A later iteration's one matmul per block: x_blk @ weight gives the
@@ -531,7 +570,11 @@ def route_optimized(
     # Block workspace: used shares, ignored shares, credit, scratch
     # (sigma, then the routing before the gate), then the matmul's
     # columns. The Gram matrix borrows the first four for gated inputs.
-    work = np.empty((4, rows * n_out), dtype)
+    # Fixed-layout blocks are row-major like the pair-sized arrays the
+    # call returns, so where one is kept the block writes into it
+    # instead, and a fixed-layout trace needs only the scratch.
+    in_records = per_row and capture_trace
+    work = np.empty((1 if in_records else 4, rows * n_out), dtype)
     coef_work = np.empty(rows * (n_beta + n_out), dtype)
     pooled_part = np.empty((n_out, d_inp), dtype)
     # Each block's row sums S_i of sigma(z_ij), then g_i / S_i. Below the
@@ -572,7 +615,13 @@ def route_optimized(
             total = np.zeros(n_out, dtype)
         for blk in blocks:
             n = blk.stop - blk.start
-            used, ignored, credit, scratch = (block(w, n, n_out) for w in work)
+            scratch = block(work[-1], n, n_out)
+            if in_records:
+                used, ignored, credit = used_all[blk], ignored_all[blk], credit_all[blk]
+            else:
+                used, ignored, credit = (block(w, n, n_out) for w in work[:3])
+                if per_row and credit_all is not None:
+                    credit = credit_all[blk]  # the untraced final credit
             xb = x[blk]
             g = gates[blk, None]
             if it == 1:
@@ -600,7 +649,8 @@ def route_optimized(
                 # sigma = 1, the score 0 of the log-logistic.
                 if not scores.max() < np.inf:
                     raise NumericError(f"non-finite values in score at iteration {it}")
-                _logistic_of_negated_into(scores, scratch)
+                # A trace takes log sigma(z) into its scores from the same exp.
+                _logistic_of_negated_into(scores, scratch, scores_all[blk] if capture_trace else None)
                 row_sum = row_sums[:n]
                 np.sum(scratch, axis=1, out=row_sum)
                 low = np.flatnonzero(row_sum < row_sum_floor)
@@ -610,12 +660,6 @@ def route_optimized(
                     scratch[low] = rescued
                     row_sum[low] = 1.0
                 if capture_trace:
-                    # log sigma(z) in place in the record, with the credit
-                    # buffer, not yet written, as its scratch in the
-                    # record's layout.
-                    record = scores_all[blk]
-                    np.negative(scores, out=record)
-                    _log_logistic_into(record, work[2, : n * n_out].reshape(n, n_out))
                     np.divide(scratch, row_sum[:, None], out=routing_all[blk])
                 np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
                 np.multiply(scratch, row_sum[:, None], out=used)
@@ -627,15 +671,15 @@ def route_optimized(
                 np.multiply(bu, used, out=credit)
                 np.multiply(bi, ignored, out=scratch)
                 credit -= scratch
-                if capture_trace:
+                if capture_trace and not in_records:
                     used_all[blk] = used
                     ignored_all[blk] = ignored
             if not closed:
                 np.matmul(credit.T, xb, out=pooled_part)
                 pooled += pooled_part
                 total += credit.sum(axis=0)
-            if credit_all is not None:
-                credit_all[blk] = credit
+            if credit_all is not None and not per_row:
+                credit_all[blk] = credit  # output-major blocks are copied
         return x_closed if closed else _finish_m_step(pooled, total, n_inp, params)
 
     records: list[IterationRecord] = []
@@ -669,22 +713,33 @@ def route_optimized(
             raise
         if capture_trace:
             scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
+            # Adopted unscanned where the loop proved them finite (see the
+            # module docstring): routing, shares and scores by construction,
+            # credit by the output update check above, which total_j =
+            # sum_i credit_ij reaches on every row. The closed form's
+            # iteration 1 pools no block, so its credit keeps the scan.
+            adopt = DenseTensor._adopt
             records.append(
                 IterationRecord(
-                    routing=DenseTensor(routing_all, copy=False),
-                    scores=None if scores_all is None else DenseTensor(scores_all, copy=False),
+                    routing=adopt(routing_all),
+                    scores=None if scores_all is None else adopt(scores_all),
                     predicted=None if predicted is None else DenseTensor(predicted, copy=False),
-                    share_used=DenseTensor(used_all, copy=False),
-                    share_ignored=DenseTensor(ignored_all, copy=False),
-                    credit=DenseTensor(credit_all, copy=False),
+                    share_used=adopt(used_all),
+                    share_ignored=adopt(ignored_all),
+                    credit=(
+                        DenseTensor(credit_all, copy=False)
+                        if it == 1 and closed_form
+                        else adopt(credit_all)
+                    ),
                     output=DenseTensor(x_out, copy=True),
                 )
             )
 
     if capture_trace:
         trace = RoutingTrace(
-            activation_scores=DenseTensor(raw, copy=False),
-            activation_gates=DenseTensor(gates, copy=False),
+            # Checked by "activations" above; the gates are sigma in [0, 1].
+            activation_scores=DenseTensor._adopt(raw),
+            activation_gates=DenseTensor._adopt(gates),
             iterations=tuple(records),
             final_credit=records[-1].credit,
         )
@@ -693,7 +748,8 @@ def route_optimized(
             activation_scores=None,
             activation_gates=None,
             iterations=(),
-            final_credit=DenseTensor(final_credit, copy=False),
+            # Pooled by the last iteration, so its output update check covers it.
+            final_credit=DenseTensor._adopt(final_credit),
         )
     return DenseTensor(x_out, copy=False), trace
 

@@ -108,6 +108,18 @@ class DenseTensor:
         arr.setflags(write=False)
         self._a = arr
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "DenseTensor":
+        """Freeze and wrap ``arr`` without the constructor's checks or scan.
+
+        For a C-order array of an allowed dtype and rank that its producer
+        has already proven finite; each caller names the check that does.
+        """
+        arr.setflags(write=False)
+        wrapped = cls.__new__(cls)
+        wrapped._a = arr
+        return wrapped
+
     @property
     def array(self) -> np.ndarray:
         """Read-only numpy view of the stored data."""
@@ -180,10 +192,20 @@ def logistic(z):
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def _logistic_of_negated_into(neg_z: np.ndarray, out: np.ndarray) -> None:
-    """sigma(z) = 1 / (1 + e^(-z)) from ``neg_z`` = -z into ``out``, which may be ``neg_z``."""
+def _logistic_of_negated_into(neg_z: np.ndarray, out: np.ndarray, log: np.ndarray | None = None) -> None:
+    """sigma(z) = 1 / (1 + e^(-z)) from ``neg_z`` = -z into ``out``, which may be ``neg_z``.
+
+    With ``log``, also writes log sigma(z) = -log1p(e^(-z)) there, from the
+    same exponential, and z itself where e^(-z) overflows: there e^z is
+    below the smallest normal, so z - log1p(e^z) rounds to z.
+    """
     with np.errstate(over="ignore"):  # e^(-z) = inf gives sigma = 0
         np.exp(neg_z, out=out)
+    if log is not None:
+        np.log1p(out, out=log)
+        np.negative(log, out=log)
+        if not log.min() > -np.inf:
+            np.negative(neg_z, out=log, where=np.isinf(log))
     out += 1.0
     np.reciprocal(out, out=out)
 

@@ -232,6 +232,20 @@ class TestAttributionReport:
                 want = sum(float(e2e.array[i, j]) for i in members)
                 assert report.totals.array[g, j] == pytest.approx(want, rel=1e-6)
 
+    def test_totals_are_the_per_group_sums_bitwise(self):
+        # Ragged groups with members and groups out of order: each total
+        # adds its members one by one in the order given, like the sum of
+        # that group's rows.
+        rng = np.random.default_rng(25)
+        perm = [int(i) for i in rng.permutation(40)]
+        groups = [perm[a:b] for a, b in ((0, 1), (1, 8), (8, 11), (11, 23), (23, 40))]
+        for dtype in (np.float32, np.float64):
+            e2e = cm(rng, 40, 5, dtype)
+            report = attribution_report(e2e, groups)
+            want = np.stack([e2e.array[members].sum(axis=0) for members in groups])
+            assert report.totals.array.dtype == dtype
+            assert np.array_equal(report.totals.array, want), dtype
+
     def test_group_order_is_preserved(self):
         rng = np.random.default_rng(22)
         e2e = cm(rng, 4, 2)

@@ -18,6 +18,7 @@ from vecroute import (
     as_plugins,
     beta_pair_for,
     init_params,
+    log_logistic,
     logistic,
     m_step_factored,
     materialized_votes,
@@ -768,6 +769,125 @@ class TestBlockedLoop:
                 NumericError, match="score at iteration 2"
             ):
                 route_optimized(x, params, capture_trace=capture_trace)
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_scores_record_is_the_log_logistic_of_z(self, mode, monkeypatch):
+        # The trace takes log sigma(z) from the sigma kernel's e^(-z). The
+        # kernel's -z is recorded per block, so the scores record is held to
+        # log_logistic of exactly that z: within 4 eps relative, z itself
+        # where e^(-z) overflows (the last block, shifted below -88.7 in
+        # float32 and -709.8 in float64), and 0 where z = +inf (the middle
+        # block's feature 0 meets a prediction past the dtype's range).
+        neg_zs = []
+        kernel = optimized._logistic_of_negated_into
+
+        def recording(neg_z, out, log=None):
+            if log is not None:
+                neg_zs.append(np.array(neg_z))
+            kernel(neg_z, out, log)
+
+        monkeypatch.setattr(optimized, "_logistic_of_negated_into", recording)
+        rng = np.random.default_rng(46)
+        dims, params, x, rows = multi_block_instance(rng, mode)
+        x[:, 0] = 0.0
+        x[rows : 2 * rows, 0] = 1e10
+        for dtype, big, shift in ((np.float32, 1e30, -200.0), (np.float64, 1e300, -1000.0)):
+            p = pinned_predictions(params, dims, [1.0]).astype(dtype)
+            pred_bias = p.pred_bias.array.copy()
+            pred_bias[:, 0] = big
+            p = replaced(p, dims, pred_bias=pred_bias)
+            xx = x.astype(dtype)
+            xx[2 * rows :, 0] = shift / big
+            neg_zs.clear()
+            with np.errstate(over="ignore"):
+                _, trace = route_optimized(xx, p, capture_trace=True)
+            later = trace.iterations[1:]
+            assert len(neg_zs) == 3 * len(later), dtype
+            eps = np.finfo(dtype).eps
+            for k, record in enumerate(later):
+                z = -np.concatenate(neg_zs[3 * k : 3 * k + 3])
+                got, want = record.scores.array, log_logistic(z)
+                with np.errstate(over="ignore"):
+                    overflow = np.isinf(np.exp(-z))
+                infinite = z == np.inf
+                assert overflow[2 * rows :].all() and infinite[rows : 2 * rows].all(), dtype
+                assert np.array_equal(got[overflow], z[overflow]), dtype
+                assert np.all(got[infinite] == 0.0), dtype
+                both = np.isfinite(got) & np.isfinite(want)
+                assert both.all(), dtype
+                assert np.all(np.abs(got - want) <= 4 * eps * np.abs(want)), dtype
+            arrays = [trace.activation_scores, trace.activation_gates]
+            for record in trace.iterations:
+                arrays += [record.routing, record.share_used, record.share_ignored, record.credit]
+                arrays += [record.output] + [r for r in (record.scores, record.predicted) if r]
+            for tensor in arrays:
+                assert not tensor.array.flags.writeable and tensor.array.flags.c_contiguous
+            assert trace.final_credit is trace.iterations[-1].credit
+
+    def test_trace_records_share_allocations_but_the_final_credit(self, monkeypatch):
+        # Three records to an allocation: a trace of 3 iterations has 13
+        # records besides the final credit, so five allocations, the last
+        # holding one record. The final credit, which a caller may keep
+        # alone, has its own; the records hold what an unsplit trace holds.
+        rng = np.random.default_rng(48)
+        for mode in ("fixed", "variable"):
+            _, params, x, _ = multi_block_instance(rng, mode)
+            _, whole = route_optimized(x, params, capture_trace=True)
+            monkeypatch.setattr(optimized, "_TRACE_CHUNK_BYTES", 3 * x.shape[0] * params.dims.n_out * 4)
+            _, trace = route_optimized(x, params, capture_trace=True)
+            monkeypatch.undo()
+            fields = ("scores", "routing", "share_used", "share_ignored", "credit")
+            records = [getattr(r, f) for r in trace.iterations for f in fields]
+            records = [r.array for r in records if r is not None][:-1]
+            bases = [r.base for r in records]
+            assert [len({id(b) for b in bases[i : i + 3]}) for i in range(0, 13, 3)] == [1] * 5
+            assert len({id(b) for b in bases}) == 5
+            assert trace.final_credit.array.base is None
+            for got, want in zip(trace.iterations, whole.iterations):
+                for f in fields:
+                    a, b = getattr(got, f), getattr(want, f)
+                    assert (a is None and b is None) or np.array_equal(a.array, b.array), (mode, f)
+
+    @pytest.mark.parametrize("later", [False, True])
+    def test_credit_overflow_fails_the_output_update(self, later):
+        # Credit records are kept unscanned: the output update check, which
+        # total_j = sum_i credit_ij reaches on every row, must catch them.
+        # beta_use = 3e38, beta_ign = -3e38 makes iteration 1's credit
+        # g * 3e38, whose sums overflow. beta_use = beta_ign = 3e38 with
+        # n_out = 2 makes it p * 3e38 - (1 - p) * 3e38 = 0, so iteration 2's
+        # 3e38 * (used - ignored) overflows first.
+        rng = np.random.default_rng(47)
+        dims, params, x, _ = multi_block_instance(rng, "fixed", n_out=2)
+        big = np.full((dims.n_inp, dims.n_out), 3e38, np.float32)
+        bad = replaced(params, dims, beta_use=big, beta_ign=big if later else -big)
+        for capture_trace in (False, True):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=f"non-finite values in output update at iteration {1 + later}$"
+            ):
+                route_optimized(x, bad, capture_trace=capture_trace)
+
+    def test_closed_form_traced_first_credit_record_is_scanned(self):
+        # The closed form's iteration 1 pools no block, so no output check
+        # covers its traced credit record, and that record keeps its scan.
+        # One input x = 2 against w1 = 3e38 overflows the block credit, while
+        # a gate of e^-60 keeps the closed form's gated sums finite. The
+        # trace-off run first meets the overflow in iteration 2's
+        # coefficients.
+        dims = RoutingDims(None, 1, 1, 1, 2)
+        params = init_params(
+            dims,
+            seed=0,
+            overrides={
+                "act_bias": np.full(1, -60.0, np.float32),
+                "beta_use_weight": np.full((1, 1), 3e38, np.float32),
+            },
+        )
+        x = np.full((1, 1), 2.0, np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^non-finite values in tensor$"):
+                route_optimized(x, params, capture_trace=True)
+            with pytest.raises(NumericError, match="beta_use coefficients"):
+                route_optimized(x, params)
 
 
 def test_router_takes_only_shared_types_from_the_reference():
