@@ -111,7 +111,9 @@ def compose_sequential(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
             f"sequential composition needs a.output_arity == b.input_arity, "
             f"got {a.output_arity} and {b.input_arity}"
         )
-    return CreditMatrix.of(DenseTensor(a.array @ b.array, copy=False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a.array @ b.array
+    return CreditMatrix.of(DenseTensor(product, copy=False, context="sequential composition"))
 
 
 def compose_residual(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
@@ -131,8 +133,9 @@ def compose_residual(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
             f"residual composition needs a.output_arity == b.input_arity, "
             f"got {a.output_arity} and {b.input_arity}"
         )
-    out = a.array + a.array @ b.array
-    return CreditMatrix.of(DenseTensor(out, copy=False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a.array + a.array @ b.array
+    return CreditMatrix.of(DenseTensor(out, copy=False, context="residual composition"))
 
 
 def compose_sum(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
@@ -174,17 +177,21 @@ def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> Cr
     of its elements, giving the result unit element-wise spread; any
     positive rescaling of a single stage cancels. A spread below
     ``SIGMA_FLOOR`` (an all-constant product) leaves the normalization
-    undefined and raises instead of returning infinities.
+    undefined and raises instead of returning infinities; so does a
+    spread that overflows float64, which would scale the product to 0.
     """
     product = compose_sequential(compose_sequential(c1, c2), c3).array
-    sigma = float(np.std(np.asarray(product, dtype=np.float64)))
-    if sigma < SIGMA_FLOOR:
-        raise DegenerateCreditError(
-            f"end-to-end credit spread {sigma:.3e} is below {SIGMA_FLOOR:.0e}; "
-            "unit-variance normalization is undefined"
-        )
-    out = product / np.asarray(sigma, dtype=product.dtype)
-    return CreditMatrix.of(DenseTensor(out, copy=False))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = float(np.std(np.asarray(product, dtype=np.float64)))
+        if sigma < SIGMA_FLOOR:
+            raise DegenerateCreditError(
+                f"end-to-end credit spread {sigma:.3e} is below {SIGMA_FLOOR:.0e}; "
+                "unit-variance normalization is undefined"
+            )
+        if not sigma < np.inf:
+            raise NumericError("non-finite values in end-to-end credit spread")
+        out = product / np.asarray(sigma, dtype=product.dtype)
+    return CreditMatrix.of(DenseTensor(out, copy=False, context="end-to-end normalization"))
 
 
 @dataclass(frozen=True)

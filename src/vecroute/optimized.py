@@ -38,7 +38,16 @@ coefficients from the input vectors themselves, one block at a time, so
 one parameter set serves any sequence length. Each layout is one ordered
 table of (name, shape, init) rows, ``_LAYOUTS`` below; the parameter
 names, shapes, initialization, validation and file layout all derive
-from it.
+from it. The router picks one block kernel per call from the layout
+(``_FixedBlocks``, ``_VariableBlocks``). The kernel owns the block
+orientation, iteration 1's credit, a later block's coefficients and
+scores, and the coefficients' finite check; the loop that drives it has
+no layout branch. Fixed-layout blocks are row-major, the layout of its
+per-pair tables. Variable-layout blocks are output-major, so reductions
+and broadcasts over the outputs run along long contiguous runs even when
+n_out is small. A block writes its shares and credit into a kept
+pair-sized array itself when its blocks are row-major like that array,
+and otherwise into the workspace, copied in after the block.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
@@ -58,53 +67,55 @@ Accumulating G costs 2 * d_inp**2 flops per input; its one-off
 n_out * d_inp**2 term is the size of the M-step's own projection matmul,
 so the count leaves it out. :func:`route_optimized` takes the closed
 form exactly when d_inp < 3 * n_out, an operation count on the input's
-shape, not a setting. The count dates from a block path of about
+shape, not a setting: it weighs G against a block path of about
 6 * n_out * d_inp flops (two coefficient sets and the pooling matmul).
 The linear block path costs about 4 * n_out * d_inp plus three
 pair-sized passes, and measures about as fast as the closed form for
 2 * n_out <= d_inp < 3 * n_out. Neither variable-layout form computes
 the coefficients, so iteration 2 checks them as it computes them, and
 any earlier failure checks them first: errors name the same stage as
-when iteration 1 computed them. A non-finite closed-form output redoes
-iteration 1 on the blocks.
+when iteration 1 computed them. The linear form can overflow where the
+coefficients do not, and G where the direct sums do not, so a
+non-finite closed-form output redoes iteration 1 on the blocks.
 
 Every later iteration routes input i by the softmax over outputs of its
 log-logistic scores, softmax_j(log sigma(z_ij)) with z = gain * inner +
 bias. A block takes its coefficients and its inner products from one
 matmul against [W_use | W_ign | -predicted^T] (against -predicted^T
-alone in the fixed layout). The softmax is sigma(z_ij) / S_i with
-S_i = sum_j sigma(z_ij), so a block computes sigma once and scales each
-row by g_i / S_i, which folds the gate in too: five pair-sized passes
-(exp, +1, reciprocal, row sum, row scale) where the log-logistic, the
-max-shifted softmax and the gate took twelve. The first three are the
-kernel that also computes the gates, sigma = 1 / (1 + exp(-z)) from -z,
-where an overflowing exp gives sigma = 0. z = +inf gives sigma = 1, the
-score 0 of the log-logistic;
-z = -inf and NaN raise. A row whose S_i falls below tiny / eps of the
-dtype (every sigma of the row near or past underflow) is rescued: it
-takes the max-shifted softmax of z, on a copy of just the rescued rows,
-with S_i = 1. Below that floor log sigma(z) rounds to z, so the rescue
-is the softmax of the scores, at full precision. The floor is a
-property of the dtype, not a setting. A trace records log sigma(z) as
-the scores and sigma / S as the routing; the outputs do not depend on
-whether it is on.
+alone in the fixed layout). Negation is exact, so -z = -(gain * inner
++ bias) lands in the score columns bit for bit. The softmax is
+sigma(z_ij) / S_i with S_i = sum_j sigma(z_ij), so a block computes
+sigma once and scales each row by g_i / S_i, which folds the gate in
+too: five pair-sized passes (exp, +1, reciprocal, row sum, row scale),
+where the log-logistic, the max-shifted softmax and the gate taken one
+by one need twelve. The first three are the kernel that also computes
+the gates, sigma = 1 / (1 + exp(-z)) from -z, where an overflowing exp
+gives sigma = 0. z = +inf gives sigma = 1, the score 0 of the
+log-logistic; z = -inf and NaN raise. A row whose S_i falls below
+tiny / eps of the dtype (every sigma of the row near or past underflow)
+is rescued: it takes the max-shifted softmax of z, on a copy of just the
+rescued rows, with S_i = 1. Below that floor log sigma(z) rounds to z,
+so the rescue is the softmax of the scores, at full precision. The
+floor is a property of the dtype, not a setting. A trace records
+log sigma(z) as the scores and sigma / S as the routing; the outputs do
+not depend on whether it is on.
 
 A trace costs its record writes and little more. log sigma(z) =
 -log1p(e^(-z)) comes from the e^(-z) the sigma kernel already holds, in
-two passes (z itself where e^(-z) overflows). Fixed-layout blocks are
-row-major like the records, so their shares and credit are computed in
-the records themselves; the variable layout's output-major blocks are
-copied in. No pair-sized record is scanned for non-finite values a
+two passes (z itself where e^(-z) overflows). Fixed-layout blocks
+compute their shares and credit in the records themselves (the write
+rule above). No pair-sized record is scanned for non-finite values a
 second time. Routing, shares and scores are finite by construction
 (sigma <= 1, S_i >= tiny / eps, gates in [0, 1], a rescued row is the
 softmax of a finite z). Every credit array that a block pools, each
 traced record and the returned final credit, feeds total_j = sum_i
 credit_ij and so every output row, so the iteration's output update
 check fails first on a non-finite one. The one exception is the closed
-form's iteration 1, whose traced credit is not pooled: that record is
-scanned. The records but the final credit share a few allocations
-(``_TRACE_CHUNK_BYTES``), so that repeated traced calls reuse heap
-memory instead of faulting in fresh pages.
+form's iteration 1, whose traced credit is not pooled: iteration 1
+scans that record, so a failure there checks the coefficients first,
+as any iteration-1 failure does. The records but the final credit share
+a few allocations (``_TRACE_CHUNK_BYTES``), so that repeated traced
+calls reuse heap memory instead of faulting in fresh pages.
 """
 
 from __future__ import annotations
@@ -449,6 +460,96 @@ def _closed_form_sums(
     return w.T @ gram, total
 
 
+class _FixedBlocks:
+    """Block kernel of the fixed layout: row-major blocks, stored tables."""
+
+    row_major = True
+    closed_form = False
+    first = None  # iteration 1 takes its credit from the tables
+
+    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], rows: int):
+        n_out = params.dims.n_out
+        self.use, self.ign = params.beta_use.array, params.beta_ign.array
+        self.gain, self.bias = params.score_gain.array, params.score_bias.array
+        self.prior = params.dtype.type(1.0 / n_out)
+        self.x = x
+        self.weight = np.empty((params.dims.d_inp, n_out), params.dtype)  # -predicted^T
+        self.coef_work = np.empty(rows * n_out, params.dtype)
+
+    @staticmethod
+    def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
+        return buffer[: n * cols].reshape(n, cols)
+
+    def first_credit(self, blk: slice, credit: np.ndarray, scratch: np.ndarray) -> None:
+        _flat_prior_credit(self.use[blk], self.ign[blk], self.prior, credit, scratch)
+
+    def later_block(self, blk: slice, it: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        neg_z = self.block(self.coef_work, blk.stop - blk.start, self.weight.shape[1])
+        np.matmul(self.x[blk], self.weight, out=neg_z)
+        neg_z *= self.gain[blk]
+        neg_z -= self.bias[blk]
+        return self.use[blk], self.ign[blk], neg_z
+
+    def check_betas(self) -> None:
+        """Nothing to do: the tables were checked with the parameters."""
+
+
+class _VariableBlocks:
+    """Block kernel of the variable layout: output-major blocks, coefficients
+    from each block's inputs (see the module docstring)."""
+
+    row_major = False
+
+    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], rows: int):
+        dims, dtype = params.dims, params.dtype
+        n_out = self.n_out = dims.n_out
+        self.x, self.blocks = x, blocks
+        self.closed_form = dims.d_inp < 3 * n_out
+        # [W_use | W_ign | -predicted^T]; the score columns are written per iteration.
+        self.weight = np.empty((dims.d_inp, 3 * n_out), dtype)
+        self.weight[:, :n_out] = params.beta_use_weight.array
+        self.weight[:, n_out : 2 * n_out] = params.beta_ign_weight.array
+        self.beta_bias = np.concatenate([params.beta_use_bias.array, params.beta_ign_bias.array])
+        self.gain, self.bias = params.score_gain.array, params.score_bias.array
+        self.coef_work = np.empty(rows * 3 * n_out, dtype)
+        # Overflow here surfaces as a non-finite iteration 1.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.first = _first_iteration_weights(params)
+
+    @staticmethod
+    def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
+        return buffer[: n * cols].reshape(cols, n).T
+
+    def first_credit(self, blk: slice, credit: np.ndarray, scratch: np.ndarray) -> None:
+        np.matmul(self.x[blk], self.first[:-1], out=credit)
+        credit += self.first[-1]
+
+    def coefficients(self, blk: slice, cols: int) -> np.ndarray:
+        coef = self.block(self.coef_work, blk.stop - blk.start, self.weight.shape[1])
+        np.matmul(self.x[blk], self.weight[:, :cols], out=coef[:, :cols])
+        coef[:, : 2 * self.n_out] += self.beta_bias
+        return coef
+
+    def later_block(self, blk: slice, it: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        coef = self.coefficients(blk, 3 * self.n_out)
+        if it == 2:  # the first iteration to compute them
+            # max and min are NaN if any value is, and allocate nothing.
+            both = coef[:, : 2 * self.n_out]
+            if not (-np.inf < both.min() and both.max() < np.inf):
+                self.check_betas()
+        bu, bi, neg_z = np.split(coef, 3, axis=1)
+        neg_z *= self.gain
+        neg_z -= self.bias
+        return bu, bi, neg_z
+
+    def check_betas(self) -> None:
+        """Finite-check every block's coefficients, in block order."""
+        for blk in self.blocks:
+            bu, bi, _ = np.split(self.coefficients(blk, 2 * self.n_out), 3, axis=1)
+            _check_finite(bu, "beta_use coefficients")
+            _check_finite(bi, "beta_ign coefficients")
+
+
 def route_optimized(
     x_inp,
     params: RoutingParams,
@@ -456,28 +557,19 @@ def route_optimized(
 ) -> tuple[DenseTensor, RoutingTrace]:
     """Run the routing loop without materializing proposals.
 
-    Each iteration runs over blocks of max(1, BLOCK_ELEMENTS // n_out)
-    input rows, except that the variable layout with d_inp < 3 * n_out
-    takes iteration 1 in closed form (see :func:`_closed_form_sums`).
-    Iteration 1's credit is the flat prior's g * (p * beta_use - (1 - p)
-    * beta_ign): from the stored tables in the fixed layout, and as the
-    linear g * (x . w1 + c1) in the variable one. Each block of a later
-    iteration gets its coefficients and -inner from one matmul and routes
-    each row by sigma(z) / sum(sigma(z)), or, for a row whose sum falls
-    below tiny / eps of the dtype, by the max-shifted softmax of z (see
-    the module docstring). The block split and the arithmetic that
-    produce the outputs are the same whether ``capture_trace`` is on or
-    off; tracing also records iteration 1's shares and credit. With it
-    off (the default, and the configuration the transient-memory promise
-    covers), a block's intermediates live only in the reused block
-    workspace, the activation scores are dropped once the gates exist,
-    and the returned trace carries only the final credit coefficients.
-    With it on, every iteration's scores, routing, shares, credit, and
-    output are retained, which keeps O(n_iters * n_inp * n_out) memory
-    alive; it costs about its record writes (see the module docstring).
-    The records but the final credit are views of a few shared
-    allocations, so one kept after its trace is dropped keeps its
-    allocation alive.
+    ``x_inp`` is an (n_inp, d_inp) array of the parameters' dtype; the
+    fixed layout needs n_inp to match its tables. Returns the
+    (n_out, d_out) outputs and a :class:`RoutingTrace`. The outputs do
+    not depend on ``capture_trace``; the module docstring derives how they
+    are computed. With the trace off (the default, and the configuration
+    that :func:`transient_element_bound` covers), the trace carries only
+    the final credit; a block's intermediates live in one reused block
+    workspace, and the activation scores are dropped once the gates
+    exist. With it on, the trace also holds the activation scores and
+    gates and every iteration's scores, routing, shares, credit,
+    prediction and output, O(n_iters * n_inp * n_out) memory. The records
+    but the final credit are views of a few shared allocations, so one
+    kept after its trace is dropped keeps its allocation alive.
     """
     x = as_array(x_inp, "x_inp")
     if x.ndim != 2:
@@ -486,15 +578,13 @@ def route_optimized(
     n_inp, d_inp = x.shape
     if n_inp == 0:
         raise ShapeError("x_inp has 0 rows; routing needs at least one input")
-    if not dims.variable_length and n_inp != dims.n_inp:
+    if dims.n_inp not in (None, n_inp):
         raise ShapeError(f"x_inp has {n_inp} rows, params fix n_inp={dims.n_inp}")
     if d_inp != dims.d_inp:
         raise ShapeError(f"x_inp has {d_inp} columns, params fix d_inp={dims.d_inp}")
     if x.dtype != params.dtype:
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
-    n_out = dims.n_out
-    n_iters = dims.n_iters
-    dtype = x.dtype
+    n_out, n_iters, dtype = dims.n_out, dims.n_iters, x.dtype
 
     raw = activation_scores(x, params)
     _check_finite(raw, "activations")
@@ -504,31 +594,15 @@ def route_optimized(
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
-    variable = dims.variable_length
-    per_row = not variable  # fixed mode keys score and beta tables by input
-
-    def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
-        # Block arrays are indexed (row, output) like the full arrays.
-        # Fixed mode stores them row-major, the layout of its per-pair
-        # tables. Variable mode has no such tables and stores them
-        # output-major, so reductions and broadcasts over the outputs
-        # run along long contiguous runs even when n_out is small.
-        flat = buffer[: n * cols]
-        return flat.reshape(n, cols) if per_row else flat.reshape(cols, n).T
-
     prior = dtype.type(1.0 / n_out)
-    # Iteration 1 in closed form from a gated Gram matrix; the module
-    # docstring derives it and the operation count behind the rule.
-    closed_form = variable and d_inp < 3 * n_out
-    # The pair-sized arrays the call returns: per iteration (scores,
-    # routing, used shares, ignored shares, credit) when tracing, the
-    # first iteration having no scores, else only the final credit.
-    # Allocating them before the block workspace puts the space the
-    # workspace frees above them. Allocated after it, a dropped trace
-    # left the top of the heap free, so the heap went back to the system
-    # and the next call faulted it in again: a third of the time of a
-    # traced three-stage chain. A trace's records but the final credit
-    # share allocations of at most _TRACE_CHUNK_BYTES for the same reason.
+    # Each iteration's kept arrays, by IterationRecord field: every
+    # record field when tracing, else the last iteration's credit alone.
+    # The pair-sized ones come before the block workspace, so the space
+    # the workspace frees lies above them. Allocated after it, a dropped
+    # trace left the top of the heap free, so the heap went back to the
+    # system and the next call faulted it in again: a third of the time
+    # of a traced three-stage chain. For the same reason the records but
+    # the final credit share allocations of at most _TRACE_CHUNK_BYTES.
     pair = (n_inp, n_out)
     if capture_trace:
         n_shared = 5 * n_iters - 2
@@ -539,218 +613,125 @@ def route_optimized(
             for record in np.empty((min(per_chunk, n_shared - start),) + pair, dtype)
         )
         kept = [
-            (
-                None if it == 1 else next(shared),
-                next(shared),
-                next(shared),
-                next(shared),
-                np.empty(pair, dtype) if it == n_iters else next(shared),
-            )
+            {
+                "scores": None if it == 1 else next(shared),
+                "routing": next(shared),
+                "share_used": next(shared),
+                "share_ignored": next(shared),
+                "credit": np.empty(pair, dtype) if it == n_iters else next(shared),
+                "predicted": None,
+            }
             for it in range(1, n_iters + 1)
         ]
-        kept[0][1].fill(prior)  # iteration 1 routes by the flat prior
+        kept[0]["routing"].fill(prior)  # iteration 1 routes by the flat prior
     else:
-        final_credit = np.empty(pair, dtype)
-    # A later iteration's one matmul per block: x_blk @ weight gives the
-    # block's (beta_use, beta_ign, -inner) with weight = [W_use | W_ign |
-    # -predicted^T] in the variable layout, and -inner alone against
-    # weight = -predicted^T in the fixed one, which stores its
-    # coefficient tables. Negation is exact, so -z = -(gain * inner +
-    # bias) lands in the score columns bit for bit, and exp(-z) takes one
-    # pass. check_betas multiplies by the leading n_beta columns only.
-    n_beta = 2 * n_out if variable else 0
-    weight = np.empty((d_inp, n_beta + n_out), dtype)
-    if variable:
-        weight[:, :n_out] = params.beta_use_weight.array
-        weight[:, n_out:n_beta] = params.beta_ign_weight.array
-        beta_bias = np.concatenate([params.beta_use_bias.array, params.beta_ign_bias.array])
-    else:
-        beta_use, beta_ign = params.beta_use.array, params.beta_ign.array
-    gain, bias = params.score_gain.array, params.score_bias.array
-    # Block workspace: used shares, ignored shares, credit, scratch
-    # (sigma, then the routing before the gate), then the matmul's
-    # columns. The Gram matrix borrows the first four for gated inputs.
-    # Fixed-layout blocks are row-major like the pair-sized arrays the
-    # call returns, so where one is kept the block writes into it
-    # instead, and a fixed-layout trace needs only the scratch.
-    in_records = per_row and capture_trace
-    work = np.empty((1 if in_records else 4, rows * n_out), dtype)
-    coef_work = np.empty(rows * (n_beta + n_out), dtype)
+        kept = [{} for _ in range(1, n_iters)] + [{"credit": np.empty(pair, dtype)}]
+    kernel = (_VariableBlocks if dims.variable_length else _FixedBlocks)(params, x, blocks, rows)
+    # Block workspace: used shares, ignored shares, credit, then scratch
+    # (sigma, then the routing before the gate). The closed form borrows
+    # it for gated inputs. A row-major trace writes its shares and credit
+    # into the records, so it needs only the scratch.
+    work = np.empty((1 if kernel.row_major and capture_trace else 4, rows * n_out), dtype)
     pooled_part = np.empty((n_out, d_inp), dtype)
-    # Each block's row sums S_i of sigma(z_ij), then g_i / S_i. Below the
-    # floor, sigma has lost relative precision to underflow, so such a
-    # row is rescued by the max-shifted softmax of z instead.
-    row_sums = np.empty(rows, dtype)
+    row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
     row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
 
-    def coefficients(blk: slice, cols: int) -> np.ndarray:
-        coef = block(coef_work, blk.stop - blk.start, n_beta + n_out)
-        np.matmul(x[blk], weight[:, :cols], out=coef[:, :cols])
-        if variable:
-            coef[:, :n_beta] += beta_bias
-        return coef
-
-    # Every block's betas are finite-checked before any other check of the
-    # run may fail. The fixed layout's tables were checked with the
-    # parameters. The variable layout's first iteration computes none, so
-    # iteration 2 checks them, and a failure up to then checks them first.
-    def check_betas() -> None:
-        for blk in blocks:
-            coef = coefficients(blk, n_beta)
-            _check_finite(coef[:, :n_out], "beta_use coefficients")
-            _check_finite(coef[:, n_out:n_beta], "beta_ign coefficients")
-
-    def sweep(it: int, closed: bool) -> np.ndarray:
+    def sweep(rec: dict, it: int, closed: bool) -> np.ndarray:
         """One iteration over the blocks; returns its output update."""
-        if capture_trace:
-            scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
-        else:
-            credit_all = final_credit if it == n_iters else None
         if closed:
-            x_closed = _finish_m_step(*_closed_form_sums(x, gates, work, first), n_inp, params)
-            if not capture_trace:
+            x_closed = _finish_m_step(*_closed_form_sums(x, gates, work, kernel.first), n_inp, params)
+            closed = np.isfinite(x_closed).all()  # else redone on the blocks
+            if closed and not rec:
                 return x_closed
-        else:
-            pooled = np.zeros((n_out, d_inp), dtype)
-            total = np.zeros(n_out, dtype)
+        pooled = np.zeros((n_out, d_inp), dtype)
+        total = np.zeros(n_out, dtype)
+        scores, routing = rec.get("scores"), rec.get("routing")
+        wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
         for blk in blocks:
             n = blk.stop - blk.start
-            scratch = block(work[-1], n, n_out)
-            if in_records:
-                used, ignored, credit = used_all[blk], ignored_all[blk], credit_all[blk]
-            else:
-                used, ignored, credit = (block(w, n, n_out) for w in work[:3])
-                if per_row and credit_all is not None:
-                    credit = credit_all[blk]  # the untraced final credit
-            xb = x[blk]
-            g = gates[blk, None]
+            xb, g = x[blk], gates[blk, None]
+            scratch = kernel.block(work[-1], n, n_out)
+            # Where a block writes: into a kept array itself when the
+            # blocks are row-major like it, else into the workspace,
+            # copied in after the block.
+            used, ignored, credit = (
+                whole[blk] if kernel.row_major and whole is not None else kernel.block(work[k], n, n_out)
+                for k, whole in enumerate(wholes)
+            )
             if it == 1:
-                # The flat prior's credit (see the module docstring).
-                if variable:
-                    np.matmul(xb, first[:d_inp], out=credit)
-                    credit += first[d_inp]
-                else:
-                    _flat_prior_credit(beta_use[blk], beta_ign[blk], prior, credit, scratch)
+                kernel.first_credit(blk, credit, scratch)
                 credit *= g
-                if capture_trace:
-                    np.multiply(g, prior, out=used_all[blk])
-                    np.subtract(g, used_all[blk], out=ignored_all[blk])
+                if routing is not None:
+                    np.multiply(g, prior, out=used)
+                    np.subtract(g, used, out=ignored)
             else:
-                coef = coefficients(blk, n_beta + n_out)
-                if variable and it == 2:
-                    # max and min are NaN if any value is, and allocate nothing.
-                    both = coef[:, :n_beta]
-                    if not (-np.inf < both.min() and both.max() < np.inf):
-                        check_betas()
-                scores = coef[:, n_beta:]
-                scores *= gain[blk] if per_row else gain
-                scores -= bias[blk] if per_row else bias
-                # -z = +inf (z = -inf) and NaN fail; -z = -inf is z = +inf,
-                # sigma = 1, the score 0 of the log-logistic.
-                if not scores.max() < np.inf:
+                bu, bi, neg_z = kernel.later_block(blk, it)
+                if not neg_z.max() < np.inf:
                     raise NumericError(f"non-finite values in score at iteration {it}")
-                # A trace takes log sigma(z) into its scores from the same exp.
-                _logistic_of_negated_into(scores, scratch, scores_all[blk] if capture_trace else None)
+                _logistic_of_negated_into(neg_z, scratch, None if scores is None else scores[blk])
                 row_sum = row_sums[:n]
                 np.sum(scratch, axis=1, out=row_sum)
                 low = np.flatnonzero(row_sum < row_sum_floor)
                 if low.size:
-                    rescued = np.negative(scores[low])
+                    rescued = np.negative(neg_z[low])
                     _softmax_rows_in_place(rescued)
                     scratch[low] = rescued
                     row_sum[low] = 1.0
-                if capture_trace:
-                    np.divide(scratch, row_sum[:, None], out=routing_all[blk])
-                np.divide(gates[blk], row_sum, out=row_sum)  # now g / S
+                if routing is not None:
+                    np.divide(scratch, row_sum[:, None], out=routing[blk])
+                np.divide(gates[blk], row_sum, out=row_sum)
                 np.multiply(scratch, row_sum[:, None], out=used)
-                if variable:
-                    bu, bi = coef[:, :n_out], coef[:, n_out:n_beta]
-                else:
-                    bu, bi = beta_use[blk], beta_ign[blk]
                 np.subtract(g, used, out=ignored)
                 np.multiply(bu, used, out=credit)
                 np.multiply(bi, ignored, out=scratch)
                 credit -= scratch
-                if capture_trace and not in_records:
-                    used_all[blk] = used
-                    ignored_all[blk] = ignored
             if not closed:
                 np.matmul(credit.T, xb, out=pooled_part)
                 pooled += pooled_part
                 total += credit.sum(axis=0)
-            if credit_all is not None and not per_row:
-                credit_all[blk] = credit  # output-major blocks are copied
-        return x_closed if closed else _finish_m_step(pooled, total, n_inp, params)
+            if not kernel.row_major:
+                for whole, computed in zip(wholes, (used, ignored, credit)):
+                    if whole is not None:
+                        whole[blk] = computed
+        if closed:
+            # Pooled by no block, so no output update check covers it.
+            _check_finite(rec["credit"], "credit", it)
+            return x_closed
+        return _finish_m_step(pooled, total, n_inp, params)
 
     records: list[IterationRecord] = []
-    x_out = None
-    for it in range(1, n_iters + 1):
-        predicted = None
+    for it, rec in enumerate(kept, start=1):
         try:
             if it == 1:
-                # The variable layout's linear form can overflow where the
-                # coefficients do not, and the Gram matrix where the direct
-                # sums do not: a non-finite closed form is redone on the
-                # blocks, and a non-finite output checks the betas before
-                # it fails.
                 with np.errstate(over="ignore", invalid="ignore"):
-                    first = _first_iteration_weights(params) if variable else None
-                    x_out = sweep(it, closed_form)
-                    if closed_form and not np.isfinite(x_out).all():
-                        x_out = sweep(it, False)
-                first = None
+                    x_out = sweep(rec, it, kernel.closed_form)
+                kernel.first = None  # output-sized, and needed no more
             else:
                 predicted = predict_inputs(x_out, params)
                 _check_finite(predicted, "predict", it)
-                np.negative(predicted.T, out=weight[:, n_beta:])
-                if not capture_trace:
-                    predicted = None  # its negated copy in the weight serves the blocks
-                x_out = sweep(it, False)
+                np.negative(predicted.T, out=kernel.weight[:, -n_out:])  # the score columns
+                if capture_trace:
+                    rec["predicted"] = predicted
+                del predicted  # its negated copy in the weight serves the blocks
+                x_out = sweep(rec, it, False)
             _check_finite(x_out, "output update", it)
         except NumericError:
-            if variable and it <= 2:
-                check_betas()
+            if it <= 2:
+                kernel.check_betas()
             raise
+        # Adopted unscanned: the module docstring says which check proves
+        # each finite; the prediction passed its own.
+        rec = {name: None if a is None else DenseTensor._adopt(a) for name, a in rec.items()}
         if capture_trace:
-            scores_all, routing_all, used_all, ignored_all, credit_all = kept[it - 1]
-            # Adopted unscanned where the loop proved them finite (see the
-            # module docstring): routing, shares and scores by construction,
-            # credit by the output update check above, which total_j =
-            # sum_i credit_ij reaches on every row. The closed form's
-            # iteration 1 pools no block, so its credit keeps the scan.
-            adopt = DenseTensor._adopt
-            records.append(
-                IterationRecord(
-                    routing=adopt(routing_all),
-                    scores=None if scores_all is None else adopt(scores_all),
-                    predicted=None if predicted is None else DenseTensor(predicted, copy=False),
-                    share_used=adopt(used_all),
-                    share_ignored=adopt(ignored_all),
-                    credit=(
-                        DenseTensor(credit_all, copy=False)
-                        if it == 1 and closed_form
-                        else adopt(credit_all)
-                    ),
-                    output=DenseTensor(x_out, copy=True),
-                )
-            )
+            records.append(IterationRecord(output=DenseTensor(x_out, copy=True), **rec))
 
-    if capture_trace:
-        trace = RoutingTrace(
-            # Checked by "activations" above; the gates are sigma in [0, 1].
-            activation_scores=DenseTensor._adopt(raw),
-            activation_gates=DenseTensor._adopt(gates),
-            iterations=tuple(records),
-            final_credit=records[-1].credit,
-        )
-    else:
-        trace = RoutingTrace(
-            activation_scores=None,
-            activation_gates=None,
-            iterations=(),
-            # Pooled by the last iteration, so its output update check covers it.
-            final_credit=DenseTensor._adopt(final_credit),
-        )
+    trace = RoutingTrace(
+        # Checked by "activations" above; the gates are sigma in [0, 1].
+        activation_scores=None if raw is None else DenseTensor._adopt(raw),
+        activation_gates=DenseTensor._adopt(gates) if capture_trace else None,
+        iterations=tuple(records),
+        final_credit=rec["credit"],
+    )
     return DenseTensor(x_out, copy=False), trace
 
 

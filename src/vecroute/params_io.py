@@ -116,30 +116,26 @@ def save_params(params: RoutingParams, path) -> None:
         fh.write(blob)
 
 
-def _fail(reason: str) -> ParamFormatError:
-    return ParamFormatError(reason)
-
-
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _fail(f"malformed header: {what} {text!r} is not an integer") from None
+        raise ParamFormatError(f"malformed header: {what} {text!r} is not an integer") from None
 
 
 def _parse_dims(line: str) -> RoutingDims:
     parts = line.split()
     if len(parts) != 6 or parts[0] != "dims":
-        raise _fail(f"malformed header: expected dims line, got {line!r}")
+        raise ParamFormatError(f"malformed header: expected dims line, got {line!r}")
     values: dict[str, str] = {}
     for part in parts[1:]:
         key, eq, val = part.partition("=")
         if not eq:
-            raise _fail(f"malformed header: dims entry {part!r} lacks '='")
+            raise ParamFormatError(f"malformed header: dims entry {part!r} lacks '='")
         values[key] = val
     expected = ("n_inp", "n_out", "d_inp", "d_out", "n_iters")
     if tuple(values) != expected:
-        raise _fail(f"malformed header: dims keys {tuple(values)} != {expected}")
+        raise ParamFormatError(f"malformed header: dims keys {tuple(values)} != {expected}")
     n_inp = None if values["n_inp"] == "variable" else _parse_int(values["n_inp"], "n_inp")
     try:
         return RoutingDims(
@@ -150,7 +146,7 @@ def _parse_dims(line: str) -> RoutingDims:
             n_iters=_parse_int(values["n_iters"], "n_iters"),
         )
     except ValueError as exc:
-        raise _fail(f"malformed header: {exc}") from None
+        raise ParamFormatError(f"malformed header: {exc}") from None
 
 
 def load_params(path) -> RoutingParams:
@@ -165,37 +161,37 @@ def load_params(path) -> RoutingParams:
         blob = fh.read()
     head, sep, payload = blob.partition(b"\n\n")
     if not sep:
-        raise _fail("malformed header: missing blank-line terminator")
+        raise ParamFormatError("malformed header: missing blank-line terminator")
     try:
         lines = head.decode("ascii").split("\n")
     except UnicodeDecodeError:
-        raise _fail("malformed header: not ASCII") from None
+        raise ParamFormatError("malformed header: not ASCII") from None
     if len(lines) < 5:
-        raise _fail("malformed header: too few lines")
+        raise ParamFormatError("malformed header: too few lines")
 
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != FORMAT_MAGIC:
-        raise _fail(f"not a parameter file: first line {lines[0]!r}")
+        raise ParamFormatError(f"not a parameter file: first line {lines[0]!r}")
     if _parse_int(magic[1], "version") != FORMAT_VERSION:
-        raise _fail(f"unknown format version {magic[1]}")
+        raise ParamFormatError(f"unknown format version {magic[1]}")
 
     mode_parts = lines[1].split()
     if len(mode_parts) != 2 or mode_parts[0] != "mode" or mode_parts[1] not in ("fixed", "variable"):
-        raise _fail(f"malformed header: expected mode line, got {lines[1]!r}")
+        raise ParamFormatError(f"malformed header: expected mode line, got {lines[1]!r}")
     mode = mode_parts[1]
 
     dims = _parse_dims(lines[2])
     if (dims.n_inp is None) != (mode == "variable"):
-        raise _fail(f"mode {mode} conflicts with dims n_inp={dims.n_inp}")
+        raise ParamFormatError(f"mode {mode} conflicts with dims n_inp={dims.n_inp}")
 
     checksum_parts = lines[3].split()
     if len(checksum_parts) != 2 or checksum_parts[0] != "checksum":
-        raise _fail(f"malformed header: expected checksum line, got {lines[3]!r}")
+        raise ParamFormatError(f"malformed header: expected checksum line, got {lines[3]!r}")
     declared_crc = checksum_parts[1]
 
     payload_parts = lines[-1].split()
     if len(payload_parts) != 2 or payload_parts[0] != "payload":
-        raise _fail(f"malformed header: expected payload line, got {lines[-1]!r}")
+        raise ParamFormatError(f"malformed header: expected payload line, got {lines[-1]!r}")
     declared_len = _parse_int(payload_parts[1], "payload length")
 
     expected_shapes = field_shapes(dims)
@@ -203,39 +199,41 @@ def load_params(path) -> RoutingParams:
     for line in lines[4:-1]:
         parts = line.split()
         if len(parts) != 5 or parts[0] != "tensor" or parts[2] != "f32":
-            raise _fail(f"malformed header: expected tensor line, got {line!r}")
+            raise ParamFormatError(f"malformed header: expected tensor line, got {line!r}")
         name = parts[1]
         try:
             shape = tuple(int(e) for e in parts[3].split("x"))
         except ValueError:
-            raise _fail(f"malformed header: bad shape {parts[3]!r} for {name}") from None
+            raise ParamFormatError(f"malformed header: bad shape {parts[3]!r} for {name}") from None
         entries.append((name, shape, _parse_int(parts[4], f"{name} offset")))
 
     names = [name for name, _, _ in entries]
     if names != list(expected_shapes):
-        raise _fail(
+        raise ParamFormatError(
             f"tensor names {names} do not match the {mode}-mode set "
             f"{list(expected_shapes)} in canonical order"
         )
     offset = 0
     for name, shape, declared_offset in entries:
         if shape != expected_shapes[name]:
-            raise _fail(f"tensor {name} shape {shape} != required {expected_shapes[name]}")
+            raise ParamFormatError(
+                f"tensor {name} shape {shape} != required {expected_shapes[name]}"
+            )
         if declared_offset != offset:
-            raise _fail(
+            raise ParamFormatError(
                 f"tensor {name} offset {declared_offset} != contiguous offset {offset}"
             )
         offset += int(np.prod(shape)) * 4
     if declared_len != offset:
-        raise _fail(f"declared payload length {declared_len} != tensor total {offset}")
+        raise ParamFormatError(f"declared payload length {declared_len} != tensor total {offset}")
     if len(payload) < declared_len:
-        raise _fail(f"truncated payload: {len(payload)} bytes, need {declared_len}")
+        raise ParamFormatError(f"truncated payload: {len(payload)} bytes, need {declared_len}")
     if len(payload) > declared_len:
-        raise _fail(f"trailing bytes after payload: {len(payload) - declared_len}")
+        raise ParamFormatError(f"trailing bytes after payload: {len(payload) - declared_len}")
 
     actual_crc = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"
     if actual_crc != declared_crc:
-        raise _fail(f"checksum mismatch: header {declared_crc}, payload {actual_crc}")
+        raise ParamFormatError(f"checksum mismatch: header {declared_crc}, payload {actual_crc}")
 
     tensors: dict[str, DenseTensor] = {}
     offset = 0
@@ -247,5 +245,5 @@ def load_params(path) -> RoutingParams:
         try:
             tensors[name] = DenseTensor(arr, context=name)
         except ArithmeticError as exc:
-            raise _fail(f"tensor {name} holds non-finite values: {exc}") from None
+            raise ParamFormatError(f"tensor {name} holds non-finite values: {exc}") from None
     return RoutingParams(dims, **tensors)

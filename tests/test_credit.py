@@ -11,6 +11,7 @@ from vecroute import (
     BetaPair,
     CreditMatrix,
     DegenerateCreditError,
+    NumericError,
     PluggableNetworks,
     RoutingDims,
     ShapeError,
@@ -207,6 +208,33 @@ class TestEndToEndThree:
         zero = CreditMatrix.of(tensor(np.zeros((5, 4), np.float32)))
         with pytest.raises(DegenerateCreditError):
             end_to_end_three(cm(rng, 6, 5), zero, cm(rng, 4, 3))
+
+
+def _full(value, dtype=np.float32):
+    return CreditMatrix.of(tensor(np.full((2, 2), value, dtype), dtype))
+
+
+def _diagonal(top, dtype=np.float64):
+    return CreditMatrix.of(tensor(np.diag([top, 1.0]).astype(dtype), dtype))
+
+
+@pytest.mark.parametrize(
+    "operation, operands, stage",
+    [
+        (compose_sequential, (_full(3e38), _full(3e38)), "sequential composition"),
+        (compose_residual, (_full(3e38), _full(3e38)), "residual composition"),
+        # The chain product overflows before the normalization starts.
+        (end_to_end_three, (_full(3e38), _full(3e38), _full(3e38)), "sequential composition"),
+        # A finite float64 product whose spread overflows would scale to 0.
+        (end_to_end_three, (_diagonal(1e200), _diagonal(1.0), _diagonal(1.0)), "end-to-end credit spread"),
+    ],
+    ids=["sequential", "residual", "end_to_end_product", "end_to_end_spread"],
+)
+def test_overflow_names_the_operation(operation, operands, stage):
+    # Under pytest's error::RuntimeWarning filter an unguarded overflow
+    # would surface as a warning instead of the named NumericError.
+    with pytest.raises(NumericError, match=f"^non-finite values in {stage}$"):
+        operation(*operands)
 
 
 class TestAttributionReport:

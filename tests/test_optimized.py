@@ -1,6 +1,7 @@
 """Concrete memory-lean router: per-op oracles, equivalence, budgets."""
 
 import ast
+import dataclasses
 import inspect
 
 import numpy as np
@@ -477,6 +478,38 @@ class TestBlockedLoop:
             with pytest.raises(NumericError, match=f"{which} coefficients"):
                 beta_pair_for(x, bad)
 
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("d, n_out", [(16, 64), (64, 16)], ids=["closed_form_shape", "block_path_shape"])
+    def test_block_size_changes_only_rounding(self, mode, d, n_out, monkeypatch):
+        # One-row blocks, ragged blocks of 7 rows and the default split (one
+        # block here) route alike up to float64 rounding, and at each block
+        # size trace on and off agree bitwise. The variable layout takes
+        # iteration 1 in closed form at the first shape only.
+        rng = np.random.default_rng(36)
+        n_inp = 600
+        dims = RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, 3)
+        params = rand_params(rng, dims, n_inp).astype(np.float64)
+        x = rng.standard_normal((n_inp, d))
+        results = []
+        for block_elements in (n_out, 7 * n_out, BLOCK_ELEMENTS):
+            monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", block_elements)
+            out_off, trace_off = route_optimized(x, params)
+            out, trace = route_optimized(x, params, capture_trace=True)
+            assert np.array_equal(out_off.array, out.array)
+            assert np.array_equal(trace_off.final_credit.array, trace.final_credit.array)
+            arrays = {"output": out.array, "final_credit": trace.final_credit.array}
+            for it, record in enumerate(trace.iterations, start=1):
+                for field in dataclasses.fields(record):
+                    value = getattr(record, field.name)
+                    if value is not None:
+                        arrays[f"{field.name} at iteration {it}"] = value.array
+            results.append(arrays)
+        default = results[-1]
+        for arrays in results[:-1]:
+            assert arrays.keys() == default.keys()
+            for name, value in default.items():
+                assert relative_linf(arrays[name], value) <= 1e-12, name
+
     # The variable layout computes iteration 1 in closed form from a
     # gated Gram matrix when d_inp < 3 * n_out, as in the instances above;
     # these instances (d_inp >= 3 * n_out) keep iteration 1 on the blocks.
@@ -871,8 +904,9 @@ class TestBlockedLoop:
         # covers its traced credit record, and that record keeps its scan.
         # One input x = 2 against w1 = 3e38 overflows the block credit, while
         # a gate of e^-60 keeps the closed form's gated sums finite. The
-        # trace-off run first meets the overflow in iteration 2's
-        # coefficients.
+        # scan fails inside iteration 1, so the coefficients are checked
+        # first, and the traced run names the stage the trace-off run meets
+        # in iteration 2's coefficients.
         dims = RoutingDims(None, 1, 1, 1, 2)
         params = init_params(
             dims,
@@ -884,7 +918,7 @@ class TestBlockedLoop:
         )
         x = np.full((1, 1), 2.0, np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="^non-finite values in tensor$"):
+            with pytest.raises(NumericError, match="beta_use coefficients"):
                 route_optimized(x, params, capture_trace=True)
             with pytest.raises(NumericError, match="beta_use coefficients"):
                 route_optimized(x, params)
