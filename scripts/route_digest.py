@@ -2,7 +2,7 @@
 
 Usage:
 
-    python scripts/route_digest.py CHECKOUT --seed 1 [--tiny]
+    python scripts/route_digest.py CHECKOUT --seed 1 [--tiny] [--block-elements N]
 
 ``CHECKOUT`` is the root of a vecroute checkout; its ``src/`` provides the
 package and its ``perfbench/workloads.py`` the workloads. Each workload's
@@ -14,6 +14,9 @@ gates, and every field of every iteration record, each array with its
 dtype and shape. The output is sorted JSON, so two checkouts route
 bitwise alike on these inputs exactly when ``diff`` finds nothing.
 Digests compare only under one numpy, BLAS build and BLAS thread count.
+``--block-elements N`` sets ``vecroute.optimized.BLOCK_ELEMENTS`` to N before
+routing, so checkouts with different defaults can be digested at one block
+size, and small inputs can be split over several blocks, the last ragged.
 """
 
 from __future__ import annotations
@@ -32,10 +35,13 @@ def digest(arr) -> str:
     return h.hexdigest()
 
 
-def route_digests(seed: int, tiny: bool) -> dict[str, str]:
+def route_digests(seed: int, tiny: bool, block_elements: int | None = None) -> dict[str, str]:
     import numpy as np
-    from vecroute import init_params, route_optimized
+    from vecroute import init_params, optimized, route_optimized
     from workloads import INPUT_STREAM, workloads
+
+    if block_elements is not None:
+        optimized.BLOCK_ELEMENTS = block_elements
 
     out = {}
     for name, wl in workloads(tiny).items():
@@ -67,10 +73,13 @@ def main(argv=None) -> int:
     parser.add_argument("checkout", type=Path, help="root of the vecroute checkout to digest")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--tiny", action="store_true", help="the smoke test's tiny shapes")
+    parser.add_argument(
+        "--block-elements", type=int, help="route with this BLOCK_ELEMENTS instead of the checkout's"
+    )
     args = parser.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    print(json.dumps(route_digests(args.seed, args.tiny), indent=1, sort_keys=True))
+    print(json.dumps(route_digests(args.seed, args.tiny, args.block_elements), indent=1, sort_keys=True))
     return 0
 
 

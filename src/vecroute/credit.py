@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -223,39 +224,44 @@ def attribution_report(e2e: CreditMatrix, groups: Sequence[Sequence[int]]) -> At
     or region aggregation). Singleton groups reproduce the matrix;
     a single all-covering group gives column sums.
     """
-    normalized: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    count = 0
-    for g, group in enumerate(groups):
-        members = tuple(int(i) for i in group)
-        if not members:
-            raise ValueError(f"group {g} is empty; not a partition")
-        for i in members:
-            if not 0 <= i < e2e.input_arity:
-                raise ValueError(
-                    f"group {g} names input {i}, outside [0, {e2e.input_arity})"
-                )
-            if i in seen:
-                raise ValueError(f"input {i} appears in more than one group")
-            seen.add(i)
-        count += len(members)
-        normalized.append(members)
-    if count != e2e.input_arity:
-        missing = sorted(set(range(e2e.input_arity)) - seen)
-        raise ValueError(f"groups do not cover inputs {missing}; not a partition")
+    normalized = tuple(tuple(map(int, group)) for group in groups)
+    n = e2e.input_arity
+    sizes = np.fromiter(map(len, normalized), np.intp, len(normalized))
+    try:
+        members = np.fromiter(chain.from_iterable(normalized), np.intp, int(sizes.sum()))
+    except OverflowError:  # a member too large for any index is outside the range
+        raise ValueError(_partition_fault(normalized, n)) from None
+    inside = (0 <= members) & (members < n)
+    if not (sizes.all() and inside.all() and np.all(np.bincount(members, minlength=n) == 1)):
+        raise ValueError(_partition_fault(normalized, n))
 
     # Every group's total adds its members one by one in the order given,
     # as a per-group sum does, but a step adds the k-th member of every
     # group at once: as many steps as the largest group has members.
     arr = e2e.array
-    sizes = np.fromiter(map(len, normalized), np.intp, len(normalized))
-    members = np.fromiter((i for group in normalized for i in group), np.intp, count)
     firsts = np.cumsum(sizes) - sizes
     totals = arr[members[firsts]]
     for k in range(1, int(sizes.max())):
         longer = sizes > k
         totals[longer] += arr[members[firsts[longer] + k]]
     return AttributionReport(
-        groups=tuple(normalized),
+        groups=normalized,
         totals=DenseTensor(totals, copy=False, context="attribution totals"),
     )
+
+
+def _partition_fault(groups: tuple[tuple[int, ...], ...], n: int) -> str:
+    """The first fault of a partition of range(n), in scan order: group by
+    group, an empty group before its members, a member outside the range
+    before a repeat, and a missing input once every group is read."""
+    seen: set[int] = set()
+    for g, members in enumerate(groups):
+        if not members:
+            return f"group {g} is empty; not a partition"
+        for i in members:
+            if not 0 <= i < n:
+                return f"group {g} names input {i}, outside [0, {n})"
+            if i in seen:
+                return f"input {i} appears in more than one group"
+            seen.add(i)
+    return f"groups do not cover inputs {sorted(set(range(n)) - seen)}; not a partition"

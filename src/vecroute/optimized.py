@@ -18,8 +18,8 @@ Every step of an iteration except that contraction is local to one
 input row: the use/ignore coefficients, the agreement score, the routing
 over outputs, the shares and the credit. :func:`route_optimized`
 therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
-n_out) input rows. A block computes its stages in place in one
-block-sized workspace, checks them for non-finite values once, and adds
+n_out) input rows. A block computes its stages in place in a workspace
+of four block-sized slots, checks them for non-finite values once, and adds
 its ``credit.T @ x`` and ``credit.sum(0)`` into the output-sized
 partials that the M-step finishes once per iteration. With the trace off
 the only routing-pair-sized (n_inp * n_out) array is the returned final
@@ -47,7 +47,7 @@ per-pair tables. Variable-layout blocks are output-major, so reductions
 and broadcasts over the outputs run along long contiguous runs even when
 n_out is small. A block writes its shares and credit into a kept
 pair-sized array itself when its blocks are row-major like that array,
-and otherwise into the workspace, copied in after the block.
+and otherwise into its workspace slots, copied in after the block.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
@@ -99,6 +99,25 @@ so the rescue is the softmax of the scores, at full precision. The
 floor is a property of the dtype, not a setting. A trace records
 log sigma(z) as the scores and sigma / S as the routing; the outputs do
 not depend on whether it is on.
+
+Each workspace slot is overwritten in place once the value it holds is
+dead, so a later block needs four block-sized arrays:
+
+    slot 0: bu, then the credit (bu * used, then minus slot 1)
+    slot 1: bi, then bi * ignored
+    slot 2: -z, then the ignored shares, once the rescue has read -z
+    slot 3: sigma, then the used shares
+
+The variable layout's matmul writes (bu | bi | -z) straight into slots
+0-2. Its output-major block views keep a full block's leading
+dimension, so column group k starts at slot k in a ragged last block
+too, and each in-place product meets its output as the very same view;
+a view that only partly overlapped its output would make numpy copy the
+operand first. The fixed layout's tables stand in for bu and bi, and a
+row-major trace writes the shares and credit into its records, so it
+keeps only -z and sigma, and takes bi * ignored where sigma was.
+Iteration 1 uses the same slots: its credit in slot 0, (1 - p) * bi in
+slot 1 (fixed layout) and, traced, its shares in slots 3 and 2.
 
 A trace costs its record writes and little more. log sigma(z) =
 -log1p(e^(-z)) comes from the e^(-z) the sigma kernel already holds, in
@@ -167,10 +186,11 @@ __all__ = [
     "votes_for_input",
 ]
 
-# Elements (rows * n_out) of one block of the routing loop: 256 KiB per
-# float32 array, so the seven arrays of a block's workspace (1.75 MiB)
-# fit a 2 MiB per-core L2 cache.
-BLOCK_ELEMENTS = 65536
+# Elements (rows * n_out) of one block of the routing loop: 448 KiB per
+# float32 array, so the four slots of a block's workspace (1.75 MiB) fit
+# a 2 MiB per-core L2 cache. Each block costs a fixed number of numpy
+# calls and a BLAS call or two, so the largest block that fits is fastest.
+BLOCK_ELEMENTS = 114688
 
 # Largest allocation a trace's records share (the final credit, which a
 # caller may keep alone, has its own). glibc's malloc maps a request
@@ -467,14 +487,13 @@ class _FixedBlocks:
     closed_form = False
     first = None  # iteration 1 takes its credit from the tables
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], rows: int):
+    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
         n_out = params.dims.n_out
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
         self.prior = params.dtype.type(1.0 / n_out)
-        self.x = x
+        self.x, self.work = x, work
         self.weight = np.empty((params.dims.d_inp, n_out), params.dtype)  # -predicted^T
-        self.coef_work = np.empty(rows * n_out, params.dtype)
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
@@ -484,7 +503,9 @@ class _FixedBlocks:
         _flat_prior_credit(self.use[blk], self.ign[blk], self.prior, credit, scratch)
 
     def later_block(self, blk: slice, it: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        neg_z = self.block(self.coef_work, blk.stop - blk.start, self.weight.shape[1])
+        # -z in slot 2 (the first of a traced workspace's two); the tables
+        # stand in for slots 0 and 1.
+        neg_z = self.block(self.work[-2], blk.stop - blk.start, self.weight.shape[1])
         np.matmul(self.x[blk], self.weight, out=neg_z)
         neg_z *= self.gain[blk]
         neg_z -= self.bias[blk]
@@ -500,10 +521,10 @@ class _VariableBlocks:
 
     row_major = False
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], rows: int):
+    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
         dims, dtype = params.dims, params.dtype
         n_out = self.n_out = dims.n_out
-        self.x, self.blocks = x, blocks
+        self.x, self.blocks, self.work = x, blocks, work
         self.closed_form = dims.d_inp < 3 * n_out
         # [W_use | W_ign | -predicted^T]; the score columns are written per iteration.
         self.weight = np.empty((dims.d_inp, 3 * n_out), dtype)
@@ -511,21 +532,23 @@ class _VariableBlocks:
         self.weight[:, n_out : 2 * n_out] = params.beta_ign_weight.array
         self.beta_bias = np.concatenate([params.beta_use_bias.array, params.beta_ign_bias.array])
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
-        self.coef_work = np.empty(rows * 3 * n_out, dtype)
         # Overflow here surfaces as a non-finite iteration 1.
         with np.errstate(over="ignore", invalid="ignore"):
             self.first = _first_iteration_weights(params)
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
-        return buffer[: n * cols].reshape(cols, n).T
+        # Leading dimension of a full block, so that column group k of a
+        # view over several slots starts at slot k in a ragged block too.
+        return buffer.reshape(cols, -1)[:, :n].T
 
     def first_credit(self, blk: slice, credit: np.ndarray, scratch: np.ndarray) -> None:
         np.matmul(self.x[blk], self.first[:-1], out=credit)
         credit += self.first[-1]
 
     def coefficients(self, blk: slice, cols: int) -> np.ndarray:
-        coef = self.block(self.coef_work, blk.stop - blk.start, self.weight.shape[1])
+        """(bu | bi | -inner) in workspace slots 0-2, the first ``cols`` columns computed."""
+        coef = self.block(self.work[:3], blk.stop - blk.start, self.weight.shape[1])
         np.matmul(self.x[blk], self.weight[:, :cols], out=coef[:, :cols])
         coef[:, : 2 * self.n_out] += self.beta_bias
         return coef
@@ -626,12 +649,13 @@ def route_optimized(
         kept[0]["routing"].fill(prior)  # iteration 1 routes by the flat prior
     else:
         kept = [{} for _ in range(1, n_iters)] + [{"credit": np.empty(pair, dtype)}]
-    kernel = (_VariableBlocks if dims.variable_length else _FixedBlocks)(params, x, blocks, rows)
-    # Block workspace: used shares, ignored shares, credit, then scratch
-    # (sigma, then the routing before the gate). The closed form borrows
-    # it for gated inputs. A row-major trace writes its shares and credit
-    # into the records, so it needs only the scratch.
-    work = np.empty((1 if kernel.row_major and capture_trace else 4, rows * n_out), dtype)
+    kernel_type = _VariableBlocks if dims.variable_length else _FixedBlocks
+    # The block workspace: four slots, each reused once its value is dead
+    # (the module docstring's table). The closed form borrows it for gated
+    # inputs. A row-major trace writes its shares and credit into the
+    # records, so it needs only -z and sigma, then bi * ignored in sigma's.
+    work = np.empty((2 if kernel_type.row_major and capture_trace else 4, rows * n_out), dtype)
+    kernel = kernel_type(params, x, blocks, work)
     pooled_part = np.empty((n_out, d_inp), dtype)
     row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
     row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
@@ -650,16 +674,16 @@ def route_optimized(
         for blk in blocks:
             n = blk.stop - blk.start
             xb, g = x[blk], gates[blk, None]
-            scratch = kernel.block(work[-1], n, n_out)
             # Where a block writes: into a kept array itself when the
-            # blocks are row-major like it, else into the workspace,
+            # blocks are row-major like it, else into its workspace slot,
             # copied in after the block.
             used, ignored, credit = (
                 whole[blk] if kernel.row_major and whole is not None else kernel.block(work[k], n, n_out)
-                for k, whole in enumerate(wholes)
+                for k, whole in zip((3, 2, 0), wholes)
             )
+            product = kernel.block(work[1], n, n_out)  # bi * ignored
             if it == 1:
-                kernel.first_credit(blk, credit, scratch)
+                kernel.first_credit(blk, credit, product)
                 credit *= g
                 if routing is not None:
                     np.multiply(g, prior, out=used)
@@ -668,23 +692,25 @@ def route_optimized(
                 bu, bi, neg_z = kernel.later_block(blk, it)
                 if not neg_z.max() < np.inf:
                     raise NumericError(f"non-finite values in score at iteration {it}")
-                _logistic_of_negated_into(neg_z, scratch, None if scores is None else scores[blk])
+                sigma = kernel.block(work[-1], n, n_out)
+                _logistic_of_negated_into(neg_z, sigma, None if scores is None else scores[blk])
                 row_sum = row_sums[:n]
-                np.sum(scratch, axis=1, out=row_sum)
+                np.sum(sigma, axis=1, out=row_sum)
                 low = np.flatnonzero(row_sum < row_sum_floor)
                 if low.size:
                     rescued = np.negative(neg_z[low])
                     _softmax_rows_in_place(rescued)
-                    scratch[low] = rescued
+                    sigma[low] = rescued
                     row_sum[low] = 1.0
                 if routing is not None:
-                    np.divide(scratch, row_sum[:, None], out=routing[blk])
+                    np.divide(sigma, row_sum[:, None], out=routing[blk])
                 np.divide(gates[blk], row_sum, out=row_sum)
-                np.multiply(scratch, row_sum[:, None], out=used)
+                # Each result overwrites the slot of an operand dead from here on.
+                np.multiply(sigma, row_sum[:, None], out=used)
                 np.subtract(g, used, out=ignored)
                 np.multiply(bu, used, out=credit)
-                np.multiply(bi, ignored, out=scratch)
-                credit -= scratch
+                np.multiply(bi, ignored, out=product)
+                credit -= product
             if not closed:
                 np.matmul(credit.T, xb, out=pooled_part)
                 pooled += pooled_part
@@ -838,10 +864,10 @@ def total_param_count(params: RoutingParams) -> int:
 # one factor that absorbs their simultaneously live generations. The only
 # routing-pair-sized (n_inp * n_out) array is the returned final credit,
 # counted twice for headroom; pair-dominated shapes measure at most 1.14
-# pair arrays. The block workspace is seven arrays (five in fixed mode)
-# of one block, rows * n_out elements, which is at most
-# max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
-# whole sequence fits in one block. The variable layout's closed-form
+# pair arrays. The block workspace is four arrays of one block, rows *
+# n_out elements, which is at most max(BLOCK_ELEMENTS, n_out) however
+# long the sequence and less when the whole sequence fits in one block,
+# so the block factor leaves headroom too. The variable layout's closed-form
 # first iteration adds no term: its gated inputs reuse the block
 # workspace, and it runs only when d_inp < 3 * n_out, which makes its
 # (d_inp + 1) * d_inp Gram matrix and (d_inp + 1) * n_out coefficients

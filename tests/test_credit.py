@@ -1,6 +1,7 @@
 """Credit matrices: composition laws, normalization, attribution."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,30 @@ class TestAttributionReport:
             attribution_report(e2e, [[0, 1], [1, 2, 3]])
         with pytest.raises(ValueError, match="cover"):
             attribution_report(e2e, [[0, 1], [3]])
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ([[0, 1], [], [5]], "group 1 is empty; not a partition"),
+            ([[0, 1], [2], [], [1]], "group 2 is empty; not a partition"),
+            ([[5], []], "group 0 names input 5, outside [0, 4)"),
+            ([[0, 9, 0]], "group 0 names input 9, outside [0, 4)"),
+            ([[-1, 0, 0]], "group 0 names input -1, outside [0, 4)"),
+            ([[0, 1, 2, 3], [2**70]], f"group 1 names input {2**70}, outside [0, 4)"),
+            ([[0, 1, 1, 9]], "input 1 appears in more than one group"),
+            ([[2, 0], [0, -1], []], "input 0 appears in more than one group"),
+            ([[1, 2, 2, 1]], "input 2 appears in more than one group"),
+            ([[3], [2, 3, 2], [1]], "input 3 appears in more than one group"),
+            ([[0], [2]], "groups do not cover inputs [1, 3]; not a partition"),
+        ],
+    )
+    def test_names_the_first_fault_of_the_scan(self, groups, message):
+        # Group by group, member by member: an empty group before its
+        # members, a member outside the range before a repeat; a missing
+        # input last.
+        e2e = cm(np.random.default_rng(26), 4, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            attribution_report(e2e, groups)
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(24)

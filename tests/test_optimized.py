@@ -396,9 +396,24 @@ class TestRoutingParamsValidation:
             params.beta_use_weight
 
 
+# The block size the multi-block instances below are sized from. Their
+# float32 gates were set at it: at the default the variable instance grows
+# to 4181 inputs, and its 1e10-scale scores then put the infinite-score
+# routing 1.03e-4 from the reference's, by float32 execution order alone.
+PINNED_BLOCK_ELEMENTS = 65536
+
+
+@pytest.fixture
+def pinned_block_size(monkeypatch):
+    monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", PINNED_BLOCK_ELEMENTS)
+
+
 def multi_block_instance(rng, mode, n_out=64, d=12, n_iters=3):
-    """(dims, params, x, rows): inputs span three blocks, the last ragged."""
-    rows = BLOCK_ELEMENTS // n_out
+    """(dims, params, x, rows): inputs span three blocks, the last ragged.
+
+    Sized from the block size in force, so use it with ``pinned_block_size``.
+    """
+    rows = optimized.BLOCK_ELEMENTS // n_out
     n_inp = 2 * rows + rows // 3
     dims = RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, n_iters)
     params = rand_params(rng, dims, n_inp)
@@ -428,6 +443,7 @@ def pinned_predictions(params, dims, values, gain=1.0):
     return replaced(params, dims, pred_gate=pred_gate, pred_bias=pred_bias, score_gain=score_gain)
 
 
+@pytest.mark.usefixtures("pinned_block_size")
 class TestBlockedLoop:
     def test_matches_reference_across_blocks(self):
         rng = np.random.default_rng(27)
@@ -989,7 +1005,7 @@ class TestTransientMemory:
 
     def test_long_sequence_keeps_only_the_gates_beside_the_credit(self):
         # With the trace off, what grows with the sequence is the returned
-        # final credit, the gates and, up to a block, the seven block
+        # final credit, the gates and, up to a block, the four block
         # arrays; the rest fits the bound's output-sized terms and floor.
         # The slack is below one more input-length array, so keeping the
         # activation scores beside the gates would fail.
@@ -1002,12 +1018,40 @@ class TestTransientMemory:
         elements = (
             n_inp * n_out
             + n_inp
-            + 7 * min(n_inp * n_out, max(BLOCK_ELEMENTS, n_out))
+            + 4 * min(n_inp * n_out, max(BLOCK_ELEMENTS, n_out))
             + optimized.TRANSIENT_ELEMENT_BOUND_FACTOR * n_out * (d + d)
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
         assert peak < 4 * elements
         assert 4 * elements - peak < 4 * n_inp
+
+    def test_block_workspace_is_four_slots_with_a_ragged_last_block(self):
+        # Three blocks of the default size, the last ragged, on the block
+        # path of iteration 2. Beside the returned final credit, a block
+        # keeps four block arrays and the weight [W_use | W_ign | -pred^T];
+        # the rest is output-sized: the M-step's peak holds five n_out * d
+        # arrays, within three of the bound's n_out * (d_inp + d_out) terms.
+        # The slack is below one block array, so a fifth would fail.
+        n_out, d = 512, 128
+        rows = BLOCK_ELEMENTS // n_out
+        n_inp = 2 * rows + rows // 3
+        dims = RoutingDims(None, n_out, d, d, 2)
+        params = init_params(dims, seed=3)
+        x = np.random.default_rng(49).standard_normal((n_inp, d), dtype=np.float32)
+        out_off, trace_off = route_optimized(x, params)  # also the warm-up
+        _, peak = measure_peak(lambda: route_optimized(x, params))
+        elements = (
+            n_inp * n_out
+            + 4 * rows * n_out
+            + d * 3 * n_out
+            + 3 * n_out * (d + d)
+            + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
+        )
+        assert peak < 4 * elements
+        assert 4 * elements - peak < 4 * rows * n_out
+        out_on, trace_on = route_optimized(x, params, capture_trace=True)
+        assert np.array_equal(out_off.array, out_on.array)
+        assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
 
     def test_bound_has_no_triple_product_term(self):
         small = transient_element_bound(256, 64, 32, 32)
@@ -1018,7 +1062,7 @@ class TestTransientMemory:
 
 class TestAccuracyAtScale:
     # A long sequence on the block path (d_inp >= 3 * n_out), every
-    # parameter random: 98 blocks, the last ragged; about 4.4 s on 2 CPUs
+    # parameter random: 56 blocks, the last ragged; about 4.4 s on 2 CPUs
     # with 2 BLAS threads.
     def test_long_sequence_float32_tracks_float64_and_decomposes(self):
         n_inp, n_out, d = 400_000, 16, 64
