@@ -60,36 +60,34 @@ class CreditMatrix:
     """An additive attribution of outputs to inputs.
 
     ``values[i, j]`` is the coefficient with which input i's proposal
-    enters output j. The arities are carried explicitly so composition
+    enters output j. The arities are the shape of ``values``, so composition
     mistakes surface as structural errors instead of silent broadcasts.
     """
 
     values: DenseTensor
-    input_arity: int
-    output_arity: int
 
     def __post_init__(self):
         v = self.values if isinstance(self.values, DenseTensor) else DenseTensor(self.values, context="credit")
         object.__setattr__(self, "values", v)
         if v.rank != 2:
             raise ShapeError(f"credit matrix must be rank 2, got rank {v.rank}")
-        if v.shape != (self.input_arity, self.output_arity):
-            raise ShapeError(
-                f"credit matrix shape {v.shape} != declared arities "
-                f"({self.input_arity}, {self.output_arity})"
-            )
 
     @classmethod
     def of(cls, values) -> "CreditMatrix":
-        """Wrap a rank-2 array, deriving both arities from its shape."""
-        v = values if isinstance(values, DenseTensor) else DenseTensor(values, context="credit")
-        if v.rank != 2:
-            raise ShapeError(f"credit matrix must be rank 2, got rank {v.rank}")
-        return cls(values=v, input_arity=v.shape[0], output_arity=v.shape[1])
+        """Wrap a rank-2 array or DenseTensor."""
+        return cls(values)
 
     @classmethod
     def identity(cls, arity: int, dtype=np.float32) -> "CreditMatrix":
         return cls.of(DenseTensor(np.eye(arity, dtype=dtype), copy=False))
+
+    @property
+    def input_arity(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def output_arity(self) -> int:
+        return self.values.shape[1]
 
     @property
     def array(self) -> np.ndarray:

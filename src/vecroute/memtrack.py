@@ -26,26 +26,36 @@ class PeakReport:
     peak_bytes: int = 0
 
 
+# The open blocks' reports, outermost first: process-wide, as tracemalloc's peak is.
+_open_reports: list[PeakReport] = []
+
+
 @contextmanager
 def track_peak():
     """Context manager that yields a PeakReport filled in on exit.
 
     The report's ``peak_bytes`` is the high-water mark of allocations made
-    inside the block, measured above the allocation level at entry. If
-    tracemalloc was already tracing, the surrounding trace is left
-    running; otherwise tracing stops on exit.
+    inside the block, measured above the allocation level at entry.
+    Blocks nest: an inner block folds the peak so far into every enclosing
+    report before it resets tracemalloc's peak, so each report covers its
+    whole block. If tracemalloc was already tracing, the surrounding trace
+    is left running; otherwise tracing stops on exit.
     """
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
-    baseline, _ = tracemalloc.get_traced_memory()
+    report = PeakReport()  # before the baseline, so not counted in the block
+    _open_reports.append(report)
+    report.baseline_bytes, peak = tracemalloc.get_traced_memory()
+    for outer in _open_reports[:-1]:
+        outer.peak_bytes = max(outer.peak_bytes, peak - outer.baseline_bytes)
     tracemalloc.reset_peak()
-    report = PeakReport(baseline_bytes=baseline)
     try:
         yield report
     finally:
         _, peak = tracemalloc.get_traced_memory()
-        report.peak_bytes = max(peak - baseline, 0)
+        report.peak_bytes = max(report.peak_bytes, peak - report.baseline_bytes)
+        _open_reports.pop()
         if not was_tracing:
             tracemalloc.stop()
 

@@ -72,11 +72,14 @@ shape, not a setting: it weighs G against a block path of about
 The linear block path costs about 4 * n_out * d_inp plus three
 pair-sized passes, and measures about as fast as the closed form for
 2 * n_out <= d_inp < 3 * n_out. Neither variable-layout form computes
-the coefficients, so iteration 2 checks them as it computes them, and
-any earlier failure checks them first: errors name the same stage as
-when iteration 1 computed them. The linear form can overflow where the
-coefficients do not, and G where the direct sums do not, so a
-non-finite closed-form output redoes iteration 1 on the blocks.
+the coefficients, and no block scans them: a non-finite one makes its
+credit non-finite (inf * 0 is NaN), which fails iteration 2's output
+update check (the last paragraph). Any failure checks the coefficients
+first, so errors name the same stage as when iteration 1 computed them;
+past iteration 2 they are finite, and a failure keeps its own message.
+The linear form can overflow where the coefficients do not, and G where
+the direct sums do not, so a non-finite closed-form output redoes
+iteration 1 on the blocks.
 
 Every later iteration routes input i by the softmax over outputs of its
 log-logistic scores, softmax_j(log sigma(z_ij)) with z = gain * inner +
@@ -124,17 +127,17 @@ A trace costs its record writes and little more. log sigma(z) =
 two passes (z itself where e^(-z) overflows). Fixed-layout blocks
 compute their shares and credit in the records themselves (the write
 rule above). No pair-sized record is scanned for non-finite values a
-second time. Routing, shares and scores are finite by construction
-(sigma <= 1, S_i >= tiny / eps, gates in [0, 1], a rescued row is the
-softmax of a finite z). Every credit array that a block pools, each
-traced record and the returned final credit, feeds total_j = sum_i
-credit_ij and so every output row, so the iteration's output update
-check fails first on a non-finite one. The one exception is the closed
-form's iteration 1, whose traced credit is not pooled: iteration 1
-scans that record, so a failure there checks the coefficients first,
-as any iteration-1 failure does. The records but the final credit share
-a few allocations (``_TRACE_CHUNK_BYTES``), so that repeated traced
-calls reuse heap memory instead of faulting in fresh pages.
+second time, nor is an output after its output update check. Routing,
+shares and scores are finite by construction (sigma <= 1, S_i >= tiny /
+eps, gates in [0, 1], a rescued row is the softmax of a finite z). Every
+credit array that a block pools, each traced record and the returned
+final credit, feeds total_j = sum_i credit_ij and so, through total_j *
+vote_bias_j, every entry of output row j, so the iteration's output
+update check fails first on a non-finite one. The one exception is the
+closed form's iteration 1, whose traced credit is not pooled: iteration
+1 scans that record. The records but the final credit share a few
+allocations (``_TRACE_CHUNK_BYTES``), so that repeated traced calls
+reuse heap memory instead of faulting in fresh pages.
 """
 
 from __future__ import annotations
@@ -502,7 +505,7 @@ class _FixedBlocks:
     def first_credit(self, blk: slice, credit: np.ndarray, scratch: np.ndarray) -> None:
         _flat_prior_credit(self.use[blk], self.ign[blk], self.prior, credit, scratch)
 
-    def later_block(self, blk: slice, it: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def later_block(self, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # -z in slot 2 (the first of a traced workspace's two); the tables
         # stand in for slots 0 and 1.
         neg_z = self.block(self.work[-2], blk.stop - blk.start, self.weight.shape[1])
@@ -524,7 +527,7 @@ class _VariableBlocks:
     def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
         dims, dtype = params.dims, params.dtype
         n_out = self.n_out = dims.n_out
-        self.x, self.blocks, self.work = x, blocks, work
+        self.params, self.x, self.blocks, self.work = params, x, blocks, work
         self.closed_form = dims.d_inp < 3 * n_out
         # [W_use | W_ign | -predicted^T]; the score columns are written per iteration.
         self.weight = np.empty((dims.d_inp, 3 * n_out), dtype)
@@ -546,20 +549,11 @@ class _VariableBlocks:
         np.matmul(self.x[blk], self.first[:-1], out=credit)
         credit += self.first[-1]
 
-    def coefficients(self, blk: slice, cols: int) -> np.ndarray:
-        """(bu | bi | -inner) in workspace slots 0-2, the first ``cols`` columns computed."""
+    def later_block(self, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (bu | bi | -inner) in workspace slots 0-2, from one matmul.
         coef = self.block(self.work[:3], blk.stop - blk.start, self.weight.shape[1])
-        np.matmul(self.x[blk], self.weight[:, :cols], out=coef[:, :cols])
+        np.matmul(self.x[blk], self.weight, out=coef)
         coef[:, : 2 * self.n_out] += self.beta_bias
-        return coef
-
-    def later_block(self, blk: slice, it: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        coef = self.coefficients(blk, 3 * self.n_out)
-        if it == 2:  # the first iteration to compute them
-            # max and min are NaN if any value is, and allocate nothing.
-            both = coef[:, : 2 * self.n_out]
-            if not (-np.inf < both.min() and both.max() < np.inf):
-                self.check_betas()
         bu, bi, neg_z = np.split(coef, 3, axis=1)
         neg_z *= self.gain
         neg_z -= self.bias
@@ -568,9 +562,7 @@ class _VariableBlocks:
     def check_betas(self) -> None:
         """Finite-check every block's coefficients, in block order."""
         for blk in self.blocks:
-            bu, bi, _ = np.split(self.coefficients(blk, 2 * self.n_out), 3, axis=1)
-            _check_finite(bu, "beta_use coefficients")
-            _check_finite(bi, "beta_ign coefficients")
+            beta_pair_for(self.x[blk], self.params)
 
 
 def route_optimized(
@@ -689,7 +681,7 @@ def route_optimized(
                     np.multiply(g, prior, out=used)
                     np.subtract(g, used, out=ignored)
             else:
-                bu, bi, neg_z = kernel.later_block(blk, it)
+                bu, bi, neg_z = kernel.later_block(blk)
                 if not neg_z.max() < np.inf:
                     raise NumericError(f"non-finite values in score at iteration {it}")
                 sigma = kernel.block(work[-1], n, n_out)
@@ -742,14 +734,14 @@ def route_optimized(
                 x_out = sweep(rec, it, False)
             _check_finite(x_out, "output update", it)
         except NumericError:
-            if it <= 2:
-                kernel.check_betas()
+            kernel.check_betas()  # a bad coefficient is named first (module docstring)
             raise
         # Adopted unscanned: the module docstring says which check proves
-        # each finite; the prediction passed its own.
+        # each finite; the prediction and the output passed their own.
+        output = DenseTensor._adopt(x_out)
         rec = {name: None if a is None else DenseTensor._adopt(a) for name, a in rec.items()}
         if capture_trace:
-            records.append(IterationRecord(output=DenseTensor(x_out, copy=True), **rec))
+            records.append(IterationRecord(output=output, **rec))
 
     trace = RoutingTrace(
         # Checked by "activations" above; the gates are sigma in [0, 1].
@@ -758,7 +750,7 @@ def route_optimized(
         iterations=tuple(records),
         final_credit=rec["credit"],
     )
-    return DenseTensor(x_out, copy=False), trace
+    return output, trace
 
 
 def materialized_votes(x_inp: np.ndarray, params: RoutingParams) -> DenseTensor:

@@ -52,6 +52,19 @@ class TestTrackPeak:
         assert inner.peak_bytes >= 4 * (1 << 16)
         assert outer.peak_bytes >= inner.peak_bytes
 
+    def test_inner_block_keeps_the_outer_peak(self):
+        # The transient dies before the inner block resets tracemalloc's
+        # peak, so only the fold at the inner block's entry keeps it.
+        n = 1 << 20
+        with track_peak() as outer:
+            tmp = np.ones(n, dtype=np.float64)
+            del tmp
+            with track_peak() as inner:
+                with track_peak() as innermost:
+                    pass
+        assert outer.peak_bytes >= 8 * n
+        assert inner.peak_bytes < (64 << 10) and innermost.peak_bytes < (64 << 10)
+
 
 class TestMeasurePeak:
     def test_passes_result_through(self):

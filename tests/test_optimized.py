@@ -939,6 +939,47 @@ class TestBlockedLoop:
             with pytest.raises(NumericError, match="beta_use coefficients"):
                 route_optimized(x, params)
 
+    @pytest.mark.parametrize("sizes", [dict(), DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"])
+    def test_later_failure_keeps_its_message_after_the_coefficient_check(self, sizes, monkeypatch):
+        # Every failure checks the coefficients, block by block. Past
+        # iteration 2 they are finite, so the check passes and the failure
+        # keeps its own stage: here the second prediction (iteration 3).
+        rng = np.random.default_rng(49)
+        _, params, x, _ = multi_block_instance(rng, "variable", **sizes)
+        predict, betas = optimized.predict_inputs, optimized.beta_pair_for
+        predictions, checked = [], []
+
+        def second_is_infinite(x_out, p):
+            predicted = predict(x_out, p)
+            predictions.append(predicted)
+            return predicted if len(predictions) == 1 else np.full_like(predicted, np.inf)
+
+        def counted_betas(xx, p):
+            checked.append(xx.shape[0])
+            return betas(xx, p)
+
+        monkeypatch.setattr(optimized, "predict_inputs", second_is_infinite)
+        monkeypatch.setattr(optimized, "beta_pair_for", counted_betas)
+        for capture_trace in (False, True):
+            predictions.clear()
+            checked.clear()
+            with pytest.raises(NumericError, match="^non-finite values in predict at iteration 3$"):
+                route_optimized(x, params, capture_trace=capture_trace)
+            assert sum(checked) == x.shape[0] and len(checked) == 3
+
+    @pytest.mark.parametrize("sizes", [dict(), DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"])
+    def test_permuting_the_inputs_permutes_the_credit(self, sizes):
+        # Routing treats inputs alike: x[perm] gives the same outputs and
+        # credit[perm], up to float64 rounding, across three blocks.
+        rng = np.random.default_rng(50)
+        _, params, x, _ = multi_block_instance(rng, "variable", **sizes)
+        p64, x64 = params.astype(np.float64), x.astype(np.float64)
+        perm = rng.permutation(x.shape[0])
+        out, trace = route_optimized(x64, p64)
+        out_perm, trace_perm = route_optimized(x64[perm], p64)
+        assert relative_linf(out_perm.array, out.array) <= 1e-12
+        assert relative_linf(trace_perm.final_credit.array, trace.final_credit.array[perm]) <= 1e-12
+
 
 def test_router_takes_only_shared_types_from_the_reference():
     # route_reference is the oracle route_optimized is checked against, so
