@@ -126,18 +126,24 @@ A trace costs its record writes and little more. log sigma(z) =
 -log1p(e^(-z)) comes from the e^(-z) the sigma kernel already holds, in
 two passes (z itself where e^(-z) overflows). Fixed-layout blocks
 compute their shares and credit in the records themselves (the write
-rule above). No pair-sized record is scanned for non-finite values a
-second time, nor is an output after its output update check. Routing,
-shares and scores are finite by construction (sigma <= 1, S_i >= tiny /
-eps, gates in [0, 1], a rescued row is the softmax of a finite z). Every
-credit array that a block pools, each traced record and the returned
-final credit, feeds total_j = sum_i credit_ij and so, through total_j *
-vote_bias_j, every entry of output row j, so the iteration's output
-update check fails first on a non-finite one. The one exception is the
-closed form's iteration 1, whose traced credit is not pooled: iteration
-1 scans that record. The records but the final credit share a few
-allocations (``_TRACE_CHUNK_BYTES``), so that repeated traced calls
-reuse heap memory instead of faulting in fresh pages.
+rule above). The records but the final credit share a few allocations
+(``_TRACE_CHUNK_BYTES``), so that repeated traced calls reuse heap
+memory instead of faulting in fresh pages.
+
+Each value is checked for non-finite values once. IEEE arithmetic
+propagates them (inf * 0 and inf - inf are NaN), so one check covers
+every value that is a term of the array it scans. x_ik is a summand of
+input i's activation score, so the activations check covers the input,
+and x_inp is scanned only once that check fails, to name the input.
+Routing, shares and scores are finite by construction (sigma <= 1,
+S_i >= tiny / eps, gates in [0, 1], a rescued row is the softmax of a
+finite z). Every credit array that a block pools, each traced record
+and the returned final credit, feeds total_j = sum_i credit_ij and so,
+through total_j * vote_bias_j, every entry of output row j, so the
+iteration's output update check fails first on a non-finite one. The
+closed form's iteration 1 pools no block: its output's own isfinite
+test, which picks the fallback, is its check, and it scans its traced
+credit record. The next prediction reads the checked output unscanned.
 """
 
 from __future__ import annotations
@@ -160,9 +166,9 @@ from .tensor import (
     NumericError,
     ShapeError,
     _check_finite,
+    _float_array,
     _logistic_of_negated_into,
     _softmax_rows_in_place,
-    as_array,
     log_logistic,
     logistic,
     normalize_vectors,
@@ -384,12 +390,13 @@ def beta_pair_for(x_inp: np.ndarray, params: RoutingParams) -> BetaPair:
     )
 
 
-def predict_inputs(x_out: np.ndarray, params: RoutingParams) -> np.ndarray:
+def predict_inputs(x_out: np.ndarray | DenseTensor, params: RoutingParams) -> np.ndarray:
     """Map output states back to predicted inputs, shape (n_out, d_inp).
 
     Output rows are normalized to zero mean and unit variance before the
     two-factor linear map, so prediction depends on output direction, not
-    the magnitudes the update sums produce.
+    the magnitudes the update sums produce. An array ``x_out`` is checked
+    for non-finite values; a DenseTensor was checked when it was built.
     """
     normed = normalize_vectors(x_out).array
     return (
@@ -573,7 +580,8 @@ def route_optimized(
     """Run the routing loop without materializing proposals.
 
     ``x_inp`` is an (n_inp, d_inp) array of the parameters' dtype; the
-    fixed layout needs n_inp to match its tables. Returns the
+    fixed layout needs n_inp to match its tables. Its rank, extents and
+    dtype are checked before its values. Returns the
     (n_out, d_out) outputs and a :class:`RoutingTrace`. The outputs do
     not depend on ``capture_trace``; the module docstring derives how they
     are computed. With the trace off (the default, and the configuration
@@ -586,7 +594,7 @@ def route_optimized(
     but the final credit are views of a few shared allocations, so one
     kept after its trace is dropped keeps its allocation alive.
     """
-    x = as_array(x_inp, "x_inp")
+    x = _float_array(x_inp)  # its values are checked through the activations
     if x.ndim != 2:
         raise ShapeError(f"x_inp must be rank 2, got rank {x.ndim}")
     dims = params.dims
@@ -601,8 +609,14 @@ def route_optimized(
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
     n_out, n_iters, dtype = dims.n_out, dims.n_iters, x.dtype
 
-    raw = activation_scores(x, params)
-    _check_finite(raw, "activations")
+    try:
+        # inf * 0 is NaN without a warning here: the check below names it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = activation_scores(x, params)
+        _check_finite(raw, "activations")
+    except NumericError:
+        _check_finite(x, "x_inp")  # a non-finite input is named first
+        raise
     gates = np.asarray(logistic(raw))
     if not capture_trace:
         raw = None  # so only the gates stay input-sized beside the credit
@@ -653,7 +667,7 @@ def route_optimized(
     row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
 
     def sweep(rec: dict, it: int, closed: bool) -> np.ndarray:
-        """One iteration over the blocks; returns its output update."""
+        """One iteration over the blocks; returns its output update, checked."""
         if closed:
             x_closed = _finish_m_step(*_closed_form_sums(x, gates, work, kernel.first), n_inp, params)
             closed = np.isfinite(x_closed).all()  # else redone on the blocks
@@ -715,7 +729,9 @@ def route_optimized(
             # Pooled by no block, so no output update check covers it.
             _check_finite(rec["credit"], "credit", it)
             return x_closed
-        return _finish_m_step(pooled, total, n_inp, params)
+        x_out = _finish_m_step(pooled, total, n_inp, params)
+        _check_finite(x_out, "output update", it)
+        return x_out
 
     records: list[IterationRecord] = []
     for it, rec in enumerate(kept, start=1):
@@ -725,14 +741,13 @@ def route_optimized(
                     x_out = sweep(rec, it, kernel.closed_form)
                 kernel.first = None  # output-sized, and needed no more
             else:
-                predicted = predict_inputs(x_out, params)
+                predicted = predict_inputs(output, params)  # a tensor: not scanned again
                 _check_finite(predicted, "predict", it)
                 np.negative(predicted.T, out=kernel.weight[:, -n_out:])  # the score columns
                 if capture_trace:
                     rec["predicted"] = predicted
                 del predicted  # its negated copy in the weight serves the blocks
                 x_out = sweep(rec, it, False)
-            _check_finite(x_out, "output update", it)
         except NumericError:
             kernel.check_betas()  # a bad coefficient is named first (module docstring)
             raise

@@ -6,8 +6,12 @@ shape-checked, row-major array of rank 1 to 3. Default element type is
 float32; float64 is supported for high-precision oracle checks and is
 never serialized.
 
-Every operation exposed here validates that its result is finite. A NaN
-or Inf is an error state, never a silently propagated value.
+A NaN or Inf is an error state. Building a DenseTensor checks that its
+values are finite, so :func:`tensor`, :func:`softmax_rows` and
+:func:`normalize_vectors` validate their results, and :func:`as_array`
+validates an input that is not already a DenseTensor. The scalar kernels
+:func:`logistic` and :func:`log_logistic` do not: they map NaN to NaN,
+and their callers check the values they feed them or produce.
 """
 
 from __future__ import annotations
@@ -164,14 +168,22 @@ def tensor(data, dtype=np.float32) -> DenseTensor:
     return DenseTensor(data, dtype=dtype, copy=True)
 
 
-def as_array(x, name: str = "input") -> np.ndarray:
-    """Coerce a DenseTensor or array-like to a validated numpy array."""
+def _float_array(x) -> np.ndarray:
+    """A DenseTensor's array, or an array-like as an array of an allowed
+    dtype (float32 unless it is float32 or float64), not scanned."""
     if isinstance(x, DenseTensor):
         return x.array
     arr = np.asarray(x)
     if arr.dtype not in _ALLOWED_DTYPES:
         arr = arr.astype(np.float32)
-    _check_finite(arr, name)
+    return arr
+
+
+def as_array(x, name: str = "input") -> np.ndarray:
+    """Coerce a DenseTensor or array-like to a validated numpy array."""
+    arr = _float_array(x)
+    if not isinstance(x, DenseTensor):  # a tensor was checked when it was built
+        _check_finite(arr, name)
     return arr
 
 

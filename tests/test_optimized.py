@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 
 import numpy as np
@@ -37,6 +38,8 @@ from vecroute import (
 )
 from vecroute import optimized
 from vecroute.memtrack import measure_peak
+
+tensor_module = importlib.import_module("vecroute.tensor")  # the package's `tensor` is a function
 
 from oracles import (
     activation_loops,
@@ -325,6 +328,29 @@ class TestRouteOptimized:
             route_optimized(np.vstack([x, x]), params)
         with pytest.raises(TypeError, match="dtype"):
             route_optimized(x.astype(np.float64), params)
+        with pytest.raises(ShapeError, match="^x_inp must be rank 2, got rank 1$"):
+            route_optimized(x[0], params)
+        with pytest.raises(
+            ShapeError, match=f"^x_inp has {dims.d_inp + 1} columns, params fix d_inp={dims.d_inp}$"
+        ):
+            route_optimized(np.hstack([x, x[:, :1]]), params)
+
+    def test_structure_is_checked_before_values(self):
+        # The values of x_inp are scanned only once the activations fail,
+        # so a misshapen or mistyped non-finite input names its structure.
+        rng = np.random.default_rng(53)
+        dims, params, x = rand_instance(rng, "fixed")
+        x[0, 0] = np.nan
+        with pytest.raises(ShapeError, match="^x_inp must be rank 2"):
+            route_optimized(x[None], params)
+        with pytest.raises(ShapeError, match="rows, params fix"):
+            route_optimized(np.vstack([x, x]), params)
+        with pytest.raises(ShapeError, match="columns, params fix"):
+            route_optimized(x[:, 1:], params)
+        with pytest.raises(TypeError, match="^x_inp dtype float64"):
+            route_optimized(x.astype(np.float64), params)
+        with pytest.raises(NumericError, match="^non-finite values in x_inp$"):
+            route_optimized(x, params)
 
     def test_variable_mode_accepts_any_length(self):
         rng = np.random.default_rng(24)
@@ -979,6 +1005,142 @@ class TestBlockedLoop:
         out_perm, trace_perm = route_optimized(x64[perm], p64)
         assert relative_linf(out_perm.array, out.array) <= 1e-12
         assert relative_linf(trace_perm.final_credit.array, trace.final_credit.array[perm]) <= 1e-12
+
+
+# Non-finite values, stage by stage. Each case runs in both layouts, at a
+# shape where the variable layout takes iteration 1 in closed form
+# (d_inp < 3 * n_out) and one where it takes the linear form on the blocks
+# (the fixed layout takes it from its tables at both), in float32 and
+# float64, with the trace off and on. Blocks of 8 rows split the 19 inputs
+# into a first, a middle and a ragged last block.
+NONFINITE_ROWS = {"first_block": 3, "middle_block": 12, "ragged_last_block": 17}
+NONFINITE_SHAPES = {"closed_form_first": (4, 6), "linear_first": (4, 16)}
+
+
+def nonfinite_instance(mode, first, dtype, monkeypatch):
+    n_out, d = NONFINITE_SHAPES[first]
+    monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 8 * n_out)
+    rng = np.random.default_rng(51)
+    dims = RoutingDims(19 if mode == "fixed" else None, n_out, d, d, 3)
+    params = rand_params(rng, dims, 19).astype(dtype)
+    x = rng.standard_normal((19, d)).astype(dtype)
+    return dims, params, x
+
+
+def raised_message(x, params):
+    """route_optimized's NumericError message, the same with the trace off and on."""
+    messages = []
+    for capture_trace in (False, True):
+        with pytest.raises(NumericError) as raised:
+            route_optimized(x, params, capture_trace=capture_trace)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+def full(params, name, value):
+    return np.full(getattr(params, name).shape, value, params.dtype)
+
+
+def overflowing_activation(params, x, big):
+    # Finite inputs of 1e30 in feature 0, whose activation weight is the
+    # dtype's max: the score overflows while every input is finite.
+    act = params.act_weight.array.copy()
+    act[..., 0] = big
+    x[:, 0] = 0.0
+    x[NONFINITE_ROWS["middle_block"], 0] = 1e30
+    return {"act_weight": act}
+
+
+def overflowing_first_total(params, x, big):
+    # Coefficients of +-big/2 make iteration 1's credit g * big / 2 per pair,
+    # finite, and its total over the inputs overflows.
+    names = ("beta_use", "beta_ign") if params.mode == "fixed" else ("beta_use_bias", "beta_ign_bias")
+    return {names[0]: full(params, names[0], big / 2), names[1]: full(params, names[1], -big / 2)}
+
+
+# stage -> (message, overrides from (params, x, big)); big is the dtype's max.
+# The fixed layout's coefficients are stored tables, checked when the
+# parameters are built, so the coefficient rows are variable-layout only.
+NONFINITE_STAGES = {
+    "activations": ("activations", overflowing_activation),
+    "beta_use": ("beta_use coefficients", lambda p, x, big: {"beta_use_weight": full(p, "beta_use_weight", big)}),
+    "beta_ign": ("beta_ign coefficients", lambda p, x, big: {"beta_ign_weight": full(p, "beta_ign_weight", big)}),
+    # A gain of big overflows every prediction past 1 in magnitude.
+    "predict": ("predict at iteration 2", lambda p, x, big: {"pred_gate": full(p, "pred_gate", big)}),
+    # z = big * inner - big is -inf wherever the inner product is negative.
+    "score": (
+        "score at iteration 2",
+        lambda p, x, big: {"score_gain": full(p, "score_gain", big), "score_bias": full(p, "score_bias", -big)},
+    ),
+    "output_update": ("output update at iteration 1", overflowing_first_total),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("first", NONFINITE_SHAPES)
+class TestNonFiniteStages:
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("row", NONFINITE_ROWS.values(), ids=NONFINITE_ROWS)
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_input_is_named(self, value, row, mode, first, dtype, monkeypatch):
+        # Feature 0's activation weight is exactly 0, so the value reaches
+        # the activation score only as inf * 0 or NaN * 0, both NaN. The
+        # router raises without a floating-point warning of its own.
+        dims, params, x = nonfinite_instance(mode, first, dtype, monkeypatch)
+        act = params.act_weight.array.copy()
+        act[..., 0] = 0.0
+        x[row, 0] = value
+        bad = replaced(params, dims, act_weight=act)
+        assert raised_message(x, bad) == "non-finite values in x_inp"
+
+    @pytest.mark.parametrize(
+        "mode, stage",
+        [
+            (mode, stage)
+            for mode in ("fixed", "variable")
+            for stage in NONFINITE_STAGES
+            if mode == "variable" or not stage.startswith("beta_")
+        ],
+    )
+    def test_stage_is_named(self, mode, stage, first, dtype, monkeypatch):
+        message, overrides = NONFINITE_STAGES[stage]
+        dims, params, x = nonfinite_instance(mode, first, dtype, monkeypatch)
+        big = np.finfo(dtype).max
+        bad = replaced(params, dims, **overrides(params, x, big))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert raised_message(x, bad) == f"non-finite values in {message}"
+
+
+@pytest.mark.parametrize("first", NONFINITE_SHAPES)
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+def test_each_value_is_checked_once(mode, first, monkeypatch):
+    # Every array handed to a finite check, in either module, is kept: no
+    # two of them may share memory, and the input is never scanned. The
+    # closed form's output passes its own isfinite test instead of the
+    # output update check, and the prediction reads the checked output.
+    dims, params, x = nonfinite_instance(mode, first, np.float32, monkeypatch)
+    checked = []
+    check = tensor_module._check_finite
+
+    def recording(arr, context, iteration=None):
+        checked.append((context, iteration, arr))
+        check(arr, context, iteration)
+
+    monkeypatch.setattr(optimized, "_check_finite", recording)
+    monkeypatch.setattr(tensor_module, "_check_finite", recording)
+    closed = mode == "variable" and first == "closed_form_first"
+    for capture_trace in (False, True):
+        checked.clear()
+        route_optimized(x, params, capture_trace=capture_trace)
+        contexts = [context for context, _, _ in checked]
+        assert "x_inp" not in contexts and "normalize_vectors input" not in contexts
+        updates = [it for context, it, _ in checked if context == "output update"]
+        assert updates == list(range(1 + closed, dims.n_iters + 1))
+        arrays = [arr for _, _, arr in checked]
+        for k, a in enumerate(arrays):
+            for b in arrays[k + 1 :]:
+                assert not np.shares_memory(a, b), contexts
 
 
 def test_router_takes_only_shared_types_from_the_reference():

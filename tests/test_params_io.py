@@ -295,6 +295,79 @@ class TestRejection:
             load_params(bad)
 
 
+def with_line(prefix, line):
+    """Header edit: the line starting with ``prefix`` becomes ``line``."""
+    return lambda lines: [line if l.startswith(prefix) else l for l in lines]
+
+
+# Header faults of the FIXED_DIMS file, each with its exact message:
+# act_weight is 5x6 at offset 0, act_bias 5 at 120, the payload 836 bytes.
+HEADER_FAULTS = {
+    "non_integer_field": (
+        with_line("vecroute-params", "vecroute-params one"),
+        "malformed header: version 'one' is not an integer",
+    ),
+    "dims_line": (
+        with_line("dims", "dims n_inp=5 n_out=3"),
+        "malformed header: expected dims line, got 'dims n_inp=5 n_out=3'",
+    ),
+    "dims_entry_without_equals": (
+        with_line("dims", "dims n_inp=5 n_out:3 d_inp=6 d_out=4 n_iters=2"),
+        "malformed header: dims entry 'n_out:3' lacks '='",
+    ),
+    "dims_keys": (
+        with_line("dims", "dims n_out=3 n_inp=5 d_inp=6 d_out=4 n_iters=2"),
+        "malformed header: dims keys ('n_out', 'n_inp', 'd_inp', 'd_out', 'n_iters') "
+        "!= ('n_inp', 'n_out', 'd_inp', 'd_out', 'n_iters')",
+    ),
+    "dims_values": (
+        with_line("dims", "dims n_inp=5 n_out=3 d_inp=6 d_out=4 n_iters=1"),
+        "malformed header: n_iters must be at least 2",
+    ),
+    "too_few_lines": (lambda lines: lines[:3] + lines[-1:], "malformed header: too few lines"),
+    "checksum_line": (
+        with_line("checksum", "checksum"),
+        "malformed header: expected checksum line, got 'checksum'",
+    ),
+    "payload_line": (
+        lambda lines: lines[:-1],
+        "malformed header: expected payload line, got 'tensor beta_ign f32 5x3 776'",
+    ),
+    "tensor_line": (
+        with_line("tensor act_bias", "tensor act_bias f64 5 120"),
+        "malformed header: expected tensor line, got 'tensor act_bias f64 5 120'",
+    ),
+    "tensor_shape_text": (
+        with_line("tensor act_bias", "tensor act_bias f32 5xa 120"),
+        "malformed header: bad shape '5xa' for act_bias",
+    ),
+    "tensor_shape": (
+        with_line("tensor act_bias", "tensor act_bias f32 6 120"),
+        "tensor act_bias shape (6,) != required (5,)",
+    ),
+    "payload_total": (
+        with_line("payload", "payload 840"),
+        "declared payload length 840 != tensor total 836",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", HEADER_FAULTS)
+def test_header_fault_raises_before_any_value_is_read(fault, tmp_path, monkeypatch):
+    edit, message = HEADER_FAULTS[fault]
+    path = tmp_path / "valid.bin"
+    save_params(init_params(FIXED_DIMS, seed=2), path)
+    bad = corrupt(path, tmp_path / "bad.bin", header=edit)
+
+    def no_reads(*args, **kwargs):
+        raise AssertionError("a payload value was read")
+
+    monkeypatch.setattr(np, "frombuffer", no_reads)
+    with pytest.raises(ParamFormatError) as raised:
+        load_params(bad)
+    assert str(raised.value) == message
+
+
 def independent_write(path, dims: RoutingDims, arrays: dict) -> None:
     """Second writer, built from docs/param-format.md and nothing else."""
     order = doc_shapes(dims)
@@ -323,7 +396,7 @@ def independent_write(path, dims: RoutingDims, arrays: dict) -> None:
 
 def independent_read(path):
     """Second reader, built from docs/param-format.md and nothing else."""
-    blob = open(path, "rb").read()
+    blob = path.read_bytes()
     head, _, payload = blob.partition(b"\n\n")
     lines = head.decode("ascii").split("\n")
     assert lines[0] == "vecroute-params 1"

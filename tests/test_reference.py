@@ -53,6 +53,23 @@ def rand_case(rng, n_inp=5, n_out=4, d_inp=6, d_out=5, n_iters=3, dtype=np.float
     return dims, nets, betas, x
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_out=0), "n_out must be positive"),
+        (dict(d_inp=0), "d_inp must be positive"),
+        (dict(d_out=-1), "d_out must be positive"),
+        (dict(n_inp=0), r"n_inp must be positive or None \(variable length\)"),
+        (dict(n_iters=1), "n_iters must be at least 2"),
+    ],
+    ids=["n_out", "d_inp", "d_out", "n_inp", "n_iters"],
+)
+def test_routing_dims_reject_invalid_extents(kwargs, message):
+    extents = dict(n_inp=5, n_out=4, d_inp=6, d_out=5, n_iters=2) | kwargs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RoutingDims(**extents)
+
+
 class TestRouteReference:
     def test_flat_prior_first_iteration(self):
         rng = np.random.default_rng(0)

@@ -77,6 +77,16 @@ class TestDenseTensor:
         assert b.flags.writeable
 
 
+    def test_equality_needs_shape_dtype_and_values(self):
+        a = tensor([[1.0, 2.0]])
+        assert a == tensor([[1.0, 2.0]])
+        assert a != tensor([1.0, 2.0])  # shape
+        assert a != tensor([[1.0, 2.0]], np.float64)  # dtype
+        assert a != tensor([[1.0, 3.0]])  # values
+        assert a.__eq__(a.array) is NotImplemented
+        assert a != "tensor"
+
+
 def test_transposed_input_matches_its_c_order_copy():
     # Rows of 37 elements, long enough for numpy's pairwise row sums,
     # which a strided row would otherwise skip.
