@@ -35,20 +35,30 @@ def digest(arr) -> str:
     return h.hexdigest()
 
 
-def route_digests(seed: int, tiny: bool, block_elements: int | None = None) -> dict[str, str]:
+def workload_inputs(seed: int, wl) -> tuple:
+    """The first routing's input and every routing's parameters, drawn from
+    ``seed`` as the benchmark draws them; routing k > 0 takes routing k - 1's
+    output as its input."""
     import numpy as np
-    from vecroute import init_params, optimized, route_optimized
-    from workloads import INPUT_STREAM, workloads
+    from vecroute import init_params
+    from workloads import INPUT_STREAM
+
+    first = wl.routings[0]
+    rng = np.random.default_rng((seed, INPUT_STREAM))
+    x_first = rng.standard_normal((first.n_inp, first.d), dtype=np.float32)
+    return x_first, [init_params(r.dims(), seed * 3 + k) for k, r in enumerate(wl.routings)]
+
+
+def route_digests(seed: int, tiny: bool, block_elements: int | None = None) -> dict[str, str]:
+    from vecroute import optimized, route_optimized
+    from workloads import workloads
 
     if block_elements is not None:
         optimized.BLOCK_ELEMENTS = block_elements
 
     out = {}
     for name, wl in workloads(tiny).items():
-        first = wl.routings[0]
-        rng = np.random.default_rng((seed, INPUT_STREAM))
-        x_first = rng.standard_normal((first.n_inp, first.d), dtype=np.float32)
-        params = [init_params(r.dims(), seed * 3 + k) for k, r in enumerate(wl.routings)]
+        x_first, params = workload_inputs(seed, wl)
         for capture in (False,) if name == "long_seq" else (False, True):
             x = x_first
             for k, p in enumerate(params):

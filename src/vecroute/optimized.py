@@ -23,9 +23,10 @@ of four block-sized slots, checks them for non-finite values once, and adds
 its ``credit.T @ x`` and ``credit.sum(0)`` into the output-sized
 partials that the M-step finishes once per iteration. With the trace off
 the only routing-pair-sized (n_inp * n_out) array is the returned final
-credit and the only input-sized (n_inp) one the gates; everything else
-is block-sized or output-sized (n_out * max(d_inp, d_out)). The public
-stage functions
+credit, and nothing input-sized (n_inp) is held beside it: the
+activation scores, then the gates, live in the credit's unwritten tail
+(below the slot table). Everything else is block-sized or output-sized
+(n_out * max(d_inp, d_out)). The public stage functions
 (:func:`activation_scores`, :func:`beta_pair_for`, :func:`predict_inputs`,
 :func:`score_predictions`, :func:`m_step_factored`) still take and return
 whole arrays; :func:`as_plugins` hands them to the reference router.
@@ -122,6 +123,18 @@ keeps only -z and sigma, and takes bi * ignored where sigma was.
 Iteration 1 uses the same slots: its credit in slot 0, (1 - p) * bi in
 slot 1 (fixed layout) and, traced, its shares in slots 3 and 2.
 
+With the trace off the final credit is allocated first, and its last
+n_inp elements (flat) hold the activation scores, checked there, then
+the gates, by the sigma kernel in place: gate i sits at flat index
+n_inp * n_out - n_inp + i. Only the last iteration, never the first,
+writes the final credit, and a block writing rows [s, e) touches flat
+indices below e * n_out <= n_inp * n_out - n_inp + e, so it never
+overwrites a later row's gate. In both kernels a block reads its own
+gates (ignored = g - used, g / S) before its credit rows are written,
+by the fixed layout in place and by the variable layout in the copy
+after the block. At n_out = 1 the tail is the whole credit. A trace
+returns the scores and the gates, so it keeps them in arrays of their own.
+
 A trace costs its record writes and little more. log sigma(z) =
 -log1p(e^(-z)) comes from the e^(-z) the sigma kernel already holds, in
 two passes (z itself where e^(-z) overflows). Fixed-layout blocks
@@ -170,7 +183,6 @@ from .tensor import (
     _logistic_of_negated_into,
     _softmax_rows_in_place,
     log_logistic,
-    logistic,
     normalize_vectors,
 )
 
@@ -362,14 +374,21 @@ def activation_scores(x_inp: np.ndarray, params: RoutingParams) -> np.ndarray:
     The damping divides by the root of the input count even though the
     sum runs over features; that is the defined behavior, kept verbatim.
     """
-    n_inp = x_inp.shape[0]
-    scale = _scale(n_inp, x_inp.dtype)
+    out = np.empty(x_inp.shape[0], np.result_type(x_inp, params.dtype))
+    _activation_scores_into(x_inp, params, out)
+    return out
+
+
+def _activation_scores_into(x_inp: np.ndarray, params: RoutingParams, out: np.ndarray) -> None:
+    """:func:`activation_scores` of ``x_inp`` written into ``out``, shape (n_inp,)."""
     if params.dims.variable_length:
-        return (x_inp @ params.act_weight.array) * scale + params.act_bias.array[0]
-    return (
-        np.einsum("id,id->i", params.act_weight.array, x_inp) * scale
-        + params.act_bias.array
-    )
+        np.matmul(x_inp, params.act_weight.array, out=out)
+        bias = params.act_bias.array[0]
+    else:
+        np.einsum("id,id->i", params.act_weight.array, x_inp, out=out)
+        bias = params.act_bias.array
+    out *= _scale(x_inp.shape[0], x_inp.dtype)
+    out += bias
 
 
 def beta_pair_for(x_inp: np.ndarray, params: RoutingParams) -> BetaPair:
@@ -429,10 +448,21 @@ def m_step_factored(x_inp: np.ndarray, phi: np.ndarray, params: RoutingParams) -
 
 
 def _finish_m_step(pooled: np.ndarray, total: np.ndarray, n_inp: int, params: RoutingParams) -> np.ndarray:
-    """Outputs from the input-contracted credit sums of a whole sequence."""
-    scale = _scale(n_inp, pooled.dtype)
-    out = ((params.vote_mix.array * pooled) @ params.vote_proj.array) * scale
-    out += total[:, None] * params.vote_bias.array
+    """Outputs from the input-contracted credit sums of a whole sequence.
+
+    When ``pooled``, ``total`` and the parameters share one dtype, as in
+    the router, ``pooled`` is overwritten: it holds the mixed sums, then
+    the bias term. A mixed-dtype call computes each product in a fresh
+    array of its operands' result dtype, so nothing is rounded down.
+    """
+    spare = pooled if pooled.dtype == total.dtype == params.dtype else None
+    mixed = np.multiply(params.vote_mix.array, pooled, out=spare)
+    out = mixed @ params.vote_proj.array
+    out *= _scale(n_inp, pooled.dtype)
+    # The mixed sums are dead once projected; the bias term takes their memory when it fits.
+    fits = spare is not None and spare.size >= out.size
+    bias = spare.reshape(-1)[: out.size].reshape(out.shape) if fits else None
+    out += np.multiply(total[:, None], params.vote_bias.array, out=bias)
     return out
 
 
@@ -587,8 +617,9 @@ def route_optimized(
     are computed. With the trace off (the default, and the configuration
     that :func:`transient_element_bound` covers), the trace carries only
     the final credit; a block's intermediates live in one reused block
-    workspace, and the activation scores are dropped once the gates
-    exist. With it on, the trace also holds the activation scores and
+    workspace, and the activation scores, then the gates, in the final
+    credit's last n_inp elements until the blocks overwrite them. With
+    it on, the trace also holds the activation scores and
     gates and every iteration's scores, routing, shares, credit,
     prediction and output, O(n_iters * n_inp * n_out) memory. The records
     but the final credit are views of a few shared allocations, so one
@@ -609,17 +640,23 @@ def route_optimized(
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
     n_out, n_iters, dtype = dims.n_out, dims.n_iters, x.dtype
 
+    pair = (n_inp, n_out)
+    # With the trace off the activation scores, then the gates, live in
+    # the final credit's last n_inp elements (the module docstring says
+    # why no block overwrites a gate it has yet to read); a trace keeps both.
+    final_credit = None if capture_trace else np.empty(pair, dtype)
+    raw = np.empty(n_inp, dtype) if capture_trace else final_credit.reshape(-1)[-n_inp:]
     try:
         # inf * 0 is NaN without a warning here: the check below names it.
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = activation_scores(x, params)
+            _activation_scores_into(x, params, raw)
         _check_finite(raw, "activations")
     except NumericError:
         _check_finite(x, "x_inp")  # a non-finite input is named first
         raise
-    gates = np.asarray(logistic(raw))
-    if not capture_trace:
-        raw = None  # so only the gates stay input-sized beside the credit
+    gates = np.empty_like(raw) if capture_trace else raw
+    np.negative(raw, out=gates)
+    _logistic_of_negated_into(gates, gates)  # logistic's kernel
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
@@ -632,7 +669,6 @@ def route_optimized(
     # system and the next call faulted it in again: a third of the time
     # of a traced three-stage chain. For the same reason the records but
     # the final credit share allocations of at most _TRACE_CHUNK_BYTES.
-    pair = (n_inp, n_out)
     if capture_trace:
         n_shared = 5 * n_iters - 2
         per_chunk = max(1, _TRACE_CHUNK_BYTES // (n_inp * n_out * dtype.itemsize))
@@ -654,7 +690,7 @@ def route_optimized(
         ]
         kept[0]["routing"].fill(prior)  # iteration 1 routes by the flat prior
     else:
-        kept = [{} for _ in range(1, n_iters)] + [{"credit": np.empty(pair, dtype)}]
+        kept = [{} for _ in range(1, n_iters)] + [{"credit": final_credit}]
     kernel_type = _VariableBlocks if dims.variable_length else _FixedBlocks
     # The block workspace: four slots, each reused once its value is dead
     # (the module docstring's table). The closed form borrows it for gated
@@ -730,6 +766,7 @@ def route_optimized(
             _check_finite(rec["credit"], "credit", it)
             return x_closed
         x_out = _finish_m_step(pooled, total, n_inp, params)
+        del pooled  # the M-step's scratch, dead before the check's mask exists
         _check_finite(x_out, "output update", it)
         return x_out
 
@@ -760,7 +797,7 @@ def route_optimized(
 
     trace = RoutingTrace(
         # Checked by "activations" above; the gates are sigma in [0, 1].
-        activation_scores=None if raw is None else DenseTensor._adopt(raw),
+        activation_scores=DenseTensor._adopt(raw) if capture_trace else None,
         activation_gates=DenseTensor._adopt(gates) if capture_trace else None,
         iterations=tuple(records),
         final_credit=rec["credit"],
@@ -866,9 +903,10 @@ def total_param_count(params: RoutingParams) -> int:
 
 # Documented ceiling on transient allocations of route_optimized with the
 # trace off, in array elements (multiply by dtype itemsize for bytes).
-# Input-sized (n_inp * d_inp, which also covers every n_inp-sized
-# vector) and output-sized (n_out * (d_inp + d_out)) intermediates share
-# one factor that absorbs their simultaneously live generations. The only
+# Input-sized (n_inp * d_inp) and output-sized (n_out * (d_inp + d_out))
+# intermediates share one factor that absorbs their simultaneously live
+# generations; no n_inp-sized vector is held, since the activation scores
+# and the gates live in the final credit's tail. The only
 # routing-pair-sized (n_inp * n_out) array is the returned final credit,
 # counted twice for headroom; pair-dominated shapes measure at most 1.14
 # pair arrays. The block workspace is four arrays of one block, rows *

@@ -274,5 +274,5 @@ def normalize_vectors(x: DenseTensor | np.ndarray) -> DenseTensor:
     arr = np.ascontiguousarray(arr)  # rows reduce in C order whatever the input's layout
     centered = arr - arr.mean(axis=1, keepdims=True)
     var = np.mean(centered * centered, axis=1, keepdims=True)
-    out = centered / np.sqrt(var + np.asarray(VARIANCE_EPS, dtype=arr.dtype))
-    return DenseTensor(out, copy=False, context="normalize_vectors")
+    centered /= np.sqrt(var + np.asarray(VARIANCE_EPS, dtype=arr.dtype))
+    return DenseTensor(centered, copy=False, context="normalize_vectors")

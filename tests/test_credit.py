@@ -125,6 +125,12 @@ class TestResidual:
         with pytest.raises(ArityError, match="square"):
             compose_residual(cm(rng, 4, 3), cm(rng, 3, 2))
 
+    def test_arity_mismatch(self):
+        rng = np.random.default_rng(9)
+        message = "residual composition needs a.output_arity == b.input_arity, got 3 and 2"
+        with pytest.raises(ArityError, match=f"^{message}$"):
+            compose_residual(cm(rng, 4, 3), cm(rng, 2, 2))
+
 
 class TestSum:
     def test_stacks_rows_first_operand_first(self):

@@ -247,6 +247,26 @@ class TestMStepFactored:
         want = 0.5 * votes_for_input(x, 0, params)
         assert_allclose(m_step_factored(x, phi, params), want, rtol=1e-5, atol=1e-6)
 
+    def test_mixed_dtypes_keep_the_wider_dtype_bitwise(self):
+        # Each product is taken in its operands' result dtype, as the
+        # out-of-place formula below does; nothing is rounded to float32.
+        rng = np.random.default_rng(35)
+        for mode in ("fixed", "variable"):
+            dims, params, x = rand_instance(rng, mode)
+            phi = (rng.standard_normal((x.shape[0], dims.n_out)) * 0.7).astype(np.float32)
+            for px, xx, pp in (
+                (phi, x, params.astype(np.float64)),
+                (phi.astype(np.float64), x, params),
+                (phi, x.astype(np.float64), params),
+            ):
+                pooled, total = px.T @ xx, px.sum(axis=0)
+                scale = pooled.dtype.type(1.0) / np.sqrt(np.asarray(xx.shape[0], dtype=pooled.dtype))
+                want = ((pp.vote_mix.array * pooled) @ pp.vote_proj.array) * scale
+                want += total[:, None] * pp.vote_bias.array
+                got = m_step_factored(xx, px, pp)
+                assert got.dtype == np.float64 == want.dtype, mode
+                assert np.array_equal(got, want), (mode, px.dtype, xx.dtype, pp.dtype)
+
 
 class TestVoteViews:
     def test_materialized_matches_loop_oracle(self):
@@ -551,6 +571,29 @@ class TestBlockedLoop:
             assert arrays.keys() == default.keys()
             for name, value in default.items():
                 assert relative_linf(arrays[name], value) <= 1e-12, name
+
+    @pytest.mark.parametrize(
+        "mode, d",
+        [("fixed", 8), ("variable", 2), ("variable", 8)],
+        ids=["fixed", "variable_closed_form", "variable_linear"],
+    )
+    def test_single_output_gates_fill_the_whole_final_credit(self, mode, d, monkeypatch):
+        # With the trace off the gates live in the final credit's last
+        # n_inp elements, which at n_out = 1 are all of it: each block
+        # overwrites its own gates with its credit, so it must read them
+        # first. Blocks of 7 rows over 40 inputs, the last ragged; the
+        # variable layout takes iteration 1 in closed form at d = 2 only.
+        monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 7)
+        rng = np.random.default_rng(53)
+        n_inp = 40
+        dims = RoutingDims(n_inp if mode == "fixed" else None, 1, d, d, 3)
+        params = rand_params(rng, dims, n_inp)
+        x = rng.standard_normal((n_inp, d), dtype=np.float32)
+        out_off, trace_off = route_optimized(x, params)
+        out_on, trace_on = route_optimized(x, params, capture_trace=True)
+        assert np.array_equal(out_off.array, out_on.array)
+        assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
+        assert_share_laws(trace_on)
 
     # The variable layout computes iteration 1 in closed form from a
     # gated Gram matrix when d_inp < 3 * n_out, as in the instances above;
@@ -1206,12 +1249,13 @@ class TestTransientMemory:
             )
             assert peak < bound, f"{mode}: peak {peak} >= bound {bound}"
 
-    def test_long_sequence_keeps_only_the_gates_beside_the_credit(self):
+    def test_long_sequence_keeps_nothing_input_sized_beside_the_credit(self):
         # With the trace off, what grows with the sequence is the returned
-        # final credit, the gates and, up to a block, the four block
-        # arrays; the rest fits the bound's output-sized terms and floor.
-        # The slack is below one more input-length array, so keeping the
-        # activation scores beside the gates would fail.
+        # final credit, whose unwritten tail holds the activation scores
+        # and then the gates, and, up to a block, the four block arrays;
+        # the rest fits the bound's output-sized terms and floor. The
+        # slack is below one input-length array, so keeping the gates or
+        # the activation scores in an array of their own would fail.
         n_inp, n_out, d = 262_144, 16, 64
         dims = RoutingDims(None, n_out, d, d, 2)
         params = init_params(dims, seed=3)
@@ -1220,7 +1264,6 @@ class TestTransientMemory:
         _, peak = measure_peak(lambda: route_optimized(x, params))
         elements = (
             n_inp * n_out
-            + n_inp
             + 4 * min(n_inp * n_out, max(BLOCK_ELEMENTS, n_out))
             + optimized.TRANSIENT_ELEMENT_BOUND_FACTOR * n_out * (d + d)
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
@@ -1232,9 +1275,11 @@ class TestTransientMemory:
         # Three blocks of the default size, the last ragged, on the block
         # path of iteration 2. Beside the returned final credit, a block
         # keeps four block arrays and the weight [W_use | W_ign | -pred^T];
-        # the rest is output-sized: the M-step's peak holds five n_out * d
-        # arrays, within three of the bound's n_out * (d_inp + d_out) terms.
-        # The slack is below one block array, so a fifth would fail.
+        # the rest is output-sized: the M-step's peak holds four n_out * d
+        # arrays (the previous output, the pooled sums, the block's pooled
+        # part and the new output), two of the bound's n_out * (d_inp +
+        # d_out) terms. The slack is below one block array, so a fifth
+        # block array would fail, and so would a fifth output-sized one.
         n_out, d = 512, 128
         rows = BLOCK_ELEMENTS // n_out
         n_inp = 2 * rows + rows // 3
@@ -1247,7 +1292,7 @@ class TestTransientMemory:
             n_inp * n_out
             + 4 * rows * n_out
             + d * 3 * n_out
-            + 3 * n_out * (d + d)
+            + 2 * n_out * (d + d)
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
         assert peak < 4 * elements

@@ -1,5 +1,7 @@
 """General pluggable router: loop semantics, plugins, trace laws."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,7 +72,39 @@ def test_routing_dims_reject_invalid_extents(kwargs, message):
         RoutingDims(**extents)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: BetaPair(np.ones((2, 3)), np.ones((3, 2))),
+            "beta_use shape (2, 3) != beta_ign shape (3, 2)",
+        ),
+        (lambda: BetaPair(np.ones((2, 3)), np.ones(3)), "beta_ign must be rank 2, got rank 1"),
+        (lambda: memory_votes_plugin(np.ones((4, 3))), "memories must be rank 3, got rank 2"),
+    ],
+    ids=["beta_shape_mismatch", "beta_rank", "memories_rank"],
+)
+def test_structural_faults_are_named(build, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 class TestRouteReference:
+    @pytest.mark.parametrize("shape", [(5,), (1, 5, 6)], ids=["rank1", "rank3"])
+    def test_rejects_input_of_rank_other_than_two(self, shape):
+        dims, nets, betas, _ = rand_case(np.random.default_rng(14))
+        x = np.zeros(shape, np.float32)
+        with pytest.raises(ShapeError, match=f"^x_inp must be rank 2, got rank {len(shape)}$"):
+            route_reference(x, nets, betas, dims)
+
+    def test_rejects_scores_of_the_wrong_shape(self):
+        dims, nets, betas, x = rand_case(np.random.default_rng(15))
+        transposed = lambda x, predicted: np.zeros((dims.n_out, dims.n_inp))
+        bad = PluggableNetworks(nets.activations, nets.votes, nets.predict, transposed)
+        message = re.escape("prediction scores shape (4, 5) != (5, 4)")
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            route_reference(x, bad, betas, dims)
+
     def test_flat_prior_first_iteration(self):
         rng = np.random.default_rng(0)
         dims, nets, betas, x = rand_case(rng, n_out=5)

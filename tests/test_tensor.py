@@ -1,6 +1,7 @@
 """Tensor substrate and scalar kernels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ class TestDenseTensor:
             DenseTensor(np.float32(1.0))
         with pytest.raises(ShapeError):
             DenseTensor(np.ones((2, 2, 2, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 4)])
+    def test_rejects_empty_extents(self, shape):
+        with pytest.raises(ShapeError, match=f"^{re.escape(f'extents must be positive, got {shape}')}$"):
+            DenseTensor(np.ones(shape, dtype=np.float32))
 
     def test_integer_literals_coerce_but_other_dtypes_fail(self):
         t = DenseTensor(np.ones((2, 2), dtype=np.int32))
@@ -85,6 +91,15 @@ class TestDenseTensor:
         assert a != tensor([[1.0, 3.0]])  # values
         assert a.__eq__(a.array) is NotImplemented
         assert a != "tensor"
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize(
+    "kernel, name", [(softmax_rows, "softmax_rows"), (normalize_vectors, "normalize_vectors")]
+)
+def test_row_kernels_reject_rank_other_than_two(kernel, name, rank):
+    with pytest.raises(ShapeError, match=f"^{name} expects rank 2, got rank {rank}$"):
+        kernel(np.ones((3,) * rank, dtype=np.float32))
 
 
 def test_transposed_input_matches_its_c_order_copy():
