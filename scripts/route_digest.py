@@ -17,6 +17,10 @@ Digests compare only under one numpy, BLAS build and BLAS thread count.
 ``--block-elements N`` sets ``vecroute.optimized.BLOCK_ELEMENTS`` to N before
 routing, so checkouts with different defaults can be digested at one block
 size, and small inputs can be split over several blocks, the last ragged.
+
+The outputs of ``route_optimized`` do not depend on ``capture_trace``: the
+script exits with status 1, after printing the digests, when a routing's
+output or final credit digests differently with the trace on and off.
 """
 
 from __future__ import annotations
@@ -78,6 +82,17 @@ def route_digests(seed: int, tiny: bool, block_elements: int | None = None) -> d
     return out
 
 
+def trace_mismatches(digests: dict[str, str]) -> list[str]:
+    """Keys of the outputs and final credits that differ between trace off and on."""
+    return sorted(
+        key
+        for key, value in digests.items()
+        if "/trace0/" in key
+        and key.rsplit("/", 1)[1] in ("output", "final_credit")
+        and digests.get(key.replace("/trace0/", "/trace1/"), value) != value
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path, help="root of the vecroute checkout to digest")
@@ -89,8 +104,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    print(json.dumps(route_digests(args.seed, args.tiny, args.block_elements), indent=1, sort_keys=True))
-    return 0
+    digests = route_digests(args.seed, args.tiny, args.block_elements)
+    print(json.dumps(digests, indent=1, sort_keys=True))
+    mismatches = trace_mismatches(digests)
+    for key in mismatches:
+        print(f"trace on and off differ: {key}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

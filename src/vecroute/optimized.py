@@ -19,14 +19,14 @@ input row: the use/ignore coefficients, the agreement score, the routing
 over outputs, the shares and the credit. :func:`route_optimized`
 therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
 n_out) input rows. A block computes its stages in place in a workspace
-of four block-sized slots, checks them for non-finite values once, and adds
-its ``credit.T @ x`` and ``credit.sum(0)`` into the output-sized
-partials that the M-step finishes once per iteration. With the trace off
-the only routing-pair-sized (n_inp * n_out) array is the returned final
-credit, and nothing input-sized (n_inp) is held beside it: the
-activation scores, then the gates, live in the credit's unwritten tail
-(below the slot table). Everything else is block-sized or output-sized
-(n_out * max(d_inp, d_out)). The public stage functions
+of two to four block-sized slots, checks them for non-finite values
+once, and adds its ``credit.T @ x`` and ``credit.sum(0)`` into the
+output-sized partials that the M-step finishes once per iteration. With
+the trace off the only routing-pair-sized (n_inp * n_out) array is the
+returned final credit, and nothing input-sized (n_inp) is held beside
+it: the activation scores, then the gates, live in the credit's
+unwritten tail (below the slot tables). Everything else is block-sized
+or output-sized (n_out * max(d_inp, d_out)). The public stage functions
 (:func:`activation_scores`, :func:`beta_pair_for`, :func:`predict_inputs`,
 :func:`score_predictions`, :func:`m_step_factored`) still take and return
 whole arrays; :func:`as_plugins` hands them to the reference router.
@@ -104,12 +104,30 @@ floor is a property of the dtype, not a setting. A trace records
 log sigma(z) as the scores and sigma / S as the routing; the outputs do
 not depend on whether it is on.
 
+With the trace off sigma overwrites -z, so the rescue reads a copy of
+the rows it may need, taken first. Let T = log(eps / tiny) - 1 in the
+working dtype (about 70.4 in float32 and 671 in float64). Where -z_ij
+<= T, sigma(z_ij) >= 1 / (1 + e^T), about e * tiny / eps, and a sum of
+non-negative terms is at least its largest, so a row with any -z_ij <= T
+stays above the floor. The block's max of -z, which its finite check
+takes anyway, decides: at or below T nothing is copied; above it the
+rows whose every -z exceeds T are, a superset of the rescued rows. A
+trace, which keeps -z for log sigma(z) and sigma in a slot of its own,
+rescues from the same copy.
+
 Each workspace slot is overwritten in place once the value it holds is
-dead, so a later block needs four block-sized arrays:
+dead. A later block computes, in this order, used = sigma * g / S, the
+credit product bu * used, ignored = g - used and bi * ignored, so one
+order serves every slot table. With the trace off the variable layout
+needs three block-sized arrays:
 
     slot 0: bu, then the credit (bu * used, then minus slot 1)
     slot 1: bi, then bi * ignored
-    slot 2: -z, then the ignored shares, once the rescue has read -z
+    slot 2: -z, then sigma, the used shares and the ignored shares
+
+With the trace on it needs four, since log sigma(z) needs -z beside sigma:
+
+    slot 2: -z, then the ignored shares, once sigma and log sigma(z) are taken
     slot 3: sigma, then the used shares
 
 The variable layout's matmul writes (bu | bi | -z) straight into slots
@@ -117,11 +135,16 @@ The variable layout's matmul writes (bu | bi | -z) straight into slots
 dimension, so column group k starts at slot k in a ragged last block
 too, and each in-place product meets its output as the very same view;
 a view that only partly overlapped its output would make numpy copy the
-operand first. The fixed layout's tables stand in for bu and bi, and a
-row-major trace writes the shares and credit into its records, so it
-keeps only -z and sigma, and takes bi * ignored where sigma was.
-Iteration 1 uses the same slots: its credit in slot 0, (1 - p) * bi in
-slot 1 (fixed layout) and, traced, its shares in slots 3 and 2.
+operand first. The fixed layout's tables stand in for bu and bi, so it
+needs two slots. With the trace off slot 0 holds -z, then what slot 2
+holds above, then bi * ignored, and slot 1 the credit. A row-major trace
+writes the shares and credit into its records, so slot 0 holds -z, then
+bi * ignored, and slot 1 sigma. Iteration 1 uses the same slots: its
+credit in the credit's, (1 - p) * bi in slot 0 (fixed layout) and,
+traced, its shares in the used and ignored shares' (the variable
+layout's 3 and 2). The fused weight exists from the first later
+iteration on, and the last M-step runs after the workspace and the
+weight are dropped.
 
 With the trace off the final credit is allocated first, and its last
 n_inp elements (flat) hold the activation scores, checked there, then
@@ -129,11 +152,10 @@ the gates, by the sigma kernel in place: gate i sits at flat index
 n_inp * n_out - n_inp + i. Only the last iteration, never the first,
 writes the final credit, and a block writing rows [s, e) touches flat
 indices below e * n_out <= n_inp * n_out - n_inp + e, so it never
-overwrites a later row's gate. In both kernels a block reads its own
-gates (ignored = g - used, g / S) before its credit rows are written,
-by the fixed layout in place and by the variable layout in the copy
-after the block. At n_out = 1 the tail is the whole credit. A trace
-returns the scores and the gates, so it keeps them in arrays of their own.
+overwrites a later row's gate. It may overwrite its own, so each block
+copies its gates into a rows-sized buffer before it writes anything. At
+n_out = 1 the tail is the whole credit. A trace returns the scores and
+the gates, so it keeps them in arrays of their own.
 
 A trace costs its record writes and little more. log sigma(z) =
 -log1p(e^(-z)) comes from the e^(-z) the sigma kernel already holds, in
@@ -208,9 +230,10 @@ __all__ = [
 ]
 
 # Elements (rows * n_out) of one block of the routing loop: 448 KiB per
-# float32 array, so the four slots of a block's workspace (1.75 MiB) fit
-# a 2 MiB per-core L2 cache. Each block costs a fixed number of numpy
-# calls and a BLAS call or two, so the largest block that fits is fastest.
+# float32 array, so the largest block workspace, the four slots of a
+# traced variable-layout call (1.75 MiB), fits a 2 MiB per-core L2 cache.
+# Each block costs a fixed number of numpy calls and a BLAS call or two,
+# so the largest block that fits is fastest.
 BLOCK_ELEMENTS = 114688
 
 # Largest allocation a trace's records share (the final credit, which a
@@ -526,30 +549,36 @@ class _FixedBlocks:
     row_major = True
     closed_form = False
     first = None  # iteration 1 takes its credit from the tables
+    slots = (2, 2)  # workspace slots with the trace off, on
+    credit_slot = 1
 
     def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
-        n_out = params.dims.n_out
+        self.n_out, self.d_inp, self.dtype = params.dims.n_out, params.dims.d_inp, params.dtype
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
-        self.prior = params.dtype.type(1.0 / n_out)
+        self.prior = params.dtype.type(1.0 / self.n_out)
         self.x, self.work = x, work
-        self.weight = np.empty((params.dims.d_inp, n_out), params.dtype)  # -predicted^T
+        self.weight = None  # -predicted^T, from the first later iteration on
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
         return buffer[: n * cols].reshape(n, cols)
 
-    def first_credit(self, blk: slice, credit: np.ndarray, scratch: np.ndarray) -> None:
+    def fused_weight(self) -> np.ndarray:
+        return np.empty((self.d_inp, self.n_out), self.dtype)
+
+    def first_credit(self, blk: slice, credit: np.ndarray) -> None:
+        scratch = self.block(self.work[0], blk.stop - blk.start, self.n_out)
         _flat_prior_credit(self.use[blk], self.ign[blk], self.prior, credit, scratch)
 
-    def later_block(self, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # -z in slot 2 (the first of a traced workspace's two); the tables
-        # stand in for slots 0 and 1.
-        neg_z = self.block(self.work[-2], blk.stop - blk.start, self.weight.shape[1])
+    def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
+        """(bu, bi, -z, where bi * ignored goes): the tables stand in for
+        bu and bi, so bi * ignored takes -z's slot, dead by then."""
+        neg_z = self.block(self.work[0], blk.stop - blk.start, self.n_out)
         np.matmul(self.x[blk], self.weight, out=neg_z)
         neg_z *= self.gain[blk]
         neg_z -= self.bias[blk]
-        return self.use[blk], self.ign[blk], neg_z
+        return self.use[blk], self.ign[blk], neg_z, neg_z
 
     def check_betas(self) -> None:
         """Nothing to do: the tables were checked with the parameters."""
@@ -560,18 +589,18 @@ class _VariableBlocks:
     from each block's inputs (see the module docstring)."""
 
     row_major = False
+    slots = (3, 4)  # workspace slots with the trace off, on
+    credit_slot = 0
 
     def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
-        dims, dtype = params.dims, params.dtype
-        n_out = self.n_out = dims.n_out
+        n_out = self.n_out = params.dims.n_out
         self.params, self.x, self.blocks, self.work = params, x, blocks, work
-        self.closed_form = dims.d_inp < 3 * n_out
-        # [W_use | W_ign | -predicted^T]; the score columns are written per iteration.
-        self.weight = np.empty((dims.d_inp, 3 * n_out), dtype)
-        self.weight[:, :n_out] = params.beta_use_weight.array
-        self.weight[:, n_out : 2 * n_out] = params.beta_ign_weight.array
-        self.beta_bias = np.concatenate([params.beta_use_bias.array, params.beta_ign_bias.array])
-        self.gain, self.bias = params.score_gain.array, params.score_bias.array
+        self.closed_form = params.dims.d_inp < 3 * n_out
+        self.weight = None  # [W_use | W_ign | -predicted^T], from the first later iteration on
+        self.gain = params.score_gain.array
+        self.bias = np.concatenate(
+            [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
+        )
         # Overflow here surfaces as a non-finite iteration 1.
         with np.errstate(over="ignore", invalid="ignore"):
             self.first = _first_iteration_weights(params)
@@ -582,19 +611,29 @@ class _VariableBlocks:
         # view over several slots starts at slot k in a ragged block too.
         return buffer.reshape(cols, -1)[:, :n].T
 
-    def first_credit(self, blk: slice, credit: np.ndarray, scratch: np.ndarray) -> None:
+    def fused_weight(self) -> np.ndarray:
+        """[W_use | W_ign | ...]; the score columns are written per iteration."""
+        p = self.params
+        weight = np.empty((p.dims.d_inp, 3 * self.n_out), p.dtype)
+        weight[:, : self.n_out] = p.beta_use_weight.array
+        weight[:, self.n_out : 2 * self.n_out] = p.beta_ign_weight.array
+        return weight
+
+    def first_credit(self, blk: slice, credit: np.ndarray) -> None:
         np.matmul(self.x[blk], self.first[:-1], out=credit)
         credit += self.first[-1]
 
-    def later_block(self, blk: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (bu | bi | -inner) in workspace slots 0-2, from one matmul.
-        coef = self.block(self.work[:3], blk.stop - blk.start, self.weight.shape[1])
+    def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
+        """(bu, bi, -z, where bi * ignored goes) in workspace slots 0-2,
+        from one matmul; bi * ignored overwrites bi."""
+        n_out = self.n_out
+        coef = self.block(self.work[:3], blk.stop - blk.start, 3 * n_out)
         np.matmul(self.x[blk], self.weight, out=coef)
-        coef[:, : 2 * self.n_out] += self.beta_bias
-        bu, bi, neg_z = np.split(coef, 3, axis=1)
+        neg_z = coef[:, 2 * n_out :]
         neg_z *= self.gain
-        neg_z -= self.bias
-        return bu, bi, neg_z
+        coef += self.bias  # [b_use | b_ign | -score_bias]: x - b is x + (-b) bit for bit
+        bi = coef[:, n_out : 2 * n_out]
+        return coef[:, :n_out], bi, neg_z, bi
 
     def check_betas(self) -> None:
         """Finite-check every block's coefficients, in block order."""
@@ -692,79 +731,111 @@ def route_optimized(
     else:
         kept = [{} for _ in range(1, n_iters)] + [{"credit": final_credit}]
     kernel_type = _VariableBlocks if dims.variable_length else _FixedBlocks
-    # The block workspace: four slots, each reused once its value is dead
-    # (the module docstring's table). The closed form borrows it for gated
-    # inputs. A row-major trace writes its shares and credit into the
-    # records, so it needs only -z and sigma, then bi * ignored in sigma's.
-    work = np.empty((2 if kernel_type.row_major and capture_trace else 4, rows * n_out), dtype)
-    kernel = kernel_type(params, x, blocks, work)
-    pooled_part = np.empty((n_out, d_inp), dtype)
+    # The block workspace, each slot reused once its value is dead (the
+    # module docstring's tables), held by the kernel alone so that dropping
+    # it there frees it. The closed form borrows it for gated inputs.
+    slots = kernel_type.slots[capture_trace]
+    kernel = kernel_type(params, x, blocks, np.empty((slots, rows * n_out), dtype))
+    gate_rows = np.empty(rows, dtype)  # each block's gates, copied before it writes
     row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
-    row_sum_floor = np.finfo(dtype).tiny / np.finfo(dtype).eps
+    tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
+    row_sum_floor = tiny / eps
+    near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
+
+    def route_block(rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
+        """One block of an iteration: its credit, its share of ``sums`` (the
+        pooled sums, the totals and a pooled-part buffer) and its rows of
+        the kept arrays. Its views of the workspace end with the call."""
+        n = blk.stop - blk.start
+        scores, routing = rec.get("scores"), rec.get("routing")
+        wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
+
+        def slot(k: int) -> np.ndarray:
+            return kernel.block(kernel.work[k], n, n_out)
+
+        def into(whole: np.ndarray | None, spare: np.ndarray) -> np.ndarray:
+            # Where a block writes a kept value: into the kept array itself
+            # when the blocks are row-major like it, else into ``spare``,
+            # copied in after the block.
+            return whole[blk] if kernel.row_major and whole is not None else spare
+
+        # A copy: in the final credit's tail, the block's credit rows may overwrite them.
+        g = gate_rows[:n, None]
+        g[:, 0] = gates[blk]
+        credit = into(wholes[2], slot(kernel.credit_slot))
+        used = ignored = None
+        if it == 1:
+            kernel.first_credit(blk, credit)
+            credit *= g
+            if routing is not None:
+                used, ignored = into(wholes[0], slot(-1)), into(wholes[1], slot(-2))
+                np.multiply(g, prior, out=used)
+                np.subtract(g, used, out=ignored)
+        else:
+            bu, bi, neg_z, product = kernel.later_block(blk)
+            top = neg_z.max()
+            if not top < np.inf:
+                raise NumericError(f"non-finite values in score at iteration {it}")
+            # Only rows whose every -z exceeds near_floor can need the
+            # rescue; their -z is copied before sigma may overwrite it.
+            near = None
+            if top > near_floor:
+                near = np.flatnonzero(neg_z.min(axis=1) > near_floor)
+                near_z = neg_z[near]
+            sigma = neg_z if scores is None else slot(-1)  # a trace keeps -z for log sigma(z)
+            _logistic_of_negated_into(neg_z, sigma, None if scores is None else scores[blk])
+            row_sum = row_sums[:n]
+            np.sum(sigma, axis=1, out=row_sum)
+            if near is not None:
+                hit = row_sum[near] < row_sum_floor
+                if hit.any():
+                    low = near[hit]
+                    rescued = np.negative(near_z[hit])
+                    _softmax_rows_in_place(rescued)
+                    sigma[low] = rescued
+                    row_sum[low] = 1.0
+            if routing is not None:
+                np.divide(sigma, row_sum[:, None], out=routing[blk])
+            np.divide(g[:, 0], row_sum, out=row_sum)
+            # Each result overwrites the slot of an operand dead from here on.
+            used = into(wholes[0], sigma)
+            np.multiply(sigma, row_sum[:, None], out=used)
+            np.multiply(bu, used, out=credit)
+            ignored = into(wholes[1], neg_z)
+            np.subtract(g, used, out=ignored)
+            np.multiply(bi, ignored, out=product)
+            credit -= product
+        if sums is not None:
+            pooled, total, pooled_part = sums
+            np.matmul(credit.T, x[blk], out=pooled_part)
+            pooled += pooled_part
+            total += credit.sum(axis=0)
+        if not kernel.row_major:
+            for whole, computed in zip(wholes, (used, ignored, credit)):
+                if whole is not None:
+                    whole[blk] = computed
 
     def sweep(rec: dict, it: int, closed: bool) -> np.ndarray:
         """One iteration over the blocks; returns its output update, checked."""
         if closed:
-            x_closed = _finish_m_step(*_closed_form_sums(x, gates, work, kernel.first), n_inp, params)
+            # Gram chunks of three slots, as many rows whether or not a trace adds a fourth.
+            x_closed = _finish_m_step(
+                *_closed_form_sums(x, gates, kernel.work[:3], kernel.first), n_inp, params
+            )
             closed = np.isfinite(x_closed).all()  # else redone on the blocks
             if closed and not rec:
                 return x_closed
-        pooled = np.zeros((n_out, d_inp), dtype)
-        total = np.zeros(n_out, dtype)
-        scores, routing = rec.get("scores"), rec.get("routing")
-        wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
+        pooled, total = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
+        sums = None if closed else (pooled, total, np.empty_like(pooled))
         for blk in blocks:
-            n = blk.stop - blk.start
-            xb, g = x[blk], gates[blk, None]
-            # Where a block writes: into a kept array itself when the
-            # blocks are row-major like it, else into its workspace slot,
-            # copied in after the block.
-            used, ignored, credit = (
-                whole[blk] if kernel.row_major and whole is not None else kernel.block(work[k], n, n_out)
-                for k, whole in zip((3, 2, 0), wholes)
-            )
-            product = kernel.block(work[1], n, n_out)  # bi * ignored
-            if it == 1:
-                kernel.first_credit(blk, credit, product)
-                credit *= g
-                if routing is not None:
-                    np.multiply(g, prior, out=used)
-                    np.subtract(g, used, out=ignored)
-            else:
-                bu, bi, neg_z = kernel.later_block(blk)
-                if not neg_z.max() < np.inf:
-                    raise NumericError(f"non-finite values in score at iteration {it}")
-                sigma = kernel.block(work[-1], n, n_out)
-                _logistic_of_negated_into(neg_z, sigma, None if scores is None else scores[blk])
-                row_sum = row_sums[:n]
-                np.sum(sigma, axis=1, out=row_sum)
-                low = np.flatnonzero(row_sum < row_sum_floor)
-                if low.size:
-                    rescued = np.negative(neg_z[low])
-                    _softmax_rows_in_place(rescued)
-                    sigma[low] = rescued
-                    row_sum[low] = 1.0
-                if routing is not None:
-                    np.divide(sigma, row_sum[:, None], out=routing[blk])
-                np.divide(gates[blk], row_sum, out=row_sum)
-                # Each result overwrites the slot of an operand dead from here on.
-                np.multiply(sigma, row_sum[:, None], out=used)
-                np.subtract(g, used, out=ignored)
-                np.multiply(bu, used, out=credit)
-                np.multiply(bi, ignored, out=product)
-                credit -= product
-            if not closed:
-                np.matmul(credit.T, xb, out=pooled_part)
-                pooled += pooled_part
-                total += credit.sum(axis=0)
-            if not kernel.row_major:
-                for whole, computed in zip(wholes, (used, ignored, credit)):
-                    if whole is not None:
-                        whole[blk] = computed
+            route_block(rec, it, blk, sums)
         if closed:
             # Pooled by no block, so no output update check covers it.
             _check_finite(rec["credit"], "credit", it)
             return x_closed
+        if it == n_iters:  # dead: the last M-step's peak holds neither
+            kernel.work = kernel.weight = None
+        del sums  # and with it the pooled-part buffer
         x_out = _finish_m_step(pooled, total, n_inp, params)
         del pooled  # the M-step's scratch, dead before the check's mask exists
         _check_finite(x_out, "output update", it)
@@ -780,6 +851,9 @@ def route_optimized(
             else:
                 predicted = predict_inputs(output, params)  # a tensor: not scanned again
                 _check_finite(predicted, "predict", it)
+                del output, x_out  # dead once predicted; a trace keeps the output in its record
+                if kernel.weight is None:  # iteration 1 never reads it
+                    kernel.weight = kernel.fused_weight()
                 np.negative(predicted.T, out=kernel.weight[:, -n_out:])  # the score columns
                 if capture_trace:
                     rec["predicted"] = predicted
@@ -909,12 +983,13 @@ def total_param_count(params: RoutingParams) -> int:
 # and the gates live in the final credit's tail. The only
 # routing-pair-sized (n_inp * n_out) array is the returned final credit,
 # counted twice for headroom; pair-dominated shapes measure at most 1.14
-# pair arrays. The block workspace is four arrays of one block, rows *
-# n_out elements, which is at most max(BLOCK_ELEMENTS, n_out) however
-# long the sequence and less when the whole sequence fits in one block,
-# so the block factor leaves headroom too. The variable layout's closed-form
-# first iteration adds no term: its gated inputs reuse the block
-# workspace, and it runs only when d_inp < 3 * n_out, which makes its
+# pair arrays. The block workspace is three arrays of one block (two in
+# the fixed layout), rows * n_out elements each, at most
+# max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
+# whole sequence fits in one block, so the block factor leaves headroom
+# too. The variable layout's closed-form first iteration adds no term:
+# its gated inputs reuse the block workspace, and it runs only when
+# d_inp < 3 * n_out, which makes its
 # (d_inp + 1) * d_inp Gram matrix and (d_inp + 1) * n_out coefficients
 # output-sized. The floor covers interpreter-level overhead that
 # dominates at toy sizes. Measured over fixed and variable shapes from

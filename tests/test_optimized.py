@@ -849,6 +849,70 @@ class TestBlockedLoop:
             assert relative_linf(out_off.array, out_ref.array) <= tol, dtype
 
     @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_rows_around_the_rescue_threshold(self, mode, monkeypatch):
+        # Only the rows whose every -z exceeds T = log(eps / tiny) - 1 are
+        # copied for the rescue, before sigma overwrites -z with the trace
+        # off; with it on sigma has a slot of its own, so the two agree only
+        # if the copy is taken first. Feature 0 plants three kinds of rows:
+        # -z straddling T (spread by the other features), every -z at
+        # T + 0.5 (a candidate, but sigma > floor, so not rescued) and every
+        # -z at T + 10 (rescued). The middle block has the first two only,
+        # so its max -z exceeds T and no row is rescued; the ragged last
+        # block has all three, its last row rescued.
+        rescued, neg_zs = [], []
+        softmax, kernel = optimized._softmax_rows_in_place, optimized._logistic_of_negated_into
+
+        def counted_softmax(scores):
+            rescued.append(-scores)
+            softmax(scores)
+
+        def recording(neg_z, out, log=None):
+            if neg_z.ndim == 2:  # a block's, not the gates'
+                neg_zs.append(np.array(neg_z))
+            kernel(neg_z, out, log)
+
+        monkeypatch.setattr(optimized, "_softmax_rows_in_place", counted_softmax)
+        monkeypatch.setattr(optimized, "_logistic_of_negated_into", recording)
+        rng = np.random.default_rng(54)
+        dims, params, x, rows = multi_block_instance(rng, mode)
+        params = pinned_predictions(params, dims, [1.0])
+        params = replaced(params, dims, score_bias=np.zeros(params.score_bias.shape, np.float32))
+        x[:, 0] = 0.0
+        n_inp = x.shape[0]
+        straddle = np.r_[rows : rows + 20 : 2, 2 * rows : 2 * rows + 30 : 3]
+        candidate = np.r_[rows + 1 : rows + 20 : 2, 2 * rows + 1 : 2 * rows + 30 : 3]
+        low = np.r_[2 * rows + 2 : 2 * rows + 30 : 3, n_inp - 1]
+        for dtype, tol in ((np.float32, 1e-4), (np.float64, 1e-10)):
+            finfo = np.finfo(dtype)
+            threshold = dtype(np.log(finfo.eps / finfo.tiny) - 1.0)
+            p, xx = params.astype(dtype), x.astype(dtype)
+            xx[straddle, 0] = -threshold
+            for planted, offset in ((candidate, 0.5), (low, 10.0)):
+                xx[planted, 0] = -(threshold + dtype(offset))
+                xx[planted, 1:] = 0.0
+            results = []
+            for capture_trace in (False, True):
+                rescued.clear()
+                neg_zs.clear()
+                results.append(route_optimized(xx, p, capture_trace=capture_trace))
+                later = dims.n_iters - 1
+                assert len(rescued) == later and len(neg_zs) == 3 * later, (dtype, capture_trace)
+                for k, got in enumerate(rescued):
+                    neg_z = np.concatenate(neg_zs[3 * k : 3 * k + 3])
+                    assert neg_z[rows : 2 * rows].max() > threshold
+                    assert np.all(neg_z[straddle].min(axis=1) <= threshold)
+                    assert np.all(neg_z[straddle].max(axis=1) > threshold)
+                    assert np.all(neg_z[np.r_[candidate, low]].min(axis=1) > threshold)
+                    assert np.array_equal(got, neg_z[low]), (dtype, capture_trace)
+            (out_off, trace_off), (out_on, trace_on) = results
+            assert np.array_equal(out_off.array, out_on.array), dtype
+            assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array), dtype
+            assert_share_laws(trace_on)
+            nets, betas = as_plugins(xx, p)
+            out_ref, _ = route_reference(xx, nets, betas, dims, capture_trace=False)
+            assert relative_linf(out_off.array, out_ref.array) <= tol, dtype
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
     def test_infinite_score_block_routes_like_the_reference(self, mode, monkeypatch):
         # Feature 0 (1e10 in the middle block, 0 elsewhere) meets a
         # prediction of 1e30, so the middle block's scores overflow to +inf:
@@ -1252,51 +1316,60 @@ class TestTransientMemory:
     def test_long_sequence_keeps_nothing_input_sized_beside_the_credit(self):
         # With the trace off, what grows with the sequence is the returned
         # final credit, whose unwritten tail holds the activation scores
-        # and then the gates, and, up to a block, the four block arrays;
+        # and then the gates, and, up to a block, the three block arrays;
         # the rest fits the bound's output-sized terms and floor. The
-        # slack is below one input-length array, so keeping the gates or
-        # the activation scores in an array of their own would fail.
+        # slack is below one block array, itself smaller than an
+        # input-length array here, so a fourth block array would fail, and
+        # so would keeping the gates or the activation scores in an array
+        # of their own.
         n_inp, n_out, d = 262_144, 16, 64
         dims = RoutingDims(None, n_out, d, d, 2)
         params = init_params(dims, seed=3)
         x = np.random.default_rng(45).standard_normal((n_inp, d), dtype=np.float32)
         route_optimized(x, params)  # warm-up stabilizes allocator state
         _, peak = measure_peak(lambda: route_optimized(x, params))
+        block = min(n_inp * n_out, max(BLOCK_ELEMENTS, n_out))
         elements = (
             n_inp * n_out
-            + 4 * min(n_inp * n_out, max(BLOCK_ELEMENTS, n_out))
+            + 3 * block
             + optimized.TRANSIENT_ELEMENT_BOUND_FACTOR * n_out * (d + d)
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
+        assert block < n_inp
         assert peak < 4 * elements
-        assert 4 * elements - peak < 4 * n_inp
+        assert 4 * elements - peak < 4 * block
 
-    def test_block_workspace_is_four_slots_with_a_ragged_last_block(self):
+    @pytest.mark.parametrize("mode, slots, weight_groups", [("variable", 3, 3), ("fixed", 2, 1)])
+    def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups):
         # Three blocks of the default size, the last ragged, on the block
-        # path of iteration 2. Beside the returned final credit, a block
-        # keeps four block arrays and the weight [W_use | W_ign | -pred^T];
-        # the rest is output-sized: the M-step's peak holds four n_out * d
-        # arrays (the previous output, the pooled sums, the block's pooled
-        # part and the new output), two of the bound's n_out * (d_inp +
-        # d_out) terms. The slack is below one block array, so a fifth
-        # block array would fail, and so would a fifth output-sized one.
+        # path of iteration 2, trace off. Beside the returned final credit,
+        # a block keeps three block arrays in the variable layout and two
+        # in the fixed one, and the weight: [W_use | W_ign | -pred^T], or
+        # -pred^T alone. The rest is output-sized or smaller: the pooled
+        # sums and the block's pooled part (n_out * d each, the previous
+        # output dropped once predicted) and numpy's iterator buffers, 8192
+        # elements for each of a broadcasting ufunc's three operands over a
+        # ragged block. The slack is below one block array, so one more
+        # slot would fail, and below one n_out * d array, so keeping the
+        # previous output would too.
         n_out, d = 512, 128
         rows = BLOCK_ELEMENTS // n_out
         n_inp = 2 * rows + rows // 3
-        dims = RoutingDims(None, n_out, d, d, 2)
+        dims = RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, 2)
         params = init_params(dims, seed=3)
         x = np.random.default_rng(49).standard_normal((n_inp, d), dtype=np.float32)
         out_off, trace_off = route_optimized(x, params)  # also the warm-up
         _, peak = measure_peak(lambda: route_optimized(x, params))
         elements = (
             n_inp * n_out
-            + 4 * rows * n_out
-            + d * 3 * n_out
-            + 2 * n_out * (d + d)
+            + slots * rows * n_out
+            + d * weight_groups * n_out
+            + 2 * n_out * d
+            + 3 * 8192
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
         assert peak < 4 * elements
-        assert 4 * elements - peak < 4 * rows * n_out
+        assert 4 * elements - peak < 4 * min(rows * n_out, n_out * d)
         out_on, trace_on = route_optimized(x, params, capture_trace=True)
         assert np.array_equal(out_off.array, out_on.array)
         assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
