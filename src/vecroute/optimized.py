@@ -19,7 +19,7 @@ input row: the use/ignore coefficients, the agreement score, the routing
 over outputs, the shares and the credit. :func:`route_optimized`
 therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
 n_out) input rows. A block computes its stages in place in a workspace
-of two to four block-sized slots, checks them for non-finite values
+of two or three block-sized slots, checks them for non-finite values
 once, and adds its ``credit.T @ x`` and ``credit.sum(0)`` into the
 output-sized partials that the M-step finishes once per iteration. With
 the trace off the only routing-pair-sized (n_inp * n_out) array is the
@@ -48,7 +48,8 @@ per-pair tables. Variable-layout blocks are output-major, so reductions
 and broadcasts over the outputs run along long contiguous runs even when
 n_out is small. A block writes its shares and credit into a kept
 pair-sized array itself when its blocks are row-major like that array,
-and otherwise into its workspace slots, copied in after the block.
+and otherwise into its workspace slots, each copied in as soon as it is
+computed.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
@@ -104,47 +105,41 @@ floor is a property of the dtype, not a setting. A trace records
 log sigma(z) as the scores and sigma / S as the routing; the outputs do
 not depend on whether it is on.
 
-With the trace off sigma overwrites -z, so the rescue reads a copy of
-the rows it may need, taken first. Let T = log(eps / tiny) - 1 in the
-working dtype (about 70.4 in float32 and 671 in float64). Where -z_ij
+Sigma overwrites -z, so the rescue reads a copy of the rows it may
+need, taken first. Let T = log(eps / tiny) - 1 in the working dtype
+(about 70.4 in float32 and 671 in float64). Where -z_ij
 <= T, sigma(z_ij) >= 1 / (1 + e^T), about e * tiny / eps, and a sum of
 non-negative terms is at least its largest, so a row with any -z_ij <= T
 stays above the floor. The block's max of -z, which its finite check
 takes anyway, decides: at or below T nothing is copied; above it the
-rows whose every -z exceeds T are, a superset of the rescued rows. A
-trace, which keeps -z for log sigma(z) and sigma in a slot of its own,
-rescues from the same copy.
+rows whose every -z exceeds T are, a superset of the rescued rows.
 
 Each workspace slot is overwritten in place once the value it holds is
-dead. A later block computes, in this order, used = sigma * g / S, the
-credit product bu * used, ignored = g - used and bi * ignored, so one
-order serves every slot table. With the trace off the variable layout
-needs three block-sized arrays:
+dead, with the trace on or off. A later block computes, in this order,
+used = sigma * g / S, the credit product bu * used, ignored = g - used
+and bi * ignored, so one order serves both slot tables. The variable
+layout needs three block-sized arrays:
 
     slot 0: bu, then the credit (bu * used, then minus slot 1)
     slot 1: bi, then bi * ignored
     slot 2: -z, then sigma, the used shares and the ignored shares
 
-With the trace on it needs four, since log sigma(z) needs -z beside sigma:
+The fixed layout's tables stand in for bu and bi, so it needs two:
 
-    slot 2: -z, then the ignored shares, once sigma and log sigma(z) are taken
-    slot 3: sigma, then the used shares
+    slot 0: the credit
+    slot 1: -z, then sigma, the used and the ignored shares, bi * ignored
 
-The variable layout's matmul writes (bu | bi | -z) straight into slots
-0-2. Its output-major block views keep a full block's leading
-dimension, so column group k starts at slot k in a ragged last block
-too, and each in-place product meets its output as the very same view;
-a view that only partly overlapped its output would make numpy copy the
-operand first. The fixed layout's tables stand in for bu and bi, so it
-needs two slots. With the trace off slot 0 holds -z, then what slot 2
-holds above, then bi * ignored, and slot 1 the credit. A row-major trace
-writes the shares and credit into its records, so slot 0 holds -z, then
-bi * ignored, and slot 1 sigma. Iteration 1 uses the same slots: its
-credit in the credit's, (1 - p) * bi in slot 0 (fixed layout) and,
-traced, its shares in the used and ignored shares' (the variable
-layout's 3 and 2). The fused weight exists from the first later
-iteration on, and the last M-step runs after the workspace and the
-weight are dropped.
+The workspace is one flat array, and slot k of an n-row block is its
+k-th run of n * n_out elements. So column group k of the variable
+layout's matmul, which writes (bu | bi | -z), is slot k, in a ragged
+last block too, and each in-place product meets its output as the very
+same compact view. Since output-major blocks copy each kept value into
+its record as soon as it is computed, the ignored shares take the used
+shares' slot traced too. Iteration 1 computes its credit in the
+credit's slot and, in the fixed layout, (1 - p) * bi in slot 1; a trace
+takes its shares straight into their records. The fused weight exists
+from the first later iteration on, and the last M-step runs after the
+workspace and the weight are dropped.
 
 With the trace off the final credit is allocated first, and its last
 n_inp elements (flat) hold the activation scores, checked there, then
@@ -157,11 +152,11 @@ copies its gates into a rows-sized buffer before it writes anything. At
 n_out = 1 the tail is the whole credit. A trace returns the scores and
 the gates, so it keeps them in arrays of their own.
 
-A trace costs its record writes and little more. log sigma(z) =
--log1p(e^(-z)) comes from the e^(-z) the sigma kernel already holds, in
-two passes (z itself where e^(-z) overflows). Fixed-layout blocks
-compute their shares and credit in the records themselves (the write
-rule above). The records but the final credit share a few allocations
+A trace costs its record writes and little more. The sigma kernel
+writes e^(-z) into the scores record and sigma from there over -z, then
+turns the record into log sigma(z) = -log1p(e^(-z)) in two passes (z
+itself where e^(-z) overflows, kept before sigma overwrites -z). The
+records but the final credit share a few allocations
 (``_TRACE_CHUNK_BYTES``), so that repeated traced calls reuse heap
 memory instead of faulting in fresh pages.
 
@@ -230,8 +225,8 @@ __all__ = [
 ]
 
 # Elements (rows * n_out) of one block of the routing loop: 448 KiB per
-# float32 array, so the largest block workspace, the four slots of a
-# traced variable-layout call (1.75 MiB), fits a 2 MiB per-core L2 cache.
+# float32 array, so the largest block workspace, the variable layout's
+# three slots (1.31 MiB, traced or not), fits a 2 MiB per-core L2 cache.
 # Each block costs a fixed number of numpy calls and a BLAS call or two,
 # so the largest block that fits is fastest.
 BLOCK_ELEMENTS = 114688
@@ -531,7 +526,7 @@ def _closed_form_sums(
     rows = work.size // d  # at least 1: d_inp < 3 * n_out <= work.size
     for start in range(0, n_inp, rows):
         xb = x[start : start + rows]
-        gated = work.reshape(-1)[: xb.size].reshape(xb.shape)
+        gated = work[: xb.size].reshape(xb.shape)
         np.multiply(xb, gates[start : start + rows, None], out=gated)
         if start == 0:
             np.matmul(gated.T, xb, out=gram[:d])
@@ -549,8 +544,7 @@ class _FixedBlocks:
     row_major = True
     closed_form = False
     first = None  # iteration 1 takes its credit from the tables
-    slots = (2, 2)  # workspace slots with the trace off, on
-    credit_slot = 1
+    slots = 2
 
     def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
         self.n_out, self.d_inp, self.dtype = params.dims.n_out, params.dims.d_inp, params.dtype
@@ -568,13 +562,15 @@ class _FixedBlocks:
         return np.empty((self.d_inp, self.n_out), self.dtype)
 
     def first_credit(self, blk: slice, credit: np.ndarray) -> None:
-        scratch = self.block(self.work[0], blk.stop - blk.start, self.n_out)
+        n = blk.stop - blk.start
+        scratch = self.block(self.work[n * self.n_out :], n, self.n_out)
         _flat_prior_credit(self.use[blk], self.ign[blk], self.prior, credit, scratch)
 
     def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
         """(bu, bi, -z, where bi * ignored goes): the tables stand in for
-        bu and bi, so bi * ignored takes -z's slot, dead by then."""
-        neg_z = self.block(self.work[0], blk.stop - blk.start, self.n_out)
+        bu and bi, so -z takes slot 1, and bi * ignored -z's, dead by then."""
+        n = blk.stop - blk.start
+        neg_z = self.block(self.work[n * self.n_out :], n, self.n_out)
         np.matmul(self.x[blk], self.weight, out=neg_z)
         neg_z *= self.gain[blk]
         neg_z -= self.bias[blk]
@@ -589,8 +585,7 @@ class _VariableBlocks:
     from each block's inputs (see the module docstring)."""
 
     row_major = False
-    slots = (3, 4)  # workspace slots with the trace off, on
-    credit_slot = 0
+    slots = 3
 
     def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
         n_out = self.n_out = params.dims.n_out
@@ -607,9 +602,7 @@ class _VariableBlocks:
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
-        # Leading dimension of a full block, so that column group k of a
-        # view over several slots starts at slot k in a ragged block too.
-        return buffer.reshape(cols, -1)[:, :n].T
+        return buffer[: n * cols].reshape(cols, n).T
 
     def fused_weight(self) -> np.ndarray:
         """[W_use | W_ign | ...]; the score columns are written per iteration."""
@@ -627,7 +620,7 @@ class _VariableBlocks:
         """(bu, bi, -z, where bi * ignored goes) in workspace slots 0-2,
         from one matmul; bi * ignored overwrites bi."""
         n_out = self.n_out
-        coef = self.block(self.work[:3], blk.stop - blk.start, 3 * n_out)
+        coef = self.block(self.work, blk.stop - blk.start, 3 * n_out)
         np.matmul(self.x[blk], self.weight, out=coef)
         neg_z = coef[:, 2 * n_out :]
         neg_z *= self.gain
@@ -695,7 +688,7 @@ def route_optimized(
         raise
     gates = np.empty_like(raw) if capture_trace else raw
     np.negative(raw, out=gates)
-    _logistic_of_negated_into(gates, gates)  # logistic's kernel
+    _logistic_of_negated_into(gates)  # logistic's kernel
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
@@ -734,8 +727,7 @@ def route_optimized(
     # The block workspace, each slot reused once its value is dead (the
     # module docstring's tables), held by the kernel alone so that dropping
     # it there frees it. The closed form borrows it for gated inputs.
-    slots = kernel_type.slots[capture_trace]
-    kernel = kernel_type(params, x, blocks, np.empty((slots, rows * n_out), dtype))
+    kernel = kernel_type(params, x, blocks, np.empty(kernel_type.slots * rows * n_out, dtype))
     gate_rows = np.empty(rows, dtype)  # each block's gates, copied before it writes
     row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
     tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
@@ -750,40 +742,40 @@ def route_optimized(
         scores, routing = rec.get("scores"), rec.get("routing")
         wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
 
-        def slot(k: int) -> np.ndarray:
-            return kernel.block(kernel.work[k], n, n_out)
-
-        def into(whole: np.ndarray | None, spare: np.ndarray) -> np.ndarray:
-            # Where a block writes a kept value: into the kept array itself
-            # when the blocks are row-major like it, else into ``spare``,
-            # copied in after the block.
+        def into(k: int, spare: np.ndarray) -> np.ndarray:
+            # Where a block computes kept value k (used, ignored, credit):
+            # into its record when the blocks are row-major like it, else
+            # into ``spare``, which keep() copies in once computed.
+            whole = wholes[k]
             return whole[blk] if kernel.row_major and whole is not None else spare
+
+        def keep(k: int, computed: np.ndarray) -> None:
+            if not kernel.row_major and wholes[k] is not None:
+                wholes[k][blk] = computed
 
         # A copy: in the final credit's tail, the block's credit rows may overwrite them.
         g = gate_rows[:n, None]
         g[:, 0] = gates[blk]
-        credit = into(wholes[2], slot(kernel.credit_slot))
-        used = ignored = None
+        credit = into(2, kernel.block(kernel.work, n, n_out))  # slot 0
         if it == 1:
             kernel.first_credit(blk, credit)
             credit *= g
-            if routing is not None:
-                used, ignored = into(wholes[0], slot(-1)), into(wholes[1], slot(-2))
-                np.multiply(g, prior, out=used)
-                np.subtract(g, used, out=ignored)
+            if routing is not None:  # straight into the records, whatever the blocks' orientation
+                np.multiply(g, prior, out=wholes[0][blk])
+                np.subtract(g, wholes[0][blk], out=wholes[1][blk])
         else:
             bu, bi, neg_z, product = kernel.later_block(blk)
             top = neg_z.max()
             if not top < np.inf:
                 raise NumericError(f"non-finite values in score at iteration {it}")
             # Only rows whose every -z exceeds near_floor can need the
-            # rescue; their -z is copied before sigma may overwrite it.
+            # rescue; their -z is copied before sigma overwrites it.
             near = None
             if top > near_floor:
                 near = np.flatnonzero(neg_z.min(axis=1) > near_floor)
                 near_z = neg_z[near]
-            sigma = neg_z if scores is None else slot(-1)  # a trace keeps -z for log sigma(z)
-            _logistic_of_negated_into(neg_z, sigma, None if scores is None else scores[blk])
+            _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
+            sigma = neg_z  # written over -z
             row_sum = row_sums[:n]
             np.sum(sigma, axis=1, out=row_sum)
             if near is not None:
@@ -798,29 +790,27 @@ def route_optimized(
                 np.divide(sigma, row_sum[:, None], out=routing[blk])
             np.divide(g[:, 0], row_sum, out=row_sum)
             # Each result overwrites the slot of an operand dead from here on.
-            used = into(wholes[0], sigma)
+            used = into(0, sigma)
             np.multiply(sigma, row_sum[:, None], out=used)
+            keep(0, used)
             np.multiply(bu, used, out=credit)
-            ignored = into(wholes[1], neg_z)
+            ignored = into(1, sigma)
             np.subtract(g, used, out=ignored)
+            keep(1, ignored)
             np.multiply(bi, ignored, out=product)
             credit -= product
+        keep(2, credit)
         if sums is not None:
             pooled, total, pooled_part = sums
             np.matmul(credit.T, x[blk], out=pooled_part)
             pooled += pooled_part
             total += credit.sum(axis=0)
-        if not kernel.row_major:
-            for whole, computed in zip(wholes, (used, ignored, credit)):
-                if whole is not None:
-                    whole[blk] = computed
 
     def sweep(rec: dict, it: int, closed: bool) -> np.ndarray:
         """One iteration over the blocks; returns its output update, checked."""
         if closed:
-            # Gram chunks of three slots, as many rows whether or not a trace adds a fourth.
             x_closed = _finish_m_step(
-                *_closed_form_sums(x, gates, kernel.work[:3], kernel.first), n_inp, params
+                *_closed_form_sums(x, gates, kernel.work, kernel.first), n_inp, params
             )
             closed = np.isfinite(x_closed).all()  # else redone on the blocks
             if closed and not rec:
@@ -984,7 +974,7 @@ def total_param_count(params: RoutingParams) -> int:
 # routing-pair-sized (n_inp * n_out) array is the returned final credit,
 # counted twice for headroom; pair-dominated shapes measure at most 1.14
 # pair arrays. The block workspace is three arrays of one block (two in
-# the fixed layout), rows * n_out elements each, at most
+# the fixed layout), traced or not, rows * n_out elements each, at most
 # max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
 # whole sequence fits in one block, so the block factor leaves headroom
 # too. The variable layout's closed-form first iteration adds no term:
@@ -995,8 +985,8 @@ def total_param_count(params: RoutingParams) -> int:
 # dominates at toy sizes. Measured over fixed and variable shapes from
 # 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2 (float32), the peak
 # reaches at most half the bound. The bound assumes capture_trace off;
-# trace capture retains every iteration. The test suite asserts measured
-# peaks stay under this bound.
+# trace capture adds every iteration's records, in the same workspace.
+# The test suite asserts measured peaks stay under this bound.
 TRANSIENT_ELEMENT_BOUND_FACTOR = 16
 TRANSIENT_PAIR_FACTOR = 2
 TRANSIENT_BLOCK_FACTOR = 8

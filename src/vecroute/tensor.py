@@ -25,6 +25,7 @@ __all__ = [
     "NumericError",
     "ShapeError",
     "VARIANCE_EPS",
+    "as_array",
     "log_logistic",
     "logistic",
     "normalize_vectors",
@@ -200,36 +201,33 @@ def logistic(z):
     arr = np.asarray(z)
     out = np.empty(arr.shape, np.result_type(arr, 0.0))
     np.negative(arr, out=out)
-    _logistic_of_negated_into(out, out)
+    _logistic_of_negated_into(out)
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def _logistic_of_negated_into(neg_z: np.ndarray, out: np.ndarray, log: np.ndarray | None = None) -> None:
-    """sigma(z) = 1 / (1 + e^(-z)) from ``neg_z`` = -z into ``out``, which may be ``neg_z``.
+def _logistic_of_negated_into(neg_z: np.ndarray, log: np.ndarray | None = None) -> None:
+    """sigma(z) = 1 / (1 + e^(-z)) from ``neg_z`` = -z, written over it.
 
-    With ``log``, also writes log sigma(z) = -log1p(e^(-z)) there, from the
-    same exponential, and z itself where e^(-z) overflows: there e^z is
-    below the smallest normal, so z - log1p(e^z) rounds to z.
+    With ``log``, e^(-z) goes into ``log`` first, sigma is taken from
+    there, and ``log`` then becomes log sigma(z) = -log1p(e^(-z)) in place.
+    Where e^(-z) overflows it holds z instead, kept before sigma overwrites
+    -z: there e^z is below the smallest normal, so z - log1p(e^z) rounds
+    to z.
     """
+    exp = neg_z if log is None else log
     with np.errstate(over="ignore"):  # e^(-z) = inf gives sigma = 0
-        np.exp(neg_z, out=out)
+        np.exp(neg_z, out=exp)
+    overflow = None
+    if log is not None and not log.max() < np.inf:
+        overflow = np.isinf(log)
+        z = np.negative(neg_z[overflow])
+    np.add(exp, 1.0, out=neg_z)
+    np.reciprocal(neg_z, out=neg_z)
     if log is not None:
-        np.log1p(out, out=log)
+        np.log1p(log, out=log)
         np.negative(log, out=log)
-        if not log.min() > -np.inf:
-            np.negative(neg_z, out=log, where=np.isinf(log))
-    out += 1.0
-    np.reciprocal(out, out=out)
-
-
-def _log_logistic_into(z: np.ndarray, scratch: np.ndarray) -> None:
-    """:func:`log_logistic` of ``z`` written back into ``z``, using a same-shaped ``scratch``."""
-    np.abs(z, out=scratch)
-    np.negative(scratch, out=scratch)
-    np.exp(scratch, out=scratch)
-    np.log1p(scratch, out=scratch)
-    np.minimum(z, 0.0, out=z)
-    z -= scratch
+        if overflow is not None:
+            log[overflow] = z
 
 
 def _softmax_rows_in_place(scores: np.ndarray) -> None:
@@ -248,7 +246,12 @@ def log_logistic(z):
     """
     arr = np.asarray(z)
     out = arr.astype(np.result_type(arr, 0.0))  # a copy, in the dtype of the arithmetic
-    _log_logistic_into(out, np.empty_like(out))
+    tail = np.abs(out, out=np.empty_like(out))  # out=: a 0-d result stays an array
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.minimum(out, 0.0, out=out)
+    out -= tail
     return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 

@@ -851,14 +851,14 @@ class TestBlockedLoop:
     @pytest.mark.parametrize("mode", ["fixed", "variable"])
     def test_rows_around_the_rescue_threshold(self, mode, monkeypatch):
         # Only the rows whose every -z exceeds T = log(eps / tiny) - 1 are
-        # copied for the rescue, before sigma overwrites -z with the trace
-        # off; with it on sigma has a slot of its own, so the two agree only
-        # if the copy is taken first. Feature 0 plants three kinds of rows:
-        # -z straddling T (spread by the other features), every -z at
-        # T + 0.5 (a candidate, but sigma > floor, so not rescued) and every
-        # -z at T + 10 (rescued). The middle block has the first two only,
-        # so its max -z exceeds T and no row is rescued; the ragged last
-        # block has all three, its last row rescued.
+        # copied for the rescue, before sigma overwrites -z, the same with
+        # the trace on or off; the rescue must get exactly the rescued rows'
+        # z, which a copy taken after sigma would not. Feature 0 plants
+        # three kinds of rows: -z straddling T (spread by the other
+        # features), every -z at T + 0.5 (a candidate, but sigma > floor,
+        # so not rescued) and every -z at T + 10 (rescued). The middle block
+        # has the first two only, so its max -z exceeds T and no row is
+        # rescued; the ragged last block has all three, its last row rescued.
         rescued, neg_zs = [], []
         softmax, kernel = optimized._softmax_rows_in_place, optimized._logistic_of_negated_into
 
@@ -866,10 +866,10 @@ class TestBlockedLoop:
             rescued.append(-scores)
             softmax(scores)
 
-        def recording(neg_z, out, log=None):
+        def recording(neg_z, log=None):
             if neg_z.ndim == 2:  # a block's, not the gates'
                 neg_zs.append(np.array(neg_z))
-            kernel(neg_z, out, log)
+            kernel(neg_z, log)
 
         monkeypatch.setattr(optimized, "_softmax_rows_in_place", counted_softmax)
         monkeypatch.setattr(optimized, "_logistic_of_negated_into", recording)
@@ -963,10 +963,10 @@ class TestBlockedLoop:
         neg_zs = []
         kernel = optimized._logistic_of_negated_into
 
-        def recording(neg_z, out, log=None):
+        def recording(neg_z, log=None):
             if log is not None:
                 neg_zs.append(np.array(neg_z))
-            kernel(neg_z, out, log)
+            kernel(neg_z, log)
 
         monkeypatch.setattr(optimized, "_logistic_of_negated_into", recording)
         rng = np.random.default_rng(46)
@@ -1342,16 +1342,21 @@ class TestTransientMemory:
     @pytest.mark.parametrize("mode, slots, weight_groups", [("variable", 3, 3), ("fixed", 2, 1)])
     def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups):
         # Three blocks of the default size, the last ragged, on the block
-        # path of iteration 2, trace off. Beside the returned final credit,
-        # a block keeps three block arrays in the variable layout and two
-        # in the fixed one, and the weight: [W_use | W_ign | -pred^T], or
-        # -pred^T alone. The rest is output-sized or smaller: the pooled
-        # sums and the block's pooled part (n_out * d each, the previous
-        # output dropped once predicted) and numpy's iterator buffers, 8192
-        # elements for each of a broadcasting ufunc's three operands over a
-        # ragged block. The slack is below one block array, so one more
-        # slot would fail, and below one n_out * d array, so keeping the
-        # previous output would too.
+        # path of iteration 2. Beside the returned final credit, a block
+        # keeps three block arrays in the variable layout and two in the
+        # fixed one, and the weight: [W_use | W_ign | -pred^T], or -pred^T
+        # alone. The rest is output-sized or smaller: the pooled sums and
+        # the block's pooled part (n_out * d each, the previous output
+        # dropped once predicted). A ragged block's views are as compact as
+        # a full block's, so numpy buffers no more over it than over a full
+        # one. The slack is below one block array, so one more slot would
+        # fail, and below one n_out * d array, so keeping the previous
+        # output would too. A trace runs in the same slots and adds its
+        # records: 5 * n_iters - 2 pair arrays beside the final credit, the
+        # activation scores and gates, iteration 1's output and iteration
+        # 2's prediction. What else it adds, Python objects and the iterator
+        # buffers of the routing record's divide (an output-major operand
+        # into a row-major record), stays below half a block array.
         n_out, d = 512, 128
         rows = BLOCK_ELEMENTS // n_out
         n_inp = 2 * rows + rows // 3
@@ -1365,12 +1370,14 @@ class TestTransientMemory:
             + slots * rows * n_out
             + d * weight_groups * n_out
             + 2 * n_out * d
-            + 3 * 8192
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
         assert peak < 4 * elements
         assert 4 * elements - peak < 4 * min(rows * n_out, n_out * d)
-        out_on, trace_on = route_optimized(x, params, capture_trace=True)
+        out_on, trace_on = route_optimized(x, params, capture_trace=True)  # also the warm-up
+        _, traced_peak = measure_peak(lambda: route_optimized(x, params, capture_trace=True))
+        records = (5 * dims.n_iters - 2) * n_inp * n_out + 2 * n_inp + 2 * n_out * d
+        assert 0 <= traced_peak - peak - 4 * records < 4 * rows * n_out // 2
         assert np.array_equal(out_off.array, out_on.array)
         assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
 
