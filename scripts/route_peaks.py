@@ -1,4 +1,4 @@
-"""tracemalloc peak bytes of every untraced routing of the benchmark's workloads.
+"""tracemalloc peak bytes of every routing of the benchmark's workloads.
 
 Usage:
 
@@ -6,13 +6,16 @@ Usage:
 
 ``CHECKOUT`` is the root of a vecroute checkout; its ``src/`` provides the
 package and its ``perfbench/workloads.py`` the workloads. Inputs and
-parameters are drawn from the seed as ``route_digest.py`` draws them, and
-each routing of each workload runs with the trace off: once to warm up,
-then once inside ``track_peak``, whose peak bytes are printed. The output
-is sorted JSON, so two checkouts can be compared key by key, and two runs
-of one checkout with ``diff``. At the smoke test's tiny shapes the bytes
-repeat exactly from process to process; at full shapes they vary by a few
-hundred bytes.
+parameters are drawn from the seed as ``route_digest.py`` draws them.
+Each routing of each workload runs with the trace off, once to warm up
+and then once inside ``track_peak``, whose peak bytes are printed under
+``WORKLOAD/routingK``. Then, but for long_seq, whose trace would hold
+gigabytes, it runs the same way with the trace on (``.../traced``), and
+the first read of that trace's iteration records, which builds them, is
+measured too (``.../first_read``). The output is sorted JSON, so two
+checkouts can be compared key by key, and two runs of one checkout with
+``diff``. At the smoke test's tiny shapes the bytes repeat exactly from
+process to process; at full shapes they vary by a few hundred bytes.
 """
 
 from __future__ import annotations
@@ -29,14 +32,25 @@ def route_peaks(seed: int, tiny: bool) -> dict[str, int]:
     from vecroute import route_optimized, track_peak
     from workloads import workloads
 
+    def peak(fn, warm_up=None):
+        (warm_up or fn)()
+        with track_peak() as report:
+            result = fn()
+        return result, report.peak_bytes
+
     out = {}
     for name, wl in workloads(tiny).items():
         x, params = workload_inputs(seed, wl)
         for k, p in enumerate(params):
-            route_optimized(x, p)  # the warm-up
-            with track_peak() as report:
-                result, _ = route_optimized(x, p)
-            out[f"{name}/routing{k}"] = report.peak_bytes
+            key = f"{name}/routing{k}"
+            (result, _), out[key] = peak(lambda: route_optimized(x, p))
+            if name != "long_seq":
+                (_, trace), out[f"{key}/traced"] = peak(lambda: route_optimized(x, p, capture_trace=True))
+                # A second read returns the built records, so another trace warms up.
+                _, out[f"{key}/first_read"] = peak(
+                    lambda: trace.iterations[0],
+                    lambda: route_optimized(x, p, capture_trace=True)[1].iterations[0],
+                )
             x = result.array
     return out
 

@@ -141,7 +141,7 @@ takes its shares straight into their records. The fused weight exists
 from the first later iteration on, and the last M-step runs after the
 workspace and the weight are dropped.
 
-With the trace off the final credit is allocated first, and its last
+The final credit is allocated first. With the trace off its last
 n_inp elements (flat) hold the activation scores, checked there, then
 the gates, by the sigma kernel in place: gate i sits at flat index
 n_inp * n_out - n_inp + i. Only the last iteration, never the first,
@@ -152,13 +152,25 @@ copies its gates into a rows-sized buffer before it writes anything. At
 n_out = 1 the tail is the whole credit. A trace returns the scores and
 the gates, so it keeps them in arrays of their own.
 
-A trace costs its record writes and little more. The sigma kernel
-writes e^(-z) into the scores record and sigma from there over -z, then
-turns the record into log sigma(z) = -log1p(e^(-z)) in two passes (z
-itself where e^(-z) overflows, kept before sigma overwrites -z). The
-records but the final credit share a few allocations
-(``_TRACE_CHUNK_BYTES``), so that repeated traced calls reuse heap
-memory instead of faulting in fresh pages.
+A traced call routes as an untraced one, on the same sweep, and fails
+where it does. It keeps only what a replay of its records needs: a
+private copy of the input, the activation scores and gates, every
+iteration's prediction and output, the block rows and
+``_TRACE_CHUNK_BYTES`` in force at the call, and the final credit. The
+first read of ``trace.iterations`` builds every record once: it reruns
+each iteration's blocks without pooled sums, the score columns of the
+fused weight taken from the kept prediction, so each block computes the
+call's values bit for bit and writes its rows of the records. The last
+iteration's credit record is the final credit. The sigma kernel writes
+e^(-z) into the scores record and sigma from there over -z, then turns
+the record into log sigma(z) = -log1p(e^(-z)) in two passes (z itself
+where e^(-z) overflows, kept before sigma overwrites -z). The records
+but the final credit share a few allocations (``_TRACE_CHUNK_BYTES``), so
+that repeated reads reuse heap memory instead of faulting in fresh
+pages. A trace whose records are never read, like those the credit
+algebra takes its final credit from, costs none of them; a read costs
+every iteration's blocks once more, on the block path, and the record
+writes.
 
 Each value is checked for non-finite values once. IEEE arithmetic
 propagates them (inf * 0 and inf - inf are NaN), so one check covers
@@ -167,18 +179,22 @@ input i's activation score, so the activations check covers the input,
 and x_inp is scanned only once that check fails, to name the input.
 Routing, shares and scores are finite by construction (sigma <= 1,
 S_i >= tiny / eps, gates in [0, 1], a rescued row is the softmax of a
-finite z). Every credit array that a block pools, each traced record
-and the returned final credit, feeds total_j = sum_i credit_ij and so,
+finite z). Every credit array that a block pools, which each credit
+record replays bit for bit, and the returned final credit, feeds
+total_j = sum_i credit_ij and so,
 through total_j * vote_bias_j, every entry of output row j, so the
 iteration's output update check fails first on a non-finite one. The
 closed form's iteration 1 pools no block: its output's own isfinite
-test, which picks the fallback, is its check, and it scans its traced
-credit record. The next prediction reads the checked output unscanned.
+test, which picks the fallback, is its check, and the replay scans its
+credit record, so a read can fail where the call did not. The next
+prediction reads the checked output unscanned.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -235,11 +251,12 @@ BLOCK_ELEMENTS = 114688
 # caller may keep alone, has its own). glibc's malloc maps a request
 # above its mmap threshold afresh; freeing such a mapping of at most
 # 32 MiB raises that threshold to its size and the heap's trim threshold
-# to twice it. So after the first traced call, later traces come from
-# the heap, and a dropped trace under twice this size stays there for
-# the next call instead of going back to the system to be faulted in
-# again. Records allocated one by one keep the trim threshold low, and a
-# dropped trace is handed back whenever nothing live sits above it.
+# to twice it. So after the first records are built, later ones come
+# from the heap, and dropped records under twice this size stay there
+# for the next build instead of going back to the system to be faulted
+# in again. Records allocated one by one keep the trim threshold low,
+# and dropped records are handed back whenever nothing live sits above
+# them.
 _TRACE_CHUNK_BYTES = 31 * 2**20
 
 
@@ -538,7 +555,113 @@ def _closed_form_sums(
     return w.T @ gram, total
 
 
-class _FixedBlocks:
+class _Blocks:
+    """The block loop both layouts share: its buffers and one block's stages.
+
+    A layout's kernel (``_FixedBlocks``, ``_VariableBlocks``) adds the
+    block orientation, iteration 1's credit, a later block's coefficients
+    and scores, and the coefficients' finite check.
+    """
+
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
+        n_inp, dtype = x.shape[0], params.dtype
+        self.n_out = params.dims.n_out
+        self.params, self.x, self.gates = params, x, gates
+        self.blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
+        self.prior = dtype.type(1.0 / self.n_out)
+        # The block workspace, each slot reused once its value is dead (the
+        # module docstring's tables), held here alone so that dropping it
+        # here frees it. The closed form borrows it for gated inputs.
+        self.work = np.empty(self.slots * rows * self.n_out, dtype)
+        self.gate_rows = np.empty(rows, dtype)  # each block's gates, copied before it writes
+        self.row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
+        tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
+        self.row_sum_floor = tiny / eps
+        self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
+        self.weight = None  # the fused weight, from the first later iteration on
+
+    def score_against(self, predicted: np.ndarray) -> None:
+        """Write -predicted^T into the fused weight's score columns,
+        building the weight on first use (iteration 1 never reads it)."""
+        if self.weight is None:
+            self.weight = self.fused_weight()
+        np.negative(predicted.T, out=self.weight[:, -self.n_out :])
+
+    def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
+        """One block of an iteration: its credit, its share of ``sums`` (the
+        pooled sums, the totals and a pooled-part buffer; None in a replay)
+        and its rows of the arrays in ``rec``. Its views of the workspace
+        end with the call."""
+        n, n_out = blk.stop - blk.start, self.n_out
+        scores, routing = rec.get("scores"), rec.get("routing")
+        wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
+
+        def into(k: int, spare: np.ndarray) -> np.ndarray:
+            # Where a block computes kept value k (used, ignored, credit):
+            # into its record when the blocks are row-major like it, else
+            # into ``spare``, which keep() copies in once computed.
+            whole = wholes[k]
+            return whole[blk] if self.row_major and whole is not None else spare
+
+        def keep(k: int, computed: np.ndarray) -> None:
+            if not self.row_major and wholes[k] is not None:
+                wholes[k][blk] = computed
+
+        # A copy: in the final credit's tail, the block's credit rows may overwrite them.
+        g = self.gate_rows[:n, None]
+        g[:, 0] = self.gates[blk]
+        credit = into(2, self.block(self.work, n, n_out))  # slot 0
+        if it == 1:
+            self.first_credit(blk, credit)
+            credit *= g
+            if routing is not None:  # straight into the records, whatever the blocks' orientation
+                np.multiply(g, self.prior, out=wholes[0][blk])
+                np.subtract(g, wholes[0][blk], out=wholes[1][blk])
+        else:
+            bu, bi, neg_z, product = self.later_block(blk)
+            top = neg_z.max()
+            if not top < np.inf:
+                raise NumericError(f"non-finite values in score at iteration {it}")
+            # Only rows whose every -z exceeds near_floor can need the
+            # rescue; their -z is copied before sigma overwrites it.
+            near = None
+            if top > self.near_floor:
+                near = np.flatnonzero(neg_z.min(axis=1) > self.near_floor)
+                near_z = neg_z[near]
+            _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
+            sigma = neg_z  # written over -z
+            row_sum = self.row_sums[:n]
+            np.sum(sigma, axis=1, out=row_sum)
+            if near is not None:
+                hit = row_sum[near] < self.row_sum_floor
+                if hit.any():
+                    low = near[hit]
+                    rescued = np.negative(near_z[hit])
+                    _softmax_rows_in_place(rescued)
+                    sigma[low] = rescued
+                    row_sum[low] = 1.0
+            if routing is not None:
+                np.divide(sigma, row_sum[:, None], out=routing[blk])
+            np.divide(g[:, 0], row_sum, out=row_sum)
+            # Each result overwrites the slot of an operand dead from here on.
+            used = into(0, sigma)
+            np.multiply(sigma, row_sum[:, None], out=used)
+            keep(0, used)
+            np.multiply(bu, used, out=credit)
+            ignored = into(1, sigma)
+            np.subtract(g, used, out=ignored)
+            keep(1, ignored)
+            np.multiply(bi, ignored, out=product)
+            credit -= product
+        keep(2, credit)
+        if sums is not None:
+            pooled, total, pooled_part = sums
+            np.matmul(credit.T, self.x[blk], out=pooled_part)
+            pooled += pooled_part
+            total += credit.sum(axis=0)
+
+
+class _FixedBlocks(_Blocks):
     """Block kernel of the fixed layout: row-major blocks, stored tables."""
 
     row_major = True
@@ -546,20 +669,18 @@ class _FixedBlocks:
     first = None  # iteration 1 takes its credit from the tables
     slots = 2
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
-        self.n_out, self.d_inp, self.dtype = params.dims.n_out, params.dims.d_inp, params.dtype
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
+        super().__init__(params, x, gates, rows)
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
-        self.prior = params.dtype.type(1.0 / self.n_out)
-        self.x, self.work = x, work
-        self.weight = None  # -predicted^T, from the first later iteration on
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
         return buffer[: n * cols].reshape(n, cols)
 
     def fused_weight(self) -> np.ndarray:
-        return np.empty((self.d_inp, self.n_out), self.dtype)
+        """-predicted^T alone; written per iteration."""
+        return np.empty((self.params.dims.d_inp, self.n_out), self.params.dtype)
 
     def first_credit(self, blk: slice, credit: np.ndarray) -> None:
         n = blk.stop - blk.start
@@ -580,18 +701,16 @@ class _FixedBlocks:
         """Nothing to do: the tables were checked with the parameters."""
 
 
-class _VariableBlocks:
+class _VariableBlocks(_Blocks):
     """Block kernel of the variable layout: output-major blocks, coefficients
     from each block's inputs (see the module docstring)."""
 
     row_major = False
     slots = 3
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, blocks: list[slice], work: np.ndarray):
-        n_out = self.n_out = params.dims.n_out
-        self.params, self.x, self.blocks, self.work = params, x, blocks, work
-        self.closed_form = params.dims.d_inp < 3 * n_out
-        self.weight = None  # [W_use | W_ign | -predicted^T], from the first later iteration on
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
+        super().__init__(params, x, gates, rows)
+        self.closed_form = params.dims.d_inp < 3 * self.n_out
         self.gain = params.score_gain.array
         self.bias = np.concatenate(
             [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
@@ -605,7 +724,7 @@ class _VariableBlocks:
         return buffer[: n * cols].reshape(cols, n).T
 
     def fused_weight(self) -> np.ndarray:
-        """[W_use | W_ign | ...]; the score columns are written per iteration."""
+        """[W_use | W_ign | -predicted^T]; the score columns are written per iteration."""
         p = self.params
         weight = np.empty((p.dims.d_inp, 3 * self.n_out), p.dtype)
         weight[:, : self.n_out] = p.beta_use_weight.array
@@ -634,6 +753,12 @@ class _VariableBlocks:
             beta_pair_for(self.x[blk], self.params)
 
 
+def _kernel(params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int) -> _Blocks:
+    """The block kernel of the layout ``params`` selects."""
+    kernel_type = _VariableBlocks if params.dims.variable_length else _FixedBlocks
+    return kernel_type(params, x, gates, rows)
+
+
 def route_optimized(
     x_inp,
     params: RoutingParams,
@@ -651,11 +776,14 @@ def route_optimized(
     the final credit; a block's intermediates live in one reused block
     workspace, and the activation scores, then the gates, in the final
     credit's last n_inp elements until the blocks overwrite them. With
-    it on, the trace also holds the activation scores and
-    gates and every iteration's scores, routing, shares, credit,
-    prediction and output, O(n_iters * n_inp * n_out) memory. The records
-    but the final credit are views of a few shared allocations, so one
-    kept after its trace is dropped keeps its allocation alive.
+    it on, the call routes the same way and fails where the untraced call
+    does; the trace also holds a private copy of the input, the
+    activation scores and gates, and every iteration's prediction and
+    output. Its ``iterations`` records are built on first read, by
+    rerunning the blocks (the module docstring), and from then on hold
+    O(n_iters * n_inp * n_out) memory. The records but the final credit
+    are views of a few shared allocations, so one kept after its trace is
+    dropped keeps its allocation alive.
     """
     x = _float_array(x_inp)  # its values are checked through the activations
     if x.ndim != 2:
@@ -671,12 +799,14 @@ def route_optimized(
     if x.dtype != params.dtype:
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
     n_out, n_iters, dtype = dims.n_out, dims.n_iters, x.dtype
+    if capture_trace:
+        x = x.copy(order="K")  # the records' replay may run after the caller writes x_inp
 
-    pair = (n_inp, n_out)
-    # With the trace off the activation scores, then the gates, live in
-    # the final credit's last n_inp elements (the module docstring says
-    # why no block overwrites a gate it has yet to read); a trace keeps both.
-    final_credit = None if capture_trace else np.empty(pair, dtype)
+    # Allocated before the block workspace, like a replay's records (see
+    # _replay). With the trace off the activation scores, then the gates,
+    # live in its last n_inp elements (the module docstring says why no
+    # block overwrites a gate it has yet to read); a trace keeps both.
+    final_credit = np.empty((n_inp, n_out), dtype)
     raw = np.empty(n_inp, dtype) if capture_trace else final_credit.reshape(-1)[-n_inp:]
     try:
         # inf * 0 is NaN without a warning here: the check below names it.
@@ -691,138 +821,15 @@ def route_optimized(
     _logistic_of_negated_into(gates)  # logistic's kernel
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
-    blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
-    prior = dtype.type(1.0 / n_out)
-    # Each iteration's kept arrays, by IterationRecord field: every
-    # record field when tracing, else the last iteration's credit alone.
-    # The pair-sized ones come before the block workspace, so the space
-    # the workspace frees lies above them. Allocated after it, a dropped
-    # trace left the top of the heap free, so the heap went back to the
-    # system and the next call faulted it in again: a third of the time
-    # of a traced three-stage chain. For the same reason the records but
-    # the final credit share allocations of at most _TRACE_CHUNK_BYTES.
-    if capture_trace:
-        n_shared = 5 * n_iters - 2
-        per_chunk = max(1, _TRACE_CHUNK_BYTES // (n_inp * n_out * dtype.itemsize))
-        shared = (
-            record
-            for start in range(0, n_shared, per_chunk)
-            for record in np.empty((min(per_chunk, n_shared - start),) + pair, dtype)
-        )
-        kept = [
-            {
-                "scores": None if it == 1 else next(shared),
-                "routing": next(shared),
-                "share_used": next(shared),
-                "share_ignored": next(shared),
-                "credit": np.empty(pair, dtype) if it == n_iters else next(shared),
-                "predicted": None,
-            }
-            for it in range(1, n_iters + 1)
-        ]
-        kept[0]["routing"].fill(prior)  # iteration 1 routes by the flat prior
-    else:
-        kept = [{} for _ in range(1, n_iters)] + [{"credit": final_credit}]
-    kernel_type = _VariableBlocks if dims.variable_length else _FixedBlocks
-    # The block workspace, each slot reused once its value is dead (the
-    # module docstring's tables), held by the kernel alone so that dropping
-    # it there frees it. The closed form borrows it for gated inputs.
-    kernel = kernel_type(params, x, blocks, np.empty(kernel_type.slots * rows * n_out, dtype))
-    gate_rows = np.empty(rows, dtype)  # each block's gates, copied before it writes
-    row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
-    tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
-    row_sum_floor = tiny / eps
-    near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
+    kernel = _kernel(params, x, gates, rows)
 
-    def route_block(rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
-        """One block of an iteration: its credit, its share of ``sums`` (the
-        pooled sums, the totals and a pooled-part buffer) and its rows of
-        the kept arrays. Its views of the workspace end with the call."""
-        n = blk.stop - blk.start
-        scores, routing = rec.get("scores"), rec.get("routing")
-        wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
-
-        def into(k: int, spare: np.ndarray) -> np.ndarray:
-            # Where a block computes kept value k (used, ignored, credit):
-            # into its record when the blocks are row-major like it, else
-            # into ``spare``, which keep() copies in once computed.
-            whole = wholes[k]
-            return whole[blk] if kernel.row_major and whole is not None else spare
-
-        def keep(k: int, computed: np.ndarray) -> None:
-            if not kernel.row_major and wholes[k] is not None:
-                wholes[k][blk] = computed
-
-        # A copy: in the final credit's tail, the block's credit rows may overwrite them.
-        g = gate_rows[:n, None]
-        g[:, 0] = gates[blk]
-        credit = into(2, kernel.block(kernel.work, n, n_out))  # slot 0
-        if it == 1:
-            kernel.first_credit(blk, credit)
-            credit *= g
-            if routing is not None:  # straight into the records, whatever the blocks' orientation
-                np.multiply(g, prior, out=wholes[0][blk])
-                np.subtract(g, wholes[0][blk], out=wholes[1][blk])
-        else:
-            bu, bi, neg_z, product = kernel.later_block(blk)
-            top = neg_z.max()
-            if not top < np.inf:
-                raise NumericError(f"non-finite values in score at iteration {it}")
-            # Only rows whose every -z exceeds near_floor can need the
-            # rescue; their -z is copied before sigma overwrites it.
-            near = None
-            if top > near_floor:
-                near = np.flatnonzero(neg_z.min(axis=1) > near_floor)
-                near_z = neg_z[near]
-            _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
-            sigma = neg_z  # written over -z
-            row_sum = row_sums[:n]
-            np.sum(sigma, axis=1, out=row_sum)
-            if near is not None:
-                hit = row_sum[near] < row_sum_floor
-                if hit.any():
-                    low = near[hit]
-                    rescued = np.negative(near_z[hit])
-                    _softmax_rows_in_place(rescued)
-                    sigma[low] = rescued
-                    row_sum[low] = 1.0
-            if routing is not None:
-                np.divide(sigma, row_sum[:, None], out=routing[blk])
-            np.divide(g[:, 0], row_sum, out=row_sum)
-            # Each result overwrites the slot of an operand dead from here on.
-            used = into(0, sigma)
-            np.multiply(sigma, row_sum[:, None], out=used)
-            keep(0, used)
-            np.multiply(bu, used, out=credit)
-            ignored = into(1, sigma)
-            np.subtract(g, used, out=ignored)
-            keep(1, ignored)
-            np.multiply(bi, ignored, out=product)
-            credit -= product
-        keep(2, credit)
-        if sums is not None:
-            pooled, total, pooled_part = sums
-            np.matmul(credit.T, x[blk], out=pooled_part)
-            pooled += pooled_part
-            total += credit.sum(axis=0)
-
-    def sweep(rec: dict, it: int, closed: bool) -> np.ndarray:
+    def sweep(it: int) -> np.ndarray:
         """One iteration over the blocks; returns its output update, checked."""
-        if closed:
-            x_closed = _finish_m_step(
-                *_closed_form_sums(x, gates, kernel.work, kernel.first), n_inp, params
-            )
-            closed = np.isfinite(x_closed).all()  # else redone on the blocks
-            if closed and not rec:
-                return x_closed
+        rec = {"credit": final_credit} if it == n_iters else {}
         pooled, total = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-        sums = None if closed else (pooled, total, np.empty_like(pooled))
-        for blk in blocks:
-            route_block(rec, it, blk, sums)
-        if closed:
-            # Pooled by no block, so no output update check covers it.
-            _check_finite(rec["credit"], "credit", it)
-            return x_closed
+        sums = (pooled, total, np.empty_like(pooled))
+        for blk in kernel.blocks:
+            kernel.route_block(rec, it, blk, sums)
         if it == n_iters:  # dead: the last M-step's peak holds neither
             kernel.work = kernel.weight = None
         del sums  # and with it the pooled-part buffer
@@ -831,42 +838,132 @@ def route_optimized(
         _check_finite(x_out, "output update", it)
         return x_out
 
-    records: list[IterationRecord] = []
-    for it, rec in enumerate(kept, start=1):
+    closed = kernel.closed_form
+    predictions, outputs = [], []  # what a trace keeps to replay its records
+    for it in range(1, n_iters + 1):
         try:
             if it == 1:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    x_out = sweep(rec, it, kernel.closed_form)
+                    if closed:
+                        x_out = _finish_m_step(
+                            *_closed_form_sums(x, gates, kernel.work, kernel.first), n_inp, params
+                        )
+                        closed = bool(np.isfinite(x_out).all())  # else redone on the blocks
+                    if not closed:
+                        x_out = sweep(it)
                 kernel.first = None  # output-sized, and needed no more
             else:
                 predicted = predict_inputs(output, params)  # a tensor: not scanned again
                 _check_finite(predicted, "predict", it)
-                del output, x_out  # dead once predicted; a trace keeps the output in its record
-                if kernel.weight is None:  # iteration 1 never reads it
-                    kernel.weight = kernel.fused_weight()
-                np.negative(predicted.T, out=kernel.weight[:, -n_out:])  # the score columns
+                del output, x_out  # dead once predicted; a trace keeps the output
+                kernel.score_against(predicted)
                 if capture_trace:
-                    rec["predicted"] = predicted
+                    predictions.append(DenseTensor._adopt(predicted))
                 del predicted  # its negated copy in the weight serves the blocks
-                x_out = sweep(rec, it, False)
+                x_out = sweep(it)
         except NumericError:
             kernel.check_betas()  # a bad coefficient is named first (module docstring)
             raise
         # Adopted unscanned: the module docstring says which check proves
         # each finite; the prediction and the output passed their own.
         output = DenseTensor._adopt(x_out)
-        rec = {name: None if a is None else DenseTensor._adopt(a) for name, a in rec.items()}
         if capture_trace:
-            records.append(IterationRecord(output=output, **rec))
+            outputs.append(output)
 
+    final = DenseTensor._adopt(final_credit)
+    if not capture_trace:
+        return output, RoutingTrace(None, None, (), final)
+    replay = partial(
+        _replay, x, params, gates, rows, _TRACE_CHUNK_BYTES, closed, predictions, outputs, final
+    )
     trace = RoutingTrace(
         # Checked by "activations" above; the gates are sigma in [0, 1].
-        activation_scores=DenseTensor._adopt(raw) if capture_trace else None,
-        activation_gates=DenseTensor._adopt(gates) if capture_trace else None,
-        iterations=tuple(records),
-        final_credit=rec["credit"],
+        activation_scores=DenseTensor._adopt(raw),
+        activation_gates=DenseTensor._adopt(gates),
+        iterations=_Records(n_iters, replay),
+        final_credit=final,
     )
     return output, trace
+
+
+class _Records(Sequence):
+    """A traced routing's iteration records, built by ``replay`` on first
+    read and cached; the replay's inputs are dropped once it has run."""
+
+    def __init__(self, n_iters: int, replay):
+        self._n_iters, self._replay, self._built = n_iters, replay, None
+
+    def __len__(self) -> int:
+        return self._n_iters
+
+    def __getitem__(self, index):
+        if self._built is None:
+            self._built = self._replay()
+            self._replay = None
+        return self._built[index]
+
+
+def _replay(
+    x: np.ndarray,
+    params: RoutingParams,
+    gates: np.ndarray,
+    rows: int,
+    chunk_bytes: int,
+    closed: bool,
+    predictions: list[DenseTensor],
+    outputs: list[DenseTensor],
+    final: DenseTensor,
+) -> tuple[IterationRecord, ...]:
+    """Every iteration's records, written by rerunning the traced call's
+    blocks without their sums: the same code on the same inputs, so the
+    same values. ``closed`` says iteration 1 took the closed form."""
+    n_inp, n_out, n_iters, dtype = x.shape[0], params.dims.n_out, params.dims.n_iters, x.dtype
+    pair = (n_inp, n_out)
+    # Allocated before the block workspace, so the space the workspace
+    # frees lies above them. Allocated after it, a dropped trace left the
+    # top of the heap free, so the heap went back to the system and the
+    # next trace faulted it in again: a third of the time of a traced
+    # three-stage chain. For the same reason the records share allocations
+    # of at most chunk_bytes; the last iteration's credit is the final one.
+    n_shared = 5 * n_iters - 2
+    per_chunk = max(1, chunk_bytes // (n_inp * n_out * dtype.itemsize))
+    shared = (
+        record
+        for start in range(0, n_shared, per_chunk)
+        for record in np.empty((min(per_chunk, n_shared - start),) + pair, dtype)
+    )
+    kept = [
+        {
+            "scores": None if it == 1 else next(shared),
+            "routing": next(shared),
+            "share_used": next(shared),
+            "share_ignored": next(shared),
+            "credit": None if it == n_iters else next(shared),
+        }
+        for it in range(1, n_iters + 1)
+    ]
+    kernel = _kernel(params, x, gates, rows)
+    kept[0]["routing"].fill(kernel.prior)  # iteration 1 routes by the flat prior
+    # What the blocks overflow, the call overflowed first, under the
+    # caller's error state; the replay repeats no warning.
+    with np.errstate(all="ignore"):
+        for it, rec in enumerate(kept, start=1):
+            if it > 1:
+                kernel.score_against(predictions[it - 2].array)
+            for blk in kernel.blocks:
+                kernel.route_block(rec, it, blk, None)
+            kernel.first = None  # output-sized, and needed no more
+    if closed:  # pooled by no block, so no output update check covers it
+        _check_finite(kept[0]["credit"], "credit", 1)
+    # Adopted unscanned: bitwise the values the call proved finite (the
+    # module docstring says how), and iteration 1's closed-form credit was
+    # scanned above.
+    adopted = [{name: None if a is None else DenseTensor._adopt(a) for name, a in rec.items()} for rec in kept]
+    adopted[-1]["credit"] = final
+    return tuple(
+        IterationRecord(output=output, predicted=predicted, **rec)
+        for rec, output, predicted in zip(adopted, outputs, [None] + predictions)
+    )
 
 
 def materialized_votes(x_inp: np.ndarray, params: RoutingParams) -> DenseTensor:
@@ -984,8 +1081,10 @@ def total_param_count(params: RoutingParams) -> int:
 # output-sized. The floor covers interpreter-level overhead that
 # dominates at toy sizes. Measured over fixed and variable shapes from
 # 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2 (float32), the peak
-# reaches at most half the bound. The bound assumes capture_trace off;
-# trace capture adds every iteration's records, in the same workspace.
+# reaches at most half the bound. The bound assumes capture_trace off.
+# A traced call adds a copy of the input, the activation scores and gates
+# and every iteration's prediction and output; its records are allocated
+# when first read, by a replay in a block workspace of the same size.
 # The test suite asserts measured peaks stay under this bound.
 TRANSIENT_ELEMENT_BOUND_FACTOR = 16
 TRANSIENT_PAIR_FACTOR = 2

@@ -27,6 +27,7 @@ convergence criterion is applied.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -154,14 +155,17 @@ class IterationRecord:
 class RoutingTrace:
     """Full audit record of one forward pass.
 
-    A minimal trace (capture off in the optimized router) keeps only
+    ``iterations`` is a sequence of one record per iteration: a tuple
+    here, and in the optimized router a sequence that builds its records
+    on first read and returns the same objects from then on. A minimal
+    trace (capture off in the optimized router) keeps only
     ``final_credit``; activation fields are then None and ``iterations``
     is empty.
     """
 
     activation_scores: DenseTensor | AlwaysOn | None
     activation_gates: DenseTensor | None  # logistic of the scores, (n_inp,)
-    iterations: tuple[IterationRecord, ...]
+    iterations: Sequence[IterationRecord]
     final_credit: DenseTensor
 
 

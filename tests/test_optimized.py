@@ -816,7 +816,9 @@ class TestBlockedLoop:
         # Feature 0 shifts z by -95 (float32) or -800 (float64) on every
         # other row of the middle block, so those rows alone fall below
         # the floor; the rescue gets z of exactly those rows, once per
-        # later iteration, and the recorded scores there are z bit for bit.
+        # later iteration of the untraced call, of the traced call and of
+        # the records' replay, and the recorded scores there are z bit for
+        # bit.
         rescued = []
         softmax = optimized._softmax_rows_in_place
 
@@ -837,10 +839,11 @@ class TestBlockedLoop:
             out_off, trace_off = route_optimized(xx, p)
             out_on, trace_on = route_optimized(xx, p, capture_trace=True)
             later = trace_on.iterations[1:]
-            assert len(rescued) == 2 * len(later), dtype
-            for got_off, got_on, record in zip(rescued, rescued[len(later) :], later):
+            assert len(rescued) == 3 * len(later), dtype
+            calls = [rescued[k :: len(later)] for k in range(len(later))]
+            for (got_off, got_on, got_replay), record in zip(calls, later):
                 assert np.array_equal(got_off, record.scores.array[shifted])
-                assert np.array_equal(got_on, got_off)
+                assert np.array_equal(got_on, got_off) and np.array_equal(got_replay, got_off)
             assert np.array_equal(out_off.array, out_on.array)
             assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
             assert_share_laws(trace_on)
@@ -1030,6 +1033,34 @@ class TestBlockedLoop:
                     a, b = getattr(got, f), getattr(want, f)
                     assert (a is None and b is None) or np.array_equal(a.array, b.array), (mode, f)
 
+    @pytest.mark.parametrize("sizes", [dict(), DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"])
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_records_read_late_equal_records_read_at_once(self, mode, sizes, monkeypatch):
+        # The records are built on first read, from what the call kept: a
+        # write into the caller's input and a new block size or chunk size
+        # after the call change none of them. Three blocks, the last
+        # ragged; the variable layout's iteration 1 takes the closed form
+        # at the default sizes and the linear form on the blocks at the
+        # other (the fixed layout takes its tables at both).
+        rng = np.random.default_rng(51)
+        _, params, x, _ = multi_block_instance(rng, mode, **sizes)
+        fields = [f.name for f in dataclasses.fields(optimized.IterationRecord)]
+        _, at_once = route_optimized(x, params, capture_trace=True)
+        want = [[getattr(r, f) for f in fields] for r in at_once.iterations]
+        caller_x = x.copy()
+        _, late = route_optimized(caller_x, params, capture_trace=True)
+        caller_x[:] = rng.standard_normal(x.shape, dtype=np.float32)
+        monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", optimized.BLOCK_ELEMENTS // 3)
+        monkeypatch.setattr(optimized, "_TRACE_CHUNK_BYTES", 4 * x.size)
+        first = list(late.iterations)
+        got = [[getattr(r, f) for f in fields] for r in first]
+        for record, record_want in zip(got, want):
+            for a, b in zip(record, record_want):
+                assert (a is None and b is None) or np.array_equal(a.array, b.array), mode
+        bases = [{id(t.array.base) for r in tensors for t in r if t is not None} for tensors in (got, want)]
+        assert len(bases[0]) == len(bases[1])
+        assert all(a is b for a, b in zip(late.iterations[:], first))
+
     @pytest.mark.parametrize("later", [False, True])
     def test_credit_overflow_fails_the_output_update(self, later):
         # Credit records are kept unscanned: the output update check, which
@@ -1071,6 +1102,39 @@ class TestBlockedLoop:
                 route_optimized(x, params, capture_trace=True)
             with pytest.raises(NumericError, match="beta_use coefficients"):
                 route_optimized(x, params)
+
+    def test_closed_form_first_credit_record_fails_when_read(self):
+        # A traced call routes as the untraced one and fails only where it
+        # does, so the closed-form credit record's scan runs when the
+        # records are built. With n_out = 5, p * a + (1 - p) * a rounds one
+        # ulp above a = 1.7148693e30 in float32, so w1 exceeds both W_use = a
+        # and -W_ign: x * w1 overflows the block credit where x * a, an
+        # iteration 2 coefficient, stays finite. A gate of e^-60 keeps the
+        # closed form's gated sums and iteration 2's credit finite.
+        dims = RoutingDims(None, 5, 1, 1, 2)
+        a = np.float32(1.7148693e30)
+        use = np.zeros((1, 5), np.float32)
+        use[0, 0] = a
+        params = init_params(
+            dims,
+            seed=0,
+            overrides={
+                "act_weight": np.zeros(1, np.float32),
+                "act_bias": np.full(1, -60.0, np.float32),
+                "beta_use_weight": use,
+                "beta_ign_weight": -use,
+            },
+        )
+        x = np.full((1, 1), 1.9843048e8, np.float32)
+        w1 = optimized._first_iteration_weights(params)[0, 0]
+        with np.errstate(over="ignore"):
+            assert w1 > a and np.isfinite(x[0, 0] * a) and np.isinf(x[0, 0] * w1)
+        out_off, _ = route_optimized(x, params)
+        out_on, trace = route_optimized(x, params, capture_trace=True)
+        assert np.array_equal(out_off.array, out_on.array)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(NumericError, match="^non-finite values in credit at iteration 1$"):
+                trace.iterations[0]
 
     @pytest.mark.parametrize("sizes", [dict(), DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"])
     def test_later_failure_keeps_its_message_after_the_coefficient_check(self, sizes, monkeypatch):
@@ -1340,7 +1404,7 @@ class TestTransientMemory:
         assert 4 * elements - peak < 4 * block
 
     @pytest.mark.parametrize("mode, slots, weight_groups", [("variable", 3, 3), ("fixed", 2, 1)])
-    def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups):
+    def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups, monkeypatch):
         # Three blocks of the default size, the last ragged, on the block
         # path of iteration 2. Beside the returned final credit, a block
         # keeps three block arrays in the variable layout and two in the
@@ -1351,12 +1415,16 @@ class TestTransientMemory:
         # a full block's, so numpy buffers no more over it than over a full
         # one. The slack is below one block array, so one more slot would
         # fail, and below one n_out * d array, so keeping the previous
-        # output would too. A trace runs in the same slots and adds its
-        # records: 5 * n_iters - 2 pair arrays beside the final credit, the
-        # activation scores and gates, iteration 1's output and iteration
-        # 2's prediction. What else it adds, Python objects and the iterator
-        # buffers of the routing record's divide (an output-major operand
-        # into a row-major record), stays below half a block array.
+        # output would too. A traced call runs the same blocks and adds
+        # only what its records' replay reads: a copy of the input, the
+        # activation scores and gates (in arrays of their own, not the
+        # credit's tail), iteration 1's output and iteration 2's
+        # prediction. The first read of its records holds them, 5 * n_iters
+        # - 2 pair arrays beside the final credit, with the replay's block
+        # workspace and weight. What else either adds, Python objects and,
+        # in the replay, the iterator buffers of the routing record's divide
+        # (an output-major operand into a row-major record), stays below
+        # half a block array.
         n_out, d = 512, 128
         rows = BLOCK_ELEMENTS // n_out
         n_inp = 2 * rows + rows // 3
@@ -1375,9 +1443,15 @@ class TestTransientMemory:
         assert peak < 4 * elements
         assert 4 * elements - peak < 4 * min(rows * n_out, n_out * d)
         out_on, trace_on = route_optimized(x, params, capture_trace=True)  # also the warm-up
-        _, traced_peak = measure_peak(lambda: route_optimized(x, params, capture_trace=True))
-        records = (5 * dims.n_iters - 2) * n_inp * n_out + 2 * n_inp + 2 * n_out * d
-        assert 0 <= traced_peak - peak - 4 * records < 4 * rows * n_out // 2
+        trace_on.iterations[0]  # the replay's warm-up
+        (_, trace), traced_peak = measure_peak(lambda: route_optimized(x, params, capture_trace=True))
+        kept = n_inp * d + 2 * n_inp + (dims.n_iters - 1) * 2 * n_out * d
+        assert 0 <= traced_peak - peak - 4 * kept < 4 * rows * n_out // 2
+        monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2 * BLOCK_ELEMENTS)  # the replay keeps the call's
+        _, read_peak = measure_peak(lambda: trace.iterations[0])
+        records = (5 * dims.n_iters - 2) * n_inp * n_out
+        replay = records + slots * rows * n_out + d * weight_groups * n_out
+        assert 0 <= read_peak - 4 * replay < 4 * rows * n_out // 2
         assert np.array_equal(out_off.array, out_on.array)
         assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
 
