@@ -5,8 +5,8 @@ others at a baseline, and records three costs per point: total parameter
 count, peak transient allocation during one forward pass, and median
 wall time. Peak memory comes from the in-process allocation accounting
 in :mod:`vecroute.memtrack` rather than OS RSS, so figures are stable
-across environments; wall time is measured in separate untraced runs so
-the accounting overhead never pollutes timing. The untraced runs go
+across environments; wall time is measured in separate runs outside the
+accounting, so its overhead never pollutes timing. Those timed runs go
 round-robin, one pass of every point per round with the direction
 reversed each round, so a burst of machine noise slows one round of
 every point, which the median drops, rather than every repeat of one
@@ -194,15 +194,16 @@ _Point = tuple[RoutingParams, np.ndarray]  # params, input
 
 
 def _measure(points: list[_Point], repeats: int) -> list[tuple[int, float]]:
-    """(peak bytes of one traced pass, median wall ms of untraced passes) per point.
+    """(peak bytes of one metered pass, median wall ms of unmetered passes) per point.
 
-    Every point is warmed up and traced first; then ``repeats`` rounds
-    each time one pass of every point, alternating the direction.
+    Every pass routes with the trace off. Every point is warmed up and
+    metered by :func:`track_peak` first; then ``repeats`` rounds each time
+    one pass of every point, alternating the direction.
     """
     peaks = []
     for params, x in points:
         # Warm-up pass, discarded: first-call caches would otherwise land in
-        # the traced peak and the first timing.
+        # the metered peak and the first timing.
         route_optimized(x, params)
         with track_peak() as report:
             route_optimized(x, params)

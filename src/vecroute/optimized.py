@@ -19,12 +19,13 @@ input row: the use/ignore coefficients, the agreement score, the routing
 over outputs, the shares and the credit. :func:`route_optimized`
 therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
 n_out) input rows. A block computes its stages in place in a workspace
-of two or three block-sized slots, checks them for non-finite values
+of one or three block-sized slots, checks them for non-finite values
 once, and adds its ``credit.T @ x`` and ``credit.sum(0)`` into the
 output-sized partials that the M-step finishes once per iteration. With
 the trace off the only routing-pair-sized (n_inp * n_out) array is the
-returned final credit, and nothing input-sized (n_inp) is held beside
-it: the activation scores, then the gates, live in the credit's
+returned final credit. Beside it the fixed layout holds one input-sized
+(n_inp) array, its activation scores and then its gates; the variable
+layout holds none, its scores and gates living in the credit's
 unwritten tail (below the slot tables). Everything else is block-sized
 or output-sized (n_out * max(d_inp, d_out)). The public stage functions
 (:func:`activation_scores`, :func:`beta_pair_for`, :func:`predict_inputs`,
@@ -49,7 +50,9 @@ and broadcasts over the outputs run along long contiguous runs even when
 n_out is small. A block writes its shares and credit into a kept
 pair-sized array itself when its blocks are row-major like that array,
 and otherwise into its workspace slots, each copied in as soon as it is
-computed.
+computed. So a fixed-layout call computes every iteration's credit
+straight into the final credit's rows: scratch until the last iteration,
+and in a replay (below) the rows of that iteration's credit record.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
@@ -124,10 +127,10 @@ layout needs three block-sized arrays:
     slot 1: bi, then bi * ignored
     slot 2: -z, then sigma, the used shares and the ignored shares
 
-The fixed layout's tables stand in for bu and bi, so it needs two:
+The fixed layout's tables stand in for bu and bi, and its credit is
+computed in the rows of a kept credit, so it needs one:
 
-    slot 0: the credit
-    slot 1: -z, then sigma, the used and the ignored shares, bi * ignored
+    slot 0: -z, then sigma, the used and the ignored shares, bi * ignored
 
 The workspace is one flat array, and slot k of an n-row block is its
 k-th run of n * n_out elements. So column group k of the variable
@@ -136,41 +139,49 @@ last block too, and each in-place product meets its output as the very
 same compact view. Since output-major blocks copy each kept value into
 its record as soon as it is computed, the ignored shares take the used
 shares' slot traced too. Iteration 1 computes its credit in the
-credit's slot and, in the fixed layout, (1 - p) * bi in slot 1; a trace
-takes its shares straight into their records. The fused weight exists
-from the first later iteration on, and the last M-step runs after the
-workspace and the weight are dropped.
+credit's slot (the final credit's rows in the fixed layout) and, in the
+fixed layout, (1 - p) * bi in slot 0; a trace takes its shares straight
+into their records. The fused weight exists from the first later
+iteration on, and the last M-step runs after the workspace and the
+weight are dropped.
 
-The final credit is allocated first. With the trace off its last
-n_inp elements (flat) hold the activation scores, checked there, then
-the gates, by the sigma kernel in place: gate i sits at flat index
-n_inp * n_out - n_inp + i. Only the last iteration, never the first,
-writes the final credit, and a block writing rows [s, e) touches flat
-indices below e * n_out <= n_inp * n_out - n_inp + e, so it never
-overwrites a later row's gate. It may overwrite its own, so each block
-copies its gates into a rows-sized buffer before it writes anything. At
-n_out = 1 the tail is the whole credit. A trace returns the scores and
-the gates, so it keeps them in arrays of their own.
+The final credit is allocated first. In the variable layout with the
+trace off, its last n_inp elements (flat) hold the activation scores,
+checked there, then the gates, by the sigma kernel in place: gate i
+sits at flat index n_inp * n_out - n_inp + i. Only the last iteration,
+never the first, writes that final credit, and a block writing rows
+[s, e) touches flat indices below e * n_out <= n_inp * n_out - n_inp +
+e, so it never overwrites a later row's gate. It may overwrite its own,
+so each block copies its gates into a rows-sized buffer before it writes
+anything. At n_out = 1 the tail is the whole credit. Fixed-layout blocks
+write the whole final credit in every iteration, so that layout keeps
+its scores, then its gates, in one n_inp array of its own. Against the
+slot it saves, about BLOCK_ELEMENTS elements, the array costs memory
+only once n_inp passes about BLOCK_ELEMENTS, where the layout's four
+n_inp x n_out parameter tables are far larger. A trace returns the
+scores and the gates, so it keeps them in arrays of their own.
 
 A traced call routes as an untraced one, on the same sweep, and fails
-where it does. It keeps only what a replay of its records needs: a
-private copy of the input, the activation scores and gates, every
-iteration's prediction and output, the block rows and
-``_TRACE_CHUNK_BYTES`` in force at the call, and the final credit. The
-first read of ``trace.iterations`` builds every record once: it reruns
-each iteration's blocks without pooled sums, the score columns of the
-fused weight taken from the kept prediction, so each block computes the
-call's values bit for bit and writes its rows of the records. The last
-iteration's credit record is the final credit. The sigma kernel writes
-e^(-z) into the scores record and sigma from there over -z, then turns
-the record into log sigma(z) = -log1p(e^(-z)) in two passes (z itself
-where e^(-z) overflows, kept before sigma overwrites -z). The records
-but the final credit share a few allocations (``_TRACE_CHUNK_BYTES``), so
-that repeated reads reuse heap memory instead of faulting in fresh
-pages. A trace whose records are never read, like those the credit
-algebra takes its final credit from, costs none of them; a read costs
-every iteration's blocks once more, on the block path, and the record
-writes.
+where it does. It keeps only what its records cannot be recomputed
+without: a private copy of the input, the activation scores and gates,
+the block rows and ``_TRACE_CHUNK_BYTES`` in force at the call, the
+final credit and the returned output; no iteration's prediction or
+output. The first read of ``trace.iterations`` builds every record
+once: it reruns the call's iteration loop, the same code on the same
+inputs, so each block and each M-step computes the call's values bit
+for bit, and each block writes its rows of the records. A closed-form
+iteration 1 reruns the closed form for its output and its blocks for its
+records. The last iteration pools nothing and computes no credit: its
+credit record is the final credit, and its output is the call's. The
+sigma kernel writes e^(-z) into the scores record and sigma from there
+over -z, then turns the record into log sigma(z) = -log1p(e^(-z)) in two
+passes (z itself where e^(-z) overflows, kept before sigma overwrites
+-z). The records but the final credit share a few allocations
+(``_TRACE_CHUNK_BYTES``), so that repeated reads reuse heap memory
+instead of faulting in fresh pages. A trace whose records are never
+read, like those the credit algebra takes its final credit from, costs
+none of them; a read costs one more routing, on the block path, and the
+record writes.
 
 Each value is checked for non-finite values once. IEEE arithmetic
 propagates them (inf * 0 and inf - inf are NaN), so one check covers
@@ -587,11 +598,33 @@ class _Blocks:
             self.weight = self.fused_weight()
         np.negative(predicted.T, out=self.weight[:, -self.n_out :])
 
+    def sweep(self, rec: dict, it: int, pool: bool = True) -> np.ndarray | None:
+        """One iteration over the blocks, writing their rows of the arrays
+        in ``rec``. With ``pool``, they add up their pooled sums, and it
+        returns the iteration's output update, checked."""
+        if not pool:
+            for blk in self.blocks:
+                self.route_block(rec, it, blk, None)
+            return None
+        n_inp, d_inp = self.x.shape
+        pooled, total = np.zeros((self.n_out, d_inp), self.x.dtype), np.zeros(self.n_out, self.x.dtype)
+        sums = (pooled, total, np.empty_like(pooled))
+        for blk in self.blocks:
+            self.route_block(rec, it, blk, sums)
+        if it == self.params.dims.n_iters:  # dead: the last M-step's peak holds neither
+            self.work = self.weight = None
+        del sums  # and with it the pooled-part buffer
+        x_out = _finish_m_step(pooled, total, n_inp, self.params)
+        del pooled  # the M-step's scratch, dead before the check's mask exists
+        _check_finite(x_out, "output update", it)
+        return x_out
+
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
         """One block of an iteration: its credit, its share of ``sums`` (the
-        pooled sums, the totals and a pooled-part buffer; None in a replay)
-        and its rows of the arrays in ``rec``. Its views of the workspace
-        end with the call."""
+        pooled sums, the totals and a pooled-part buffer; None when the
+        iteration pools nothing) and its rows of the arrays in ``rec``. A
+        block that neither pools nor keeps its credit computes none. Its
+        views of the workspace end with the call."""
         n, n_out = blk.stop - blk.start, self.n_out
         scores, routing = rec.get("scores"), rec.get("routing")
         wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
@@ -610,7 +643,10 @@ class _Blocks:
         # A copy: in the final credit's tail, the block's credit rows may overwrite them.
         g = self.gate_rows[:n, None]
         g[:, 0] = self.gates[blk]
-        credit = into(2, self.block(self.work, n, n_out))  # slot 0
+        # Row-major blocks that compute a credit always have a kept one to
+        # compute into: the caller's final credit, or a replay's record.
+        computed = sums is not None or wholes[2] is not None
+        credit = into(2, self.block(self.work, n, n_out)) if computed else None  # variable: slot 0
         if it == 1:
             self.first_credit(blk, credit)
             credit *= g
@@ -647,10 +683,13 @@ class _Blocks:
             used = into(0, sigma)
             np.multiply(sigma, row_sum[:, None], out=used)
             keep(0, used)
-            np.multiply(bu, used, out=credit)
+            if credit is not None:
+                np.multiply(bu, used, out=credit)
             ignored = into(1, sigma)
             np.subtract(g, used, out=ignored)
             keep(1, ignored)
+            if credit is None:
+                return
             np.multiply(bi, ignored, out=product)
             credit -= product
         keep(2, credit)
@@ -662,12 +701,15 @@ class _Blocks:
 
 
 class _FixedBlocks(_Blocks):
-    """Block kernel of the fixed layout: row-major blocks, stored tables."""
+    """Block kernel of the fixed layout: row-major blocks, stored tables.
+
+    Its credit goes straight into the rows of a kept credit in every
+    iteration, so its workspace is one slot (the module docstring)."""
 
     row_major = True
     closed_form = False
     first = None  # iteration 1 takes its credit from the tables
-    slots = 2
+    slots = 1
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
         super().__init__(params, x, gates, rows)
@@ -683,15 +725,13 @@ class _FixedBlocks(_Blocks):
         return np.empty((self.params.dims.d_inp, self.n_out), self.params.dtype)
 
     def first_credit(self, blk: slice, credit: np.ndarray) -> None:
-        n = blk.stop - blk.start
-        scratch = self.block(self.work[n * self.n_out :], n, self.n_out)
+        scratch = self.block(self.work, blk.stop - blk.start, self.n_out)
         _flat_prior_credit(self.use[blk], self.ign[blk], self.prior, credit, scratch)
 
     def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
         """(bu, bi, -z, where bi * ignored goes): the tables stand in for
-        bu and bi, so -z takes slot 1, and bi * ignored -z's, dead by then."""
-        n = blk.stop - blk.start
-        neg_z = self.block(self.work[n * self.n_out :], n, self.n_out)
+        bu and bi, so -z takes the slot, and bi * ignored -z's, dead by then."""
+        neg_z = self.block(self.work, blk.stop - blk.start, self.n_out)
         np.matmul(self.x[blk], self.weight, out=neg_z)
         neg_z *= self.gain[blk]
         neg_z -= self.bias[blk]
@@ -774,16 +814,18 @@ def route_optimized(
     are computed. With the trace off (the default, and the configuration
     that :func:`transient_element_bound` covers), the trace carries only
     the final credit; a block's intermediates live in one reused block
-    workspace, and the activation scores, then the gates, in the final
-    credit's last n_inp elements until the blocks overwrite them. With
-    it on, the call routes the same way and fails where the untraced call
-    does; the trace also holds a private copy of the input, the
-    activation scores and gates, and every iteration's prediction and
-    output. Its ``iterations`` records are built on first read, by
-    rerunning the blocks (the module docstring), and from then on hold
-    O(n_iters * n_inp * n_out) memory. The records but the final credit
-    are views of a few shared allocations, so one kept after its trace is
-    dropped keeps its allocation alive.
+    workspace, and the activation scores, then the gates, in an n_inp
+    array (fixed layout) or in the final credit's last n_inp elements
+    until the blocks overwrite them (variable layout). With it on, the
+    call routes the same way and fails where the untraced call does; the
+    trace also holds a private copy of the input and the activation
+    scores and gates, but no iteration's prediction or output. Its
+    ``iterations`` records are built on first read, by rerunning the
+    iteration loop (the module docstring); the last record's output is
+    the returned output. From then on they hold O(n_iters * n_inp *
+    n_out) memory. The records but the final credit are views of a few
+    shared allocations, so one kept after its trace is dropped keeps its
+    allocation alive.
     """
     x = _float_array(x_inp)  # its values are checked through the activations
     if x.ndim != 2:
@@ -803,11 +845,14 @@ def route_optimized(
         x = x.copy(order="K")  # the records' replay may run after the caller writes x_inp
 
     # Allocated before the block workspace, like a replay's records (see
-    # _replay). With the trace off the activation scores, then the gates,
-    # live in its last n_inp elements (the module docstring says why no
-    # block overwrites a gate it has yet to read); a trace keeps both.
+    # _replay). With the trace off the variable layout keeps the activation
+    # scores, then the gates, in its last n_inp elements (the module
+    # docstring says why no block overwrites a gate it has yet to read).
+    # Fixed blocks write the final credit in every iteration, so they keep
+    # them in an array of their own; a trace keeps both.
     final_credit = np.empty((n_inp, n_out), dtype)
-    raw = np.empty(n_inp, dtype) if capture_trace else final_credit.reshape(-1)[-n_inp:]
+    in_tail = dims.variable_length and not capture_trace
+    raw = final_credit.reshape(-1)[-n_inp:] if in_tail else np.empty(n_inp, dtype)
     try:
         # inf * 0 is NaN without a warning here: the check below names it.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -822,60 +867,18 @@ def route_optimized(
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     kernel = _kernel(params, x, gates, rows)
-
-    def sweep(it: int) -> np.ndarray:
-        """One iteration over the blocks; returns its output update, checked."""
-        rec = {"credit": final_credit} if it == n_iters else {}
-        pooled, total = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-        sums = (pooled, total, np.empty_like(pooled))
-        for blk in kernel.blocks:
-            kernel.route_block(rec, it, blk, sums)
-        if it == n_iters:  # dead: the last M-step's peak holds neither
-            kernel.work = kernel.weight = None
-        del sums  # and with it the pooled-part buffer
-        x_out = _finish_m_step(pooled, total, n_inp, params)
-        del pooled  # the M-step's scratch, dead before the check's mask exists
-        _check_finite(x_out, "output update", it)
-        return x_out
-
-    closed = kernel.closed_form
-    predictions, outputs = [], []  # what a trace keeps to replay its records
-    for it in range(1, n_iters + 1):
-        try:
-            if it == 1:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if closed:
-                        x_out = _finish_m_step(
-                            *_closed_form_sums(x, gates, kernel.work, kernel.first), n_inp, params
-                        )
-                        closed = bool(np.isfinite(x_out).all())  # else redone on the blocks
-                    if not closed:
-                        x_out = sweep(it)
-                kernel.first = None  # output-sized, and needed no more
-            else:
-                predicted = predict_inputs(output, params)  # a tensor: not scanned again
-                _check_finite(predicted, "predict", it)
-                del output, x_out  # dead once predicted; a trace keeps the output
-                kernel.score_against(predicted)
-                if capture_trace:
-                    predictions.append(DenseTensor._adopt(predicted))
-                del predicted  # its negated copy in the weight serves the blocks
-                x_out = sweep(it)
-        except NumericError:
-            kernel.check_betas()  # a bad coefficient is named first (module docstring)
-            raise
-        # Adopted unscanned: the module docstring says which check proves
-        # each finite; the prediction and the output passed their own.
-        output = DenseTensor._adopt(x_out)
-        if capture_trace:
-            outputs.append(output)
+    # Row-major blocks compute every iteration's credit in place in the
+    # final credit's rows; output-major ones copy in only the last.
+    records = [
+        {"credit": final_credit if kernel.row_major or it == n_iters else None}
+        for it in range(1, n_iters + 1)
+    ]
+    output = _iterate(kernel, records)
 
     final = DenseTensor._adopt(final_credit)
     if not capture_trace:
         return output, RoutingTrace(None, None, (), final)
-    replay = partial(
-        _replay, x, params, gates, rows, _TRACE_CHUNK_BYTES, closed, predictions, outputs, final
-    )
+    replay = partial(_replay, x, params, gates, rows, _TRACE_CHUNK_BYTES, kernel.closed_form, output, final)
     trace = RoutingTrace(
         # Checked by "activations" above; the gates are sigma in [0, 1].
         activation_scores=DenseTensor._adopt(raw),
@@ -884,6 +887,49 @@ def route_optimized(
         final_credit=final,
     )
     return output, trace
+
+
+def _iterate(kernel: _Blocks, records: list[dict], output: DenseTensor | None = None) -> DenseTensor:
+    """The iteration loop of a call and of its records' replay; returns the
+    last iteration's output. ``records[k]`` holds the arrays iteration
+    k + 1 writes. A replay passes the call's ``output``: each record then
+    also takes its iteration's prediction and output, and the last
+    iteration pools nothing and returns ``output``."""
+    x, params, n_iters = kernel.x, kernel.params, len(records)
+    replay = output is not None
+    for it, rec in enumerate(records, start=1):
+        pool = not (replay and it == n_iters)
+        try:
+            if it == 1:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if kernel.closed_form:
+                        x_out = _finish_m_step(
+                            *_closed_form_sums(x, kernel.gates, kernel.work, kernel.first), x.shape[0], params
+                        )
+                        kernel.closed_form = bool(np.isfinite(x_out).all())  # else redone on the blocks
+                    if not kernel.closed_form:
+                        x_out = kernel.sweep(rec, it)
+                    elif replay:  # the blocks write its records; the closed form pooled
+                        kernel.sweep(rec, it, pool=False)
+                kernel.first = None  # output-sized, and needed no more
+            else:
+                predicted = predict_inputs(last, params)  # a tensor: not scanned again
+                _check_finite(predicted, "predict", it)
+                del last, x_out  # dead once predicted, unless a replay's record keeps them
+                kernel.score_against(predicted)
+                if replay:
+                    rec["predicted"] = predicted
+                del predicted  # its negated copy in the weight serves the blocks
+                x_out = kernel.sweep(rec, it, pool)
+        except NumericError:
+            kernel.check_betas()  # a bad coefficient is named first (module docstring)
+            raise
+        # Adopted unscanned: the module docstring says which check proves
+        # each finite; the prediction and the output passed their own.
+        last = DenseTensor._adopt(x_out) if pool else output
+        if replay:
+            rec["output"] = last.array
+    return last
 
 
 class _Records(Sequence):
@@ -910,13 +956,13 @@ def _replay(
     rows: int,
     chunk_bytes: int,
     closed: bool,
-    predictions: list[DenseTensor],
-    outputs: list[DenseTensor],
+    output: DenseTensor,
     final: DenseTensor,
 ) -> tuple[IterationRecord, ...]:
     """Every iteration's records, written by rerunning the traced call's
-    blocks without their sums: the same code on the same inputs, so the
-    same values. ``closed`` says iteration 1 took the closed form."""
+    iteration loop: the same code on the same inputs, so the same values.
+    ``closed`` says iteration 1 took the closed form; ``output`` and
+    ``final`` are the call's output and final credit, the last record's."""
     n_inp, n_out, n_iters, dtype = x.shape[0], params.dims.n_out, params.dims.n_iters, x.dtype
     pair = (n_inp, n_out)
     # Allocated before the block workspace, so the space the workspace
@@ -939,31 +985,26 @@ def _replay(
             "share_used": next(shared),
             "share_ignored": next(shared),
             "credit": None if it == n_iters else next(shared),
+            "predicted": None,
+            "output": None,
         }
         for it in range(1, n_iters + 1)
     ]
     kernel = _kernel(params, x, gates, rows)
+    kernel.closed_form = closed
     kept[0]["routing"].fill(kernel.prior)  # iteration 1 routes by the flat prior
     # What the blocks overflow, the call overflowed first, under the
     # caller's error state; the replay repeats no warning.
     with np.errstate(all="ignore"):
-        for it, rec in enumerate(kept, start=1):
-            if it > 1:
-                kernel.score_against(predictions[it - 2].array)
-            for blk in kernel.blocks:
-                kernel.route_block(rec, it, blk, None)
-            kernel.first = None  # output-sized, and needed no more
+        _iterate(kernel, kept, output)
     if closed:  # pooled by no block, so no output update check covers it
         _check_finite(kept[0]["credit"], "credit", 1)
     # Adopted unscanned: bitwise the values the call proved finite (the
     # module docstring says how), and iteration 1's closed-form credit was
     # scanned above.
     adopted = [{name: None if a is None else DenseTensor._adopt(a) for name, a in rec.items()} for rec in kept]
-    adopted[-1]["credit"] = final
-    return tuple(
-        IterationRecord(output=output, predicted=predicted, **rec)
-        for rec, output, predicted in zip(adopted, outputs, [None] + predictions)
-    )
+    adopted[-1].update(credit=final, output=output)
+    return tuple(IterationRecord(**rec) for rec in adopted)
 
 
 def materialized_votes(x_inp: np.ndarray, params: RoutingParams) -> DenseTensor:
@@ -1066,11 +1107,12 @@ def total_param_count(params: RoutingParams) -> int:
 # trace off, in array elements (multiply by dtype itemsize for bytes).
 # Input-sized (n_inp * d_inp) and output-sized (n_out * (d_inp + d_out))
 # intermediates share one factor that absorbs their simultaneously live
-# generations; no n_inp-sized vector is held, since the activation scores
-# and the gates live in the final credit's tail. The only
+# generations, and so does the one n_inp-sized array, the fixed layout's
+# activation scores and then gates (the variable layout keeps them in the
+# final credit's tail). The only
 # routing-pair-sized (n_inp * n_out) array is the returned final credit,
 # counted twice for headroom; pair-dominated shapes measure at most 1.14
-# pair arrays. The block workspace is three arrays of one block (two in
+# pair arrays. The block workspace is three arrays of one block (one in
 # the fixed layout), traced or not, rows * n_out elements each, at most
 # max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
 # whole sequence fits in one block, so the block factor leaves headroom
@@ -1082,9 +1124,11 @@ def total_param_count(params: RoutingParams) -> int:
 # dominates at toy sizes. Measured over fixed and variable shapes from
 # 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2 (float32), the peak
 # reaches at most half the bound. The bound assumes capture_trace off.
-# A traced call adds a copy of the input, the activation scores and gates
-# and every iteration's prediction and output; its records are allocated
-# when first read, by a replay in a block workspace of the same size.
+# A traced call adds a copy of the input and the activation scores and
+# gates, and keeps no iteration's prediction or output; its records are
+# allocated when first read, by a rerun of the iteration loop in a block
+# workspace of the same size, which recomputes those predictions and
+# outputs.
 # The test suite asserts measured peaks stay under this bound.
 TRANSIENT_ELEMENT_BOUND_FACTOR = 16
 TRANSIENT_PAIR_FACTOR = 2

@@ -157,7 +157,9 @@ class RoutingTrace:
 
     ``iterations`` is a sequence of one record per iteration: a tuple
     here, and in the optimized router a sequence that builds its records
-    on first read and returns the same objects from then on. A minimal
+    on first read, by rerunning the routing, which recomputes every
+    iteration's prediction and output, and returns the same objects from
+    then on. A minimal
     trace (capture off in the optimized router) keeps only
     ``final_credit``; activation fields are then None and ``iterations``
     is empty.

@@ -1061,6 +1061,30 @@ class TestBlockedLoop:
         assert len(bases[0]) == len(bases[1])
         assert all(a is b for a, b in zip(late.iterations[:], first))
 
+    @pytest.mark.parametrize("sizes", [dict(), DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"])
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_records_recompute_each_iterations_output_and_prediction(self, mode, sizes):
+        # A trace keeps no iteration's prediction or output: its first read
+        # reruns the iteration loop. Record k's output is, bit for bit, what
+        # routing the same tensors for k iterations returns, and its
+        # prediction is predicted from the output of iteration k - 1, taken
+        # from a (k - 1)-iteration routing for k > 2. The last record's
+        # output is the call's own. Three blocks, the last ragged; the
+        # variable layout's iteration 1 takes the closed form at the
+        # default sizes and the linear form on the blocks at the other.
+        rng = np.random.default_rng(53)
+        dims, params, x, _ = multi_block_instance(rng, mode, n_iters=4, **sizes)
+        out, trace = route_optimized(x, params, capture_trace=True)
+        records = list(trace.iterations)
+        assert records[-1].output is out
+        previous = records[0].output
+        for k, record in enumerate(records[1:], start=2):
+            routed_k = RoutingParams(dataclasses.replace(dims, n_iters=k), **params.tensors)
+            want, _ = route_optimized(x, routed_k)
+            assert np.array_equal(record.output.array, want.array), k
+            assert np.array_equal(record.predicted.array, predict_inputs(previous, params)), k
+            previous = want
+
     @pytest.mark.parametrize("later", [False, True])
     def test_credit_overflow_fails_the_output_update(self, later):
         # Credit records are kept unscanned: the output update check, which
@@ -1403,32 +1427,40 @@ class TestTransientMemory:
         assert peak < 4 * elements
         assert 4 * elements - peak < 4 * block
 
-    @pytest.mark.parametrize("mode, slots, weight_groups", [("variable", 3, 3), ("fixed", 2, 1)])
+    @pytest.mark.parametrize("mode, slots, weight_groups", [("variable", 3, 3), ("fixed", 1, 1)])
     def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups, monkeypatch):
         # Three blocks of the default size, the last ragged, on the block
         # path of iteration 2. Beside the returned final credit, a block
-        # keeps three block arrays in the variable layout and two in the
+        # keeps three block arrays in the variable layout and one in the
         # fixed one, and the weight: [W_use | W_ign | -pred^T], or -pred^T
-        # alone. The rest is output-sized or smaller: the pooled sums and
-        # the block's pooled part (n_out * d each, the previous output
-        # dropped once predicted). A ragged block's views are as compact as
-        # a full block's, so numpy buffers no more over it than over a full
-        # one. The slack is below one block array, so one more slot would
-        # fail, and below one n_out * d array, so keeping the previous
-        # output would too. A traced call runs the same blocks and adds
-        # only what its records' replay reads: a copy of the input, the
-        # activation scores and gates (in arrays of their own, not the
-        # credit's tail), iteration 1's output and iteration 2's
-        # prediction. The first read of its records holds them, 5 * n_iters
-        # - 2 pair arrays beside the final credit, with the replay's block
-        # workspace and weight. What else either adds, Python objects and,
-        # in the replay, the iterator buffers of the routing record's divide
-        # (an output-major operand into a row-major record), stays below
-        # half a block array.
+        # alone. Fixed blocks compute their credit in the final credit's
+        # rows, so that layout keeps its gates in an n_inp array of its
+        # own; the variable layout keeps them in the credit's tail. The
+        # rest is output-sized or smaller: the pooled sums and the block's
+        # pooled part (n_out * d each, the previous output dropped once
+        # predicted). A ragged block's views are as compact as a full
+        # block's, so numpy buffers no more over it than over a full one.
+        # The slack is below one block array, so one more slot would fail,
+        # and below one n_out * d array, so keeping the previous output
+        # would too. A traced call runs the same blocks and adds only what
+        # its records' replay cannot recompute: a copy of the input and
+        # the activation scores and gates in arrays of their own (2 * n_inp
+        # elements, one of which the untraced fixed call holds too). The
+        # first read of its records holds them, 5 * n_iters - 2 pair
+        # arrays beside the final credit, with the replay's block
+        # workspace and weight and what its rerun of the iteration loop
+        # recomputes: iteration 1's output and iteration 2's prediction.
+        # The rerun's pooled sums and pooled part live only in iteration
+        # 1, before the weight, that output and that prediction exist, so
+        # they add nothing to the peak. What else either adds, Python
+        # objects and, in the replay, the iterator buffers of the routing
+        # record's divide (an output-major operand into a row-major
+        # record), stays below half a block array.
         n_out, d = 512, 128
         rows = BLOCK_ELEMENTS // n_out
         n_inp = 2 * rows + rows // 3
         dims = RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, 2)
+        own_gates = n_inp if mode == "fixed" else 0
         params = init_params(dims, seed=3)
         x = np.random.default_rng(49).standard_normal((n_inp, d), dtype=np.float32)
         out_off, trace_off = route_optimized(x, params)  # also the warm-up
@@ -1436,6 +1468,7 @@ class TestTransientMemory:
         elements = (
             n_inp * n_out
             + slots * rows * n_out
+            + own_gates
             + d * weight_groups * n_out
             + 2 * n_out * d
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
@@ -1445,15 +1478,38 @@ class TestTransientMemory:
         out_on, trace_on = route_optimized(x, params, capture_trace=True)  # also the warm-up
         trace_on.iterations[0]  # the replay's warm-up
         (_, trace), traced_peak = measure_peak(lambda: route_optimized(x, params, capture_trace=True))
-        kept = n_inp * d + 2 * n_inp + (dims.n_iters - 1) * 2 * n_out * d
+        kept = n_inp * d + 2 * n_inp - own_gates
         assert 0 <= traced_peak - peak - 4 * kept < 4 * rows * n_out // 2
         monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2 * BLOCK_ELEMENTS)  # the replay keeps the call's
         _, read_peak = measure_peak(lambda: trace.iterations[0])
         records = (5 * dims.n_iters - 2) * n_inp * n_out
-        replay = records + slots * rows * n_out + d * weight_groups * n_out
+        recomputed = (dims.n_iters - 1) * 2 * n_out * d
+        replay = records + slots * rows * n_out + d * weight_groups * n_out + recomputed
         assert 0 <= read_peak - 4 * replay < 4 * rows * n_out // 2
         assert np.array_equal(out_off.array, out_on.array)
         assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
+
+    def test_traced_fixed_chain_keeps_nothing_per_iteration(self):
+        # The first routing of a fixed-layout chain at 8 iterations. The
+        # untraced call holds the final credit, its gates and one block
+        # slot; the rest (the weight, the pooled sums, an output or two)
+        # stays below half a slot, so a second slot would fail. A traced
+        # call adds the input copy and the activation scores (the gates
+        # array the untraced call has too), and no per-iteration array: one
+        # kept output or prediction (n_out * d) exceeds the slack.
+        n_inp, n_out, d = 2048, 128, 64
+        dims = RoutingDims(n_inp, n_out, d, d, 8)
+        rows = BLOCK_ELEMENTS // n_out
+        params = init_params(dims, seed=3)
+        x = np.random.default_rng(52).standard_normal((n_inp, d), dtype=np.float32)
+        route_optimized(x, params)  # warm-up stabilizes allocator state
+        (out_off, _), peak = measure_peak(lambda: route_optimized(x, params))
+        assert 0 <= peak - 4 * (n_inp * n_out + n_inp + rows * n_out) < 4 * rows * n_out // 2
+        route_optimized(x, params, capture_trace=True)[1].iterations[0]  # warm-up, and the replay's
+        (out_on, trace), traced_peak = measure_peak(lambda: route_optimized(x, params, capture_trace=True))
+        assert 0 <= traced_peak - peak - 4 * (n_inp * d + n_inp) < 4 * n_out * d
+        assert np.array_equal(out_off.array, out_on.array)
+        assert trace.iterations[-1].output is out_on
 
     def test_bound_has_no_triple_product_term(self):
         small = transient_element_bound(256, 64, 32, 32)
