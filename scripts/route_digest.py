@@ -7,11 +7,10 @@ Usage:
 ``CHECKOUT`` is the root of a vecroute checkout; its ``src/`` provides the
 package and its ``perfbench/workloads.py`` the workloads. Each workload's
 inputs and parameters are rebuilt from the seed as the benchmark draws
-them, and every routing of the workload runs with the trace on and off
-(long_seq with the trace off only: its trace would hold gigabytes). The
-digest covers the outputs, the final credit, the activation scores and
-gates, and every field of every iteration record, each array with its
-dtype and shape. The output is sorted JSON, so two checkouts route
+them, and every routing of the workload runs with the trace on and off.
+The digest covers the outputs, the final credit, the activation scores
+and gates, and every field of every iteration record, each array with
+its dtype and shape. The output is sorted JSON, so two checkouts route
 bitwise alike on these inputs exactly when ``diff`` finds nothing.
 Digests compare only under one numpy, BLAS build and BLAS thread count.
 ``--block-elements N`` sets ``vecroute.optimized.BLOCK_ELEMENTS`` to N before
@@ -63,7 +62,7 @@ def route_digests(seed: int, tiny: bool, block_elements: int | None = None) -> d
     out = {}
     for name, wl in workloads(tiny).items():
         x_first, params = workload_inputs(seed, wl)
-        for capture in (False,) if name == "long_seq" else (False, True):
+        for capture in (False, True):
             x = x_first
             for k, p in enumerate(params):
                 result, trace = route_optimized(x, p, capture_trace=capture)

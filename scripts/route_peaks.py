@@ -9,13 +9,13 @@ package and its ``perfbench/workloads.py`` the workloads. Inputs and
 parameters are drawn from the seed as ``route_digest.py`` draws them.
 Each routing of each workload runs with the trace off, once to warm up
 and then once inside ``track_peak``, whose peak bytes are printed under
-``WORKLOAD/routingK``. Then, but for long_seq, whose trace would hold
-gigabytes, it runs the same way with the trace on (``.../traced``), and
-the first read of that trace's iteration records, which builds them, is
-measured too (``.../first_read``). The output is sorted JSON, so two
-checkouts can be compared key by key, and two runs of one checkout with
-``diff``. At the smoke test's tiny shapes the bytes repeat exactly from
-process to process; at full shapes they vary by a few hundred bytes.
+``WORKLOAD/routingK``. Then it runs the same way with the trace on
+(``.../traced``), and the first read of that trace's iteration records,
+which builds them, is measured too (``.../first_read``). The output is
+sorted JSON, so two checkouts can be compared key by key, and two runs
+of one checkout with ``diff``. At the smoke test's tiny shapes the bytes
+repeat exactly from process to process; at full shapes they vary by a
+few hundred bytes.
 """
 
 from __future__ import annotations
@@ -44,13 +44,12 @@ def route_peaks(seed: int, tiny: bool) -> dict[str, int]:
         for k, p in enumerate(params):
             key = f"{name}/routing{k}"
             (result, _), out[key] = peak(lambda: route_optimized(x, p))
-            if name != "long_seq":
-                (_, trace), out[f"{key}/traced"] = peak(lambda: route_optimized(x, p, capture_trace=True))
-                # A second read returns the built records, so another trace warms up.
-                _, out[f"{key}/first_read"] = peak(
-                    lambda: trace.iterations[0],
-                    lambda: route_optimized(x, p, capture_trace=True)[1].iterations[0],
-                )
+            (_, trace), out[f"{key}/traced"] = peak(lambda: route_optimized(x, p, capture_trace=True))
+            # A second read returns the built records, so another trace warms up.
+            _, out[f"{key}/first_read"] = peak(
+                lambda: trace.iterations[0],
+                lambda: route_optimized(x, p, capture_trace=True)[1].iterations[0],
+            )
             x = result.array
     return out
 

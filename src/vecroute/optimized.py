@@ -47,12 +47,13 @@ scores, and the coefficients' finite check; the loop that drives it has
 no layout branch. Fixed-layout blocks are row-major, the layout of its
 per-pair tables. Variable-layout blocks are output-major, so reductions
 and broadcasts over the outputs run along long contiguous runs even when
-n_out is small. A block writes its shares and credit into a kept
-pair-sized array itself when its blocks are row-major like that array,
-and otherwise into its workspace slots, each copied in as soon as it is
-computed. So a fixed-layout call computes every iteration's credit
-straight into the final credit's rows: scratch until the last iteration,
-and in a replay (below) the rows of that iteration's credit record.
+n_out is small. A block computes its shares in its workspace, and a
+record that keeps them takes a copy of its rows. Only a row-major block
+computes its credit in place, in the rows of a kept credit, which is
+row-major too; an output-major block computes it in a slot and copies it
+in. So a fixed-layout call computes every iteration's credit straight
+into the final credit's rows: scratch until the last iteration, and in a
+replay (below) the rows of that iteration's credit record.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
@@ -118,14 +119,16 @@ takes anyway, decides: at or below T nothing is copied; above it the
 rows whose every -z exceeds T are, a superset of the rescued rows.
 
 Each workspace slot is overwritten in place once the value it holds is
-dead, with the trace on or off. A later block computes, in this order,
+dead (the liveness rule of Chen et al., arXiv:1604.06174), with the
+trace on or off. A later block computes, in this order,
 used = sigma * g / S, the credit product bu * used, ignored = g - used
-and bi * ignored, so one order serves both slot tables. The variable
-layout needs three block-sized arrays:
+and bi * ignored. Used, ignored and bi * ignored each overwrite the
+value before them in sigma's slot, so one order serves both slot
+tables. The variable layout needs three block-sized arrays:
 
-    slot 0: bu, then the credit (bu * used, then minus slot 1)
-    slot 1: bi, then bi * ignored
-    slot 2: -z, then sigma, the used shares and the ignored shares
+    slot 0: bu, then the credit (bu * used, then minus bi * ignored)
+    slot 1: bi
+    slot 2: -z, then sigma, the used and the ignored shares, bi * ignored
 
 The fixed layout's tables stand in for bu and bi, and its credit is
 computed in the rows of a kept credit, so it needs one:
@@ -136,52 +139,53 @@ The workspace is one flat array, and slot k of an n-row block is its
 k-th run of n * n_out elements. So column group k of the variable
 layout's matmul, which writes (bu | bi | -z), is slot k, in a ragged
 last block too, and each in-place product meets its output as the very
-same compact view. Since output-major blocks copy each kept value into
-its record as soon as it is computed, the ignored shares take the used
-shares' slot traced too. Iteration 1 computes its credit in the
-credit's slot (the final credit's rows in the fixed layout) and, in the
-fixed layout, (1 - p) * bi in slot 0; a trace takes its shares straight
-into their records. The fused weight exists from the first later
-iteration on, and the last M-step runs after the workspace and the
-weight are dropped.
+same compact view. A record copies each share in as soon as it is
+computed, so the ignored shares take the used shares' slot traced too.
+Iteration 1 computes only its credit, in slot 0 (in the fixed layout,
+in the rows of a kept credit, with (1 - p) * bi in slot 0); a replay
+writes that iteration's shares, g * p and g - g * p, itself. The fused
+weight exists from the first later iteration on, and the last M-step
+runs after the workspace and the weight are dropped.
 
 The final credit is allocated first. In the variable layout with the
 trace off, its last n_inp elements (flat) hold the activation scores,
-checked there, then the gates, by the sigma kernel in place: gate i
-sits at flat index n_inp * n_out - n_inp + i. Only the last iteration,
-never the first, writes that final credit, and a block writing rows
-[s, e) touches flat indices below e * n_out <= n_inp * n_out - n_inp +
-e, so it never overwrites a later row's gate. It may overwrite its own,
-so each block copies its gates into a rows-sized buffer before it writes
-anything. At n_out = 1 the tail is the whole credit. Fixed-layout blocks
-write the whole final credit in every iteration, so that layout keeps
-its scores, then its gates, in one n_inp array of its own. Against the
-slot it saves, about BLOCK_ELEMENTS elements, the array costs memory
-only once n_inp passes about BLOCK_ELEMENTS, where the layout's four
-n_inp x n_out parameter tables are far larger. A trace returns the
-scores and the gates, so it keeps them in arrays of their own.
+checked there, then the gates, by the sigma kernel in place: gate i sits
+at flat index n_inp * n_out - n_inp + i. Only the last iteration, never
+the first, writes that final credit, and a block writing rows [s, e)
+touches flat indices below e * n_out <= n_inp * n_out - n_inp + e, so it
+never overwrites a later row's gate. It may overwrite its own, but only
+in its last step, which copies its credit in from slot 0 after its last
+read of those gates; so a block reads its gates where they lie. When
+n_out is 1, the tail is the whole credit. Fixed-layout blocks write the
+whole final credit in every iteration, so that layout keeps its scores,
+then its gates, in one n_inp array of its own. Against the slot it
+saves, about BLOCK_ELEMENTS elements, the array costs memory only once
+n_inp passes about BLOCK_ELEMENTS, where the layout's four n_inp x n_out
+parameter tables are far larger. A trace returns the scores and the
+gates, so it keeps them in arrays of their own.
 
 A traced call routes as an untraced one, on the same sweep, and fails
 where it does. It keeps only what its records cannot be recomputed
 without: a private copy of the input, the activation scores and gates,
-the block rows and ``_TRACE_CHUNK_BYTES`` in force at the call, the
-final credit and the returned output; no iteration's prediction or
-output. The first read of ``trace.iterations`` builds every record
-once: it reruns the call's iteration loop, the same code on the same
-inputs, so each block and each M-step computes the call's values bit
-for bit, and each block writes its rows of the records. A closed-form
-iteration 1 reruns the closed form for its output and its blocks for its
-records. The last iteration pools nothing and computes no credit: its
-credit record is the final credit, and its output is the call's. The
-sigma kernel writes e^(-z) into the scores record and sigma from there
-over -z, then turns the record into log sigma(z) = -log1p(e^(-z)) in two
-passes (z itself where e^(-z) overflows, kept before sigma overwrites
--z). The records but the final credit share a few allocations
-(``_TRACE_CHUNK_BYTES``), so that repeated reads reuse heap memory
-instead of faulting in fresh pages. A trace whose records are never
-read, like those the credit algebra takes its final credit from, costs
-none of them; a read costs one more routing, on the block path, and the
-record writes.
+the block rows in force at the call, the final credit and the returned
+output; no iteration's prediction or output. The first read of
+``trace.iterations`` builds every record once: it reruns the call's
+iteration loop, the same code on the same inputs, so each block and each
+M-step computes the call's values bit for bit, and each block writes its
+rows of the records. Iteration 1 takes the form the call took, decided
+again on the same inputs; a closed-form iteration 1 reruns the closed
+form for its output and its blocks for its credit record. The last
+iteration pools nothing and computes no credit: its credit record is the
+final credit, and its output is the call's. The sigma kernel writes
+e^(-z) into the scores record and sigma from there over -z, then turns
+the record into log sigma(z) = -log1p(e^(-z)) in two passes (z itself
+where e^(-z) overflows, kept before sigma overwrites -z). The records
+but the final credit share a few allocations of at most
+``_TRACE_CHUNK_BYTES`` when they are built, so that repeated reads reuse
+heap memory instead of faulting in fresh pages. A trace whose records
+are never read, like those the credit algebra takes its final credit
+from, costs none of them; a read costs one more routing, on the block
+path, and the record writes.
 
 Each value is checked for non-finite values once. IEEE arithmetic
 propagates them (inf * 0 and inf - inf are NaN), so one check covers
@@ -584,7 +588,6 @@ class _Blocks:
         # module docstring's tables), held here alone so that dropping it
         # here frees it. The closed form borrows it for gated inputs.
         self.work = np.empty(self.slots * rows * self.n_out, dtype)
-        self.gate_rows = np.empty(rows, dtype)  # each block's gates, copied before it writes
         self.row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
         tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
         self.row_sum_floor = tiny / eps
@@ -626,35 +629,27 @@ class _Blocks:
         block that neither pools nor keeps its credit computes none. Its
         views of the workspace end with the call."""
         n, n_out = blk.stop - blk.start, self.n_out
-        scores, routing = rec.get("scores"), rec.get("routing")
-        wholes = (rec.get("share_used"), rec.get("share_ignored"), rec.get("credit"))
+        scores, routing, kept = rec.get("scores"), rec.get("routing"), rec.get("credit")
 
-        def into(k: int, spare: np.ndarray) -> np.ndarray:
-            # Where a block computes kept value k (used, ignored, credit):
-            # into its record when the blocks are row-major like it, else
-            # into ``spare``, which keep() copies in once computed.
-            whole = wholes[k]
-            return whole[blk] if self.row_major and whole is not None else spare
+        def keep(name: str, computed: np.ndarray) -> None:
+            if rec.get(name) is not None:
+                rec[name][blk] = computed
 
-        def keep(k: int, computed: np.ndarray) -> None:
-            if not self.row_major and wholes[k] is not None:
-                wholes[k][blk] = computed
-
-        # A copy: in the final credit's tail, the block's credit rows may overwrite them.
-        g = self.gate_rows[:n, None]
-        g[:, 0] = self.gates[blk]
-        # Row-major blocks that compute a credit always have a kept one to
-        # compute into: the caller's final credit, or a replay's record.
-        computed = sums is not None or wholes[2] is not None
-        credit = into(2, self.block(self.work, n, n_out)) if computed else None  # variable: slot 0
+        # Read before the block's last step writes its credit: in the final
+        # credit's tail, that write may overwrite these gates.
+        g = self.gates[blk, None]
+        # Row-major blocks compute their credit in place in the rows of a
+        # kept one, which every row-major block that computes a credit has:
+        # the caller's final credit or a replay's record. Output-major
+        # blocks compute it in slot 0 and copy it in last.
+        credit = None
+        if sums is not None or kept is not None:
+            credit = kept[blk] if self.row_major else self.block(self.work, n, n_out)
         if it == 1:
             self.first_credit(blk, credit)
             credit *= g
-            if routing is not None:  # straight into the records, whatever the blocks' orientation
-                np.multiply(g, self.prior, out=wholes[0][blk])
-                np.subtract(g, wholes[0][blk], out=wholes[1][blk])
         else:
-            bu, bi, neg_z, product = self.later_block(blk)
+            bu, bi, neg_z = self.later_block(blk)
             top = neg_z.max()
             if not top < np.inf:
                 raise NumericError(f"non-finite values in score at iteration {it}")
@@ -680,19 +675,20 @@ class _Blocks:
                 np.divide(sigma, row_sum[:, None], out=routing[blk])
             np.divide(g[:, 0], row_sum, out=row_sum)
             # Each result overwrites the slot of an operand dead from here on.
-            used = into(0, sigma)
+            used = sigma
             np.multiply(sigma, row_sum[:, None], out=used)
-            keep(0, used)
+            keep("share_used", used)
             if credit is not None:
                 np.multiply(bu, used, out=credit)
-            ignored = into(1, sigma)
+            ignored = used
             np.subtract(g, used, out=ignored)
-            keep(1, ignored)
+            keep("share_ignored", ignored)
             if credit is None:
                 return
-            np.multiply(bi, ignored, out=product)
-            credit -= product
-        keep(2, credit)
+            np.multiply(bi, ignored, out=ignored)
+            credit -= ignored
+        if not self.row_major:
+            keep("credit", credit)
         if sums is not None:
             pooled, total, pooled_part = sums
             np.matmul(credit.T, self.x[blk], out=pooled_part)
@@ -729,13 +725,12 @@ class _FixedBlocks(_Blocks):
         _flat_prior_credit(self.use[blk], self.ign[blk], self.prior, credit, scratch)
 
     def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
-        """(bu, bi, -z, where bi * ignored goes): the tables stand in for
-        bu and bi, so -z takes the slot, and bi * ignored -z's, dead by then."""
+        """(bu, bi, -z): the tables stand in for bu and bi, so -z takes the slot."""
         neg_z = self.block(self.work, blk.stop - blk.start, self.n_out)
         np.matmul(self.x[blk], self.weight, out=neg_z)
         neg_z *= self.gain[blk]
         neg_z -= self.bias[blk]
-        return self.use[blk], self.ign[blk], neg_z, neg_z
+        return self.use[blk], self.ign[blk], neg_z
 
     def check_betas(self) -> None:
         """Nothing to do: the tables were checked with the parameters."""
@@ -776,16 +771,14 @@ class _VariableBlocks(_Blocks):
         credit += self.first[-1]
 
     def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
-        """(bu, bi, -z, where bi * ignored goes) in workspace slots 0-2,
-        from one matmul; bi * ignored overwrites bi."""
+        """(bu, bi, -z) in workspace slots 0-2, from one matmul."""
         n_out = self.n_out
         coef = self.block(self.work, blk.stop - blk.start, 3 * n_out)
         np.matmul(self.x[blk], self.weight, out=coef)
         neg_z = coef[:, 2 * n_out :]
         neg_z *= self.gain
         coef += self.bias  # [b_use | b_ign | -score_bias]: x - b is x + (-b) bit for bit
-        bi = coef[:, n_out : 2 * n_out]
-        return coef[:, :n_out], bi, neg_z, bi
+        return coef[:, :n_out], coef[:, n_out : 2 * n_out], neg_z
 
     def check_betas(self) -> None:
         """Finite-check every block's coefficients, in block order."""
@@ -816,16 +809,16 @@ def route_optimized(
     the final credit; a block's intermediates live in one reused block
     workspace, and the activation scores, then the gates, in an n_inp
     array (fixed layout) or in the final credit's last n_inp elements
-    until the blocks overwrite them (variable layout). With it on, the
-    call routes the same way and fails where the untraced call does; the
-    trace also holds a private copy of the input and the activation
-    scores and gates, but no iteration's prediction or output. Its
-    ``iterations`` records are built on first read, by rerunning the
-    iteration loop (the module docstring); the last record's output is
-    the returned output. From then on they hold O(n_iters * n_inp *
-    n_out) memory. The records but the final credit are views of a few
-    shared allocations, so one kept after its trace is dropped keeps its
-    allocation alive.
+    until each block's last step overwrites its own (variable layout).
+    With it on, the call routes the same way and fails where the untraced
+    call does; the trace also holds a private copy of the input and the
+    activation scores and gates, but no iteration's prediction or output.
+    Its ``iterations`` records are built on first read, by rerunning the
+    iteration loop at the call's block size (the module docstring); the
+    last record's output is the returned output. From then on they hold
+    O(n_iters * n_inp * n_out) memory. The records but the final credit
+    are views of a few allocations shared when they are built, so one
+    kept after its trace is dropped keeps its allocation alive.
     """
     x = _float_array(x_inp)  # its values are checked through the activations
     if x.ndim != 2:
@@ -878,7 +871,7 @@ def route_optimized(
     final = DenseTensor._adopt(final_credit)
     if not capture_trace:
         return output, RoutingTrace(None, None, (), final)
-    replay = partial(_replay, x, params, gates, rows, _TRACE_CHUNK_BYTES, kernel.closed_form, output, final)
+    replay = partial(_replay, x, params, gates, rows, output, final)
     trace = RoutingTrace(
         # Checked by "activations" above; the gates are sigma in [0, 1].
         activation_scores=DenseTensor._adopt(raw),
@@ -954,15 +947,13 @@ def _replay(
     params: RoutingParams,
     gates: np.ndarray,
     rows: int,
-    chunk_bytes: int,
-    closed: bool,
     output: DenseTensor,
     final: DenseTensor,
 ) -> tuple[IterationRecord, ...]:
     """Every iteration's records, written by rerunning the traced call's
-    iteration loop: the same code on the same inputs, so the same values.
-    ``closed`` says iteration 1 took the closed form; ``output`` and
-    ``final`` are the call's output and final credit, the last record's."""
+    iteration loop: the same code on the same inputs, so the same values,
+    the form of iteration 1 included. ``output`` and ``final`` are the
+    call's output and final credit, the last record's."""
     n_inp, n_out, n_iters, dtype = x.shape[0], params.dims.n_out, params.dims.n_iters, x.dtype
     pair = (n_inp, n_out)
     # Allocated before the block workspace, so the space the workspace
@@ -970,9 +961,10 @@ def _replay(
     # top of the heap free, so the heap went back to the system and the
     # next trace faulted it in again: a third of the time of a traced
     # three-stage chain. For the same reason the records share allocations
-    # of at most chunk_bytes; the last iteration's credit is the final one.
+    # of at most _TRACE_CHUNK_BYTES; the last iteration's credit is the
+    # final one.
     n_shared = 5 * n_iters - 2
-    per_chunk = max(1, chunk_bytes // (n_inp * n_out * dtype.itemsize))
+    per_chunk = max(1, _TRACE_CHUNK_BYTES // (n_inp * n_out * dtype.itemsize))
     shared = (
         record
         for start in range(0, n_shared, per_chunk)
@@ -991,14 +983,18 @@ def _replay(
         for it in range(1, n_iters + 1)
     ]
     kernel = _kernel(params, x, gates, rows)
-    kernel.closed_form = closed
-    kept[0]["routing"].fill(kernel.prior)  # iteration 1 routes by the flat prior
+    # Iteration 1 routes by the flat prior p, so its shares are g * p and
+    # g - g * p; its blocks write only its credit.
+    first, g = kept[0], gates[:, None]
+    first["routing"].fill(kernel.prior)
+    np.multiply(g, kernel.prior, out=first["share_used"])
+    np.subtract(g, first["share_used"], out=first["share_ignored"])
     # What the blocks overflow, the call overflowed first, under the
     # caller's error state; the replay repeats no warning.
     with np.errstate(all="ignore"):
         _iterate(kernel, kept, output)
-    if closed:  # pooled by no block, so no output update check covers it
-        _check_finite(kept[0]["credit"], "credit", 1)
+    if kernel.closed_form:  # pooled by no block, so no output update check covers it
+        _check_finite(first["credit"], "credit", 1)
     # Adopted unscanned: bitwise the values the call proved finite (the
     # module docstring says how), and iteration 1's closed-form credit was
     # scanned above.

@@ -454,16 +454,24 @@ def pinned_block_size(monkeypatch):
     monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", PINNED_BLOCK_ELEMENTS)
 
 
-def multi_block_instance(rng, mode, n_out=64, d=12, n_iters=3):
+def multi_block_instance(rng, mode, n_out=64, d=12, n_iters=3, gram_overflow=False):
     """(dims, params, x, rows): inputs span three blocks, the last ragged.
 
     Sized from the block size in force, so use it with ``pinned_block_size``.
+    With ``gram_overflow`` the inputs are scaled by 1e19, which overflows
+    the variable layout's closed-form Gram matrix (x_a * x_b > 3.4e38), and
+    the coefficients (their weights, or the fixed layout's tables) by 1e-20,
+    which keeps the direct sums and every later stage finite.
     """
     rows = optimized.BLOCK_ELEMENTS // n_out
     n_inp = 2 * rows + rows // 3
     dims = RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, n_iters)
     params = rand_params(rng, dims, n_inp)
     x = rng.standard_normal((n_inp, d), dtype=np.float32)
+    if gram_overflow:
+        x *= np.float32(1e19)
+        names = ("beta_use", "beta_ign") if mode == "fixed" else ("beta_use_weight", "beta_ign_weight")
+        params = replaced(params, dims, **{name: getattr(params, name).array * np.float32(1e-20) for name in names})
     return dims, params, x, rows
 
 
@@ -599,6 +607,10 @@ class TestBlockedLoop:
     # gated Gram matrix when d_inp < 3 * n_out, as in the instances above;
     # these instances (d_inp >= 3 * n_out) keep iteration 1 on the blocks.
     DIRECT_FIRST_ITERATION = dict(n_out=4, d=16)
+    # The closed form falls back to the blocks; normalizing the outputs overflows.
+    GRAM_OVERFLOW = pytest.param(
+        dict(gram_overflow=True), marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    )
 
     def test_direct_first_iteration_matches_reference(self):
         rng = np.random.default_rng(31)
@@ -747,19 +759,8 @@ class TestBlockedLoop:
                 route_optimized(x, both, capture_trace=True)
 
     def test_gram_overflow_falls_back_to_the_direct_sums(self):
-        # Inputs near 1e19 overflow the Gram matrix (x_a * x_b > 3.4e38),
-        # while tiny beta weights keep the direct sums and every later
-        # stage finite.
         rng = np.random.default_rng(36)
-        dims, params, x, _ = multi_block_instance(rng, "variable", n_iters=2)
-        x *= np.float32(1e19)
-        tiny = np.float32(1e-20)
-        p = replaced(
-            params,
-            dims,
-            beta_use_weight=params.beta_use_weight.array * tiny,
-            beta_ign_weight=params.beta_ign_weight.array * tiny,
-        )
+        dims, p, x, _ = multi_block_instance(rng, "variable", n_iters=2, gram_overflow=True)
         with np.errstate(over="ignore", invalid="ignore"):
             out, _ = route_optimized(x, p)
             nets, betas = as_plugins(x, p)
@@ -1018,11 +1019,12 @@ class TestBlockedLoop:
         for mode in ("fixed", "variable"):
             _, params, x, _ = multi_block_instance(rng, mode)
             _, whole = route_optimized(x, params, capture_trace=True)
+            # The records are allocated when first read, under the chunk size in force then.
             monkeypatch.setattr(optimized, "_TRACE_CHUNK_BYTES", 3 * x.shape[0] * params.dims.n_out * 4)
             _, trace = route_optimized(x, params, capture_trace=True)
-            monkeypatch.undo()
             fields = ("scores", "routing", "share_used", "share_ignored", "credit")
             records = [getattr(r, f) for r in trace.iterations for f in fields]
+            monkeypatch.undo()
             records = [r.array for r in records if r is not None][:-1]
             bases = [r.base for r in records]
             assert [len({id(b) for b in bases[i : i + 3]}) for i in range(0, 13, 3)] == [1] * 5
@@ -1033,15 +1035,20 @@ class TestBlockedLoop:
                     a, b = getattr(got, f), getattr(want, f)
                     assert (a is None and b is None) or np.array_equal(a.array, b.array), (mode, f)
 
-    @pytest.mark.parametrize("sizes", [dict(), DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"])
+    @pytest.mark.parametrize(
+        "sizes",
+        [dict(), DIRECT_FIRST_ITERATION, GRAM_OVERFLOW],
+        ids=["closed_form", "block_path", "gram_overflow"],
+    )
     @pytest.mark.parametrize("mode", ["fixed", "variable"])
     def test_records_read_late_equal_records_read_at_once(self, mode, sizes, monkeypatch):
         # The records are built on first read, from what the call kept: a
-        # write into the caller's input and a new block size or chunk size
-        # after the call change none of them. Three blocks, the last
-        # ragged; the variable layout's iteration 1 takes the closed form
-        # at the default sizes and the linear form on the blocks at the
-        # other (the fixed layout takes its tables at both).
+        # write into the caller's input and a new block size after the call
+        # change none of them. Three blocks, the last ragged; the variable
+        # layout's iteration 1 takes the closed form at the default sizes,
+        # the linear form on the blocks at the second, and the closed form
+        # and then, as its Gram matrix overflows, the blocks at the third
+        # (the fixed layout takes its tables at all three).
         rng = np.random.default_rng(51)
         _, params, x, _ = multi_block_instance(rng, mode, **sizes)
         fields = [f.name for f in dataclasses.fields(optimized.IterationRecord)]
@@ -1051,7 +1058,6 @@ class TestBlockedLoop:
         _, late = route_optimized(caller_x, params, capture_trace=True)
         caller_x[:] = rng.standard_normal(x.shape, dtype=np.float32)
         monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", optimized.BLOCK_ELEMENTS // 3)
-        monkeypatch.setattr(optimized, "_TRACE_CHUNK_BYTES", 4 * x.size)
         first = list(late.iterations)
         got = [[getattr(r, f) for f in fields] for r in first]
         for record, record_want in zip(got, want):
@@ -1061,7 +1067,11 @@ class TestBlockedLoop:
         assert len(bases[0]) == len(bases[1])
         assert all(a is b for a, b in zip(late.iterations[:], first))
 
-    @pytest.mark.parametrize("sizes", [dict(), DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"])
+    @pytest.mark.parametrize(
+        "sizes",
+        [dict(), DIRECT_FIRST_ITERATION, GRAM_OVERFLOW],
+        ids=["closed_form", "block_path", "gram_overflow"],
+    )
     @pytest.mark.parametrize("mode", ["fixed", "variable"])
     def test_records_recompute_each_iterations_output_and_prediction(self, mode, sizes):
         # A trace keeps no iteration's prediction or output: its first read
@@ -1071,7 +1081,9 @@ class TestBlockedLoop:
         # from a (k - 1)-iteration routing for k > 2. The last record's
         # output is the call's own. Three blocks, the last ragged; the
         # variable layout's iteration 1 takes the closed form at the
-        # default sizes and the linear form on the blocks at the other.
+        # default sizes, the linear form on the blocks at the second, and
+        # the closed form and then, as its Gram matrix overflows, the blocks
+        # at the third, which the read decides again.
         rng = np.random.default_rng(53)
         dims, params, x, _ = multi_block_instance(rng, mode, n_iters=4, **sizes)
         out, trace = route_optimized(x, params, capture_trace=True)
