@@ -8,8 +8,8 @@ Usage:
 package and its ``perfbench/workloads.py`` the workloads. Inputs and
 parameters are drawn from the seed as ``route_digest.py`` draws them.
 Each routing of each workload runs with the trace off, once to warm up
-and then once inside ``track_peak``, whose peak bytes are printed under
-``WORKLOAD/routingK``. Then it runs the same way with the trace on
+and then once through ``measure_peak``, whose peak bytes are printed
+under ``WORKLOAD/routingK``. Then it runs the same way with the trace on
 (``.../traced``), and the first read of that trace's iteration records,
 which builds them, is measured too (``.../first_read``). The output is
 sorted JSON, so two checkouts can be compared key by key, and two runs
@@ -29,14 +29,12 @@ from route_digest import workload_inputs
 
 
 def route_peaks(seed: int, tiny: bool) -> dict[str, int]:
-    from vecroute import route_optimized, track_peak
+    from vecroute import measure_peak, route_optimized
     from workloads import workloads
 
     def peak(fn, warm_up=None):
         (warm_up or fn)()
-        with track_peak() as report:
-            result = fn()
-        return result, report.peak_bytes
+        return measure_peak(fn)
 
     out = {}
     for name, wl in workloads(tiny).items():

@@ -6,17 +6,21 @@ count, peak transient allocation during one forward pass, and median
 wall time. Peak memory comes from the in-process allocation accounting
 in :mod:`vecroute.memtrack` rather than OS RSS, so figures are stable
 across environments; wall time is measured in separate runs outside the
-accounting, so its overhead never pollutes timing. Those timed runs go
-round-robin, one pass of every point per round with the direction
-reversed each round, so a burst of machine noise slows one round of
-every point, which the median drops, rather than every repeat of one
-point. Results print as a table and optionally land in a CSV for
-plotting.
+accounting, so its overhead never pollutes timing. A point's peak is
+metered only once it has settled: passes over the point's first block
+of rows (all of them in the fixed layout) are metered until a peak does
+not fall below the one before, then one full-size pass warms up and the
+next is metered. The timed runs go round-robin, one pass of every point
+per round with the direction reversed each round, so a burst of machine
+noise slows one round of every point, which the median drops, rather
+than every repeat of one point. Results print as a table and optionally
+land in a CSV for plotting.
 
-A separate demo routes one million input vectors in a single pass in
-variable-length mode and checks the headline memory property: the peak
-stays far below the size the materialized proposal tensor would need,
-and under a configurable byte budget.
+A demo routes one million input vectors in a single pass in
+variable-length mode, measured as a one-point sweep with the same
+warm-up and one timed pass, and checks the headline memory property:
+the peak stays far below the size the materialized proposal tensor
+would need, and under a configurable byte budget.
 
 Baselines here are sized for a desktop CPU; ladders reach tens of
 thousands of inputs, not millions, and widths are kept moderate. The
@@ -31,12 +35,13 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .memtrack import track_peak
+from .memtrack import measure_peak
 from .optimized import (
+    BLOCK_ELEMENTS,
     RoutingParams,
     field_shapes,
     route_optimized,
@@ -196,18 +201,27 @@ _Point = tuple[RoutingParams, np.ndarray]  # params, input
 def _measure(points: list[_Point], repeats: int) -> list[tuple[int, float]]:
     """(peak bytes of one metered pass, median wall ms of unmetered passes) per point.
 
-    Every pass routes with the trace off. Every point is warmed up and
-    metered by :func:`track_peak` first; then ``repeats`` rounds each time
-    one pass of every point, alternating the direction.
+    Every pass routes with the trace off. In a fresh process the metered
+    peak of one unchanged pass falls from call to call for about its first
+    dozen calls, for a cause not pinned down, then holds: at 2000 x 16 x 64
+    by about 2 KB after the first call, then by 8 or 16 bytes a call, to
+    576,544 bytes at the 14th. So each point, in ladder order,
+    first meters passes over its first block's rows (all of its rows in
+    the fixed layout, whose parameters fix the row count) until a peak
+    does not fall below the one before: a peak is a byte count, so it
+    cannot fall forever, and a peak that rises ends the loop too. Then one
+    full-size pass warms up the point's own sizes and the next is metered
+    by :func:`measure_peak`. Then ``repeats`` rounds each time one pass of
+    every point, alternating the direction.
     """
     peaks = []
     for params, x in points:
-        # Warm-up pass, discarded: first-call caches would otherwise land in
-        # the metered peak and the first timing.
+        head = x[: BLOCK_ELEMENTS // params.dims.n_out] if params.dims.variable_length else x
+        last = math.inf
+        while (peak := measure_peak(lambda: route_optimized(head, params))[1]) < last:
+            last = peak
         route_optimized(x, params)
-        with track_peak() as report:
-            route_optimized(x, params)
-        peaks.append(report.peak_bytes)
+        peaks.append(measure_peak(lambda: route_optimized(x, params))[1])
     times: list[list[float]] = [[] for _ in points]
     order = list(range(len(points)))
     for _ in range(repeats):
@@ -296,29 +310,19 @@ def big_route_demo(
 ) -> BenchRecord:
     """Route one long sequence in a single pass and verify the memory story.
 
-    Runs variable-length mode with two iterations, measures the peak
-    transient allocation, and asserts it stays below the bytes a single
-    materialized proposal tensor would need, i.e. no such tensor can have
-    existed. A peak over ``budget_bytes`` raises MemoryBudgetError
-    carrying the measurement.
+    Measured as a one-point sweep over ``n_inp`` in variable-length mode
+    with two iterations and one timed pass, by the sweep's rule: passes
+    over the first block of rows are metered until a peak does not fall
+    below the one before, then one full-size pass warms up, the next is
+    metered and the one after is timed. Asserts the peak transient
+    allocation stays below the bytes a single materialized proposal
+    tensor would need, i.e. no such tensor can have existed. A peak over
+    ``budget_bytes`` raises MemoryBudgetError carrying the measurement.
     """
-    dims = RoutingDims(n_inp=None, n_out=n_out, d_inp=d_inp, d_out=d_out, n_iters=2)
-    params = init_params(dims, seed)
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal((n_inp, d_inp), dtype=np.float32)
-
-    # Small warm-up so one-time caches stay out of the measurements and
-    # repeated demos report identical peaks.
-    warm_rows = min(n_inp, 256)
-    route_optimized(x[:warm_rows].copy(), params)
-
-    start = time.perf_counter()
-    route_optimized(x, params)
-    wall_ms = (time.perf_counter() - start) * 1e3
-
-    with track_peak() as report:
-        route_optimized(x, params)
-    peak = report.peak_bytes
+    baseline = dict(n_out=n_out, d_inp=d_inp, d_out=d_out, n_iters=2)
+    spec = SweepSpec("n_inp", (n_inp,), baseline, repeats=1, seed=seed, mode="variable")
+    (record,) = run_sweep(spec, budget_bytes=None)
+    peak = record.peak_bytes
 
     vote_tensor_bytes = 4 * n_inp * n_out * d_out
     if peak >= vote_tensor_bytes:
@@ -332,14 +336,7 @@ def big_route_demo(
             f"peak {peak} bytes exceeds the budget {budget_bytes}",
             peak_bytes=peak,
         )
-    return BenchRecord(
-        dimension="big_route",
-        value=n_inp,
-        params=total_param_count(params),
-        peak_bytes=peak,
-        wall_ms=wall_ms,
-        repeats=1,
-    )
+    return replace(record, dimension="big_route")
 
 
 def _positive_int(text: str, what: str) -> int:
@@ -416,10 +413,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.big_route:
-        sizes = dict(n_inp=1_000_000, d_inp=64, n_out=16, d_out=64)
-        for key in ("n_inp", "d_inp", "n_out", "d_out"):
-            if args.baseline and key in args.baseline:
-                sizes[key] = args.baseline[key]
+        # The demo runs two iterations, so a baseline n_iters is ignored.
+        sizes = {k: v for k, v in (args.baseline or {}).items() if k != "n_iters"}
         try:
             record = big_route_demo(
                 seed=args.seed, budget_bytes=args.budget_bytes, **sizes

@@ -73,13 +73,8 @@ class CreditMatrix:
             raise ShapeError(f"credit matrix must be rank 2, got rank {v.rank}")
 
     @classmethod
-    def of(cls, values) -> "CreditMatrix":
-        """Wrap a rank-2 array or DenseTensor."""
-        return cls(values)
-
-    @classmethod
     def identity(cls, arity: int, dtype=np.float32) -> "CreditMatrix":
-        return cls.of(DenseTensor(np.eye(arity, dtype=dtype), copy=False))
+        return cls(DenseTensor(np.eye(arity, dtype=dtype), copy=False))
 
     @property
     def input_arity(self) -> int:
@@ -96,7 +91,7 @@ class CreditMatrix:
 
 def credit_from_trace(trace: RoutingTrace) -> CreditMatrix:
     """The routing's attribution matrix: its final credit coefficients."""
-    return CreditMatrix.of(trace.final_credit)
+    return CreditMatrix(trace.final_credit)
 
 
 def compose_sequential(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
@@ -112,7 +107,7 @@ def compose_sequential(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         product = a.array @ b.array
-    return CreditMatrix.of(DenseTensor(product, copy=False, context="sequential composition"))
+    return CreditMatrix(DenseTensor(product, copy=False, context="sequential composition"))
 
 
 def compose_residual(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
@@ -134,7 +129,7 @@ def compose_residual(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         out = a.array + a.array @ b.array
-    return CreditMatrix.of(DenseTensor(out, copy=False, context="residual composition"))
+    return CreditMatrix(DenseTensor(out, copy=False, context="residual composition"))
 
 
 def compose_sum(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
@@ -150,7 +145,7 @@ def compose_sum(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
             f"and {b.output_arity}"
         )
     out = np.vstack([a.array, b.array])
-    return CreditMatrix.of(DenseTensor(out, copy=False))
+    return CreditMatrix(DenseTensor(out, copy=False))
 
 
 def compose_concat(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
@@ -166,7 +161,7 @@ def compose_concat(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
     )
     out[: a.input_arity, : a.output_arity] = a.array
     out[a.input_arity :, a.output_arity :] = b.array
-    return CreditMatrix.of(DenseTensor(out, copy=False))
+    return CreditMatrix(DenseTensor(out, copy=False))
 
 
 def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> CreditMatrix:
@@ -190,7 +185,7 @@ def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> Cr
         if not sigma < np.inf:
             raise NumericError("non-finite values in end-to-end credit spread")
         out = product / np.asarray(sigma, dtype=product.dtype)
-    return CreditMatrix.of(DenseTensor(out, copy=False, context="end-to-end normalization"))
+    return CreditMatrix(DenseTensor(out, copy=False, context="end-to-end normalization"))
 
 
 @dataclass(frozen=True)

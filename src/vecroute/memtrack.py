@@ -4,8 +4,10 @@ tracemalloc sees every allocation made through the Python allocator,
 which includes numpy array buffers, so the peaks reported here are exact
 byte counts for array workloads rather than RSS estimates. Interpreter
 warm-up (module import caches, first-call buffers) shows up in the first
-measured run of a workload; callers that need run-to-run identical peaks
-should execute one small warm-up pass before measuring.
+measured runs of a workload: in a fresh process a routing's peak falls
+by a few bytes a call over about its first dozen calls. Callers that
+need run-to-run identical peaks should meter until the peak stops
+falling, as :mod:`vecroute.bench` does, before measuring.
 """
 
 from __future__ import annotations

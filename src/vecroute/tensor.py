@@ -68,20 +68,14 @@ class AlwaysOn:
 ALWAYS_ON = AlwaysOn()
 
 
-# Elements scanned per step of a finite check, so the check's boolean
-# mask stays cache-sized instead of growing with the array.
-_FINITE_CHECK_ELEMENTS = 65536
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether no value of ``arr`` is NaN or infinite: min and max propagate
+    NaN, so two reductions tell without a mask the size of the array."""
+    return bool(arr.min() > -np.inf and arr.max() < np.inf)
 
 
 def _check_finite(arr: np.ndarray, context: str, iteration: int | None = None) -> None:
-    if arr.ndim == 0 or arr.size <= _FINITE_CHECK_ELEMENTS:
-        finite = np.all(np.isfinite(arr))
-    else:
-        step = max(1, _FINITE_CHECK_ELEMENTS * arr.shape[0] // arr.size)
-        finite = all(
-            np.isfinite(arr[i : i + step]).all() for i in range(0, arr.shape[0], step)
-        )
-    if not finite:
+    if arr.size and not _all_finite(arr):
         where = f" at iteration {iteration}" if iteration is not None else ""
         raise NumericError(f"non-finite values in {context}{where}")
 

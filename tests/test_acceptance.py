@@ -217,7 +217,7 @@ def test_criterion_09_credit_composition_algebra():
     rng = np.random.default_rng(109)
 
     def cm(rows, cols):
-        return CreditMatrix.of(tensor(rng.standard_normal((rows, cols)), np.float32))
+        return CreditMatrix(tensor(rng.standard_normal((rows, cols)), np.float32))
 
     for _ in range(10):
         a, b, c = cm(5, 4), cm(4, 4), cm(4, 3)
@@ -233,9 +233,9 @@ def test_criterion_09_credit_composition_algebra():
         assert abs(std_all_loops(e2e.array) - 1.0) <= ALGEBRA_TOL
     c1, c2, c3 = cm(6, 5), cm(5, 4), cm(4, 3)
     base = end_to_end_three(c1, c2, c3)
-    rescaled = end_to_end_three(c1, CreditMatrix.of(tensor(c2.array * np.float32(3.5))), c3)
+    rescaled = end_to_end_three(c1, CreditMatrix(tensor(c2.array * np.float32(3.5))), c3)
     assert relative_linf(rescaled.array, base.array) <= ALGEBRA_TOL
-    ones = CreditMatrix.of(tensor(np.ones((3, 3), np.float32)))
+    ones = CreditMatrix(tensor(np.ones((3, 3), np.float32)))
     with pytest.raises(DegenerateCreditError):
         end_to_end_three(ones, ones, ones)
     report = attribution_report(base, [[0, 1, 2], [3, 4, 5]])

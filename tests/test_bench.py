@@ -7,6 +7,7 @@ import pytest
 
 from vecroute import bench
 from vecroute.memtrack import measure_peak
+from vecroute.optimized import BLOCK_ELEMENTS
 from vecroute.bench import (
     CSV_COLUMNS,
     DEFAULT_LADDERS,
@@ -93,6 +94,20 @@ class TestLinearFit:
             linear_fit([1, 2], [2.0])
 
 
+@pytest.fixture
+def routed_rows(monkeypatch):
+    """The row count of every routing the bench module makes, in order."""
+    calls = []
+    route = bench.route_optimized
+
+    def recorded(x, params):
+        calls.append(x.shape[0])
+        return route(x, params)
+
+    monkeypatch.setattr(bench, "route_optimized", recorded)
+    return calls
+
+
 class TestRunSweep:
     def test_measures_every_ladder_point(self):
         records = run_sweep(tiny_spec())
@@ -139,20 +154,28 @@ class TestRunSweep:
         assert [r.skipped for r in records] == [True]
         assert peak < 1_000_000
 
-    def test_points_are_timed_round_robin(self, monkeypatch):
-        # Each point is warmed up and traced once, in ladder order; then
+    def test_points_are_timed_round_robin(self, routed_rows):
+        # Each point, in ladder order, is metered until its peak stops
+        # falling (two passes at least), warmed up and metered once; then
         # each round times every point once, reversing the direction.
-        calls = []
-        route = bench.route_optimized
-
-        def recorded(x, params):
-            calls.append(x.shape[0])
-            return route(x, params)
-
-        monkeypatch.setattr(bench, "route_optimized", recorded)
         records = run_sweep(tiny_spec("n_inp", values=(8, 16, 32), repeats=3))
-        assert calls == [8, 8, 16, 16, 32, 32] + [8, 16, 32] + [32, 16, 8] + [8, 16, 32]
+        timed = [8, 16, 32] + [32, 16, 8] + [8, 16, 32]
+        warm_up = routed_rows[: -len(timed)]
+        assert routed_rows[-len(timed):] == timed
+        assert warm_up == sorted(warm_up)
+        assert all(warm_up.count(n) >= 4 for n in (8, 16, 32))
         assert [r.value for r in records] == [8, 16, 32]
+
+    def test_variable_points_settle_their_peak_on_one_block(self, routed_rows):
+        # A long variable-layout point settles its peak on its first
+        # block's rows; only its warm-up, metered and timed passes are full.
+        rows = BLOCK_ELEMENTS // 4
+        spec = SweepSpec(
+            "n_inp", (rows + 1,), dict(n_out=4, d_inp=8, d_out=8, n_iters=2), repeats=1, mode="variable"
+        )
+        run_sweep(spec)
+        assert routed_rows[-3:] == [rows + 1] * 3
+        assert len(routed_rows) >= 5 and set(routed_rows[:-3]) == {rows}
 
     def test_spec_rejects_fewer_than_two_iterations(self):
         with pytest.raises(ValueError, match="n_iters must be at least 2, got 1"):

@@ -33,17 +33,17 @@ from oracles import matmul_loops, std_all_loops
 
 
 def cm(rng, rows, cols, dtype=np.float32):
-    return CreditMatrix.of(tensor(rng.standard_normal((rows, cols)), dtype))
+    return CreditMatrix(tensor(rng.standard_normal((rows, cols)), dtype))
 
 
 class TestCreditMatrix:
     def test_of_derives_arities(self):
-        c = CreditMatrix.of(tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        c = CreditMatrix(tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         assert (c.input_arity, c.output_arity) == (2, 3)
 
     def test_rejects_non_matrix_rank(self):
         with pytest.raises(ShapeError):
-            CreditMatrix.of(tensor([1.0, 2.0]))
+            CreditMatrix(tensor([1.0, 2.0]))
 
     def test_identity(self):
         eye = CreditMatrix.identity(3)
@@ -111,7 +111,7 @@ class TestResidual:
     def test_zero_stage_passes_credit_through(self):
         rng = np.random.default_rng(6)
         a = cm(rng, 4, 3)
-        zero = CreditMatrix.of(tensor(np.zeros((3, 3), np.float32)))
+        zero = CreditMatrix(tensor(np.zeros((3, 3), np.float32)))
         assert np.array_equal(compose_residual(a, zero).array, a.array)
 
     def test_identity_stage_doubles_credit(self):
@@ -193,7 +193,7 @@ class TestEndToEndThree:
     def test_positive_rescaling_cancels(self):
         rng = np.random.default_rng(16)
         c1, c2, c3 = cm(rng, 6, 5), cm(rng, 5, 4), cm(rng, 4, 3)
-        scaled = CreditMatrix.of(tensor(c2.array * np.float32(7.25)))
+        scaled = CreditMatrix(tensor(c2.array * np.float32(7.25)))
         base = end_to_end_three(c1, c2, c3)
         rescaled = end_to_end_three(c1, scaled, c3)
         assert relative_linf(rescaled.array, base.array) <= 1e-6
@@ -206,23 +206,23 @@ class TestEndToEndThree:
         assert np.array_equal(np.argmax(e2e.array, axis=0), np.argmax(raw, axis=0))
 
     def test_constant_product_is_degenerate(self):
-        ones = CreditMatrix.of(tensor(np.ones((3, 3), np.float32)))
+        ones = CreditMatrix(tensor(np.ones((3, 3), np.float32)))
         with pytest.raises(DegenerateCreditError):
             end_to_end_three(ones, ones, ones)
 
     def test_zero_stage_is_degenerate(self):
         rng = np.random.default_rng(18)
-        zero = CreditMatrix.of(tensor(np.zeros((5, 4), np.float32)))
+        zero = CreditMatrix(tensor(np.zeros((5, 4), np.float32)))
         with pytest.raises(DegenerateCreditError):
             end_to_end_three(cm(rng, 6, 5), zero, cm(rng, 4, 3))
 
 
 def _full(value, dtype=np.float32):
-    return CreditMatrix.of(tensor(np.full((2, 2), value, dtype), dtype))
+    return CreditMatrix(tensor(np.full((2, 2), value, dtype), dtype))
 
 
 def _diagonal(top, dtype=np.float64):
-    return CreditMatrix.of(tensor(np.diag([top, 1.0]).astype(dtype), dtype))
+    return CreditMatrix(tensor(np.diag([top, 1.0]).astype(dtype), dtype))
 
 
 @pytest.mark.parametrize(

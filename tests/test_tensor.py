@@ -56,14 +56,24 @@ class TestDenseTensor:
             DenseTensor(bad)
         with pytest.raises(NumericError):
             DenseTensor(np.array([np.inf], dtype=np.float64))
-        # Large arrays are scanned in row chunks; the last, partial chunk
-        # and strided views count too.
+        # Strided views of large arrays count too.
         big = np.zeros((1001, 97), dtype=np.float32)
         big[-1, -1] = np.inf
         with pytest.raises(NumericError):
             DenseTensor(big)
         with pytest.raises(NumericError):
             as_array(big[:, ::-2])
+
+    @pytest.mark.parametrize("index", [0, -1])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_finite_check_finds_a_non_finite_value_at_either_end(self, value, index):
+        big = np.zeros(65537, dtype=np.float32)
+        big[index] = value
+        with pytest.raises(NumericError, match="^non-finite values in input$"):
+            as_array(big)
+
+    def test_finite_check_passes_an_empty_array(self):
+        assert as_array(np.zeros((0, 4), dtype=np.float32)).shape == (0, 4)
 
     def test_storage_is_immutable(self):
         t = tensor([[1.0, 2.0]])
