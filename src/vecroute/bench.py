@@ -413,8 +413,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.big_route:
-        # The demo runs two iterations, so a baseline n_iters is ignored.
-        sizes = {k: v for k, v in (args.baseline or {}).items() if k != "n_iters"}
+        sizes = args.baseline or {}
+        if "n_iters" in sizes:
+            parser.error("--big-route runs two iterations; its --baseline takes no n_iters")
         try:
             record = big_route_demo(
                 seed=args.seed, budget_bytes=args.budget_bytes, **sizes

@@ -176,7 +176,7 @@ def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> Cr
     """
     product = compose_sequential(compose_sequential(c1, c2), c3).array
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = float(np.std(np.asarray(product, dtype=np.float64)))
+        sigma = float(np.std(product, dtype=np.float64))
         if sigma < SIGMA_FLOOR:
             raise DegenerateCreditError(
                 f"end-to-end credit spread {sigma:.3e} is below {SIGMA_FLOOR:.0e}; "

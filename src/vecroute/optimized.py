@@ -501,21 +501,11 @@ def m_step_factored(x_inp: np.ndarray, phi: np.ndarray, params: RoutingParams) -
 
 
 def _finish_m_step(pooled: np.ndarray, total: np.ndarray, n_inp: int, params: RoutingParams) -> np.ndarray:
-    """Outputs from the input-contracted credit sums of a whole sequence.
-
-    When ``pooled``, ``total`` and the parameters share one dtype, as in
-    the router, ``pooled`` is overwritten: it holds the mixed sums, then
-    the bias term. A mixed-dtype call computes each product in a fresh
-    array of its operands' result dtype, so nothing is rounded down.
-    """
-    spare = pooled if pooled.dtype == total.dtype == params.dtype else None
-    mixed = np.multiply(params.vote_mix.array, pooled, out=spare)
-    out = mixed @ params.vote_proj.array
+    """Outputs from the input-contracted credit sums of a whole sequence,
+    each product in a fresh array of its operands' result dtype."""
+    out = (params.vote_mix.array * pooled) @ params.vote_proj.array
     out *= _scale(n_inp, pooled.dtype)
-    # The mixed sums are dead once projected; the bias term takes their memory when it fits.
-    fits = spare is not None and spare.size >= out.size
-    bias = spare.reshape(-1)[: out.size].reshape(out.shape) if fits else None
-    out += np.multiply(total[:, None], params.vote_bias.array, out=bias)
+    out += total[:, None] * params.vote_bias.array
     return out
 
 
@@ -557,16 +547,13 @@ def _closed_form_sums(
     block's gated inputs written into it.
     """
     n_inp, d = x.shape
-    gram = np.empty((d + 1, d), x.dtype)  # [G; s^T]
+    gram = np.zeros((d + 1, d), x.dtype)  # [G; s^T]
     rows = work.size // d  # at least 1: d_inp < 3 * n_out <= work.size
     for start in range(0, n_inp, rows):
         xb = x[start : start + rows]
         gated = work[: xb.size].reshape(xb.shape)
         np.multiply(xb, gates[start : start + rows, None], out=gated)
-        if start == 0:
-            np.matmul(gated.T, xb, out=gram[:d])
-        else:
-            gram[:d] += gated.T @ xb
+        gram[:d] += gated.T @ xb
     np.matmul(gates, x, out=gram[d])
     total = gram[d] @ w[:d]
     total += w[d] * gates.sum()
@@ -591,7 +578,6 @@ class _Blocks:
         # module docstring's tables), held here alone so that dropping it
         # here frees it. The closed form borrows it for gated inputs.
         self.work = np.empty(self.slots * rows * self.n_out, dtype)
-        self.row_sums = np.empty(rows, dtype)  # each block's S_i, then g_i / S_i
         tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
         self.row_sum_floor = tiny / eps
         self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
@@ -614,22 +600,20 @@ class _Blocks:
             return None
         n_inp, d_inp = self.x.shape
         pooled, total = np.zeros((self.n_out, d_inp), self.x.dtype), np.zeros(self.n_out, self.x.dtype)
-        sums = (pooled, total, np.empty_like(pooled))
         for blk in self.blocks:
-            self.route_block(rec, it, blk, sums)
+            self.route_block(rec, it, blk, (pooled, total))
         if it == self.params.dims.n_iters:  # dead: the last M-step's peak holds neither
             self.work = self.weight = None
-        del sums  # and with it the pooled-part buffer
         x_out = _finish_m_step(pooled, total, n_inp, self.params)
         _check_finite(x_out, "output update", it)
         return x_out
 
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
         """One block of an iteration: its credit, its share of ``sums`` (the
-        pooled sums, the totals and a pooled-part buffer; None when the
-        iteration pools nothing) and its rows of the arrays in ``rec``. A
-        block that neither pools nor keeps its credit computes none. Its
-        views of the workspace end with the call."""
+        pooled sums and the totals; None when the iteration pools nothing)
+        and its rows of the arrays in ``rec``. A block that neither pools
+        nor keeps its credit computes none. Its views of the workspace end
+        with the call."""
         n, n_out = blk.stop - blk.start, self.n_out
         scores, routing, kept = rec.get("scores"), rec.get("routing"), rec.get("credit")
 
@@ -663,8 +647,7 @@ class _Blocks:
                 near_z = neg_z[near]
             _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
             sigma = neg_z  # written over -z
-            row_sum = self.row_sums[:n]
-            np.sum(sigma, axis=1, out=row_sum)
+            row_sum = sigma.sum(axis=1)  # S_i, then g_i / S_i
             if near is not None:
                 hit = row_sum[near] < self.row_sum_floor
                 if hit.any():
@@ -692,9 +675,8 @@ class _Blocks:
         if not self.row_major:
             keep("credit", credit)
         if sums is not None:
-            pooled, total, pooled_part = sums
-            np.matmul(credit.T, self.x[blk], out=pooled_part)
-            pooled += pooled_part
+            pooled, total = sums
+            pooled += credit.T @ self.x[blk]
             total += credit.sum(axis=0)
 
 

@@ -4,7 +4,8 @@ Everything downstream (both routers, the credit algebra, the benchmark
 harness) stores its numeric state in :class:`DenseTensor`: an immutable,
 shape-checked, row-major array of rank 1 to 3. Default element type is
 float32; float64 is supported for high-precision oracle checks and is
-never serialized.
+never serialized. A tensor, :func:`as_array` and the routers take
+integer data as float32 and raise TypeError on any other element type.
 
 A NaN or Inf is an error state. Building a DenseTensor checks that its
 values are finite, so :func:`tensor`, :func:`softmax_rows` and
@@ -74,6 +75,17 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(arr.min() > -np.inf and arr.max() < np.inf)
 
 
+def _allowed_dtype(arr: np.ndarray) -> np.ndarray:
+    """``arr`` in an allowed element type: float32 and float64 stay, and
+    integers, a convenience for literals, become float32. Any other type
+    (bool, float16, complex, ...) is a bug and raises TypeError."""
+    if arr.dtype in _ALLOWED_DTYPES:
+        return arr
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"unsupported element type {arr.dtype}")
+    return arr.astype(np.float32)
+
+
 def _check_finite(arr: np.ndarray, context: str, iteration: int | None = None) -> None:
     if arr.size and not _all_finite(arr):
         where = f" at iteration {iteration}" if iteration is not None else ""
@@ -92,13 +104,7 @@ class DenseTensor:
 
     def __init__(self, data, dtype=None, *, copy: bool = True, context: str = "tensor"):
         convert = np.array if copy else np.asarray  # asarray copies only when it must
-        arr = convert(data, dtype=dtype, order="C")
-        if arr.dtype not in _ALLOWED_DTYPES:
-            # Integer literals are a convenience; anything else is a bug.
-            if np.issubdtype(arr.dtype, np.integer) and dtype is None:
-                arr = arr.astype(np.float32)
-            else:
-                raise TypeError(f"unsupported element type {arr.dtype}")
+        arr = _allowed_dtype(convert(data, dtype=dtype, order="C"))
         if not 1 <= arr.ndim <= 3:
             raise ShapeError(f"rank {arr.ndim} outside supported range 1..3")
         if min(arr.shape) < 1:
@@ -165,13 +171,8 @@ def tensor(data, dtype=np.float32) -> DenseTensor:
 
 def _float_array(x) -> np.ndarray:
     """A DenseTensor's array, or an array-like as an array of an allowed
-    dtype (float32 unless it is float32 or float64), not scanned."""
-    if isinstance(x, DenseTensor):
-        return x.array
-    arr = np.asarray(x)
-    if arr.dtype not in _ALLOWED_DTYPES:
-        arr = arr.astype(np.float32)
-    return arr
+    dtype (:func:`_allowed_dtype`), not scanned."""
+    return x.array if isinstance(x, DenseTensor) else _allowed_dtype(np.asarray(x))
 
 
 def as_array(x, name: str = "input") -> np.ndarray:

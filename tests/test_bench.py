@@ -245,6 +245,12 @@ class TestMain:
         assert code == 1
         assert "exceeds the budget" in capsys.readouterr().err
 
+    def test_big_route_rejects_an_iteration_count(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--big-route", "--baseline", "n_inp=2000,n_iters=3"])
+        assert excinfo.value.code == 2
+        assert "--big-route runs two iterations; its --baseline takes no n_iters" in capsys.readouterr().err
+
     def test_requires_a_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -390,6 +390,20 @@ class TestRouteOptimized:
         with pytest.raises(ShapeError):
             route_reference(empty, nets, betas, dims)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.bool_, np.float16])
+    def test_both_routers_reject_unsupported_element_types(self, dtype):
+        # Neither router casts them: a complex input would lose its
+        # imaginary part, and bool or float16 would route as float32.
+        rng = np.random.default_rng(26)
+        dims, params, x = rand_instance(rng, "variable")
+        bad = x.astype(dtype)
+        message = f"^unsupported element type {np.dtype(dtype)}$"
+        with pytest.raises(TypeError, match=message):
+            route_optimized(bad, params)
+        nets, betas = as_plugins(x, params)
+        with pytest.raises(TypeError, match=message):
+            route_reference(bad, nets, betas, dims)
+
 
 class TestRoutingParamsValidation:
     def tensors(self, mode):
@@ -1400,6 +1414,8 @@ class TestTransientMemory:
         cases = [
             ("fixed", dict(n_inp=64, n_out=16, d_inp=32, d_out=24, n_iters=3)),
             ("variable", dict(n_inp=96, n_out=12, d_inp=48, d_out=16, n_iters=4)),
+            # d_out > d_inp: each M-step's bias term is larger than its pooled sums.
+            ("variable", dict(n_inp=72, n_out=6, d_inp=24, d_out=96, n_iters=3)),
         ]
         for mode, sizes in cases:
             n_inp = sizes.pop("n_inp")

@@ -45,10 +45,14 @@ class TestDenseTensor:
     def test_integer_literals_coerce_but_other_dtypes_fail(self):
         t = DenseTensor(np.ones((2, 2), dtype=np.int32))
         assert t.dtype == np.float32
-        with pytest.raises(TypeError):
-            DenseTensor(np.ones((2, 2), dtype=np.complex128))
-        with pytest.raises(TypeError):
-            DenseTensor(np.ones((2, 2), dtype=bool))
+        assert as_array(np.ones((2, 2), dtype=np.int64)).dtype == np.float32
+        assert as_array([[1, 2]]).dtype == np.float32
+        assert as_array(np.ones(3)).dtype == np.float64
+        # as_array shares the tensor's rule: no silent cast to float32.
+        for dtype in (np.complex128, np.complex64, np.bool_, np.float16):
+            for intake in (DenseTensor, as_array):
+                with pytest.raises(TypeError, match=f"^unsupported element type {np.dtype(dtype)}$"):
+                    intake(np.ones((2, 2), dtype=dtype))
 
     def test_rejects_non_finite(self):
         bad = np.array([[1.0, np.nan]], dtype=np.float32)
