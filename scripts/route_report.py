@@ -1,0 +1,123 @@
+"""SHA-256 digests and tracemalloc peaks of every routing of the benchmark's workloads.
+
+Usage:
+
+    python scripts/route_report.py CHECKOUT --seed 1 [--tiny] [--block-elements N]
+
+``CHECKOUT`` is the root of a vecroute checkout; its ``src/`` provides the
+package and its ``perfbench/workloads.py`` the workloads. Each workload's
+inputs and parameters are rebuilt from the seed as the benchmark draws
+them; routing k > 0 takes routing k - 1's untraced output. Each routing
+runs with the trace off, once to warm up and then once through
+``measure_peak``, then the same way with the trace on; then the first
+read of that trace's iteration records, which builds them, is metered
+too, after another traced routing's records are read to warm up. Keep
+this sequence: interpreter state left by other warm-ups moves the peaks
+by a few bytes (a traced warm-up that read its records moved them by
+8-16 B).
+
+The report prints, as sorted JSON, the peak bytes of those metered calls
+under ``WORKLOAD/routingK``, ``.../traced`` and ``.../first_read``, and the
+digests of what they returned under ``WORKLOAD/traceT/routingK/...``: the
+outputs, the final credit, the activation scores and gates, and every
+field of every iteration record, each array with its dtype and shape. Two
+checkouts route bitwise alike on these inputs, at the same peaks, exactly
+when ``diff`` finds nothing. Digests compare only under one numpy, BLAS
+build and BLAS thread count. The peaks repeat exactly from process to
+process: two runs of one checkout printed identical bytes at full shapes,
+``--tiny`` and ``--tiny --block-elements 1000`` (2 CPUs, numpy 2.4,
+Linux). ``--block-elements N`` sets
+``vecroute.optimized.BLOCK_ELEMENTS`` to N before routing, so checkouts with
+different defaults can be digested at one block size, and small inputs can
+be split over several blocks, the last ragged.
+
+The outputs of ``route_optimized`` do not depend on ``capture_trace``: the
+script exits with status 1, after printing the report, when a routing's
+output or final credit digests differently with the trace on and off.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+# An untraced call's trace keeps only the final credit: its other arrays are None.
+TRACE_ARRAYS = ("final_credit", "activation_scores", "activation_gates")
+
+
+def digest(arr) -> str:
+    h = hashlib.sha256(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def workload_inputs(seed: int, wl) -> tuple:
+    """The first routing's input and every routing's parameters, drawn from
+    ``seed`` as the benchmark draws them; routing k > 0 takes routing k - 1's
+    output as its input."""
+    import numpy as np
+    from vecroute import init_params
+    from workloads import INPUT_STREAM
+
+    first = wl.routings[0]
+    rng = np.random.default_rng((seed, INPUT_STREAM))
+    x_first = rng.standard_normal((first.n_inp, first.d), dtype=np.float32)
+    return x_first, [init_params(r.dims(), seed * 3 + k) for k, r in enumerate(wl.routings)]
+
+
+def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> dict[str, object]:
+    from vecroute import measure_peak, optimized, route_optimized
+    from workloads import workloads
+
+    if block_elements is not None:
+        optimized.BLOCK_ELEMENTS = block_elements
+
+    def peak(fn, warm_up=None):
+        (warm_up or fn)()
+        return measure_peak(fn)
+
+    out = {}
+    for name, wl in workloads(tiny).items():
+        x, params = workload_inputs(seed, wl)
+        for k, p in enumerate(params):
+            key = f"{name}/routing{k}"
+            untraced, out[key] = peak(lambda: route_optimized(x, p))
+            traced, out[f"{key}/traced"] = peak(lambda: route_optimized(x, p, capture_trace=True))
+            # A second read returns the built records, so another trace warms up.
+            _, out[f"{key}/first_read"] = peak(
+                lambda: traced[1].iterations[0],
+                lambda: route_optimized(x, p, capture_trace=True)[1].iterations[0],
+            )
+            for capture, (result, trace) in enumerate((untraced, traced)):
+                arrays = {"output": result} | {field: getattr(trace, field) for field in TRACE_ARRAYS}
+                for it, record in enumerate(trace.iterations, start=1):
+                    arrays |= {f"iteration{it}/{field}": value for field, value in vars(record).items()}
+                for field, value in arrays.items():
+                    if value is not None:
+                        out[f"{name}/trace{capture}/routing{k}/{field}"] = digest(value.array)
+            x = untraced[0].array
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", type=Path, help="root of the vecroute checkout to report on")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--tiny", action="store_true", help="the smoke test's tiny shapes")
+    parser.add_argument("--block-elements", type=int, help="route with this BLOCK_ELEMENTS")
+    args = parser.parse_args(argv)
+    root = args.checkout.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    report = route_report(args.seed, args.tiny, args.block_elements)
+    print(json.dumps(report, indent=1, sort_keys=True))
+    # The untraced keys are the outputs and final credits.
+    untraced = [key for key in sorted(report) if "/trace0/" in key]
+    mismatches = [key for key in untraced if report[key] != report[key.replace("/trace0/", "/trace1/")]]
+    for key in mismatches:
+        print(f"trace on and off differ: {key}", file=sys.stderr)
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

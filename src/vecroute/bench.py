@@ -339,18 +339,25 @@ def big_route_demo(
     return replace(record, dimension="big_route")
 
 
-def _positive_int(text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{what} {text!r} not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{what} {text!r} must be positive")
-    return value
+def _int_parser(what: str, least: int = 1):
+    """The argparse type of an integer of at least ``least`` (1 or 0), whose
+    usage errors name ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} {text!r} not an integer") from None
+        if value < least:
+            bound = "positive" if least else "non-negative"
+            raise argparse.ArgumentTypeError(f"{what} {text!r} must be {bound}")
+        return value
+
+    return parse
 
 
 def _parse_values(text: str) -> tuple[int, ...]:
-    values = tuple(_positive_int(part, "value") for part in text.split(",") if part)
+    values = tuple(_int_parser("value")(part) for part in text.split(",") if part)
     if not values:
         raise argparse.ArgumentTypeError("empty value list")
     return values
@@ -364,7 +371,7 @@ def _parse_baseline(text: str) -> dict[str, int]:
         key, eq, val = part.partition("=")
         if not eq or key not in SWEEP_DIMENSIONS:
             raise argparse.ArgumentTypeError(f"bad baseline entry {part!r}")
-        out[key] = _positive_int(val, f"baseline {key} value")
+        out[key] = _int_parser(f"baseline {key} value")(val)
     return out
 
 
@@ -395,15 +402,10 @@ def main(argv=None) -> int:
         type=_parse_baseline,
         help="fixed sizes, e.g. n_inp=4096,n_out=64,d_inp=128,d_out=128,n_iters=2",
     )
-    parser.add_argument(
-        "--repeats",
-        type=lambda text: _positive_int(text, "repeats"),
-        default=5,
-        help="timed runs per point",
-    )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repeats", type=_int_parser("repeats"), default=5, help="timed runs per point")
+    parser.add_argument("--seed", type=_int_parser("seed", 0), default=0)
     parser.add_argument("--csv", help="write records to this CSV path")
-    parser.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES)
+    parser.add_argument("--budget-bytes", type=_int_parser("budget", 0), default=DEFAULT_BUDGET_BYTES)
     parser.add_argument("--mode", choices=("fixed", "variable"), default="fixed")
     parser.add_argument(
         "--big-route",

@@ -21,6 +21,7 @@ regions) and can serialize the result as CSV for plotting.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -217,13 +218,13 @@ def attribution_report(e2e: CreditMatrix, groups: Sequence[Sequence[int]]) -> At
     or region aggregation). Singleton groups reproduce the matrix;
     a single all-covering group gives column sums.
     """
-    normalized = tuple(tuple(map(int, group)) for group in groups)
     n = e2e.input_arity
-    sizes = np.fromiter(map(len, normalized), np.intp, len(normalized))
     try:
+        normalized = tuple(tuple(map(operator.index, group)) for group in groups)
+        sizes = np.fromiter(map(len, normalized), np.intp, len(normalized))
         members = np.fromiter(chain.from_iterable(normalized), np.intp, int(sizes.sum()))
-    except OverflowError:  # a member too large for any index is outside the range
-        raise ValueError(_partition_fault(normalized, n)) from None
+    except (TypeError, OverflowError):  # a member not an integer or too large for any index
+        raise ValueError(_partition_fault(groups, n)) from None
     inside = (0 <= members) & (members < n)
     if not (sizes.all() and inside.all() and np.all(np.bincount(members, minlength=n) == 1)):
         raise ValueError(_partition_fault(normalized, n))
@@ -243,15 +244,20 @@ def attribution_report(e2e: CreditMatrix, groups: Sequence[Sequence[int]]) -> At
     )
 
 
-def _partition_fault(groups: tuple[tuple[int, ...], ...], n: int) -> str:
+def _partition_fault(groups: Sequence[Sequence[object]], n: int) -> str:
     """The first fault of a partition of range(n), in scan order: group by
-    group, an empty group before its members, a member outside the range
-    before a repeat, and a missing input once every group is read."""
+    group, an empty group before its members, a member that is not an
+    integer or is outside the range before a repeat, and a missing input
+    once every group is read."""
     seen: set[int] = set()
     for g, members in enumerate(groups):
         if not members:
             return f"group {g} is empty; not a partition"
         for i in members:
+            try:
+                i = operator.index(i)
+            except TypeError:
+                return f"group {g} names input {i!r}, not an integer"
             if not 0 <= i < n:
                 return f"group {g} names input {i}, outside [0, {n})"
             if i in seen:

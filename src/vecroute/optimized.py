@@ -523,18 +523,13 @@ def _flat_prior_credit(
 
 
 def _first_iteration_weights(params: RoutingParams) -> np.ndarray:
-    """[w1; c1], shape (d_inp + 1, n_out): iteration 1's credit is
-    g_i * (x_i . w1 + c1) in the variable layout (see the module docstring)."""
-    d, n_out = params.dims.d_inp, params.dims.n_out
-    p = params.dtype.type(1.0 / n_out)
-    w = np.empty((d + 1, n_out), params.dtype)
-    scratch = np.empty_like(w)
-    for rows, use, ign in (
-        (slice(d), params.beta_use_weight, params.beta_ign_weight),
-        (d, params.beta_use_bias, params.beta_ign_bias),
-    ):
-        _flat_prior_credit(use.array, ign.array, p, w[rows], scratch[rows])
-    return w
+    """[w1; c1] = p * [W_use; b_use] - (1 - p) * [W_ign; b_ign], shape
+    (d_inp + 1, n_out): iteration 1's credit is g_i * (x_i . w1 + c1) in the
+    variable layout (see the module docstring)."""
+    p = params.dtype.type(1.0 / params.dims.n_out)
+    use = np.vstack((params.beta_use_weight.array, params.beta_use_bias.array))
+    ign = np.vstack((params.beta_ign_weight.array, params.beta_ign_bias.array))
+    return p * use - (1 - p) * ign
 
 
 def _closed_form_sums(

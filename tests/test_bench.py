@@ -273,6 +273,13 @@ class TestMain:
                 ["--big-route", "--baseline", "n_inp=0"],
                 "argument --baseline: baseline n_inp value '0' must be positive",
             ),
+            (["--sweep", "n_inp", "--seed", "-1"], "argument --seed: seed '-1' must be non-negative"),
+            (["--big-route", "--seed", "-1"], "argument --seed: seed '-1' must be non-negative"),
+            (
+                ["--sweep", "n_inp", "--budget-bytes", "-1"],
+                "argument --budget-bytes: budget '-1' must be non-negative",
+            ),
+            (["--big-route", "--budget-bytes", "-1"], "argument --budget-bytes: budget '-1' must be non-negative"),
         ],
     )
     def test_non_positive_numbers_are_usage_errors(self, argv, message, capsys):

@@ -288,6 +288,9 @@ class TestAttributionReport:
         rev = attribution_report(e2e, [[2, 3], [0, 1]])
         assert np.array_equal(fwd.totals.array[0], rev.totals.array[1])
         assert fwd.groups == ((0, 1), (2, 3))
+        as_numpy = attribution_report(e2e, [np.array([0, 1]), np.arange(2, 4, dtype=np.int32)])
+        assert np.array_equal(as_numpy.totals.array, fwd.totals.array)
+        assert as_numpy.groups == fwd.groups and type(as_numpy.groups[1][0]) is int
 
     def test_rejects_non_partitions(self):
         rng = np.random.default_rng(23)
@@ -315,6 +318,7 @@ class TestAttributionReport:
             ([[1, 2, 2, 1]], "input 2 appears in more than one group"),
             ([[3], [2, 3, 2], [1]], "input 3 appears in more than one group"),
             ([[0], [2]], "groups do not cover inputs [1, 3]; not a partition"),
+            ([[0, 1], [2, 0.5, 9]], "group 1 names input 0.5, not an integer"),
         ],
     )
     def test_names_the_first_fault_of_the_scan(self, groups, message):

@@ -1564,3 +1564,56 @@ class TestAccuracyAtScale:
             x64, trace64.final_credit.array, p64.vote_mix.array, p64.vote_proj.array, p64.vote_bias.array
         )
         assert relative_linf(out64.array, rebuilt) <= 1e-12
+
+    # Differential test of the two block kernels (McKeeman, "Differential
+    # testing for software", 1998): for one input x, the fixed-layout set
+    # with the variable set's rows broadcast over the inputs and the
+    # coefficients beta_pair_for gives x routes like the variable set.
+    # The kernels differ in block orientation, slot count, iteration-1 form
+    # and gate storage. Scores of every third row of a middle block and of
+    # the ragged last one are pinned near -1000 (random gains 0.8-1.2), so
+    # every later iteration rescues them. About 2 s on 2 CPUs with 2 BLAS threads, mostly the
+    # 200k-row tables.
+    @pytest.mark.parametrize(
+        "n_inp, n_out, d", [(200_000, 16, 64), (20_000, 64, 32)], ids=["block_path", "closed_form"]
+    )
+    def test_the_two_kernels_route_alike(self, n_inp, n_out, d, monkeypatch):
+        rescued = []
+        softmax = optimized._softmax_rows_in_place
+
+        def counted_softmax(scores):
+            rescued.append(len(scores))
+            softmax(scores)
+
+        monkeypatch.setattr(optimized, "_softmax_rows_in_place", counted_softmax)
+        rng = np.random.default_rng(45)
+        dims = RoutingDims(None, n_out, d, d, 3)
+        params = pinned_predictions(rand_params(rng, dims), dims, [110.0])
+        params = replaced(params, dims, score_gain=rng.uniform(0.8, 1.2, n_out).astype(np.float32))
+        params = params.astype(np.float64)
+        x = rng.standard_normal((n_inp, d))
+        x[:, 0] = 0.0
+        rows = optimized.BLOCK_ELEMENTS // n_out
+        middle, last = n_inp // rows // 2 * rows, n_inp // rows * rows
+        assert 0 < middle < last < n_inp  # a middle block and a ragged last one
+        planted = np.r_[middle : middle + rows : 3, last:n_inp:3]
+        x[planted, 0] = -9.0
+        fixed_dims = dataclasses.replace(dims, n_inp=n_inp)
+        betas = beta_pair_for(x, params)
+        fixed = RoutingParams(
+            fixed_dims,
+            beta_use=betas.beta_use,
+            beta_ign=betas.beta_ign,
+            **{
+                name: np.broadcast_to(params.tensors[name].array, shape)
+                for name, shape in optimized.field_shapes(fixed_dims).items()
+                if name not in ("beta_use", "beta_ign")
+            },
+        )
+        out_var, trace_var = route_optimized(x, params)
+        rescued_var = rescued.copy()
+        rescued.clear()
+        out_fixed, trace_fixed = route_optimized(x, fixed)
+        assert rescued == rescued_var and sum(rescued) == 2 * len(planted)
+        assert relative_linf(out_fixed.array, out_var.array) <= 1e-12
+        assert relative_linf(trace_fixed.final_credit.array, trace_var.final_credit.array) <= 1e-12
