@@ -9,12 +9,9 @@ package and its ``perfbench/workloads.py`` the workloads. Each workload's
 inputs and parameters are rebuilt from the seed as the benchmark draws
 them; routing k > 0 takes routing k - 1's untraced output. Each routing
 runs with the trace off, once to warm up and then once through
-``measure_peak``, then the same way with the trace on; then the first
-read of that trace's iteration records, which builds them, is metered
-too, after another traced routing's records are read to warm up. Keep
-this sequence: interpreter state left by other warm-ups moves the peaks
-by a few bytes (a traced warm-up that read its records moved them by
-8-16 B).
+``measure_peak``; then with the trace on, once to warm up, reading its
+iteration records, and then once through ``measure_peak``, followed by
+the metered first read of that trace's records, which builds them.
 
 The report prints, as sorted JSON, the peak bytes of those metered calls
 under ``WORKLOAD/routingK``, ``.../traced`` and ``.../first_read``, and the
@@ -29,7 +26,8 @@ process: two runs of one checkout printed identical bytes at full shapes,
 Linux). ``--block-elements N`` sets
 ``vecroute.optimized.BLOCK_ELEMENTS`` to N before routing, so checkouts with
 different defaults can be digested at one block size, and small inputs can
-be split over several blocks, the last ragged.
+be split over several blocks, the last ragged. A negative ``--seed`` and
+a ``--block-elements`` below 1 are usage errors (exit status 2).
 
 The outputs of ``route_optimized`` do not depend on ``capture_trace``: the
 script exits with status 1, after printing the report, when a routing's
@@ -66,6 +64,20 @@ def workload_inputs(seed: int, wl) -> tuple:
     return x_first, [init_params(r.dims(), seed * 3 + k) for k, r in enumerate(wl.routings)]
 
 
+def at_least(least: int):
+    """The argparse type of an integer of at least ``least``. Arguments are
+    parsed before the checkout's ``vecroute`` can be imported, so its
+    parsers are out of reach here."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{text!r} is below {least}")
+        return value
+
+    return integer
+
+
 def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> dict[str, object]:
     from vecroute import measure_peak, optimized, route_optimized
     from workloads import workloads
@@ -73,22 +85,17 @@ def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> di
     if block_elements is not None:
         optimized.BLOCK_ELEMENTS = block_elements
 
-    def peak(fn, warm_up=None):
-        (warm_up or fn)()
-        return measure_peak(fn)
-
     out = {}
     for name, wl in workloads(tiny).items():
         x, params = workload_inputs(seed, wl)
         for k, p in enumerate(params):
             key = f"{name}/routing{k}"
-            untraced, out[key] = peak(lambda: route_optimized(x, p))
-            traced, out[f"{key}/traced"] = peak(lambda: route_optimized(x, p, capture_trace=True))
-            # A second read returns the built records, so another trace warms up.
-            _, out[f"{key}/first_read"] = peak(
-                lambda: traced[1].iterations[0],
-                lambda: route_optimized(x, p, capture_trace=True)[1].iterations[0],
-            )
+            route_optimized(x, p)
+            untraced, out[key] = measure_peak(lambda: route_optimized(x, p))
+            # A second read returns the built records, so the warm-up reads its own.
+            route_optimized(x, p, capture_trace=True)[1].iterations[0]
+            traced, out[f"{key}/traced"] = measure_peak(lambda: route_optimized(x, p, capture_trace=True))
+            _, out[f"{key}/first_read"] = measure_peak(lambda: traced[1].iterations[0])
             for capture, (result, trace) in enumerate((untraced, traced)):
                 arrays = {"output": result} | {field: getattr(trace, field) for field in TRACE_ARRAYS}
                 for it, record in enumerate(trace.iterations, start=1):
@@ -103,9 +110,9 @@ def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> di
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path, help="root of the vecroute checkout to report on")
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=at_least(0), required=True)
     parser.add_argument("--tiny", action="store_true", help="the smoke test's tiny shapes")
-    parser.add_argument("--block-elements", type=int, help="route with this BLOCK_ELEMENTS")
+    parser.add_argument("--block-elements", type=at_least(1), help="route with this BLOCK_ELEMENTS")
     args = parser.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]

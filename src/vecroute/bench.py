@@ -6,15 +6,13 @@ count, peak transient allocation during one forward pass, and median
 wall time. Peak memory comes from the in-process allocation accounting
 in :mod:`vecroute.memtrack` rather than OS RSS, so figures are stable
 across environments; wall time is measured in separate runs outside the
-accounting, so its overhead never pollutes timing. A point's peak is
-metered only once it has settled: passes over the point's first block
-of rows (all of them in the fixed layout) are metered until a peak does
-not fall below the one before, then one full-size pass warms up and the
-next is metered. The timed runs go round-robin, one pass of every point
-per round with the direction reversed each round, so a burst of machine
-noise slows one round of every point, which the median drops, rather
-than every repeat of one point. Results print as a table and optionally
-land in a CSV for plotting.
+accounting, so its overhead never pollutes timing. Each point gets one
+full-size warm-up pass, then one metered pass (:mod:`vecroute.memtrack`
+says why one warm-up is enough). The timed runs go round-robin, one pass
+of every point per round with the direction reversed each round, so a
+burst of machine noise slows one round of every point, which the median
+drops, rather than every repeat of one point. Results print as a table
+and optionally land in a CSV for plotting.
 
 A demo routes one million input vectors in a single pass in
 variable-length mode, measured as a one-point sweep with the same
@@ -41,7 +39,6 @@ import numpy as np
 
 from .memtrack import measure_peak
 from .optimized import (
-    BLOCK_ELEMENTS,
     RoutingParams,
     field_shapes,
     route_optimized,
@@ -201,25 +198,13 @@ _Point = tuple[RoutingParams, np.ndarray]  # params, input
 def _measure(points: list[_Point], repeats: int) -> list[tuple[int, float]]:
     """(peak bytes of one metered pass, median wall ms of unmetered passes) per point.
 
-    Every pass routes with the trace off. In a fresh process the metered
-    peak of one unchanged pass falls from call to call for about its first
-    dozen calls, for a cause not pinned down, then holds: at 2000 x 16 x 64
-    by about 2 KB after the first call, then by 8 or 16 bytes a call, to
-    576,544 bytes at the 14th. So each point, in ladder order,
-    first meters passes over its first block's rows (all of its rows in
-    the fixed layout, whose parameters fix the row count) until a peak
-    does not fall below the one before: a peak is a byte count, so it
-    cannot fall forever, and a peak that rises ends the loop too. Then one
-    full-size pass warms up the point's own sizes and the next is metered
-    by :func:`measure_peak`. Then ``repeats`` rounds each time one pass of
-    every point, alternating the direction.
+    Every pass routes with the trace off. Each point, in ladder order, is
+    routed once to warm up and once by :func:`measure_peak`. Then
+    ``repeats`` rounds each time one pass of every point, alternating the
+    direction.
     """
     peaks = []
     for params, x in points:
-        head = x[: BLOCK_ELEMENTS // params.dims.n_out] if params.dims.variable_length else x
-        last = math.inf
-        while (peak := measure_peak(lambda: route_optimized(head, params))[1]) < last:
-            last = peak
         route_optimized(x, params)
         peaks.append(measure_peak(lambda: route_optimized(x, params))[1])
     times: list[list[float]] = [[] for _ in points]
@@ -311,13 +296,12 @@ def big_route_demo(
     """Route one long sequence in a single pass and verify the memory story.
 
     Measured as a one-point sweep over ``n_inp`` in variable-length mode
-    with two iterations and one timed pass, by the sweep's rule: passes
-    over the first block of rows are metered until a peak does not fall
-    below the one before, then one full-size pass warms up, the next is
-    metered and the one after is timed. Asserts the peak transient
-    allocation stays below the bytes a single materialized proposal
-    tensor would need, i.e. no such tensor can have existed. A peak over
-    ``budget_bytes`` raises MemoryBudgetError carrying the measurement.
+    with two iterations and one timed pass, by the sweep's rule: one pass
+    warms up, the next is metered and the one after is timed. Asserts the
+    peak transient allocation stays below the bytes a single materialized
+    proposal tensor would need, i.e. no such tensor can have existed. A
+    peak over ``budget_bytes`` raises MemoryBudgetError carrying the
+    measurement.
     """
     baseline = dict(n_out=n_out, d_inp=d_inp, d_out=d_out, n_iters=2)
     spec = SweepSpec("n_inp", (n_inp,), baseline, repeats=1, seed=seed, mode="variable")
@@ -402,11 +386,11 @@ def main(argv=None) -> int:
         type=_parse_baseline,
         help="fixed sizes, e.g. n_inp=4096,n_out=64,d_inp=128,d_out=128,n_iters=2",
     )
-    parser.add_argument("--repeats", type=_int_parser("repeats"), default=5, help="timed runs per point")
+    parser.add_argument("--repeats", type=_int_parser("repeats"), help="timed runs per point (default 5)")
     parser.add_argument("--seed", type=_int_parser("seed", 0), default=0)
     parser.add_argument("--csv", help="write records to this CSV path")
     parser.add_argument("--budget-bytes", type=_int_parser("budget", 0), default=DEFAULT_BUDGET_BYTES)
-    parser.add_argument("--mode", choices=("fixed", "variable"), default="fixed")
+    parser.add_argument("--mode", choices=("fixed", "variable"), help="parameter layout (default fixed)")
     parser.add_argument(
         "--big-route",
         action="store_true",
@@ -415,6 +399,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.big_route:
+        for name in ("sweep", "values", "repeats", "mode"):
+            if getattr(args, name) is not None:
+                parser.error(f"--big-route routes one point; it takes no --{name}")
         sizes = args.baseline or {}
         if "n_iters" in sizes:
             parser.error("--big-route runs two iterations; its --baseline takes no n_iters")
@@ -437,15 +424,10 @@ def main(argv=None) -> int:
     baseline = dict(default_baseline)
     if args.baseline:
         baseline.update(args.baseline)
+    # Given options only, so that the spec's defaults apply.
+    options = {name: value for name in ("repeats", "mode") if (value := getattr(args, name)) is not None}
     try:
-        spec = SweepSpec(
-            dimension=args.sweep,
-            values=values,
-            baseline=baseline,
-            repeats=args.repeats,
-            seed=args.seed,
-            mode=args.mode,
-        )
+        spec = SweepSpec(dimension=args.sweep, values=values, baseline=baseline, seed=args.seed, **options)
     except ValueError as exc:
         parser.error(str(exc))
     records = run_sweep(spec, csv_path=args.csv, budget_bytes=args.budget_bytes)

@@ -202,7 +202,8 @@ def test_criterion_08_costs_scale_linearly_in_each_dimension():
         xs = [r.value for r in records]
         wall = linear_fit(xs, [r.wall_ms for r in records])
         assert wall.r_squared >= SCALING_R2_MIN, (
-            f"wall time vs {dimension}: R^2 {wall.r_squared:.4f}"
+            f"wall time vs {dimension}: R^2 {wall.r_squared:.4f}, "
+            f"wall_ms {dict(zip(xs, (round(r.wall_ms, 3) for r in records)))}"
         )
         if dimension != "n_iters":
             mem = linear_fit(xs, [r.peak_bytes for r in records])

@@ -154,28 +154,20 @@ class TestRunSweep:
         assert [r.skipped for r in records] == [True]
         assert peak < 1_000_000
 
-    def test_points_are_timed_round_robin(self, routed_rows):
-        # Each point, in ladder order, is metered until its peak stops
-        # falling (two passes at least), warmed up and metered once; then
-        # each round times every point once, reversing the direction.
-        records = run_sweep(tiny_spec("n_inp", values=(8, 16, 32), repeats=3))
-        timed = [8, 16, 32] + [32, 16, 8] + [8, 16, 32]
-        warm_up = routed_rows[: -len(timed)]
-        assert routed_rows[-len(timed):] == timed
-        assert warm_up == sorted(warm_up)
-        assert all(warm_up.count(n) >= 4 for n in (8, 16, 32))
-        assert [r.value for r in records] == [8, 16, 32]
-
-    def test_variable_points_settle_their_peak_on_one_block(self, routed_rows):
-        # A long variable-layout point settles its peak on its first
-        # block's rows; only its warm-up, metered and timed passes are full.
-        rows = BLOCK_ELEMENTS // 4
-        spec = SweepSpec(
-            "n_inp", (rows + 1,), dict(n_out=4, d_inp=8, d_out=8, n_iters=2), repeats=1, mode="variable"
-        )
-        run_sweep(spec)
-        assert routed_rows[-3:] == [rows + 1] * 3
-        assert len(routed_rows) >= 5 and set(routed_rows[:-3]) == {rows}
+    @pytest.mark.parametrize(
+        "values, mode",
+        # The variable ladder's last point spans two blocks, the last ragged.
+        [((8, 16, 32), "fixed"), ((8, 16, BLOCK_ELEMENTS // 4 + 1), "variable")],
+        ids=["fixed", "variable"],
+    )
+    def test_points_are_timed_round_robin(self, routed_rows, values, mode):
+        # Each point, in ladder order, is routed at full size to warm up,
+        # then metered; then each round times every point once, reversing
+        # the direction.
+        records = run_sweep(tiny_spec("n_inp", values=values, repeats=3, mode=mode))
+        a, b, c = values
+        assert routed_rows == [a, a, b, b, c, c] + [a, b, c] + [c, b, a] + [a, b, c]
+        assert [r.value for r in records] == list(values)
 
     def test_spec_rejects_fewer_than_two_iterations(self):
         with pytest.raises(ValueError, match="n_iters must be at least 2, got 1"):
@@ -245,11 +237,57 @@ class TestMain:
         assert code == 1
         assert "exceeds the budget" in capsys.readouterr().err
 
-    def test_big_route_rejects_an_iteration_count(self, capsys):
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--baseline", "n_inp=2000,n_iters=3"], "--big-route runs two iterations; its --baseline takes no n_iters"),
+            (["--sweep", "n_out"], "--big-route routes one point; it takes no --sweep"),
+            (["--values", "1,2"], "--big-route routes one point; it takes no --values"),
+            (["--repeats", "9"], "--big-route routes one point; it takes no --repeats"),
+            (["--mode", "fixed"], "--big-route routes one point; it takes no --mode"),
+        ],
+        ids=["n_iters", "sweep", "values", "repeats", "mode"],
+    )
+    def test_big_route_rejects_an_iteration_count(self, extra, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["--big-route", "--baseline", "n_inp=2000,n_iters=3"])
+            main(["--big-route"] + extra)
         assert excinfo.value.code == 2
-        assert "--big-route runs two iterations; its --baseline takes no n_iters" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_big_route_writes_csv(self, tmp_path, capsys):
+        path = tmp_path / "demo.csv"
+        assert main(["--big-route", "--baseline", "n_inp=2000", "--csv", str(path)]) == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(CSV_COLUMNS)
+        assert rows[1][:2] == ["big_route", "2000"] and rows[1][5] == "1"
+
+    def test_skipped_point_prints_its_row(self, capsys):
+        code = main(
+            [
+                "--sweep", "n_inp",
+                "--values", "8,4096",
+                "--baseline", "n_out=4,d_inp=8,d_out=8,n_iters=2",
+                "--repeats", "1",
+                "--budget-bytes", "1000000",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == ["n_inp", "4096", "skipped", "-", "-"]
+
+    def test_trailing_comma_in_baseline_is_ignored(self, capsys):
+        code = main(
+            ["--sweep", "n_iters", "--values", "2", "--baseline", "n_inp=8,n_out=4,d_inp=8,d_out=8,", "--repeats", "1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["n_iters", "2"]
+
+    def test_empty_value_list_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--sweep", "n_inp", "--values", ","])
+        assert excinfo.value.code == 2
+        assert "argument --values: empty value list" in capsys.readouterr().err
 
     def test_requires_a_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -4,6 +4,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1538,6 +1543,35 @@ class TestTransientMemory:
         assert 0 <= traced_peak - peak - 4 * (n_inp * d + n_inp) < 4 * n_out * d
         assert np.array_equal(out_off.array, out_on.array)
         assert trace.iterations[-1].output is out_on
+
+    def test_peak_repeats_from_the_second_call(self):
+        # In a fresh process every call after the first meters one peak, in
+        # both layouts, with the trace off and on. A block kernel with an
+        # instance __dict__ made the untraced peak fall by 8 B a call over
+        # about its first 14 calls.
+        script = """
+import json
+import numpy as np
+from vecroute import RoutingDims, init_params, measure_peak, route_optimized
+n_inp, n_out, d = 300, 16, 64
+x = np.random.default_rng(1).standard_normal((n_inp, d), dtype=np.float32)
+peaks = {}
+for mode in ("variable", "fixed"):
+    params = init_params(RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, 2), 0)
+    for trace in (False, True):
+        # Each result is dropped before the next call, as a repeat of the same work.
+        peaks[f"{mode}/trace{int(trace)}"] = [
+            measure_peak(lambda: route_optimized(x, params, capture_trace=trace))[1] for _ in range(16)
+        ]
+print(json.dumps(peaks))
+"""
+        src = str(Path(optimized.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        for name, peaks in json.loads(done.stdout).items():
+            assert len(set(peaks[1:])) == 1, (name, peaks)
 
     def test_bound_has_no_triple_product_term(self):
         small = transient_element_bound(256, 64, 32, 32)
