@@ -17,11 +17,14 @@ The report prints, as sorted JSON, the peak bytes of those metered calls
 under ``WORKLOAD/routingK``, ``.../traced`` and ``.../first_read``, and the
 digests of what they returned under ``WORKLOAD/traceT/routingK/...``: the
 outputs, the final credit, the activation scores and gates, and every
-field of every iteration record, each array with its dtype and shape. Two
-checkouts route bitwise alike on these inputs, at the same peaks, exactly
-when ``diff`` finds nothing. Digests compare only under one numpy, BLAS
-build and BLAS thread count. The peaks repeat exactly from process to
-process: two runs of one checkout printed identical bytes at full shapes,
+field of every iteration record, each array with its dtype and shape.
+After a workload's routings, each routing's parameters are saved with
+``save_params`` to a temporary directory, and the SHA-256 of that file is
+printed under ``WORKLOAD/routingK/params_file``. Two checkouts route
+bitwise alike on these inputs, at the same peaks, and write the same
+parameter files exactly when ``diff`` finds nothing. Digests compare only
+under one numpy, BLAS build and BLAS thread count. The peaks repeat
+exactly from process to process: two runs of one checkout printed identical bytes at full shapes,
 ``--tiny`` and ``--tiny --block-elements 1000`` (2 CPUs, numpy 2.4,
 Linux). ``--block-elements N`` sets
 ``vecroute.optimized.BLOCK_ELEMENTS`` to N before routing, so checkouts with
@@ -38,6 +41,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 # An untraced call's trace keeps only the final credit: its other arrays are None.
@@ -62,6 +66,16 @@ def workload_inputs(seed: int, wl) -> tuple:
     rng = np.random.default_rng((seed, INPUT_STREAM))
     x_first = rng.standard_normal((first.n_inp, first.d), dtype=np.float32)
     return x_first, [init_params(r.dims(), seed * 3 + k) for k, r in enumerate(wl.routings)]
+
+
+def params_file_digest(params) -> str:
+    """SHA-256 of the file that ``save_params`` writes for ``params``."""
+    from vecroute import save_params
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "routing.params"
+        save_params(params, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def at_least(least: int):
@@ -104,6 +118,8 @@ def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> di
                     if value is not None:
                         out[f"{name}/trace{capture}/routing{k}/{field}"] = digest(value.array)
             x = untraced[0].array
+        for k, p in enumerate(params):
+            out[f"{name}/routing{k}/params_file"] = params_file_digest(p)
     return out
 
 

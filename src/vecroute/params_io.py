@@ -15,10 +15,16 @@ CRC-32 of the payload, and every tensor's name, shape, and byte offset,
 so a loader can verify the file completely before touching any values.
 ``docs/param-format.md`` specifies the bytes exactly; files written
 there by independent code must load identically.
+
+Each payload byte is copied once either way: the writer streams every
+tensor's own buffer to the file under a running CRC-32, and the loader
+reads the header in small chunks, checks it and the file's size, and
+then reads every tensor straight into a fresh array of its own.
 """
 
 from __future__ import annotations
 
+import os
 import zlib
 from typing import Mapping
 
@@ -39,6 +45,10 @@ __all__ = [
 
 FORMAT_MAGIC = "vecroute-params"
 FORMAT_VERSION = 1
+
+
+# Bytes read per step while looking for the blank line that ends the header.
+_HEADER_CHUNK = 4096
 
 
 class ParamFormatError(ValueError):
@@ -63,7 +73,8 @@ def init_params(
     for name, shape, init in _layout(dims):
         if isinstance(init, FanIn):
             std = np.float32(1.0 / np.sqrt(init.extent))
-            values = rng.standard_normal(shape, dtype=np.float32) * std
+            values = rng.standard_normal(shape, dtype=np.float32)
+            values *= std
         else:
             values = np.full(shape, init, dtype=np.float32)
         tensors[name] = DenseTensor(values, copy=False, context=name)
@@ -93,38 +104,43 @@ def save_params(params: RoutingParams, path) -> None:
         raise ParamFormatError(
             f"only float32 parameters are serialized, got {params.dtype}"
         )
-    chunks: list[bytes] = []
+    arrays: list[np.ndarray] = []
     tensor_lines: list[str] = []
-    offset = 0
+    offset = crc = 0
     for name, t in params.field_items():
-        raw = np.ascontiguousarray(t.array, dtype="<f4").tobytes()
+        values = np.ascontiguousarray(t.array, dtype="<f4")  # a view on little-endian hosts
         shape_text = "x".join(str(e) for e in t.shape)
         tensor_lines.append(f"tensor {name} f32 {shape_text} {offset}")
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
+        arrays.append(values)
+        crc = zlib.crc32(values, crc)
+        offset += values.nbytes
     header_lines = [
         f"{FORMAT_MAGIC} {FORMAT_VERSION}",
         f"mode {params.mode}",
         _dims_header(params.dims),
-        f"checksum {zlib.crc32(payload) & 0xFFFFFFFF:08x}",
+        f"checksum {crc:08x}",
         *tensor_lines,
-        f"payload {len(payload)}",
+        f"payload {offset}",
     ]
-    blob = ("\n".join(header_lines) + "\n\n").encode("ascii") + payload
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(("\n".join(header_lines) + "\n\n").encode("ascii"))
+        for values in arrays:
+            fh.write(values)
+
+
+def _is_decimal(text: str) -> bool:
+    """Whether ``text`` has docs/param-format.md's integer syntax: ASCII digits only."""
+    return text.isascii() and text.isdigit()
 
 
 def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParamFormatError(f"malformed header: {what} {text!r} is not an integer") from None
+    if not _is_decimal(text):
+        raise ParamFormatError(f"malformed header: {what} {text!r} is not an integer")
+    return int(text)
 
 
 def _parse_dims(line: str) -> RoutingDims:
-    parts = line.split()
+    parts = line.split(" ")
     if len(parts) != 6 or parts[0] != "dims":
         raise ParamFormatError(f"malformed header: expected dims line, got {line!r}")
     values: dict[str, str] = {}
@@ -137,31 +153,31 @@ def _parse_dims(line: str) -> RoutingDims:
     if tuple(values) != expected:
         raise ParamFormatError(f"malformed header: dims keys {tuple(values)} != {expected}")
     n_inp = None if values["n_inp"] == "variable" else _parse_int(values["n_inp"], "n_inp")
+    # Parsed outside the try, whose ValueError would prefix the message twice.
+    n_out, d_inp, d_out, n_iters = (_parse_int(values[key], key) for key in expected[1:])
     try:
-        return RoutingDims(
-            n_inp=n_inp,
-            n_out=_parse_int(values["n_out"], "n_out"),
-            d_inp=_parse_int(values["d_inp"], "d_inp"),
-            d_out=_parse_int(values["d_out"], "d_out"),
-            n_iters=_parse_int(values["n_iters"], "n_iters"),
-        )
+        return RoutingDims(n_inp, n_out, d_inp, d_out, n_iters)
     except ValueError as exc:
         raise ParamFormatError(f"malformed header: {exc}") from None
 
 
-def load_params(path) -> RoutingParams:
-    """Read a parameter file back, verifying it completely first.
+def _read_header(fh) -> bytes:
+    """The bytes before the file's first blank line, read in small chunks,
+    leaving ``fh`` at the first payload byte."""
+    head = bytearray()
+    while chunk := fh.read(_HEADER_CHUNK):
+        start = max(len(head) - 1, 0)  # a "\n\n" may straddle two chunks
+        head += chunk
+        end = head.find(b"\n\n", start)
+        if end >= 0:
+            fh.seek(end + 2)
+            return bytes(head[:end])
+    raise ParamFormatError("malformed header: missing blank-line terminator")
 
-    Any defect (bad magic or version, malformed lines, wrong tensor set,
-    non-contiguous offsets, truncated or oversized payload, checksum
-    mismatch, non-finite values) raises ParamFormatError; nothing is
-    partially loaded.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head, sep, payload = blob.partition(b"\n\n")
-    if not sep:
-        raise ParamFormatError("malformed header: missing blank-line terminator")
+
+def _parse_header(head: bytes) -> tuple[RoutingDims, list, str, int]:
+    """Check every header line and return the dims, a (name, shape, offset)
+    entry per tensor, the declared checksum and the declared payload length."""
     try:
         lines = head.decode("ascii").split("\n")
     except UnicodeDecodeError:
@@ -169,13 +185,13 @@ def load_params(path) -> RoutingParams:
     if len(lines) < 5:
         raise ParamFormatError("malformed header: too few lines")
 
-    magic = lines[0].split()
+    magic = lines[0].split(" ")
     if len(magic) != 2 or magic[0] != FORMAT_MAGIC:
         raise ParamFormatError(f"not a parameter file: first line {lines[0]!r}")
     if _parse_int(magic[1], "version") != FORMAT_VERSION:
         raise ParamFormatError(f"unknown format version {magic[1]}")
 
-    mode_parts = lines[1].split()
+    mode_parts = lines[1].split(" ")
     if len(mode_parts) != 2 or mode_parts[0] != "mode" or mode_parts[1] not in ("fixed", "variable"):
         raise ParamFormatError(f"malformed header: expected mode line, got {lines[1]!r}")
     mode = mode_parts[1]
@@ -184,12 +200,12 @@ def load_params(path) -> RoutingParams:
     if (dims.n_inp is None) != (mode == "variable"):
         raise ParamFormatError(f"mode {mode} conflicts with dims n_inp={dims.n_inp}")
 
-    checksum_parts = lines[3].split()
+    checksum_parts = lines[3].split(" ")
     if len(checksum_parts) != 2 or checksum_parts[0] != "checksum":
         raise ParamFormatError(f"malformed header: expected checksum line, got {lines[3]!r}")
     declared_crc = checksum_parts[1]
 
-    payload_parts = lines[-1].split()
+    payload_parts = lines[-1].split(" ")
     if len(payload_parts) != 2 or payload_parts[0] != "payload":
         raise ParamFormatError(f"malformed header: expected payload line, got {lines[-1]!r}")
     declared_len = _parse_int(payload_parts[1], "payload length")
@@ -197,15 +213,14 @@ def load_params(path) -> RoutingParams:
     expected_shapes = field_shapes(dims)
     entries: list[tuple[str, tuple[int, ...], int]] = []
     for line in lines[4:-1]:
-        parts = line.split()
+        parts = line.split(" ")
         if len(parts) != 5 or parts[0] != "tensor" or parts[2] != "f32":
             raise ParamFormatError(f"malformed header: expected tensor line, got {line!r}")
         name = parts[1]
-        try:
-            shape = tuple(int(e) for e in parts[3].split("x"))
-        except ValueError:
-            raise ParamFormatError(f"malformed header: bad shape {parts[3]!r} for {name}") from None
-        entries.append((name, shape, _parse_int(parts[4], f"{name} offset")))
+        extents = parts[3].split("x")
+        if not all(_is_decimal(e) for e in extents):
+            raise ParamFormatError(f"malformed header: bad shape {parts[3]!r} for {name}")
+        entries.append((name, tuple(map(int, extents)), _parse_int(parts[4], f"{name} offset")))
 
     names = [name for name, _, _ in entries]
     if names != list(expected_shapes):
@@ -226,24 +241,47 @@ def load_params(path) -> RoutingParams:
         offset += int(np.prod(shape)) * 4
     if declared_len != offset:
         raise ParamFormatError(f"declared payload length {declared_len} != tensor total {offset}")
-    if len(payload) < declared_len:
-        raise ParamFormatError(f"truncated payload: {len(payload)} bytes, need {declared_len}")
-    if len(payload) > declared_len:
-        raise ParamFormatError(f"trailing bytes after payload: {len(payload) - declared_len}")
+    return dims, entries, declared_crc, declared_len
 
-    actual_crc = f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}"
+
+def load_params(path) -> RoutingParams:
+    """Read a parameter file back, verifying it completely first.
+
+    Any defect (bad magic or version, malformed lines, wrong tensor set,
+    non-contiguous offsets, truncated or oversized payload, checksum
+    mismatch, non-finite values) raises ParamFormatError; nothing is
+    partially loaded. The header and the file's size are checked before
+    any payload byte is read, and each tensor is read straight into an
+    array of its own, so a kept tensor pins nothing else of the file.
+    """
+    with open(path, "rb") as fh:
+        dims, entries, declared_crc, declared_len = _parse_header(_read_header(fh))
+        payload_len = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload_len < declared_len:
+            raise ParamFormatError(f"truncated payload: {payload_len} bytes, need {declared_len}")
+        if payload_len > declared_len:
+            raise ParamFormatError(f"trailing bytes after payload: {payload_len - declared_len}")
+        arrays: dict[str, np.ndarray] = {}
+        crc = 0
+        for name, shape, offset in entries:
+            arr = np.empty(shape, "<f4")
+            got = fh.readinto(arr)
+            if got != arr.nbytes:  # the file shrank after its size was read
+                raise ParamFormatError(
+                    f"truncated payload: {offset + got} bytes, need {declared_len}"
+                )
+            crc = zlib.crc32(arr, crc)
+            arrays[name] = arr
+
+    actual_crc = f"{crc:08x}"
     if actual_crc != declared_crc:
         raise ParamFormatError(f"checksum mismatch: header {declared_crc}, payload {actual_crc}")
 
     tensors: dict[str, DenseTensor] = {}
-    offset = 0
-    for name, shape, _ in entries:
-        count = int(np.prod(shape))
-        values = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        offset += count * 4
-        arr = np.ascontiguousarray(values.astype(np.float32, copy=False)).reshape(shape)
+    for name, arr in arrays.items():
         try:
-            tensors[name] = DenseTensor(arr, context=name)
+            # The arrays are the loader's own, so the tensors adopt them.
+            tensors[name] = DenseTensor(arr, np.float32, copy=False, context=name)
         except ArithmeticError as exc:
             raise ParamFormatError(f"tensor {name} holds non-finite values: {exc}") from None
     return RoutingParams(dims, **tensors)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import vecroute.params_io as params_io
 from vecroute import (
     ParamFormatError,
     RoutingDims,
@@ -15,6 +16,7 @@ from vecroute import (
     field_shapes,
     init_params,
     load_params,
+    measure_peak,
     save_params,
 )
 
@@ -187,14 +189,15 @@ def corrupt(path, out_path, *, header=None, payload=None, fix_checksum=False):
     return out_path
 
 
-class TestRejection:
-    @pytest.fixture()
-    def valid(self, tmp_path):
-        p = init_params(FIXED_DIMS, seed=2)
-        path = tmp_path / "valid.bin"
-        save_params(p, path)
-        return path
+@pytest.fixture()
+def valid(tmp_path):
+    p = init_params(FIXED_DIMS, seed=2)
+    path = tmp_path / "valid.bin"
+    save_params(p, path)
+    return path
 
+
+class TestRejection:
     def test_bad_magic(self, valid, tmp_path):
         bad = corrupt(valid, tmp_path / "bad.bin", header=lambda l: ["router-params 1"] + l[1:])
         with pytest.raises(ParamFormatError, match="not a parameter file"):
@@ -349,23 +352,153 @@ HEADER_FAULTS = {
         with_line("payload", "payload 840"),
         "declared payload length 840 != tensor total 836",
     ),
+    # docs/param-format.md: integers are ASCII digits, fields one space apart, lines end in "\n".
+    "signed_integer": (
+        with_line("dims", "dims n_inp=5 n_out=+3 d_inp=6 d_out=4 n_iters=2"),
+        "malformed header: n_out '+3' is not an integer",
+    ),
+    "underscored_integer": (
+        with_line("dims", "dims n_inp=5 n_out=0_3 d_inp=6 d_out=4 n_iters=2"),
+        "malformed header: n_out '0_3' is not an integer",
+    ),
+    "underscored_payload_length": (
+        with_line("payload", "payload 8_36"),
+        "malformed header: payload length '8_36' is not an integer",
+    ),
+    "signed_shape": (
+        with_line("tensor act_bias", "tensor act_bias f32 +5 120"),
+        "malformed header: bad shape '+5' for act_bias",
+    ),
+    "underscored_offset": (
+        with_line("tensor act_bias", "tensor act_bias f32 5 1_20"),
+        "malformed header: act_bias offset '1_20' is not an integer",
+    ),
+    "double_space": (
+        with_line("mode", "mode  fixed"),
+        "malformed header: expected mode line, got 'mode  fixed'",
+    ),
+    "trailing_space": (
+        with_line("tensor act_bias", "tensor act_bias f32 5 120 "),
+        "malformed header: expected tensor line, got 'tensor act_bias f32 5 120 '",
+    ),
+    "carriage_return": (
+        with_line("dims", "dims n_inp=5 n_out=3 d_inp=6 d_out=4 n_iters=2\r"),
+        "malformed header: n_iters '2\\r' is not an integer",
+    ),
 }
 
 
-@pytest.mark.parametrize("fault", HEADER_FAULTS)
-def test_header_fault_raises_before_any_value_is_read(fault, tmp_path, monkeypatch):
-    edit, message = HEADER_FAULTS[fault]
-    path = tmp_path / "valid.bin"
-    save_params(init_params(FIXED_DIMS, seed=2), path)
-    bad = corrupt(path, tmp_path / "bad.bin", header=edit)
+def read_payload_with(monkeypatch, readinto):
+    """Make load_params read each tensor through ``readinto(file, array)``."""
 
-    def no_reads(*args, **kwargs):
+    class File:
+        def __init__(self, *args):
+            self.fh = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def readinto(self, buffer):
+            return readinto(self.fh, buffer)
+
+    monkeypatch.setattr(params_io, "open", File, raising=False)
+
+
+@pytest.mark.parametrize("fault", HEADER_FAULTS)
+def test_header_fault_raises_before_any_value_is_read(fault, valid, tmp_path, monkeypatch):
+    edit, message = HEADER_FAULTS[fault]
+    bad = corrupt(valid, tmp_path / "bad.bin", header=edit)
+    reads = []
+
+    def counted(fh, buffer):
+        reads.append(len(memoryview(buffer).cast("B")))
+        return fh.readinto(buffer)
+
+    # The valid file's values are read through the patched readinto alone.
+    read_payload_with(monkeypatch, counted)
+    load_params(valid)
+    assert len(reads) == len(field_shapes(FIXED_DIMS)) and sum(reads) == 836
+
+    def no_reads(fh, buffer):
         raise AssertionError("a payload value was read")
 
-    monkeypatch.setattr(np, "frombuffer", no_reads)
+    read_payload_with(monkeypatch, no_reads)
     with pytest.raises(ParamFormatError) as raised:
         load_params(bad)
     assert str(raised.value) == message
+
+
+class TestReadPath:
+    @pytest.mark.parametrize("past_head", [0, 1, 2])
+    def test_blank_line_across_a_chunk_boundary(self, past_head, valid, monkeypatch):
+        # The header's first byte past its last line is at index len(head):
+        # a chunk of len(head) + 1 bytes ends between the blank line's two "\n".
+        head = valid.read_bytes().partition(b"\n\n")[0]
+        monkeypatch.setattr(params_io, "_HEADER_CHUNK", len(head) + past_head)
+        assert params_equal(load_params(valid), init_params(FIXED_DIMS, seed=2))
+
+    def test_one_byte_chunks(self, valid, monkeypatch):
+        monkeypatch.setattr(params_io, "_HEADER_CHUNK", 1)
+        assert params_equal(load_params(valid), init_params(FIXED_DIMS, seed=2))
+
+    def test_no_blank_line_in_several_chunks(self, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"vecroute-params 1\n" + b"\x00" * (3 * params_io._HEADER_CHUNK))
+        with pytest.raises(ParamFormatError) as raised:
+            load_params(bad)
+        assert str(raised.value) == "malformed header: missing blank-line terminator"
+
+    def test_file_shortened_after_its_size_was_read(self, valid, monkeypatch):
+        # The file loses its last 8 bytes between the size check and the reads.
+        left = [836 - 8]
+
+        def short(fh, buffer):
+            got = fh.readinto(memoryview(buffer).cast("B")[: left[0]])
+            left[0] -= got
+            return got
+
+        read_payload_with(monkeypatch, short)
+        with pytest.raises(ParamFormatError) as raised:
+            load_params(valid)
+        assert str(raised.value) == "truncated payload: 828 bytes, need 836"
+
+    def test_each_tensor_owns_its_array(self, valid):
+        for name, t in load_params(valid).field_items():
+            arr = t.array
+            assert arr.dtype == np.float32 and arr.flags.c_contiguous, name
+            assert not arr.flags.writeable, name
+            # No view of a buffer the whole file shares: one kept tensor pins only itself.
+            assert arr.base is None and arr.flags.owndata, name
+
+
+class TestOneCopy:
+    """At credit_chain's first routing (2048 x 128 x 64, fixed) the payload
+    is 4.89 MB: saving holds no copy of it, and loading holds it once."""
+
+    DIMS = RoutingDims(2048, 128, 64, 64, 2)
+
+    def test_save_peaks_below_64_kib(self, tmp_path):
+        p = init_params(self.DIMS, seed=1)
+        path = tmp_path / "params.bin"
+        save_params(p, path)  # one warm-up call per process and shape
+        _, peak = measure_peak(lambda: save_params(p, path))
+        assert peak < 64 * 1024
+
+    def test_load_peaks_within_128_kib_of_the_payload(self, tmp_path):
+        p = init_params(self.DIMS, seed=1)
+        path = tmp_path / "params.bin"
+        save_params(p, path)
+        load_params(path)
+        loaded, peak = measure_peak(lambda: load_params(path))
+        payload = sum(t.array.nbytes for _, t in p.field_items())
+        assert payload <= peak <= payload + 128 * 1024
+        assert params_equal(loaded, p)
 
 
 def independent_write(path, dims: RoutingDims, arrays: dict) -> None:
