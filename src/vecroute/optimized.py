@@ -20,8 +20,10 @@ over outputs, the shares and the credit. :func:`route_optimized`
 therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
 n_out) input rows. A block computes its stages in place in a workspace
 of one or three block-sized slots, checks them for non-finite values
-once, and adds its ``credit.T @ x`` and ``credit.sum(0)`` into the
-output-sized partials that the M-step finishes once per iteration. With
+once, and adds its ``credit.T @ x`` (from iteration 3 on, ``w.T @ x``;
+see the a-form below) and its column totals, taken by BLAS as
+``ones @ credit``, into the output-sized partials that the M-step
+finishes once per iteration. With
 the trace off the only routing-pair-sized (n_inp * n_out) array is the
 returned final credit. Beside it the fixed layout holds one input-sized
 (n_inp) array, its activation scores and then its gates; the variable
@@ -42,18 +44,20 @@ table of (name, shape, init) rows, ``_LAYOUTS`` below; the parameter
 names, shapes, initialization, validation and file layout all derive
 from it. The router picks one block kernel per call from the layout
 (``_FixedBlocks``, ``_VariableBlocks``). The kernel owns the block
-orientation, iteration 1's credit, a later block's coefficients and
-scores, and the coefficients' finite check; the loop that drives it has
-no layout branch. Fixed-layout blocks are row-major, the layout of its
+orientation, iteration 1's credit, a later block's coefficients (or
+a / 2 of the a-form) and scores, iteration 2's gated ignore
+coefficients, and the coefficients' finite check; the loop that drives
+it has no layout branch. Fixed-layout blocks are row-major, the layout of its
 per-pair tables. Variable-layout blocks are output-major, so reductions
 and broadcasts over the outputs run along long contiguous runs even when
 n_out is small. A block computes its shares in its workspace, and a
 record that keeps them takes a copy of its rows. Only a row-major block
 computes its credit in place, in the rows of a kept credit, which is
 row-major too; an output-major block computes it in a slot and copies it
-in. So a fixed-layout call computes every iteration's credit straight
-into the final credit's rows: scratch until the last iteration, and in a
-replay (below) the rows of that iteration's credit record.
+in. So a fixed-layout call computes the credit of iterations 1 and 2
+straight into the final credit's rows, which then hold a / 2 until the
+last iteration writes its credit there; in a replay (below) each
+iteration writes the rows of its own credit record.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
@@ -96,7 +100,8 @@ alone in the fixed layout). Negation is exact, so -z = -(gain * inner
 + bias) lands in the score columns bit for bit. The softmax is
 sigma(z_ij) / S_i with S_i = sum_j sigma(z_ij), so a block computes
 sigma once and scales each row by g_i / S_i, which folds the gate in
-too: five pair-sized passes (exp, +1, reciprocal, row sum, row scale),
+too: five pair-sized passes (exp, +1, reciprocal, row sum, row scale;
+the row sum by BLAS, sigma @ ones),
 where the log-logistic, the max-shifted softmax and the gate taken one
 by one need twelve. The first three are the kernel that also computes
 the gates, sigma = 1 / (1 + exp(-z)) from -z, where an overflowing exp
@@ -119,34 +124,79 @@ stays above the floor. The block's max of -z, which its finite check
 takes anyway, decides: at or below T nothing is copied; above it the
 rows whose every -z exceeds T are, a superset of the rescued rows.
 
+From iteration 3 on, the ignore half leaves the loop (the a-form). With
+r_i = g_i / S_i and a = bu + bi, used = sigma * r and ignored = g - used
+give credit_ij = r_i sigma_ij a_ij - g_i bi_ij, so with w = (sigma * r) * a
+
+    pooled = w^T x - Q,    total = w^T 1 - q,
+    Q = sum_i g_i bi_i x_i^T,    q = sum_i g_i bi_i,
+
+where Q and q are the same in every iteration of a call. Iteration 2
+computes its credit whole, bu * used - bi * ignored, which proves the
+coefficients finite, and, when a later iteration follows, pools g * bi
+into Q and q beside it. Every iteration from 3 on pools the a-form, the
+last too, so an iteration's output does not depend on how many follow
+it: record k of a longer routing is, bit for bit, the output of a
+k-iteration one. A block of the a-form computes sigma and its row sums,
+then w = sigma * r and w *= a, two pair-sized passes where the shares
+and the credit take five, and pools w. It computes a credit only to keep
+it, w - g * bi: the call's last iteration, or a replay's record.
+a = bu + bi overflows where both are finite, so the block takes
+a / 2 = 0.5 * bu + 0.5 * bi and 2 * r instead. Doubling and halving are
+exact away from overflow and subnormals, so in the fixed layout
+(sigma * 2r) * (a / 2) rounds as used * (bu + bi), and is finite where
+that product is; the variable layout's a / 2, from the halved weight
+below, is a rounding of the same value. The fixed
+layout computes a / 2 once, in iteration 2's blocks, into rows that are
+scratch until the last iteration writes its credit there: the final
+credit's in a call; in a replay, the last iteration's ignored shares,
+which only that iteration writes. The variable layout takes a / 2 from
+its block matmul: when n_iters > 2 its fused weight is [W_use | W_ign |
+-predicted^T | W_a] with W_a = 0.5 * W_use + 0.5 * W_ign (bias b_a
+likewise). Iteration 2 multiplies by the first three column groups and
+the a-form by the last two; bi, for a kept credit, comes from a matmul of
+its own against the W_ign columns, so -z and a / 2 do not depend on
+whether a block keeps its credit. A block of the a-form computes no
+shares, no bu * used, no bi * ignored and no difference of them.
+
 Each workspace slot is overwritten in place once the value it holds is
 dead (the liveness rule of Chen et al., arXiv:1604.06174), with the
-trace on or off. A later block computes, in this order,
+trace on or off. An iteration-2 block computes, in this order,
 used = sigma * g / S, the credit product bu * used, ignored = g - used
 and bi * ignored. Used, ignored and bi * ignored each overwrite the
 value before them in sigma's slot, so one order serves both slot
 tables. The variable layout needs three block-sized arrays:
 
-    slot 0: bu, then the credit (bu * used, then minus bi * ignored)
-    slot 1: bi
-    slot 2: -z, then sigma, the used and the ignored shares, bi * ignored
+    iteration 2:  slot 0: bu, then the credit (bu * used, then minus
+                          bi * ignored)
+                  slot 1: bi, then g * bi
+                  slot 2: -z, then sigma, the used and the ignored
+                          shares, bi * ignored
+    a-form:       slot 0: -z, then sigma, then w
+                  slot 1: a / 2
+                  slot 2: bi, then g * bi, then the kept credit
 
-The fixed layout's tables stand in for bu and bi, and its credit is
-computed in the rows of a kept credit, so it needs one:
+The fixed layout's tables stand in for bu and bi, a / 2 lives in rows of
+its own (above) and its credit is computed in the rows of a kept credit,
+so it needs one:
 
-    slot 0: -z, then sigma, the used and the ignored shares, bi * ignored
+    iteration 2:  slot 0: -z, then sigma, the used and the ignored shares,
+                          bi * ignored, 0.5 * bi and g * bi
+    a-form:       slot 0: -z, then sigma, then w
 
 The workspace is one flat array, and slot k of an n-row block is its
 k-th run of n * n_out elements. So column group k of the variable
-layout's matmul, which writes (bu | bi | -z), is slot k, in a ragged
-last block too, and each in-place product meets its output as the very
-same compact view. A record copies each share in as soon as it is
+layout's matmul, which writes (bu | bi | -z) or (-z | a / 2), is slot k,
+in a ragged last block too, and each in-place product meets its output
+as the very same compact view. A record copies each share in as soon as it is
 computed, so the ignored shares take the used shares' slot traced too.
 Iteration 1 computes only its credit, in slot 0 (in the fixed layout,
 in the rows of a kept credit, with (1 - p) * bi in slot 0); a replay
 writes that iteration's shares, g * p and g - g * p, itself. The fused
-weight exists from the first later iteration on, and the last M-step
-runs after the workspace and the weight are dropped.
+weight exists from the first later iteration on, Q and q from iteration
+2 on, and the last M-step runs after the workspace, the weight and Q are
+dropped. The ones vector for the BLAS row sums and column totals lives
+only during a sweep, so no M-step or prediction holds it.
 
 The final credit is allocated first. In the variable layout with the
 trace off, its last n_inp elements (flat) hold the activation scores,
@@ -175,9 +225,11 @@ iteration loop, the same code on the same inputs, so each block and each
 M-step computes the call's values bit for bit, and each block writes its
 rows of the records. Iteration 1 takes the form the call took, decided
 again on the same inputs; a closed-form iteration 1 reruns the closed
-form for its output and its blocks for its credit record. The last
-iteration pools nothing and computes no credit: its credit record is the
-final credit, and its output is the call's. The sigma kernel writes
+form for its output and its blocks for its credit record. A replay's
+block of the a-form writes its shares from sigma into their records,
+pools w as the call did, and writes w - g * bi into its credit record.
+The last iteration pools nothing and computes no credit: its credit
+record is the final credit, and its output is the call's. The sigma kernel writes
 e^(-z) into the scores record and sigma from there over -z, then turns
 the record into log sigma(z) = -log1p(e^(-z)) in two passes (z itself
 where e^(-z) overflows, kept before sigma overwrites -z). The records
@@ -195,16 +247,19 @@ input i's activation score, so the activations check covers the input,
 and x_inp is scanned only once that check fails, to name the input.
 Routing, shares and scores are finite by construction (sigma <= 1,
 S_i >= tiny / eps, gates in [0, 1], a rescued row is the softmax of a
-finite z). Every credit array that a block pools, which each credit
-record replays bit for bit, and the returned final credit, feeds
-total_j = sum_i credit_ij and so,
-through total_j * vote_bias_j, every entry of output row j, so the
-iteration's output update check fails first on a non-finite one. The
-closed form's iteration 1 pools no block: its output's own finite
-test, the checks' min/max predicate, which picks the fallback, is its
-check, and the replay scans its credit record, so a read can fail where
-the call did not. The next prediction reads the checked output
-unscanned.
+finite z). Every array that a block pools, the credit of iterations 1
+and 2 (which each credit record replays bit for bit) and w of the
+a-form, feeds total_j and so, through total_j * vote_bias_j, every entry
+of output row j, so the iteration's output update check fails first on
+a non-finite one. A credit of the a-form is no longer the array that
+was pooled, so the call checks its final credit, and the replay each
+pool-only credit record, through their column totals: a fresh n_out
+vector, non-finite where the credit is or where its sum over the inputs
+overflows, and sharing memory with no other checked array. The closed
+form's iteration 1 pools no block: its output's own finite test, the
+checks' min/max predicate, which picks the fallback, is its check, and
+the replay scans its credit record, so a read can fail where the call
+did not. The next prediction reads the checked output unscanned.
 """
 
 from __future__ import annotations
@@ -470,11 +525,10 @@ def predict_inputs(x_out: np.ndarray | DenseTensor, params: RoutingParams) -> np
     the magnitudes the update sums produce. An array ``x_out`` is checked
     for non-finite values; a DenseTensor was checked when it was built.
     """
-    normed = normalize_vectors(x_out).array
-    return (
-        params.pred_gate.array * (normed @ params.pred_proj.array)
-        + params.pred_bias.array
-    )
+    out = normalize_vectors(x_out).array @ params.pred_proj.array
+    out *= params.pred_gate.array
+    out += params.pred_bias.array
+    return out
 
 
 def score_predictions(x_inp: np.ndarray, predicted: np.ndarray, params: RoutingParams) -> np.ndarray:
@@ -497,15 +551,25 @@ def m_step_factored(x_inp: np.ndarray, phi: np.ndarray, params: RoutingParams) -
     the per-(input, output) proposals are never formed. The bias term
     picks up the total credit each output assigned.
     """
-    return _finish_m_step(phi.T @ x_inp, phi.sum(axis=0), x_inp.shape[0], params)
+    pooled = phi.T @ x_inp
+    scale = _scale(x_inp.shape[0], pooled.dtype)
+    pooled = pooled.astype(np.result_type(pooled, params.dtype), copy=False)
+    return _finish_m_step(pooled, phi.sum(axis=0), scale, params)
 
 
-def _finish_m_step(pooled: np.ndarray, total: np.ndarray, n_inp: int, params: RoutingParams) -> np.ndarray:
-    """Outputs from the input-contracted credit sums of a whole sequence,
-    each product in a fresh array of its operands' result dtype."""
-    out = (params.vote_mix.array * pooled) @ params.vote_proj.array
-    out *= _scale(n_inp, pooled.dtype)
-    out += total[:, None] * params.vote_bias.array
+def _finish_m_step(pooled: np.ndarray, total: np.ndarray, scale, params: RoutingParams) -> np.ndarray:
+    """Outputs from the input-contracted credit sums of a whole sequence.
+
+    ``pooled`` must be C-contiguous and of its products' result dtype: it
+    takes vote_mix * pooled and then, where it is large enough, the bias
+    term, so the step holds two output-sized arrays beside it (``out`` and
+    numpy's iterator buffer for the broadcast ``total``), not four.
+    """
+    np.multiply(params.vote_mix.array, pooled, out=pooled)
+    out = pooled @ params.vote_proj.array
+    out *= scale
+    bias = pooled.reshape(-1)[: out.size].reshape(out.shape) if pooled.size >= out.size else None
+    out += np.multiply(total[:, None], params.vote_bias.array, out=bias)
     return out
 
 
@@ -547,21 +611,25 @@ class _Blocks:
 
     A layout's kernel (``_FixedBlocks``, ``_VariableBlocks``) adds the
     block orientation, iteration 1's credit, a later block's coefficients
-    and scores, and the coefficients' finite check. Every class of the
-    hierarchy declares ``__slots__``: each call builds a kernel, and with
-    an instance ``__dict__`` the call's peak fell by 8 B a call over its
-    first 14 or so calls (:mod:`vecroute.memtrack`).
+    and scores, the gated ignore coefficients that iteration 2 pools, and
+    the coefficients' finite check. Every class of the hierarchy declares
+    ``__slots__``: each call builds a kernel, and with an instance
+    ``__dict__`` the call's peak fell by 8 B a call over its first 14 or
+    so calls (:mod:`vecroute.memtrack`).
     """
 
-    __slots__ = ("n_out", "params", "x", "gates", "blocks", "prior", "work", "row_sum_floor",
-                 "near_floor", "weight", "closed_form", "first", "gain", "bias")
+    __slots__ = ("n_out", "params", "x", "gates", "blocks", "prior", "half", "scale", "ones", "work",
+                 "row_sum_floor", "near_floor", "weight", "ignore_sums", "closed_form", "first", "gain",
+                 "bias")
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
         n_inp, dtype = x.shape[0], params.dtype
         self.n_out = params.dims.n_out
         self.params, self.x, self.gates = params, x, gates
         self.blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
-        self.prior = dtype.type(1.0 / self.n_out)
+        self.prior, self.half = dtype.type(1.0 / self.n_out), dtype.type(0.5)
+        self.scale = _scale(n_inp, dtype)
+        self.ones = None  # held during a sweep only, so no M-step or prediction holds it
         # The block workspace, each slot reused once its value is dead (the
         # module docstring's tables), held here alone so that dropping it
         # here frees it. The closed form borrows it for gated inputs.
@@ -570,60 +638,83 @@ class _Blocks:
         self.row_sum_floor = tiny / eps
         self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
         self.weight = None  # the fused weight, from the first later iteration on
+        self.ignore_sums = None  # (Q, q), from iteration 2 on when a later one takes the a-form
 
     def score_against(self, predicted: np.ndarray) -> None:
         """Write -predicted^T into the fused weight's score columns,
         building the weight on first use (iteration 1 never reads it)."""
         if self.weight is None:
             self.weight = self.fused_weight()
-        np.negative(predicted.T, out=self.weight[:, -self.n_out :])
+        start = self.score_group * self.n_out
+        np.negative(predicted.T, out=self.weight[:, start : start + self.n_out])
 
     def sweep(self, rec: dict, it: int, pool: bool = True) -> np.ndarray | None:
         """One iteration over the blocks, writing their rows of the arrays
         in ``rec``. With ``pool``, they add up their pooled sums, and it
-        returns the iteration's output update, checked."""
-        if not pool:
-            for blk in self.blocks:
-                self.route_block(rec, it, blk, None)
-            return None
-        n_inp, d_inp = self.x.shape
-        pooled, total = np.zeros((self.n_out, d_inp), self.x.dtype), np.zeros(self.n_out, self.x.dtype)
+        returns the iteration's output update, checked; a credit that an
+        iteration of the a-form keeps is checked through its column totals."""
+        d_inp, n_out, n_iters, dtype = self.x.shape[1], self.n_out, self.params.dims.n_iters, self.x.dtype
+        # Row sums (its first n_out) and column totals (its first n) by BLAS.
+        self.ones = np.ones(max(self.blocks[0].stop, n_out), dtype)  # the first block is the longest
+        a_form_kept = pool and it > 2 and rec.get("credit") is not None
+        sums = None
+        if pool:
+            if it == 2 < n_iters:  # iteration 2 pools Q = sum_i g_i bi_i x_i^T and q = sum_i g_i bi_i too
+                self.ignore_sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
+            credit_total = np.zeros(n_out, dtype) if a_form_kept else None
+            sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype), credit_total
         for blk in self.blocks:
-            self.route_block(rec, it, blk, (pooled, total))
-        if it == self.params.dims.n_iters:  # dead: the last M-step's peak holds neither
-            self.work = self.weight = None
-        x_out = _finish_m_step(pooled, total, n_inp, self.params)
+            self.route_block(rec, it, blk, sums)
+        self.ones = None
+        if not pool:
+            return None
+        pooled, total = sums[:2]
+        if it > 2:  # the a-form pooled w = (sigma * r) * a; the credit is w - g * bi
+            pooled -= self.ignore_sums[0]
+            total -= self.ignore_sums[1]
+        if it == n_iters:  # dead: the last M-step's peak holds none of them
+            self.work = self.weight = self.ignore_sums = None
+        if a_form_kept:
+            _check_finite(credit_total, "credit", it)
+        x_out = _finish_m_step(pooled, total, self.scale, self.params)
         _check_finite(x_out, "output update", it)
         return x_out
 
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
         """One block of an iteration: its credit, its share of ``sums`` (the
-        pooled sums and the totals; None when the iteration pools nothing)
+        pooled sums, the totals and, when it keeps a credit of the a-form,
+        that credit's column totals; None when the iteration pools nothing)
         and its rows of the arrays in ``rec``. A block that neither pools
-        nor keeps its credit computes none. Its views of the workspace end
-        with the call."""
+        nor keeps its credit computes none, and a block of the a-form
+        computes one only to keep it. Its views of the workspace end with
+        the call."""
         n, n_out = blk.stop - blk.start, self.n_out
         scores, routing, kept = rec.get("scores"), rec.get("routing"), rec.get("credit")
+        x, ones = self.x[blk], self.ones[:n]
 
         def keep(name: str, computed: np.ndarray) -> None:
             if rec.get(name) is not None:
                 rec[name][blk] = computed
 
+        def pool(values: np.ndarray, into: tuple) -> None:
+            pooled, total = into[:2]
+            pooled += values.T @ x
+            total += ones @ values
+
         # Read before the block's last step writes its credit: in the final
         # credit's tail, that write may overwrite these gates.
         g = self.gates[blk, None]
-        # Row-major blocks compute their credit in place in the rows of a
-        # kept one, which every row-major block that computes a credit has:
-        # the caller's final credit or a replay's record. Output-major
-        # blocks compute it in slot 0 and copy it in last.
-        credit = None
-        if sums is not None or kept is not None:
-            credit = kept[blk] if self.row_major else self.block(self.work, n, n_out)
+        a_form = it > 2
         if it == 1:
+            # Row-major blocks compute their credit in place in the rows of
+            # a kept one, which every row-major block of iterations 1 and 2
+            # has: the caller's final credit or a replay's record.
+            # Output-major blocks compute it in slot 0 and copy it in last.
+            credit = kept[blk] if self.row_major else self.block(self.work, n, n_out)
             self.first_credit(blk, credit)
             credit *= g
         else:
-            bu, bi, neg_z = self.later_block(blk)
+            coef, bi, neg_z = self.later_block(blk, a_form, kept is not None)
             top = neg_z.max()
             if not top < np.inf:
                 raise NumericError(f"non-finite values in score at iteration {it}")
@@ -635,7 +726,7 @@ class _Blocks:
                 near_z = neg_z[near]
             _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
             sigma = neg_z  # written over -z
-            row_sum = sigma.sum(axis=1)  # S_i, then g_i / S_i
+            row_sum = sigma @ self.ones[:n_out]  # S_i, then g_i / S_i
             if near is not None:
                 hit = row_sum[near] < self.row_sum_floor
                 if hit.any():
@@ -647,42 +738,67 @@ class _Blocks:
             if routing is not None:
                 np.divide(sigma, row_sum[:, None], out=routing[blk])
             np.divide(g[:, 0], row_sum, out=row_sum)
-            # Each result overwrites the slot of an operand dead from here on.
-            used = sigma
-            np.multiply(sigma, row_sum[:, None], out=used)
-            keep("share_used", used)
-            if credit is not None:
-                np.multiply(bu, used, out=credit)
-            ignored = used
-            np.subtract(g, used, out=ignored)
-            keep("share_ignored", ignored)
-            if credit is None:
-                return
-            np.multiply(bi, ignored, out=ignored)
-            credit -= ignored
+            if a_form:
+                if rec.get("share_used") is not None:  # a replay's: written from sigma, not kept by the call
+                    used = rec["share_used"][blk]
+                    np.multiply(sigma, row_sum[:, None], out=used)
+                    np.subtract(g, used, out=rec["share_ignored"][blk])
+                if sums is None:
+                    return
+                row_sum += row_sum  # 2 g / S, exactly, for the halved coef = a / 2
+                w = sigma
+                np.multiply(sigma, row_sum[:, None], out=w)
+                w *= coef
+                pool(w, sums)
+                if kept is None:
+                    return
+                credit = kept[blk] if self.row_major else bi
+                np.multiply(bi, g, out=credit)
+                np.subtract(w, credit, out=credit)
+                credit_total = sums[2]
+                credit_total += ones @ credit
+            else:
+                # Each result overwrites the slot of an operand dead from here on.
+                used = sigma
+                np.multiply(sigma, row_sum[:, None], out=used)
+                keep("share_used", used)
+                credit = None
+                if sums is not None or kept is not None:
+                    credit = kept[blk] if self.row_major else self.block(self.work, n, n_out)
+                    np.multiply(coef, used, out=credit)
+                ignored = used
+                np.subtract(g, used, out=ignored)
+                keep("share_ignored", ignored)
+                if credit is None:
+                    return
+                np.multiply(bi, ignored, out=ignored)
+                credit -= ignored
         if not self.row_major:
             keep("credit", credit)
-        if sums is not None:
-            pooled, total = sums
-            pooled += credit.T @ self.x[blk]
-            total += credit.sum(axis=0)
+        if sums is not None and not a_form:
+            pool(credit, sums)
+            if self.ignore_sums is not None and it == 2:
+                pool(self.gated_ignore(blk, bi, g), self.ignore_sums)
 
 
 class _FixedBlocks(_Blocks):
     """Block kernel of the fixed layout: row-major blocks, stored tables.
 
-    Its credit goes straight into the rows of a kept credit in every
-    iteration, so its workspace is one slot (the module docstring)."""
+    Its credit goes straight into the rows of a kept credit, so its
+    workspace is one slot, and a / 2 lives in rows that are scratch until
+    the last iteration (the module docstring)."""
 
-    __slots__ = ("use", "ign")
+    __slots__ = ("use", "ign", "a_rows")
     row_major = True
     slots = 1
+    score_group = 0  # the fused weight's column group that -predicted^T takes
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows):
         super().__init__(params, x, gates, rows)
         self.closed_form, self.first = False, None  # iteration 1 takes its credit from the tables
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
+        self.a_rows = a_rows
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
@@ -703,13 +819,22 @@ class _FixedBlocks(_Blocks):
         np.multiply(self.ign[blk], 1 - self.prior, out=scratch)
         credit -= scratch
 
-    def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
-        """(bu, bi, -z): the tables stand in for bu and bi, so -z takes the slot."""
+    def later_block(self, blk: slice, a_form: bool, keeps: bool) -> tuple[np.ndarray, ...]:
+        """(bu or a / 2, bi, -z): the tables and a_rows stand in for the
+        coefficients, so -z takes the slot."""
         neg_z = self.block(self.work, blk.stop - blk.start, self.n_out)
         np.matmul(self.x[blk], self.weight, out=neg_z)
         neg_z *= self.gain[blk]
         neg_z -= self.bias[blk]
-        return self.use[blk], self.ign[blk], neg_z
+        return (self.a_rows if a_form else self.use)[blk], self.ign[blk], neg_z
+
+    def gated_ignore(self, blk: slice, bi: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """g * bi in slot 0, once a / 2 = 0.5 * use + 0.5 * ign is in a_rows."""
+        scratch = self.block(self.work, blk.stop - blk.start, self.n_out)
+        np.multiply(self.use[blk], self.half, out=self.a_rows[blk])
+        np.multiply(bi, self.half, out=scratch)
+        self.a_rows[blk] += scratch
+        return np.multiply(bi, g, out=scratch)
 
     def check_betas(self) -> None:
         """Nothing to do: the tables were checked with the parameters."""
@@ -722,14 +847,16 @@ class _VariableBlocks(_Blocks):
     __slots__ = ()
     row_major = False
     slots = 3
+    score_group = 2
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
         super().__init__(params, x, gates, rows)
         self.closed_form = params.dims.d_inp < 3 * self.n_out
         self.gain = params.score_gain.array
-        self.bias = np.concatenate(
-            [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
-        )
+        biases = [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
+        if params.dims.n_iters > 2:  # b_a = 0.5 * b_use + 0.5 * b_ign
+            biases.append(self.half * biases[0] + self.half * biases[1])
+        self.bias = np.concatenate(biases)
         # Overflow here surfaces as a non-finite iteration 1.
         with np.errstate(over="ignore", invalid="ignore"):
             self.first = _first_iteration_weights(params)
@@ -739,26 +866,46 @@ class _VariableBlocks(_Blocks):
         return buffer[: n * cols].reshape(cols, n).T
 
     def fused_weight(self) -> np.ndarray:
-        """[W_use | W_ign | -predicted^T]; the score columns are written per iteration."""
-        p = self.params
-        weight = np.empty((p.dims.d_inp, 3 * self.n_out), p.dtype)
-        weight[:, : self.n_out] = p.beta_use_weight.array
-        weight[:, self.n_out : 2 * self.n_out] = p.beta_ign_weight.array
+        """[W_use | W_ign | -predicted^T], and [W_a] after them when a later
+        iteration takes the a-form; the score columns are written per iteration."""
+        p, n_out = self.params, self.n_out
+        groups = 4 if p.dims.n_iters > 2 else 3
+        weight = np.empty((p.dims.d_inp, groups * n_out), p.dtype)
+        weight[:, :n_out] = p.beta_use_weight.array
+        weight[:, n_out : 2 * n_out] = p.beta_ign_weight.array
+        if groups == 4:  # W_a = 0.5 * W_use + 0.5 * W_ign
+            np.multiply(p.beta_use_weight.array, self.half, out=weight[:, 3 * n_out :])
+            weight[:, 3 * n_out :] += self.half * p.beta_ign_weight.array
         return weight
 
     def first_credit(self, blk: slice, credit: np.ndarray) -> None:
         np.matmul(self.x[blk], self.first[:-1], out=credit)
         credit += self.first[-1]
 
-    def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
-        """(bu, bi, -z) in workspace slots 0-2, from one matmul."""
-        n_out = self.n_out
-        coef = self.block(self.work, blk.stop - blk.start, 3 * n_out)
-        np.matmul(self.x[blk], self.weight, out=coef)
-        neg_z = coef[:, 2 * n_out :]
+    def later_block(self, blk: slice, a_form: bool, keeps: bool) -> tuple[np.ndarray, ...]:
+        """(bu, bi, -z) in workspace slots 0-2, from one matmul; in the
+        a-form (a / 2, bi, -z) with -z in slot 0, a / 2 in slot 1 and bi,
+        only for a block that keeps its credit, in slot 2 from a matmul of
+        its own, so -z and a / 2 do not depend on whether it does."""
+        n, n_out, x = blk.stop - blk.start, self.n_out, self.x[blk]
+        cols = slice(2 * n_out, 4 * n_out) if a_form else slice(0, 3 * n_out)
+        coef = self.block(self.work, n, 2 * n_out if a_form else 3 * n_out)
+        np.matmul(x, self.weight[:, cols], out=coef)
+        neg_z = coef[:, :n_out] if a_form else coef[:, 2 * n_out :]
         neg_z *= self.gain
-        coef += self.bias  # [b_use | b_ign | -score_bias]: x - b is x + (-b) bit for bit
-        return coef[:, :n_out], coef[:, n_out : 2 * n_out], neg_z
+        coef += self.bias[cols]  # x - b is x + (-b) bit for bit
+        if not a_form:
+            return coef[:, :n_out], coef[:, n_out : 2 * n_out], neg_z
+        bi = None
+        if keeps:
+            bi = self.block(self.work[2 * n * n_out :], n, n_out)
+            np.matmul(x, self.weight[:, n_out : 2 * n_out], out=bi)
+            bi += self.bias[n_out : 2 * n_out]
+        return coef[:, n_out:], bi, neg_z
+
+    def gated_ignore(self, blk: slice, bi: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """g * bi, over bi in its slot."""
+        return np.multiply(bi, g, out=bi)
 
     def check_betas(self) -> None:
         """Finite-check every block's coefficients, in block order."""
@@ -766,10 +913,11 @@ class _VariableBlocks(_Blocks):
             beta_pair_for(self.x[blk], self.params)
 
 
-def _kernel(params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int) -> _Blocks:
-    """The block kernel of the layout ``params`` selects."""
+def _kernel(params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows) -> _Blocks:
+    """The block kernel of the layout ``params`` selects; a fixed-layout
+    kernel keeps a / 2 in ``a_rows`` from iteration 2 on."""
     kernel_type = _VariableBlocks if params.dims.variable_length else _FixedBlocks
-    return kernel_type(params, x, gates, rows)
+    return kernel_type(params, x, gates, rows, a_rows)
 
 
 def route_optimized(
@@ -839,11 +987,11 @@ def route_optimized(
     _logistic_of_negated_into(gates)  # logistic's kernel
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
-    kernel = _kernel(params, x, gates, rows)
-    # Row-major blocks compute every iteration's credit in place in the
-    # final credit's rows; output-major ones copy in only the last.
+    kernel = _kernel(params, x, gates, rows, final_credit)
+    # Row-major blocks compute the credit of iterations 1 and 2 in place in
+    # the final credit's rows; output-major ones copy in only the last.
     records = [
-        {"credit": final_credit if kernel.row_major or it == n_iters else None}
+        {"credit": final_credit if kernel.row_major and it <= 2 or it == n_iters else None}
         for it in range(1, n_iters + 1)
     ]
     output = _iterate(kernel, records)
@@ -877,7 +1025,9 @@ def _iterate(kernel: _Blocks, records: list[dict], output: DenseTensor | None = 
                 with np.errstate(over="ignore", invalid="ignore"):
                     if kernel.closed_form:
                         x_out = _finish_m_step(
-                            *_closed_form_sums(x, kernel.gates, kernel.work, kernel.first), x.shape[0], params
+                            *_closed_form_sums(x, kernel.gates, kernel.work, kernel.first),
+                            kernel.scale,
+                            params,
                         )
                         kernel.closed_form = _all_finite(x_out)  # else redone on the blocks
                     if not kernel.closed_form:
@@ -962,7 +1112,9 @@ def _replay(
         }
         for it in range(1, n_iters + 1)
     ]
-    kernel = _kernel(params, x, gates, rows)
+    # From iteration 2 on, a fixed-layout replay keeps a / 2 in the last
+    # iteration's ignored shares, which only that iteration writes.
+    kernel = _kernel(params, x, gates, rows, kept[-1]["share_ignored"])
     # Iteration 1 routes by the flat prior p, so its shares are g * p and
     # g - g * p; its blocks write only its credit.
     first, g = kept[0], gates[:, None]

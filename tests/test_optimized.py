@@ -1233,6 +1233,105 @@ class TestBlockedLoop:
         assert relative_linf(trace_perm.final_credit.array, trace.final_credit.array[perm]) <= 1e-12
 
 
+# Iterations from 3 on pool w = (sigma * g / S) * (beta_use + beta_ign) and
+# subtract Q = sum_i g_i beta_ign_i x_i^T, which iteration 2 pools beside its
+# credit; they compute a credit, w - g * beta_ign, only to keep it. rand_params
+# draws beta_ign away from 0, so Q is not 0 here. Three blocks, the last
+# ragged; the variable layout takes iteration 1 in closed form at the default
+# sizes and on the blocks at the second.
+A_FORM_CASES = pytest.mark.parametrize(
+    "mode, sizes",
+    [("fixed", {}), ("variable", {}), ("variable", TestBlockedLoop.DIRECT_FIRST_ITERATION)],
+    ids=["fixed", "variable_closed_form", "variable_block_path"],
+)
+
+
+@pytest.mark.usefixtures("pinned_block_size")
+class TestAFormIterations:
+    @A_FORM_CASES
+    def test_outputs_and_every_credit_record_match_the_reference(self, mode, sizes):
+        rng = np.random.default_rng(60)
+        dims, params, x, _ = multi_block_instance(rng, mode, n_iters=5, **sizes)
+        for dtype, tol in ((np.float32, 1e-4), (np.float64, 1e-10)):
+            p, xx = params.astype(dtype), x.astype(dtype)
+            out, trace = route_optimized(xx, p, capture_trace=True)
+            nets, betas = as_plugins(xx, p)
+            out_ref, trace_ref = route_reference(xx, nets, betas, dims)
+            assert relative_linf(out.array, out_ref.array) <= tol, dtype
+            for it, (got, want) in enumerate(zip(trace.iterations, trace_ref.iterations), start=1):
+                assert relative_linf(got.credit.array, want.credit.array) <= tol, (dtype, it)
+                assert relative_linf(got.output.array, want.output.array) <= tol, (dtype, it)
+
+    @A_FORM_CASES
+    def test_trace_on_and_off_agree_bitwise(self, mode, sizes):
+        rng = np.random.default_rng(61)
+        _, params, x, _ = multi_block_instance(rng, mode, n_iters=5, **sizes)
+        out_off, trace_off = route_optimized(x, params)
+        out_on, trace_on = route_optimized(x, params, capture_trace=True)
+        assert np.array_equal(out_off.array, out_on.array)
+        assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
+        assert trace_on.iterations[-1].output is out_on
+        assert_share_laws(trace_on)
+
+    @pytest.mark.parametrize(
+        "sizes", [{}, TestBlockedLoop.DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"]
+    )
+    def test_variable_a_is_finite_wherever_the_coefficients_are(self, sizes):
+        # The twin of the fixed layout's test: feature 0 is 1 on every input
+        # and both coefficient weights are 2.5e38 there, so beta_use =
+        # beta_ign = 2.5e38 and their sum overflows, but a / 2 from the
+        # halved weight 0.5 * W_use + 0.5 * W_ign does not. Gates near e^-60
+        # keep every credit and sum finite.
+        rng = np.random.default_rng(62)
+        dims, params, x, _ = multi_block_instance(rng, "variable", n_iters=4, **sizes)
+        x[:, 0] = 1.0
+        weight = np.zeros((dims.d_inp, dims.n_out), np.float32)
+        weight[0] = 2.5e38
+        zero = np.zeros(dims.n_out, np.float32)
+        p = replaced(
+            params, dims, beta_use_weight=weight, beta_ign_weight=weight, beta_use_bias=zero,
+            beta_ign_bias=zero, act_bias=np.full(1, -60.0, np.float32),
+        )
+        betas = beta_pair_for(x, p)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(betas.beta_use.array).all()
+            assert np.isinf(betas.beta_use.array + betas.beta_ign.array).all()
+        out, _ = route_optimized(x, p)
+        nets, _ = as_plugins(x, p)
+        out_ref, _ = route_reference(x, nets, betas, dims, capture_trace=False)
+        assert relative_linf(out.array, out_ref.array) <= 1e-4
+
+    def test_a_credit_that_is_not_pooled_is_checked(self, monkeypatch):
+        # A credit of the a-form, w - g * beta_ign, is not the array its
+        # iteration pools, so no output update check covers it: the call
+        # checks its final credit, and the records' replay each pool-only
+        # record, through their column totals. A beta_ign of inf, read only
+        # where a block of the a-form keeps its credit, leaves every pooled
+        # sum finite. In exact arithmetic |w - g * beta_ign| is at most g
+        # times the larger coefficient, so a finite one overflows only by
+        # rounding at the top of the float range, at scores no test can pin
+        # across BLAS and exp builds.
+        rng = np.random.default_rng(63)
+        dims, params, x, _ = multi_block_instance(rng, "fixed", n_iters=4)
+        later_block = optimized._FixedBlocks.later_block
+
+        def kept_against_infinite_ignore(self, blk, a_form, keeps):
+            coef, bi, neg_z = later_block(self, blk, a_form, keeps)
+            return coef, np.full_like(bi, np.inf) if a_form and keeps else bi, neg_z
+
+        out, trace = route_optimized(x, params, capture_trace=True)
+        monkeypatch.setattr(optimized._FixedBlocks, "later_block", kept_against_infinite_ignore)
+        for capture_trace in (False, True):
+            with pytest.raises(NumericError, match="^non-finite values in credit at iteration 4$"):
+                route_optimized(x, params, capture_trace=capture_trace)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(NumericError, match="^non-finite values in credit at iteration 3$"):
+                trace.iterations[0]
+        monkeypatch.undo()
+        assert trace.iterations[-1].output is out
+        assert np.isfinite(trace.iterations[2].credit.array).all()
+
+
 # Non-finite values, stage by stage. Each case runs in both layouts, at a
 # shape where the variable layout takes iteration 1 in closed form
 # (d_inp < 3 * n_out) and one where it takes the linear form on the blocks
