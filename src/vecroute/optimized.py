@@ -20,11 +20,10 @@ over outputs, the shares and the credit. :func:`route_optimized`
 therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
 n_out) input rows. A block computes its stages in place in a workspace
 of one or three block-sized slots, checks them for non-finite values
-once, and adds its ``credit.T @ x`` (from iteration 3 on, ``w.T @ x``;
-see the a-form below) and its column totals, taken by BLAS as
+once, and adds its ``credit.T @ x`` (in the fixed layout ``w.T @ x``
+of the a-form below) and its column totals, taken by BLAS as
 ``ones @ credit``, into the output-sized partials that the M-step
-finishes once per iteration. With
-the trace off the only routing-pair-sized (n_inp * n_out) array is the
+finishes once per iteration. With the trace off the only routing-pair-sized (n_inp * n_out) array is the
 returned final credit. Beside it the fixed layout holds one input-sized
 (n_inp) array, its activation scores and then its gates; the variable
 layout holds none, its scores and gates living in the credit's
@@ -44,20 +43,18 @@ table of (name, shape, init) rows, ``_LAYOUTS`` below; the parameter
 names, shapes, initialization, validation and file layout all derive
 from it. The router picks one block kernel per call from the layout
 (``_FixedBlocks``, ``_VariableBlocks``). The kernel owns the block
-orientation, iteration 1's credit, a later block's coefficients (or
-a / 2 of the a-form) and scores, iteration 2's gated ignore
-coefficients, and the coefficients' finite check; the loop that drives
-it has no layout branch. Fixed-layout blocks are row-major, the layout of its
-per-pair tables. Variable-layout blocks are output-major, so reductions
+orientation, iteration 1's credit, a later block's coefficients and
+scores, the coefficients' finite check and whether its iterations pool
+the a-form (below); the loop that drives it has no layout branch.
+Fixed-layout blocks are row-major, the layout of its per-pair tables. Variable-layout blocks are output-major, so reductions
 and broadcasts over the outputs run along long contiguous runs even when
 n_out is small. A block computes its shares in its workspace, and a
 record that keeps them takes a copy of its rows. Only a row-major block
 computes its credit in place, in the rows of a kept credit, which is
 row-major too; an output-major block computes it in a slot and copies it
-in. So a fixed-layout call computes the credit of iterations 1 and 2
-straight into the final credit's rows, which then hold a / 2 until the
-last iteration writes its credit there; in a replay (below) each
-iteration writes the rows of its own credit record.
+in. A fixed-layout call keeps a = bu + bi of the a-form in the final
+credit's rows until its last iteration writes its credit there; in a
+replay (below) each iteration writes the rows of its own credit record.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
@@ -83,8 +80,8 @@ The linear block path costs about 4 * n_out * d_inp plus three
 pair-sized passes. At 100000 x 16 x 40 (d_inp = 2.5 * n_out, two
 iterations, 2 CPUs) it measured 27.8 ms against the closed form's
 35.8 ms, faster in 14 of 15 alternating calls. Neither variable-layout
-form computes the coefficients, and no block scans them: a non-finite one makes its
-credit non-finite (inf * 0 is NaN), which fails iteration 2's output
+form computes the coefficients, and no block scans them: a non-finite
+one makes its credit non-finite (inf * 0 is NaN), which fails iteration 2's output
 update check (the last paragraph). Any failure checks the coefficients
 first, so errors name the same stage as when iteration 1 computed them;
 past iteration 2 they are finite, and a failure keeps its own message.
@@ -124,79 +121,78 @@ stays above the floor. The block's max of -z, which its finite check
 takes anyway, decides: at or below T nothing is copied; above it the
 rows whose every -z exceeds T are, a superset of the rescued rows.
 
-From iteration 3 on, the ignore half leaves the loop (the a-form). With
-r_i = g_i / S_i and a = bu + bi, used = sigma * r and ignored = g - used
-give credit_ij = r_i sigma_ij a_ij - g_i bi_ij, so with w = (sigma * r) * a
+The fixed layout's iterations pool the a-form, where the ignore half
+leaves the loop. With r_i = g_i / S_i and a = bu + bi, used = sigma * r
+and ignored = g - used give credit_ij = used_ij a_ij - g_i bi_ij, so
+with w = used * a
 
     pooled = w^T x - Q,    total = w^T 1 - q,
     Q = sum_i g_i bi_i x_i^T,    q = sum_i g_i bi_i,
 
-where Q and q are the same in every iteration of a call. Iteration 2
-computes its credit whole, bu * used - bi * ignored, which proves the
-coefficients finite, and, when a later iteration follows, pools g * bi
-into Q and q beside it. Every iteration from 3 on pools the a-form, the
-last too, so an iteration's output does not depend on how many follow
-it: record k of a longer routing is, bit for bit, the output of a
-k-iteration one. A block of the a-form computes sigma and its row sums,
-then w = sigma * r and w *= a, two pair-sized passes where the shares
-and the credit take five, and pools w. It computes a credit only to keep
-it, w - g * bi: the call's last iteration, or a replay's record.
-a = bu + bi overflows where both are finite, so the block takes
-a / 2 = 0.5 * bu + 0.5 * bi and 2 * r instead. Doubling and halving are
-exact away from overflow and subnormals, so in the fixed layout
-(sigma * 2r) * (a / 2) rounds as used * (bu + bi), and is finite where
-that product is; the variable layout's a / 2, from the halved weight
-below, is a rounding of the same value. The fixed
-layout computes a / 2 once, in iteration 2's blocks, into rows that are
-scratch until the last iteration writes its credit there: the final
-credit's in a call; in a replay, the last iteration's ignored shares,
-which only that iteration writes. The variable layout takes a / 2 from
-its block matmul: when n_iters > 2 its fused weight is [W_use | W_ign |
--predicted^T | W_a] with W_a = 0.5 * W_use + 0.5 * W_ign (bias b_a
-likewise). Iteration 2 multiplies by the first three column groups and
-the a-form by the last two; bi, for a kept credit, comes from a matmul of
-its own against the W_ign columns, so -z and a / 2 do not depend on
-whether a block keeps its credit. A block of the a-form computes no
-shares, no bu * used, no bi * ignored and no difference of them.
+where Q and q are the same in every iteration of a call. Iteration 1,
+whose used shares are g * p, computes a into rows that are scratch until
+the last iteration writes its credit there (the final credit's in a
+call; in a replay, the last iteration's ignored shares, which only that
+iteration writes), pools g * bi into Q and q, then pools w, and subtracts
+Q once it is complete. A later block computes sigma and its row sums,
+then used = sigma * r and w = used * a, two pair-sized passes where the
+whole credit takes five (used, bu * used, ignored, bi * ignored, the
+difference), and pools w into sums that start at -Q (in the last
+iteration, in Q's own memory). It computes a credit only to keep it,
+w - g * bi: the call's last iteration, or a replay's record. So
+iteration k's output does not depend on how many iterations follow it,
+and record k of a longer routing is, bit for bit, the output of a
+k-iteration one. Q costs one more pooling matmul, in iteration 1, so
+every fixed-layout routing, one of two iterations too, pays it once;
+each iteration saves three pair-sized passes. The a-form's sums can
+overflow where the credit's do not: a = bu + bi where both coefficients
+are finite, and w^T x and Q where the credits they make cancel. An
+iteration whose a-form sums are not finite is redone on whole credits,
+and so is every later iteration of the call, the a rows then being free
+for a credit that is not kept; a replay redoes the same iteration, since
+it computes the same sums. The a-form's arithmetic runs with overflow
+and invalid-operation warnings off, since each non-finite value it
+makes is redone or fails a check.
+The variable layout pools whole credits: its a would need a fourth
+column group in the block matmul, and no measured routing of that
+layout runs more than two iterations.
 
 Each workspace slot is overwritten in place once the value it holds is
 dead (the liveness rule of Chen et al., arXiv:1604.06174), with the
-trace on or off. An iteration-2 block computes, in this order,
-used = sigma * g / S, the credit product bu * used, ignored = g - used
-and bi * ignored. Used, ignored and bi * ignored each overwrite the
-value before them in sigma's slot, so one order serves both slot
-tables. The variable layout needs three block-sized arrays:
+trace on or off. A later block of whole credits computes, in this
+order, used = sigma * g / S, the credit product bu * used,
+ignored = g - used and bi * ignored. Used, ignored and bi * ignored each
+overwrite the value before them in sigma's slot, so one order serves
+both slot tables. The variable layout needs three block-sized arrays:
 
-    iteration 2:  slot 0: bu, then the credit (bu * used, then minus
-                          bi * ignored)
-                  slot 1: bi, then g * bi
-                  slot 2: -z, then sigma, the used and the ignored
-                          shares, bi * ignored
-    a-form:       slot 0: -z, then sigma, then w
-                  slot 1: a / 2
-                  slot 2: bi, then g * bi, then the kept credit
+    slot 0: bu, then the credit (bu * used, then minus bi * ignored)
+    slot 1: bi
+    slot 2: -z, then sigma, the used and the ignored shares, bi * ignored
 
-The fixed layout's tables stand in for bu and bi, a / 2 lives in rows of
-its own (above) and its credit is computed in the rows of a kept credit,
-so it needs one:
+The fixed layout's tables stand in for bu and bi, a lives in rows of
+its own (above) and its credit is computed in the rows of a kept credit
+(after the a-form is given up, in the a rows when none is kept), so it
+needs one:
 
-    iteration 2:  slot 0: -z, then sigma, the used and the ignored shares,
-                          bi * ignored, 0.5 * bi and g * bi
-    a-form:       slot 0: -z, then sigma, then w
+    iteration 1:  slot 0: g * bi, then w
+    later:        slot 0: -z, then sigma, the used shares and w; given
+                          up, the used and the ignored shares,
+                          bi * ignored
 
 The workspace is one flat array, and slot k of an n-row block is its
 k-th run of n * n_out elements. So column group k of the variable
-layout's matmul, which writes (bu | bi | -z) or (-z | a / 2), is slot k,
-in a ragged last block too, and each in-place product meets its output
-as the very same compact view. A record copies each share in as soon as it is
+layout's matmul, which writes (bu | bi | -z), is slot k, in a ragged
+last block too, and each in-place product meets its output as the very
+same compact view. A record copies each share in as soon as it is
 computed, so the ignored shares take the used shares' slot traced too.
-Iteration 1 computes only its credit, in slot 0 (in the fixed layout,
-in the rows of a kept credit, with (1 - p) * bi in slot 0); a replay
-writes that iteration's shares, g * p and g - g * p, itself. The fused
-weight exists from the first later iteration on, Q and q from iteration
-2 on, and the last M-step runs after the workspace, the weight and Q are
-dropped. The ones vector for the BLAS row sums and column totals lives
-only during a sweep, so no M-step or prediction holds it.
+Iteration 1 of whole credits computes only its credit, in slot 0 (in
+the fixed layout, in the rows of a kept credit or the a rows, with
+(1 - p) * bi in slot 0); a replay writes that iteration's shares, g * p
+and g - g * p, itself. The fused weight exists from the first later
+iteration on, Q and q from iteration 1 on, and the last M-step runs
+after the workspace, the weight and Q are dropped. The ones vector for
+the BLAS row sums and column totals lives only during a sweep, so no
+M-step or prediction holds it.
 
 The final credit is allocated first. In the variable layout with the
 trace off, its last n_inp elements (flat) hold the activation scores,
@@ -226,10 +222,10 @@ M-step computes the call's values bit for bit, and each block writes its
 rows of the records. Iteration 1 takes the form the call took, decided
 again on the same inputs; a closed-form iteration 1 reruns the closed
 form for its output and its blocks for its credit record. A replay's
-block of the a-form writes its shares from sigma into their records,
-pools w as the call did, and writes w - g * bi into its credit record.
-The last iteration pools nothing and computes no credit: its credit
-record is the final credit, and its output is the call's. The sigma kernel writes
+block of the a-form writes its shares into their records, pools w as
+the call did, and writes w - g * bi into its credit record. The last
+iteration pools nothing and computes no credit: its credit record is
+the final credit, and its output is the call's. The sigma kernel writes
 e^(-z) into the scores record and sigma from there over -z, then turns
 the record into log sigma(z) = -log1p(e^(-z)) in two passes (z itself
 where e^(-z) overflows, kept before sigma overwrites -z). The records
@@ -247,15 +243,18 @@ input i's activation score, so the activations check covers the input,
 and x_inp is scanned only once that check fails, to name the input.
 Routing, shares and scores are finite by construction (sigma <= 1,
 S_i >= tiny / eps, gates in [0, 1], a rescued row is the softmax of a
-finite z). Every array that a block pools, the credit of iterations 1
-and 2 (which each credit record replays bit for bit) and w of the
-a-form, feeds total_j and so, through total_j * vote_bias_j, every entry
-of output row j, so the iteration's output update check fails first on
-a non-finite one. A credit of the a-form is no longer the array that
-was pooled, so the call checks its final credit, and the replay each
-pool-only credit record, through their column totals: a fresh n_out
-vector, non-finite where the credit is or where its sum over the inputs
-overflows, and sharing memory with no other checked array. The closed
+finite z). Every whole credit that a block pools, which each credit
+record replays bit for bit, feeds total_j and so, through
+total_j * vote_bias_j, every entry of output row j, so the iteration's
+output update check fails first on a non-finite one. The a-form's
+pooled sums and totals, w^T x - Q and w^T 1 - q, are scanned before the
+M-step, since a non-finite one redoes the iteration (above); its output
+update is then checked as any other. A credit of the a-form is not the
+array that was pooled, so the call checks its final credit, and the
+replay each credit record of the a-form, through their column totals: a
+fresh n_out vector, non-finite where the credit is or where its sum
+over the inputs overflows, and sharing memory with no other checked
+array. The closed
 form's iteration 1 pools no block: its output's own finite test, the
 checks' min/max predicate, which picks the fallback, is its check, and
 the replay scans its credit record, so a read can fail where the call
@@ -611,23 +610,23 @@ class _Blocks:
 
     A layout's kernel (``_FixedBlocks``, ``_VariableBlocks``) adds the
     block orientation, iteration 1's credit, a later block's coefficients
-    and scores, the gated ignore coefficients that iteration 2 pools, and
-    the coefficients' finite check. Every class of the hierarchy declares
-    ``__slots__``: each call builds a kernel, and with an instance
-    ``__dict__`` the call's peak fell by 8 B a call over its first 14 or
-    so calls (:mod:`vecroute.memtrack`).
+    and scores, and the coefficients' finite check, and says whether its
+    iterations pool the a-form (``a_form``, cleared for the rest of a call
+    whose a-form sums are not finite). Every class of the hierarchy
+    declares ``__slots__``: each call builds a kernel, and with an
+    instance ``__dict__`` the call's peak fell by 8 B a call over its first
+    14 or so calls (:mod:`vecroute.memtrack`).
     """
 
-    __slots__ = ("n_out", "params", "x", "gates", "blocks", "prior", "half", "scale", "ones", "work",
-                 "row_sum_floor", "near_floor", "weight", "ignore_sums", "closed_form", "first", "gain",
-                 "bias")
+    __slots__ = ("n_out", "params", "x", "gates", "blocks", "prior", "scale", "ones", "work", "row_sum_floor",
+                 "near_floor", "weight", "ignore_sums", "a_form", "closed_form", "first", "gain", "bias")
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
         n_inp, dtype = x.shape[0], params.dtype
         self.n_out = params.dims.n_out
         self.params, self.x, self.gates = params, x, gates
         self.blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
-        self.prior, self.half = dtype.type(1.0 / self.n_out), dtype.type(0.5)
+        self.prior = dtype.type(1.0 / self.n_out)
         self.scale = _scale(n_inp, dtype)
         self.ones = None  # held during a sweep only, so no M-step or prediction holds it
         # The block workspace, each slot reused once its value is dead (the
@@ -638,59 +637,71 @@ class _Blocks:
         self.row_sum_floor = tiny / eps
         self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
         self.weight = None  # the fused weight, from the first later iteration on
-        self.ignore_sums = None  # (Q, q), from iteration 2 on when a later one takes the a-form
+        self.ignore_sums = None  # (Q, q) of the a-form, from iteration 1 on
 
     def score_against(self, predicted: np.ndarray) -> None:
         """Write -predicted^T into the fused weight's score columns,
         building the weight on first use (iteration 1 never reads it)."""
         if self.weight is None:
             self.weight = self.fused_weight()
-        start = self.score_group * self.n_out
-        np.negative(predicted.T, out=self.weight[:, start : start + self.n_out])
+        np.negative(predicted.T, out=self.weight[:, -self.n_out :])
 
     def sweep(self, rec: dict, it: int, pool: bool = True) -> np.ndarray | None:
         """One iteration over the blocks, writing their rows of the arrays
         in ``rec``. With ``pool``, they add up their pooled sums, and it
-        returns the iteration's output update, checked; a credit that an
-        iteration of the a-form keeps is checked through its column totals."""
+        returns the iteration's output update, checked. An iteration of the
+        a-form whose sums are not finite is redone, like every later one, on
+        whole credits; a credit that it keeps is checked through its column
+        totals."""
         d_inp, n_out, n_iters, dtype = self.x.shape[1], self.n_out, self.params.dims.n_iters, self.x.dtype
-        # Row sums (its first n_out) and column totals (its first n) by BLAS.
-        self.ones = np.ones(max(self.blocks[0].stop, n_out), dtype)  # the first block is the longest
-        a_form_kept = pool and it > 2 and rec.get("credit") is not None
+        a_form = self.a_form and pool
         sums = None
         if pool:
-            if it == 2 < n_iters:  # iteration 2 pools Q = sum_i g_i bi_i x_i^T and q = sum_i g_i bi_i too
+            credit_total = np.zeros(n_out, dtype) if a_form and rec.get("credit") is not None else None
+            if a_form and it > 1:  # the blocks add sum_i w_i x_i^T to -Q, in Q's memory once it is dead
+                last = it == n_iters
+                sums = tuple(np.negative(q, out=q if last else None) for q in self.ignore_sums)
+            else:
+                sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
+            sums += (credit_total,)
+            if a_form and it == 1:
                 self.ignore_sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-            credit_total = np.zeros(n_out, dtype) if a_form_kept else None
-            sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype), credit_total
-        for blk in self.blocks:
-            self.route_block(rec, it, blk, sums)
+        # Row sums (its first n_out) and column totals (its first n) by BLAS.
+        self.ones = np.ones(max(self.blocks[0].stop, n_out), dtype)  # the first block is the longest
+        # What overflows in the a-form is redone below, or fails a check.
+        errors = "ignore" if a_form else None  # None leaves the caller's state
+        with np.errstate(over=errors, invalid=errors):
+            for blk in self.blocks:
+                self.route_block(rec, it, blk, sums)
+            if a_form and it == 1:  # Q is complete only now
+                np.subtract(sums[0], self.ignore_sums[0], out=sums[0])
+                np.subtract(sums[1], self.ignore_sums[1], out=sums[1])
         self.ones = None
         if not pool:
             return None
-        pooled, total = sums[:2]
-        if it > 2:  # the a-form pooled w = (sigma * r) * a; the credit is w - g * bi
-            pooled -= self.ignore_sums[0]
-            total -= self.ignore_sums[1]
+        pooled, total, credit_total = sums
+        if a_form and not (_all_finite(pooled) and _all_finite(total)):
+            self.a_form, self.ignore_sums = False, None
+            return self.sweep(rec, it)
+        if credit_total is not None:
+            _check_finite(credit_total, "credit", it)
         if it == n_iters:  # dead: the last M-step's peak holds none of them
             self.work = self.weight = self.ignore_sums = None
-        if a_form_kept:
-            _check_finite(credit_total, "credit", it)
         x_out = _finish_m_step(pooled, total, self.scale, self.params)
         _check_finite(x_out, "output update", it)
         return x_out
 
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
-        """One block of an iteration: its credit, its share of ``sums`` (the
-        pooled sums, the totals and, when it keeps a credit of the a-form,
-        that credit's column totals; None when the iteration pools nothing)
-        and its rows of the arrays in ``rec``. A block that neither pools
-        nor keeps its credit computes none, and a block of the a-form
-        computes one only to keep it. Its views of the workspace end with
-        the call."""
+        """One block of an iteration: its share of ``sums`` (the pooled
+        sums, the totals and, when it keeps a credit of the a-form, that
+        credit's column totals; None when the iteration pools nothing) and
+        its rows of the arrays in ``rec``. A block that neither pools nor
+        keeps its credit computes none, and a block of the a-form computes
+        one only to keep it. Its views of the workspace end with the call."""
         n, n_out = blk.stop - blk.start, self.n_out
         scores, routing, kept = rec.get("scores"), rec.get("routing"), rec.get("credit")
         x, ones = self.x[blk], self.ones[:n]
+        a_form = self.a_form and sums is not None
 
         def keep(name: str, computed: np.ndarray) -> None:
             if rec.get(name) is not None:
@@ -704,98 +715,88 @@ class _Blocks:
         # Read before the block's last step writes its credit: in the final
         # credit's tail, that write may overwrite these gates.
         g = self.gates[blk, None]
-        a_form = it > 2
-        if it == 1:
-            # Row-major blocks compute their credit in place in the rows of
-            # a kept one, which every row-major block of iterations 1 and 2
-            # has: the caller's final credit or a replay's record.
-            # Output-major blocks compute it in slot 0 and copy it in last.
-            credit = kept[blk] if self.row_major else self.block(self.work, n, n_out)
+        if it == 1 and not a_form:
+            credit = self.credit_rows(blk, kept)
             self.first_credit(blk, credit)
             credit *= g
         else:
-            coef, bi, neg_z = self.later_block(blk, a_form, kept is not None)
-            top = neg_z.max()
-            if not top < np.inf:
-                raise NumericError(f"non-finite values in score at iteration {it}")
-            # Only rows whose every -z exceeds near_floor can need the
-            # rescue; their -z is copied before sigma overwrites it.
-            near = None
-            if top > self.near_floor:
-                near = np.flatnonzero(neg_z.min(axis=1) > self.near_floor)
-                near_z = neg_z[near]
-            _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
-            sigma = neg_z  # written over -z
-            row_sum = sigma @ self.ones[:n_out]  # S_i, then g_i / S_i
-            if near is not None:
-                hit = row_sum[near] < self.row_sum_floor
-                if hit.any():
-                    low = near[hit]
-                    rescued = np.negative(near_z[hit])
-                    _softmax_rows_in_place(rescued)
-                    sigma[low] = rescued
-                    row_sum[low] = 1.0
-            if routing is not None:
-                np.divide(sigma, row_sum[:, None], out=routing[blk])
-            np.divide(g[:, 0], row_sum, out=row_sum)
-            if a_form:
-                if rec.get("share_used") is not None:  # a replay's: written from sigma, not kept by the call
-                    used = rec["share_used"][blk]
-                    np.multiply(sigma, row_sum[:, None], out=used)
-                    np.subtract(g, used, out=rec["share_ignored"][blk])
-                if sums is None:
-                    return
-                row_sum += row_sum  # 2 g / S, exactly, for the halved coef = a / 2
-                w = sigma
-                np.multiply(sigma, row_sum[:, None], out=w)
-                w *= coef
-                pool(w, sums)
-                if kept is None:
-                    return
-                credit = kept[blk] if self.row_major else bi
-                np.multiply(bi, g, out=credit)
-                np.subtract(w, credit, out=credit)
-                credit_total = sums[2]
-                credit_total += ones @ credit
+            if it == 1:  # the flat prior routes g * p of each input to every output
+                used = g * self.prior
+                bi = self.start_a_form(blk, g, partial(pool, into=self.ignore_sums))
             else:
+                bu, bi, neg_z = self.later_block(blk)
+                top = neg_z.max()
+                if not top < np.inf:
+                    raise NumericError(f"non-finite values in score at iteration {it}")
+                # Only rows whose every -z exceeds near_floor can need the
+                # rescue; their -z is copied before sigma overwrites it.
+                near = None
+                if top > self.near_floor:
+                    near = np.flatnonzero(neg_z.min(axis=1) > self.near_floor)
+                    near_z = neg_z[near]
+                _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
+                sigma = neg_z  # written over -z
+                row_sum = sigma @ self.ones[:n_out]  # S_i, then g_i / S_i
+                if near is not None:
+                    hit = row_sum[near] < self.row_sum_floor
+                    if hit.any():
+                        low = near[hit]
+                        rescued = np.negative(near_z[hit])
+                        _softmax_rows_in_place(rescued)
+                        sigma[low] = rescued
+                        row_sum[low] = 1.0
+                if routing is not None:
+                    np.divide(sigma, row_sum[:, None], out=routing[blk])
+                np.divide(g[:, 0], row_sum, out=row_sum)
                 # Each result overwrites the slot of an operand dead from here on.
                 used = sigma
                 np.multiply(sigma, row_sum[:, None], out=used)
                 keep("share_used", used)
-                credit = None
-                if sums is not None or kept is not None:
-                    credit = kept[blk] if self.row_major else self.block(self.work, n, n_out)
-                    np.multiply(coef, used, out=credit)
-                ignored = used
-                np.subtract(g, used, out=ignored)
-                keep("share_ignored", ignored)
-                if credit is None:
-                    return
-                np.multiply(bi, ignored, out=ignored)
-                credit -= ignored
+            if a_form:
+                if rec.get("share_ignored") is not None:  # a replay's, before w overwrites used
+                    np.subtract(g, used, out=rec["share_ignored"][blk])
+                w = self.block(self.work, n, n_out)
+                np.multiply(self.a_rows[blk], used, out=w)
+                pool(w, sums)
+                if kept is not None:
+                    credit = kept[blk]
+                    np.multiply(bi, g, out=credit)
+                    np.subtract(w, credit, out=credit)
+                    credit_total = sums[2]
+                    credit_total += ones @ credit
+                return
+            credit = None
+            if sums is not None or kept is not None:
+                credit = self.credit_rows(blk, kept)
+                np.multiply(bu, used, out=credit)
+            ignored = used
+            np.subtract(g, used, out=ignored)
+            keep("share_ignored", ignored)
+            if credit is None:
+                return
+            np.multiply(bi, ignored, out=ignored)
+            credit -= ignored
         if not self.row_major:
             keep("credit", credit)
-        if sums is not None and not a_form:
+        if sums is not None:
             pool(credit, sums)
-            if self.ignore_sums is not None and it == 2:
-                pool(self.gated_ignore(blk, bi, g), self.ignore_sums)
 
 
 class _FixedBlocks(_Blocks):
     """Block kernel of the fixed layout: row-major blocks, stored tables.
 
-    Its credit goes straight into the rows of a kept credit, so its
-    workspace is one slot, and a / 2 lives in rows that are scratch until
-    the last iteration (the module docstring)."""
+    Its iterations pool the a-form, with a = bu + bi in ``a_rows``; a
+    credit it keeps goes straight into the kept rows, and a whole one
+    that it does not keep into ``a_rows``, so its workspace is one slot
+    (the module docstring)."""
 
     __slots__ = ("use", "ign", "a_rows")
     row_major = True
     slots = 1
-    score_group = 0  # the fused weight's column group that -predicted^T takes
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows):
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows: np.ndarray):
         super().__init__(params, x, gates, rows)
-        self.closed_form, self.first = False, None  # iteration 1 takes its credit from the tables
+        self.a_form, self.closed_form, self.first = True, False, None  # iteration 1 takes the tables
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
         self.a_rows = a_rows
@@ -803,6 +804,11 @@ class _FixedBlocks(_Blocks):
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
         return buffer[: n * cols].reshape(n, cols)
+
+    def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
+        """The rows of the kept credit, or else of a_rows, dead once the
+        a-form is given up."""
+        return (self.a_rows if kept is None else kept)[blk]
 
     def fused_weight(self) -> np.ndarray:
         """-predicted^T alone; written per iteration."""
@@ -819,22 +825,21 @@ class _FixedBlocks(_Blocks):
         np.multiply(self.ign[blk], 1 - self.prior, out=scratch)
         credit -= scratch
 
-    def later_block(self, blk: slice, a_form: bool, keeps: bool) -> tuple[np.ndarray, ...]:
-        """(bu or a / 2, bi, -z): the tables and a_rows stand in for the
-        coefficients, so -z takes the slot."""
+    def start_a_form(self, blk: slice, g: np.ndarray, pool_ignore) -> np.ndarray:
+        """a = use + ign into a_rows, and g * ign, in the slot, to
+        ``pool_ignore``; returns the block's ign."""
+        bi = self.ign[blk]
+        np.add(self.use[blk], bi, out=self.a_rows[blk])
+        pool_ignore(np.multiply(bi, g, out=self.block(self.work, blk.stop - blk.start, self.n_out)))
+        return bi
+
+    def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
+        """(bu, bi, -z): the tables stand in for bu and bi, so -z takes the slot."""
         neg_z = self.block(self.work, blk.stop - blk.start, self.n_out)
         np.matmul(self.x[blk], self.weight, out=neg_z)
         neg_z *= self.gain[blk]
         neg_z -= self.bias[blk]
-        return (self.a_rows if a_form else self.use)[blk], self.ign[blk], neg_z
-
-    def gated_ignore(self, blk: slice, bi: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """g * bi in slot 0, once a / 2 = 0.5 * use + 0.5 * ign is in a_rows."""
-        scratch = self.block(self.work, blk.stop - blk.start, self.n_out)
-        np.multiply(self.use[blk], self.half, out=self.a_rows[blk])
-        np.multiply(bi, self.half, out=scratch)
-        self.a_rows[blk] += scratch
-        return np.multiply(bi, g, out=scratch)
+        return self.use[blk], self.ign[blk], neg_z
 
     def check_betas(self) -> None:
         """Nothing to do: the tables were checked with the parameters."""
@@ -842,21 +847,20 @@ class _FixedBlocks(_Blocks):
 
 class _VariableBlocks(_Blocks):
     """Block kernel of the variable layout: output-major blocks, coefficients
-    from each block's inputs (see the module docstring)."""
+    from each block's inputs, whole credits (see the module docstring)."""
 
     __slots__ = ()
     row_major = False
     slots = 3
-    score_group = 2
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
         super().__init__(params, x, gates, rows)
+        self.a_form = False
         self.closed_form = params.dims.d_inp < 3 * self.n_out
         self.gain = params.score_gain.array
-        biases = [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
-        if params.dims.n_iters > 2:  # b_a = 0.5 * b_use + 0.5 * b_ign
-            biases.append(self.half * biases[0] + self.half * biases[1])
-        self.bias = np.concatenate(biases)
+        self.bias = np.concatenate(
+            [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
+        )
         # Overflow here surfaces as a non-finite iteration 1.
         with np.errstate(over="ignore", invalid="ignore"):
             self.first = _first_iteration_weights(params)
@@ -865,47 +869,31 @@ class _VariableBlocks(_Blocks):
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
         return buffer[: n * cols].reshape(cols, n).T
 
+    def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
+        """Slot 0; a kept credit takes a copy."""
+        return self.block(self.work, blk.stop - blk.start, self.n_out)
+
     def fused_weight(self) -> np.ndarray:
-        """[W_use | W_ign | -predicted^T], and [W_a] after them when a later
-        iteration takes the a-form; the score columns are written per iteration."""
-        p, n_out = self.params, self.n_out
-        groups = 4 if p.dims.n_iters > 2 else 3
-        weight = np.empty((p.dims.d_inp, groups * n_out), p.dtype)
-        weight[:, :n_out] = p.beta_use_weight.array
-        weight[:, n_out : 2 * n_out] = p.beta_ign_weight.array
-        if groups == 4:  # W_a = 0.5 * W_use + 0.5 * W_ign
-            np.multiply(p.beta_use_weight.array, self.half, out=weight[:, 3 * n_out :])
-            weight[:, 3 * n_out :] += self.half * p.beta_ign_weight.array
+        """[W_use | W_ign | -predicted^T]; the score columns are written per iteration."""
+        p = self.params
+        weight = np.empty((p.dims.d_inp, 3 * self.n_out), p.dtype)
+        weight[:, : self.n_out] = p.beta_use_weight.array
+        weight[:, self.n_out : 2 * self.n_out] = p.beta_ign_weight.array
         return weight
 
     def first_credit(self, blk: slice, credit: np.ndarray) -> None:
         np.matmul(self.x[blk], self.first[:-1], out=credit)
         credit += self.first[-1]
 
-    def later_block(self, blk: slice, a_form: bool, keeps: bool) -> tuple[np.ndarray, ...]:
-        """(bu, bi, -z) in workspace slots 0-2, from one matmul; in the
-        a-form (a / 2, bi, -z) with -z in slot 0, a / 2 in slot 1 and bi,
-        only for a block that keeps its credit, in slot 2 from a matmul of
-        its own, so -z and a / 2 do not depend on whether it does."""
-        n, n_out, x = blk.stop - blk.start, self.n_out, self.x[blk]
-        cols = slice(2 * n_out, 4 * n_out) if a_form else slice(0, 3 * n_out)
-        coef = self.block(self.work, n, 2 * n_out if a_form else 3 * n_out)
-        np.matmul(x, self.weight[:, cols], out=coef)
-        neg_z = coef[:, :n_out] if a_form else coef[:, 2 * n_out :]
+    def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
+        """(bu, bi, -z) in workspace slots 0-2, from one matmul."""
+        n_out = self.n_out
+        coef = self.block(self.work, blk.stop - blk.start, 3 * n_out)
+        np.matmul(self.x[blk], self.weight, out=coef)
+        neg_z = coef[:, 2 * n_out :]
         neg_z *= self.gain
-        coef += self.bias[cols]  # x - b is x + (-b) bit for bit
-        if not a_form:
-            return coef[:, :n_out], coef[:, n_out : 2 * n_out], neg_z
-        bi = None
-        if keeps:
-            bi = self.block(self.work[2 * n * n_out :], n, n_out)
-            np.matmul(x, self.weight[:, n_out : 2 * n_out], out=bi)
-            bi += self.bias[n_out : 2 * n_out]
-        return coef[:, n_out:], bi, neg_z
-
-    def gated_ignore(self, blk: slice, bi: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """g * bi, over bi in its slot."""
-        return np.multiply(bi, g, out=bi)
+        coef += self.bias  # [b_use | b_ign | -score_bias]: x - b is x + (-b) bit for bit
+        return coef[:, :n_out], coef[:, n_out : 2 * n_out], neg_z
 
     def check_betas(self) -> None:
         """Finite-check every block's coefficients, in block order."""
@@ -913,9 +901,9 @@ class _VariableBlocks(_Blocks):
             beta_pair_for(self.x[blk], self.params)
 
 
-def _kernel(params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows) -> _Blocks:
+def _kernel(params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows: np.ndarray) -> _Blocks:
     """The block kernel of the layout ``params`` selects; a fixed-layout
-    kernel keeps a / 2 in ``a_rows`` from iteration 2 on."""
+    kernel keeps a = bu + bi in ``a_rows``."""
     kernel_type = _VariableBlocks if params.dims.variable_length else _FixedBlocks
     return kernel_type(params, x, gates, rows, a_rows)
 
@@ -987,13 +975,10 @@ def route_optimized(
     _logistic_of_negated_into(gates)  # logistic's kernel
 
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
+    # A fixed-layout kernel keeps a = bu + bi in the final credit's rows,
+    # which only the last iteration writes its credit to.
     kernel = _kernel(params, x, gates, rows, final_credit)
-    # Row-major blocks compute the credit of iterations 1 and 2 in place in
-    # the final credit's rows; output-major ones copy in only the last.
-    records = [
-        {"credit": final_credit if kernel.row_major and it <= 2 or it == n_iters else None}
-        for it in range(1, n_iters + 1)
-    ]
+    records = [{"credit": final_credit if it == n_iters else None} for it in range(1, n_iters + 1)]
     output = _iterate(kernel, records)
 
     final = DenseTensor._adopt(final_credit)
@@ -1112,8 +1097,8 @@ def _replay(
         }
         for it in range(1, n_iters + 1)
     ]
-    # From iteration 2 on, a fixed-layout replay keeps a / 2 in the last
-    # iteration's ignored shares, which only that iteration writes.
+    # A fixed-layout replay keeps a = bu + bi in the last iteration's
+    # ignored shares, which only that iteration writes.
     kernel = _kernel(params, x, gates, rows, kept[-1]["share_ignored"])
     # Iteration 1 routes by the flat prior p, so its shares are g * p and
     # g - g * p; its blocks write only its credit.

@@ -1233,12 +1233,13 @@ class TestBlockedLoop:
         assert relative_linf(trace_perm.final_credit.array, trace.final_credit.array[perm]) <= 1e-12
 
 
-# Iterations from 3 on pool w = (sigma * g / S) * (beta_use + beta_ign) and
-# subtract Q = sum_i g_i beta_ign_i x_i^T, which iteration 2 pools beside its
-# credit; they compute a credit, w - g * beta_ign, only to keep it. rand_params
-# draws beta_ign away from 0, so Q is not 0 here. Three blocks, the last
-# ragged; the variable layout takes iteration 1 in closed form at the default
-# sizes and on the blocks at the second.
+# The fixed layout's iterations pool w = used * (beta_use + beta_ign) and
+# subtract Q = sum_i g_i beta_ign_i x_i^T, which iteration 1 pools; they
+# compute a credit, w - g * beta_ign, only to keep it. rand_params draws
+# beta_ign away from 0, so Q is not 0 here. The variable layout pools whole
+# credits; both layouts run the same checks. Three blocks, the last ragged;
+# the variable layout takes iteration 1 in closed form at the default sizes
+# and on the blocks at the second.
 A_FORM_CASES = pytest.mark.parametrize(
     "mode, sizes",
     [("fixed", {}), ("variable", {}), ("variable", TestBlockedLoop.DIRECT_FIRST_ITERATION)],
@@ -1273,63 +1274,79 @@ class TestAFormIterations:
         assert trace_on.iterations[-1].output is out_on
         assert_share_laws(trace_on)
 
-    @pytest.mark.parametrize(
-        "sizes", [{}, TestBlockedLoop.DIRECT_FIRST_ITERATION], ids=["closed_form", "block_path"]
-    )
-    def test_variable_a_is_finite_wherever_the_coefficients_are(self, sizes):
-        # The twin of the fixed layout's test: feature 0 is 1 on every input
-        # and both coefficient weights are 2.5e38 there, so beta_use =
-        # beta_ign = 2.5e38 and their sum overflows, but a / 2 from the
-        # halved weight 0.5 * W_use + 0.5 * W_ign does not. Gates near e^-60
-        # keep every credit and sum finite.
-        rng = np.random.default_rng(62)
-        dims, params, x, _ = multi_block_instance(rng, "variable", n_iters=4, **sizes)
-        x[:, 0] = 1.0
-        weight = np.zeros((dims.d_inp, dims.n_out), np.float32)
-        weight[0] = 2.5e38
-        zero = np.zeros(dims.n_out, np.float32)
+    @pytest.mark.parametrize("first", [True, False], ids=["iteration_1", "iteration_2"])
+    def test_a_form_sums_that_overflow_are_redone_on_whole_credits(self, first, monkeypatch):
+        # Every input feature is about 1 and every gate 1, and beta_use =
+        # beta_ign = c everywhere, so w = used * 2c while the credit
+        # c * (used - ignored) cancels. n_out = 2 and the scores alone
+        # route: equal ones route each input half and half, so iteration
+        # 1's credit is 0 while the sums of w and of Q, about n * c,
+        # overflow (iteration_1). Scores that route three quarters to output
+        # 0 from iteration 2 on keep iteration 1's sums finite, and raise
+        # output 0's w to 1.5 n * c, which overflows; its credit sums to
+        # 0.5 n * c (iteration_2). The iteration and every later one are
+        # redone on whole credits, in the call and in the records' replay.
+        # Blocks of 1024 rows keep n, and the rounding of sums over it, as
+        # in the tests above.
+        monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2048)
+        rng = np.random.default_rng(64)
+        dims, params, x, _ = multi_block_instance(rng, "fixed", n_out=2, n_iters=4)
+        n = dims.n_inp
+        x[:] = rng.uniform(0.9, 1.1, x.shape)
+        c = np.float32((5e38 if first else 2.8e38) / n)
+        coef = np.full((n, 2), c, np.float32)
+        bias = np.zeros((n, 2), np.float32)
+        if not first:
+            bias[:] = (30.0, -np.log(2.0))  # sigma(30) : sigma(-log 2) = 1 : 1/3
         p = replaced(
-            params, dims, beta_use_weight=weight, beta_ign_weight=weight, beta_use_bias=zero,
-            beta_ign_bias=zero, act_bias=np.full(1, -60.0, np.float32),
+            params, dims, beta_use=coef, beta_ign=coef, act_bias=np.full(n, 60.0, np.float32),
+            score_gain=np.zeros((n, 2), np.float32), score_bias=bias,
+            # Outputs near 1e8, whose normalization squares them.
+            vote_mix=params.vote_mix.array * np.float32(1e-30),
+            vote_bias=params.vote_bias.array * np.float32(1e-30),
         )
-        betas = beta_pair_for(x, p)
-        with np.errstate(over="ignore"):
-            assert np.isfinite(betas.beta_use.array).all()
-            assert np.isinf(betas.beta_use.array + betas.beta_ign.array).all()
-        out, _ = route_optimized(x, p)
-        nets, _ = as_plugins(x, p)
-        out_ref, _ = route_reference(x, nets, betas, dims, capture_trace=False)
+        out, trace = route_optimized(x, p, capture_trace=True)
+        out_off, trace_off = route_optimized(x, p)
+        assert np.array_equal(out.array, out_off.array)
+        assert np.array_equal(trace.final_credit.array, trace_off.final_credit.array)
+        assert trace.iterations[-1].output is out
+        assert all(np.isfinite(r.credit.array).all() for r in trace.iterations)
+        nets, betas = as_plugins(x, p)
+        out_ref, trace_ref = route_reference(x, nets, betas, dims)
         assert relative_linf(out.array, out_ref.array) <= 1e-4
+        assert relative_linf(trace.final_credit.array, trace_ref.final_credit.array) <= 1e-4
 
     def test_a_credit_that_is_not_pooled_is_checked(self, monkeypatch):
         # A credit of the a-form, w - g * beta_ign, is not the array its
         # iteration pools, so no output update check covers it: the call
-        # checks its final credit, and the records' replay each pool-only
-        # record, through their column totals. A beta_ign of inf, read only
-        # where a block of the a-form keeps its credit, leaves every pooled
-        # sum finite. In exact arithmetic |w - g * beta_ign| is at most g
-        # times the larger coefficient, so a finite one overflows only by
-        # rounding at the top of the float range, at scores no test can pin
-        # across BLAS and exp builds.
+        # checks its final credit, and the records' replay each record it
+        # writes through the a-form, through their column totals. A later
+        # block's beta_ign of inf, read only where a block of the a-form
+        # keeps its credit (a = beta_use + beta_ign and Q come from the
+        # tables in iteration 1), leaves every pooled sum finite. In exact
+        # arithmetic |w - g * beta_ign| is at most g times the larger
+        # coefficient, so a finite one overflows only by rounding at the top
+        # of the float range, at scores no test can pin across BLAS and exp
+        # builds.
         rng = np.random.default_rng(63)
         dims, params, x, _ = multi_block_instance(rng, "fixed", n_iters=4)
         later_block = optimized._FixedBlocks.later_block
 
-        def kept_against_infinite_ignore(self, blk, a_form, keeps):
-            coef, bi, neg_z = later_block(self, blk, a_form, keeps)
-            return coef, np.full_like(bi, np.inf) if a_form and keeps else bi, neg_z
+        def against_infinite_ignore(self, blk):
+            coef, bi, neg_z = later_block(self, blk)
+            return coef, np.full_like(bi, np.inf), neg_z
 
         out, trace = route_optimized(x, params, capture_trace=True)
-        monkeypatch.setattr(optimized._FixedBlocks, "later_block", kept_against_infinite_ignore)
+        monkeypatch.setattr(optimized._FixedBlocks, "later_block", against_infinite_ignore)
         for capture_trace in (False, True):
             with pytest.raises(NumericError, match="^non-finite values in credit at iteration 4$"):
                 route_optimized(x, params, capture_trace=capture_trace)
         for _ in range(2):  # a failed build is not cached
-            with pytest.raises(NumericError, match="^non-finite values in credit at iteration 3$"):
+            with pytest.raises(NumericError, match="^non-finite values in credit at iteration 2$"):
                 trace.iterations[0]
         monkeypatch.undo()
         assert trace.iterations[-1].output is out
-        assert np.isfinite(trace.iterations[2].credit.array).all()
+        assert np.isfinite(trace.iterations[1].credit.array).all()
 
 
 # Non-finite values, stage by stage. Each case runs in both layouts, at a
@@ -1559,8 +1576,8 @@ class TestTransientMemory:
         assert peak < 4 * elements
         assert 4 * elements - peak < 4 * block
 
-    @pytest.mark.parametrize("mode, slots, weight_groups", [("variable", 3, 3), ("fixed", 1, 1)])
-    def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups, monkeypatch):
+    @pytest.mark.parametrize("mode, slots, weight_groups, a_form", [("variable", 3, 3, 0), ("fixed", 1, 1, 1)])
+    def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups, a_form, monkeypatch):
         # Three blocks of the default size, the last ragged, on the block
         # path of iteration 2. Beside the returned final credit, a block
         # keeps three block arrays in the variable layout and one in the
@@ -1570,7 +1587,8 @@ class TestTransientMemory:
         # own; the variable layout keeps them in the credit's tail. The
         # rest is output-sized or smaller: the pooled sums and the block's
         # pooled part (n_out * d each, the previous output dropped once
-        # predicted). A ragged block's views are as compact as a full
+        # predicted), and in the fixed layout, whose iterations pool the
+        # a-form, Q and q (n_out * (d + 1)) from iteration 1 on. A ragged block's views are as compact as a full
         # block's, so numpy buffers no more over it than over a full one.
         # The slack is below one block array, so one more slot would fail,
         # and below one n_out * d array, so keeping the previous output
@@ -1603,6 +1621,7 @@ class TestTransientMemory:
             + own_gates
             + d * weight_groups * n_out
             + 2 * n_out * d
+            + a_form * n_out * (d + 1)
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
         assert peak < 4 * elements
@@ -1616,7 +1635,7 @@ class TestTransientMemory:
         _, read_peak = measure_peak(lambda: trace.iterations[0])
         records = (5 * dims.n_iters - 2) * n_inp * n_out
         recomputed = (dims.n_iters - 1) * 2 * n_out * d
-        replay = records + slots * rows * n_out + d * weight_groups * n_out + recomputed
+        replay = records + slots * rows * n_out + d * weight_groups * n_out + recomputed + a_form * n_out * (d + 1)
         assert 0 <= read_peak - 4 * replay < 4 * rows * n_out // 2
         assert np.array_equal(out_off.array, out_on.array)
         assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
