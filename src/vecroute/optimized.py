@@ -147,13 +147,13 @@ every fixed-layout routing, one of two iterations too, pays it once;
 each iteration saves three pair-sized passes. The a-form's sums can
 overflow where the credit's do not: a = bu + bi where both coefficients
 are finite, and w^T x and Q where the credits they make cancel. An
-iteration whose a-form sums are not finite is redone on whole credits,
-and so is every later iteration of the call, the a rows then being free
-for a credit that is not kept; a replay redoes the same iteration, since
-it computes the same sums. The a-form's arithmetic runs with overflow
-and invalid-operation warnings off, since each non-finite value it
-makes is redone or fails a check.
-The variable layout pools whole credits: its a would need a fourth
+iteration whose output update is not finite in the a-form is redone on
+whole credits, and so is every later iteration of the call, the a rows
+then being free for a credit that is not kept; a replay redoes the same
+iteration, since it computes the same output update. The a-form's
+arithmetic, its M-step too, runs with overflow and invalid-operation
+warnings off, since each non-finite value it makes is redone or fails a
+check. The variable layout pools whole credits: its a would need a fourth
 column group in the block matmul, and no measured routing of that
 layout runs more than two iterations.
 
@@ -190,7 +190,8 @@ the fixed layout, in the rows of a kept credit or the a rows, with
 (1 - p) * bi in slot 0); a replay writes that iteration's shares, g * p
 and g - g * p, itself. The fused weight exists from the first later
 iteration on, Q and q from iteration 1 on, and the last M-step runs
-after the workspace, the weight and Q are dropped. The ones vector for
+after the workspace and Q are dropped (with whole credits, the weight
+too; a redo of the a-form needs it). The ones vector for
 the BLAS row sums and column totals lives only during a sweep, so no
 M-step or prediction holds it.
 
@@ -246,15 +247,13 @@ S_i >= tiny / eps, gates in [0, 1], a rescued row is the softmax of a
 finite z). Every whole credit that a block pools, which each credit
 record replays bit for bit, feeds total_j and so, through
 total_j * vote_bias_j, every entry of output row j, so the iteration's
-output update check fails first on a non-finite one. The a-form's
-pooled sums and totals, w^T x - Q and w^T 1 - q, are scanned before the
-M-step, since a non-finite one redoes the iteration (above); its output
-update is then checked as any other. A credit of the a-form is not the
-array that was pooled, so the call checks its final credit, and the
-replay each credit record of the a-form, through their column totals: a
-fresh n_out vector, non-finite where the credit is or where its sum
-over the inputs overflows, and sharing memory with no other checked
-array. The closed
+output update check fails first on a non-finite one. So does each
+a-form sum, w^T x - Q and w^T 1 - q, and there the check redoes the
+iteration (above). A credit of the a-form is not the array that was
+pooled, so the call checks its final credit, and the replay each credit
+record of the a-form, through their column totals: a fresh n_out
+vector, non-finite where the credit is or where its sum over the inputs
+overflows, and sharing memory with no other checked array. The closed
 form's iteration 1 pools no block: its output's own finite test, the
 checks' min/max predicate, which picks the fallback, is its check, and
 the replay scans its credit record, so a read can fail where the call
@@ -612,19 +611,19 @@ class _Blocks:
     block orientation, iteration 1's credit, a later block's coefficients
     and scores, and the coefficients' finite check, and says whether its
     iterations pool the a-form (``a_form``, cleared for the rest of a call
-    whose a-form sums are not finite). Every class of the hierarchy
+    once an a-form output update is not finite). Every class of the hierarchy
     declares ``__slots__``: each call builds a kernel, and with an
     instance ``__dict__`` the call's peak fell by 8 B a call over its first
     14 or so calls (:mod:`vecroute.memtrack`).
     """
 
     __slots__ = ("n_out", "params", "x", "gates", "blocks", "prior", "scale", "ones", "work", "row_sum_floor",
-                 "near_floor", "weight", "ignore_sums", "a_form", "closed_form", "first", "gain", "bias")
+                 "near_floor", "weight", "ignore_sums", "a_rows", "a_form", "closed_form", "first", "gain", "bias")
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int):
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
         n_inp, dtype = x.shape[0], params.dtype
         self.n_out = params.dims.n_out
-        self.params, self.x, self.gates = params, x, gates
+        self.params, self.x, self.gates, self.a_rows = params, x, gates, a_rows
         self.blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
         self.prior = dtype.type(1.0 / self.n_out)
         self.scale = _scale(n_inp, dtype)
@@ -650,9 +649,9 @@ class _Blocks:
         """One iteration over the blocks, writing their rows of the arrays
         in ``rec``. With ``pool``, they add up their pooled sums, and it
         returns the iteration's output update, checked. An iteration of the
-        a-form whose sums are not finite is redone, like every later one, on
-        whole credits; a credit that it keeps is checked through its column
-        totals."""
+        a-form whose output update is not finite is redone, like every later
+        one, on whole credits; a credit that it keeps is checked through its
+        column totals."""
         d_inp, n_out, n_iters, dtype = self.x.shape[1], self.n_out, self.params.dims.n_iters, self.x.dtype
         a_form = self.a_form and pool
         sums = None
@@ -673,23 +672,39 @@ class _Blocks:
         with np.errstate(over=errors, invalid=errors):
             for blk in self.blocks:
                 self.route_block(rec, it, blk, sums)
+            self.ones = None
+            if not pool:
+                return None
+            pooled, total, credit_total = sums
             if a_form and it == 1:  # Q is complete only now
-                np.subtract(sums[0], self.ignore_sums[0], out=sums[0])
-                np.subtract(sums[1], self.ignore_sums[1], out=sums[1])
-        self.ones = None
-        if not pool:
-            return None
-        pooled, total, credit_total = sums
-        if a_form and not (_all_finite(pooled) and _all_finite(total)):
+                pooled -= self.ignore_sums[0]
+                total -= self.ignore_sums[1]
+            if it == n_iters:  # dead: the last M-step's peak holds none of them
+                self.work = self.ignore_sums = None
+                if not a_form:  # a redo of the a-form needs it
+                    self.weight = None
+            x_out = _finish_m_step(pooled, total, self.scale, self.params)
+        try:  # every pooled sum and total is a term of the output update
+            _check_finite(x_out, "output update", it)
+        except NumericError:
+            if not a_form:
+                raise
             self.a_form, self.ignore_sums = False, None
+            if self.work is None:
+                self.work = np.empty(self.slots * self.blocks[0].stop * n_out, dtype)
             return self.sweep(rec, it)
         if credit_total is not None:
             _check_finite(credit_total, "credit", it)
-        if it == n_iters:  # dead: the last M-step's peak holds none of them
-            self.work = self.weight = self.ignore_sums = None
-        x_out = _finish_m_step(pooled, total, self.scale, self.params)
-        _check_finite(x_out, "output update", it)
         return x_out
+
+    def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
+        """Where a block computes a whole credit: a row-major block in the
+        rows of a kept credit, or else of a_rows, free once the a-form is
+        given up; an output-major block in slot 0, copied into a kept
+        credit last."""
+        if not self.row_major:
+            return self.block(self.work, blk.stop - blk.start, self.n_out)
+        return (self.a_rows if kept is None else kept)[blk]
 
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
         """One block of an iteration: its share of ``sums`` (the pooled
@@ -722,7 +737,8 @@ class _Blocks:
         else:
             if it == 1:  # the flat prior routes g * p of each input to every output
                 used = g * self.prior
-                bi = self.start_a_form(blk, g, partial(pool, into=self.ignore_sums))
+                bi, gated = self.start_a_form(blk, g)
+                pool(gated, self.ignore_sums)
             else:
                 bu, bi, neg_z = self.later_block(blk)
                 top = neg_z.max()
@@ -790,25 +806,19 @@ class _FixedBlocks(_Blocks):
     that it does not keep into ``a_rows``, so its workspace is one slot
     (the module docstring)."""
 
-    __slots__ = ("use", "ign", "a_rows")
+    __slots__ = ("use", "ign")
     row_major = True
     slots = 1
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows: np.ndarray):
-        super().__init__(params, x, gates, rows)
+        super().__init__(params, x, gates, rows, a_rows)
         self.a_form, self.closed_form, self.first = True, False, None  # iteration 1 takes the tables
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
-        self.a_rows = a_rows
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
         return buffer[: n * cols].reshape(n, cols)
-
-    def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
-        """The rows of the kept credit, or else of a_rows, dead once the
-        a-form is given up."""
-        return (self.a_rows if kept is None else kept)[blk]
 
     def fused_weight(self) -> np.ndarray:
         """-predicted^T alone; written per iteration."""
@@ -825,13 +835,12 @@ class _FixedBlocks(_Blocks):
         np.multiply(self.ign[blk], 1 - self.prior, out=scratch)
         credit -= scratch
 
-    def start_a_form(self, blk: slice, g: np.ndarray, pool_ignore) -> np.ndarray:
-        """a = use + ign into a_rows, and g * ign, in the slot, to
-        ``pool_ignore``; returns the block's ign."""
+    def start_a_form(self, blk: slice, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Writes a = use + ign into a_rows; returns (ign, g * ign), the
+        latter in the slot."""
         bi = self.ign[blk]
         np.add(self.use[blk], bi, out=self.a_rows[blk])
-        pool_ignore(np.multiply(bi, g, out=self.block(self.work, blk.stop - blk.start, self.n_out)))
-        return bi
+        return bi, np.multiply(bi, g, out=self.block(self.work, blk.stop - blk.start, self.n_out))
 
     def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
         """(bu, bi, -z): the tables stand in for bu and bi, so -z takes the slot."""
@@ -854,7 +863,7 @@ class _VariableBlocks(_Blocks):
     slots = 3
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
-        super().__init__(params, x, gates, rows)
+        super().__init__(params, x, gates, rows)  # no a rows: whole credits
         self.a_form = False
         self.closed_form = params.dims.d_inp < 3 * self.n_out
         self.gain = params.score_gain.array
@@ -868,10 +877,6 @@ class _VariableBlocks(_Blocks):
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
         return buffer[: n * cols].reshape(cols, n).T
-
-    def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
-        """Slot 0; a kept credit takes a copy."""
-        return self.block(self.work, blk.stop - blk.start, self.n_out)
 
     def fused_weight(self) -> np.ndarray:
         """[W_use | W_ign | -predicted^T]; the score columns are written per iteration."""

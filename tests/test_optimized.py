@@ -1276,30 +1276,34 @@ class TestAFormIterations:
 
     @pytest.mark.parametrize("first", [True, False], ids=["iteration_1", "iteration_2"])
     def test_a_form_sums_that_overflow_are_redone_on_whole_credits(self, first, monkeypatch):
-        # Every input feature is about 1 and every gate 1, and beta_use =
-        # beta_ign = c everywhere, so w = used * 2c while the credit
-        # c * (used - ignored) cancels. n_out = 2 and the scores alone
-        # route: equal ones route each input half and half, so iteration
-        # 1's credit is 0 while the sums of w and of Q, about n * c,
-        # overflow (iteration_1). Scores that route three quarters to output
-        # 0 from iteration 2 on keep iteration 1's sums finite, and raise
-        # output 0's w to 1.5 n * c, which overflows; its credit sums to
-        # 0.5 n * c (iteration_2). The iteration and every later one are
-        # redone on whole credits, in the call and in the records' replay.
-        # Blocks of 1024 rows keep n, and the rounding of sums over it, as
-        # in the tests above.
+        # Every input feature is about 1, and beta_use = beta_ign = c
+        # everywhere, so w = used * 2c while the credit c * (used - ignored)
+        # cancels. n_out = 2 and the scores alone route. iteration_1: every
+        # gate is 1 and equal scores route each input half and half, so
+        # iteration 1's credit is 0 while the sums of w and of Q, about
+        # n * c, overflow. iteration_2: only the first block's gates are 1
+        # (the rest near e^-60), so Q and q are about rows * c, and scores
+        # that route three quarters to output 0 from iteration 2 on raise
+        # that block's sums of w for output 0 to 1.5 rows * c, which
+        # overflow, while its credits sum to 0.5 rows * c. The blocks add
+        # to -Q, so only a block's own sum can overflow there. The iteration
+        # and every later one are redone on whole credits, in the call and
+        # in the records' replay. Blocks of 1024 rows keep n, and the
+        # rounding of sums over it, as in the tests above.
         monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2048)
         rng = np.random.default_rng(64)
-        dims, params, x, _ = multi_block_instance(rng, "fixed", n_out=2, n_iters=4)
+        dims, params, x, rows = multi_block_instance(rng, "fixed", n_out=2, n_iters=4)
         n = dims.n_inp
         x[:] = rng.uniform(0.9, 1.1, x.shape)
-        c = np.float32((5e38 if first else 2.8e38) / n)
+        c = np.float32(5e38 / n if first else 2.9e38 / rows)
         coef = np.full((n, 2), c, np.float32)
+        act_bias = np.full(n, 60.0, np.float32)
         bias = np.zeros((n, 2), np.float32)
         if not first:
+            act_bias[rows:] = -60.0
             bias[:] = (30.0, -np.log(2.0))  # sigma(30) : sigma(-log 2) = 1 : 1/3
         p = replaced(
-            params, dims, beta_use=coef, beta_ign=coef, act_bias=np.full(n, 60.0, np.float32),
+            params, dims, beta_use=coef, beta_ign=coef, act_bias=act_bias,
             score_gain=np.zeros((n, 2), np.float32), score_bias=bias,
             # Outputs near 1e8, whose normalization squares them.
             vote_mix=params.vote_mix.array * np.float32(1e-30),
