@@ -21,7 +21,7 @@ therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
 n_out) input rows. A block computes its stages in place in a workspace
 of one or three block-sized slots, checks them for non-finite values
 once, and adds its ``credit.T @ x`` (in the fixed layout ``w.T @ x``
-of the a-form below) and ``credit.sum(0)`` into the output-sized
+of the a-form below) and its column totals into the output-sized
 partials that the M-step finishes once per iteration. With the trace
 off the only routing-pair-sized (n_inp * n_out) array is the returned
 final credit. Beside it the fixed layout holds one input-sized
@@ -190,15 +190,15 @@ the fixed layout, in the rows of a kept credit or the a rows, with
 and g - g * p, itself. The fused weight exists from the first later
 iteration on, Q and q from iteration 1 on, and the last M-step runs
 after the workspace and Q are dropped (with whole credits, the weight
-too; a redo of the a-form needs it). The row sums are BLAS products
-with a ones vector that lives only during a sweep, so no M-step or
-prediction holds it. They go through ``np.dot``, which, unlike ``@``,
-does not turn the floating-point flags of the BLAS call into warnings:
-on finite inputs OpenBLAS's gemv raised the invalid flag now and then
-(``ones @ credit`` warned in 3 of about 200 test processes), so a
-warning there says nothing, while every row sum is a term of its
-iteration's output update, whose check covers it. The column totals
-stay numpy sums, as fast there.
+too; a redo of the a-form needs it). Row sums and column totals are
+BLAS products with a ones vector that lives only during a sweep, so no
+M-step or prediction holds it. They go through ``np.dot``, which,
+unlike ``@``, does not turn the floating-point flags of the BLAS call
+into warnings: on finite inputs OpenBLAS's gemv raised the invalid flag
+now and then (``ones @ credit`` warned in 3 of about 200 test
+processes), so a warning there says nothing, while every row sum and
+total is a term of its iteration's output update, whose check covers
+it.
 
 The final credit is allocated first. In the variable layout with the
 trace off, its last n_inp elements (flat) hold the activation scores,
@@ -670,7 +670,7 @@ class _Blocks:
             sums += (credit_total,)
             if a_form and it == 1:
                 self.ignore_sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-        self.ones = np.ones(n_out, dtype)
+        self.ones = np.ones(max(self.blocks[0].stop, n_out), dtype)  # the first block is the longest
         # What overflows in the a-form is redone below, or fails a check.
         errors = "ignore" if a_form else None  # None leaves the caller's state
         with np.errstate(over=errors, invalid=errors):
@@ -719,7 +719,7 @@ class _Blocks:
         one only to keep it. Its views of the workspace end with the call."""
         n, n_out = blk.stop - blk.start, self.n_out
         scores, routing, kept = rec.get("scores"), rec.get("routing"), rec.get("credit")
-        x = self.x[blk]
+        x, ones = self.x[blk], self.ones[:n]
         a_form = self.a_form and sums is not None
 
         def keep(name: str, computed: np.ndarray) -> None:
@@ -729,7 +729,7 @@ class _Blocks:
         def pool(values: np.ndarray, into: tuple) -> None:
             pooled, total = into[:2]
             pooled += values.T @ x
-            total += values.sum(axis=0)
+            total += np.dot(ones, values)
 
         # Read before the block's last step writes its credit: in the final
         # credit's tail, that write may overwrite these gates.
@@ -756,7 +756,7 @@ class _Blocks:
                     near_z = neg_z[near]
                 _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
                 sigma = neg_z  # written over -z
-                row_sum = np.dot(sigma, self.ones)  # S_i, then g_i / S_i
+                row_sum = np.dot(sigma, self.ones[:n_out])  # S_i, then g_i / S_i
                 if near is not None:
                     hit = row_sum[near] < self.row_sum_floor
                     if hit.any():
@@ -783,7 +783,7 @@ class _Blocks:
                     np.multiply(bi, g, out=credit)
                     np.subtract(w, credit, out=credit)
                     credit_total = sums[2]
-                    credit_total += credit.sum(axis=0)
+                    credit_total += np.dot(ones, credit)
                 return
             credit = None
             if sums is not None or kept is not None:
