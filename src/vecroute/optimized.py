@@ -43,25 +43,33 @@ table of (name, shape, init) rows, ``_LAYOUTS`` below; the parameter
 names, shapes, initialization, validation and file layout all derive
 from it. The router picks one block kernel per call from the layout
 (``_FixedBlocks``, ``_VariableBlocks``). The kernel owns the block
-orientation, iteration 1's credit, a later block's coefficients and
-scores, the coefficients' finite check and whether its iterations pool
-the a-form (below); the loop that drives it has no layout branch.
-Fixed-layout blocks are row-major, the layout of its per-pair tables. Variable-layout blocks are output-major, so reductions
-and broadcasts over the outputs run along long contiguous runs even when
-n_out is small. A block computes its shares in its workspace, and a
-record that keeps them takes a copy of its rows. Only a row-major block
-computes its credit in place, in the rows of a kept credit, which is
-row-major too; an output-major block computes it in a slot and copies it
-in. A fixed-layout call keeps a = bu + bi of the a-form in the final
-credit's rows until its last iteration writes its credit there; in a
-replay (below) each iteration writes the rows of its own credit record.
+orientation, a block's coefficients and scores, the coefficients' finite
+check, whether its iterations pool the a-form (below) and its iteration
+1's shares or credit. The loop that drives the kernel has neither a
+layout branch nor an iteration-1 case: each iteration predicts from the
+output before it, if there is one, and then sweeps the blocks.
+Fixed-layout blocks are row-major, the layout of its per-pair tables.
+Variable-layout blocks are output-major, so reductions and broadcasts
+over the outputs run along long contiguous runs even when n_out is
+small. A block computes its shares in its workspace, and a record that
+keeps them takes a copy of its rows. Only a row-major block computes its
+credit in place, in the rows of a kept credit, which is row-major too;
+an output-major block computes it in a slot and copies it in. A
+fixed-layout call keeps a = bu + bi of the a-form in the final credit's
+rows until its last iteration writes its credit there; in a replay
+(below) each iteration writes the rows of its own credit record.
 
 Iteration 1 routes every input to every output with the flat prior
-p = 1/n_out, so its credit is g_i * (p * bu_ij - (1 - p) * bi_ij),
-without the shares. Each product is taken separately, so the credit is
-finite wherever the coefficients are. The fixed layout takes it per
-block from its stored tables. In the variable layout it is linear in
-the input, credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use
+p = 1/n_out: its used shares are the column g * p and its ignored shares
+g - g * p. In the fixed layout it is the flat-prior case of a later
+block, whose tails (below) take that column for sigma * g / S: the
+a-form's w = a * (g * p), or, once the a-form is given up, the whole
+credit bu * (g * p) - bi * (g - g * p), the reference's products in the
+reference's order. Each product is taken separately, so that credit is
+finite wherever the coefficients are, but for rounding at the top of the
+range. The variable kernel takes its iteration 1 itself. There the
+credit g_i * (p * bu_ij - (1 - p) * bi_ij) is linear in the input,
+credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use
 - (1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, the same formula
 applied to the weights, so a block takes it from one n_out-column matmul
 against w1, a bias pass and a gate pass, without the coefficients. Its
@@ -72,22 +80,22 @@ s = sum_i g_i x_i:
 
 Accumulating G costs 2 * d_inp**2 flops per input; its one-off
 n_out * d_inp**2 term is the size of the M-step's own projection matmul,
-so the count leaves it out. :func:`route_optimized` takes the closed
-form exactly when d_inp < 3 * n_out, an operation count on the input's
-shape, not a setting: it weighs G against a block path of about
+so the count leaves it out. The variable kernel takes the closed form
+exactly when d_inp < 3 * n_out, an operation count on the input's shape,
+not a setting: it weighs G against a block path of about
 6 * n_out * d_inp flops (two coefficient sets and the pooling matmul).
 The linear block path costs about 4 * n_out * d_inp plus three
 pair-sized passes. At 100000 x 16 x 40 (d_inp = 2.5 * n_out, two
 iterations, 2 CPUs) it measured 27.8 ms against the closed form's
 35.8 ms, faster in 14 of 15 alternating calls. Neither variable-layout
 form computes the coefficients, and no block scans them: a non-finite
-one makes its credit non-finite (inf * 0 is NaN), which fails iteration 2's output
-update check (the last paragraph). Any failure checks the coefficients
-first, so errors name the same stage as when iteration 1 computed them;
-past iteration 2 they are finite, and a failure keeps its own message.
-The linear form can overflow where the coefficients do not, and G where
-the direct sums do not, so a non-finite closed-form output redoes
-iteration 1 on the blocks.
+one makes its credit non-finite (inf * 0 is NaN), which fails iteration
+2's output update check (the last paragraph). Any failure checks the
+coefficients first, so errors name the same stage as when iteration 1
+computed them; past iteration 2 they are finite, and a failure keeps its
+own message. The linear form can overflow where the coefficients do not,
+and G where the direct sums do not, so a non-finite closed-form output
+redoes iteration 1 on the blocks.
 
 Every later iteration routes input i by the softmax over outputs of its
 log-logistic scores, softmax_j(log sigma(z_ij)) with z = gain * inner +
@@ -128,21 +136,22 @@ with w = used * a
     pooled = w^T x - Q,    total = w^T 1 - q,
     Q = sum_i g_i bi_i x_i^T,    q = sum_i g_i bi_i,
 
-where Q and q are the same in every iteration of a call. Iteration 1,
-whose used shares are g * p, computes a into rows that are scratch until
-the last iteration writes its credit there (the final credit's in a
-call; in a replay, the last iteration's ignored shares, which only that
-iteration writes), pools g * bi into Q and q, then pools w, and subtracts
-Q once it is complete. A later block computes sigma and its row sums,
-then used = sigma * r and w = used * a, two pair-sized passes where the
-whole credit takes five (used, bu * used, ignored, bi * ignored, the
-difference), and pools w into sums that start at -Q (in the last
-iteration, in Q's own memory). It computes a credit only to keep it,
-w - g * bi: the call's last iteration, or a replay's record. So
+where Q and q are the same in every iteration of a call. The first sweep
+of the a-form opens with one gathering pass over the blocks: it writes a
+into rows that are scratch until the last iteration writes its credit
+there (the final credit's in a call; in a replay, the last iteration's
+ignored shares, which only that iteration writes), and sums g * bi into
+Q and q. Every iteration's sums then start at -Q (in the last iteration,
+in Q's own memory), and each block adds its w^T x and w^T 1 to them.
+Iteration 1's w is a * (g * p). A later block computes sigma and its row
+sums, then used = sigma * r and w = used * a, two pair-sized passes
+where the whole credit takes five (used, bu * used, ignored,
+bi * ignored, the difference). A block computes a credit only to keep
+it, w - g * bi: the call's last iteration, or a replay's record. So
 iteration k's output does not depend on how many iterations follow it,
 and record k of a longer routing is, bit for bit, the output of a
-k-iteration one. Q costs one more pooling matmul, in iteration 1, so
-every fixed-layout routing, one of two iterations too, pays it once;
+k-iteration one. Q costs one more pooling matmul, in the gathering pass,
+so every fixed-layout routing, one of two iterations too, pays it once;
 each iteration saves three pair-sized passes. The a-form's sums can
 overflow where the credit's do not: a = bu + bi where both coefficients
 are finite, and w^T x and Q where the credits they make cancel. An
@@ -152,9 +161,10 @@ then being free for a credit that is not kept; a replay redoes the same
 iteration, since it computes the same output update. The a-form's
 arithmetic, its M-step too, runs with overflow and invalid-operation
 warnings off, since each non-finite value it makes is redone or fails a
-check. The variable layout pools whole credits: its a would need a fourth
-column group in the block matmul, and no measured routing of that
-layout runs more than two iterations.
+check; so does every layout's iteration 1. The variable layout pools
+whole credits: its a would need a fourth column group in the block
+matmul, and no measured routing of that layout runs more than two
+iterations.
 
 Each workspace slot is overwritten in place once the value it holds is
 dead (the liveness rule of Chen et al., arXiv:1604.06174), with the
@@ -173,7 +183,8 @@ its own (above) and its credit is computed in the rows of a kept credit
 (after the a-form is given up, in the a rows when none is kept), so it
 needs one:
 
-    iteration 1:  slot 0: g * bi, then w
+    gathering:    slot 0: g * bi
+    iteration 1:  slot 0: w; given up, bi * (g - g * p)
     later:        slot 0: -z, then sigma, the used shares and w; given
                           up, the used and the ignored shares,
                           bi * ignored
@@ -184,21 +195,20 @@ layout's matmul, which writes (bu | bi | -z), is slot k, in a ragged
 last block too, and each in-place product meets its output as the very
 same compact view. A record copies each share in as soon as it is
 computed, so the ignored shares take the used shares' slot traced too.
-Iteration 1 of whole credits computes only its credit, in slot 0 (in
-the fixed layout, in the rows of a kept credit or the a rows, with
-(1 - p) * bi in slot 0); a replay writes that iteration's shares, g * p
-and g - g * p, itself. The fused weight exists from the first later
-iteration on, Q and q from iteration 1 on, and the last M-step runs
-after the workspace and Q are dropped (with whole credits, the weight
-too; a redo of the a-form needs it). Row sums and column totals are
-BLAS products with a ones vector that lives only during a sweep, so no
-M-step or prediction holds it. They go through ``np.dot``, which,
-unlike ``@``, does not turn the floating-point flags of the BLAS call
-into warnings: on finite inputs OpenBLAS's gemv raised the invalid flag
-now and then (``ones @ credit`` warned in 3 of about 200 test
-processes), so a warning there says nothing, while every row sum and
-total is a term of its iteration's output update, whose check covers
-it.
+Iteration 1's shares are columns of n elements beside the slots, which a
+replay's blocks copy into their records; the variable layout's linear
+form computes only its credit, in slot 0. The fused weight exists from
+the first later iteration on, Q and q from the gathering pass on, and
+the last M-step runs after the workspace and Q are dropped (with whole
+credits, the weight too; a redo of the a-form needs it). Row sums and
+column totals are BLAS products with a ones vector that lives only
+during a sweep, so no M-step or prediction holds it. They go through
+``np.dot``, which, unlike ``@``, does not turn the floating-point flags
+of the BLAS call into warnings: on finite inputs OpenBLAS's gemv raised
+the invalid flag now and then (``ones @ credit`` warned in 3 of about
+200 test processes), so a warning there says nothing, while every row
+sum and total is a term of its iteration's output update, whose check
+covers it.
 
 The final credit is allocated first. In the variable layout with the
 trace off, its last n_inp elements (flat) hold the activation scores,
@@ -227,7 +237,8 @@ iteration loop, the same code on the same inputs, so each block and each
 M-step computes the call's values bit for bit, and each block writes its
 rows of the records. Iteration 1 takes the form the call took, decided
 again on the same inputs; a closed-form iteration 1 reruns the closed
-form for its output and its blocks for its credit record. A replay's
+form for its output and its blocks for its records, and scans its credit
+record. A replay's
 block of the a-form writes its shares into their records, pools w as
 the call did, and writes w - g * bi into its credit record. The last
 iteration pools nothing and computes no credit: its credit record is
@@ -252,18 +263,19 @@ S_i >= tiny / eps, gates in [0, 1], a rescued row is the softmax of a
 finite z). Every whole credit that a block pools, which each credit
 record replays bit for bit, feeds total_j and so, through
 total_j * vote_bias_j, every entry of output row j, so the iteration's
-output update check fails first on a non-finite one. So does each
-a-form sum, w^T x - Q and w^T 1 - q, and there the check redoes the
-iteration (above). A credit of the a-form is not the array that was
-pooled, so the call checks its final credit, and the replay each credit
-record of the a-form, through their column totals: a fresh n_out
-vector, non-finite where the credit is or where its sum over the inputs
-overflows, and sharing memory with no other checked array. The closed
-form's iteration 1 pools no block: its output's own finite test, the
-checks' min/max predicate, which picks the fallback, is its check, and
-the replay scans its credit record, so a read can fail where the call
-did not. The next prediction reads the checked output unscanned.
-"""
+output update check fails first on a non-finite one. So does each a-form
+sum, w^T x - Q and w^T 1 - q, and there the check redoes the iteration
+(above). A credit of the a-form is not the array that was pooled, so the
+call checks its final credit, and the replay each credit record of the
+a-form, through their column totals: a fresh n_out vector, non-finite
+where the credit is or where its sum over the inputs overflows, and
+sharing memory with no other checked array. The closed form's
+iteration 1 pools no block: its output's own finite test, the checks'
+min/max predicate, which picks the fallback, is its check, and the
+replay scans its credit record, so a read can fail where the call did
+not. The next prediction reads the checked output unscanned, and its own
+check covers the normalized rows it is taken from: each normalized value
+is a term of every entry of its predicted row."""
 
 from __future__ import annotations
 
@@ -290,6 +302,7 @@ from .tensor import (
     _check_finite,
     _float_array,
     _logistic_of_negated_into,
+    _normalized_rows,
     _softmax_rows_in_place,
     log_logistic,
     normalize_vectors,
@@ -313,7 +326,6 @@ __all__ = [
     "transient_element_bound",
     "vote_param_budget",
     "vote_param_count",
-    "votes_for_input",
 ]
 
 # Elements (rows * n_out) of one block of the routing loop: 448 KiB per
@@ -528,7 +540,12 @@ def predict_inputs(x_out: np.ndarray | DenseTensor, params: RoutingParams) -> np
     the magnitudes the update sums produce. An array ``x_out`` is checked
     for non-finite values; a DenseTensor was checked when it was built.
     """
-    out = normalize_vectors(x_out).array @ params.pred_proj.array
+    return _predict(normalize_vectors(x_out).array, params)
+
+
+def _predict(normalized: np.ndarray, params: RoutingParams) -> np.ndarray:
+    """:func:`predict_inputs` of rows already normalized, not scanned."""
+    out = normalized @ params.pred_proj.array
     out *= params.pred_gate.array
     out += params.pred_bias.array
     return out
@@ -613,17 +630,19 @@ class _Blocks:
     """The block loop both layouts share: its buffers and one block's stages.
 
     A layout's kernel (``_FixedBlocks``, ``_VariableBlocks``) adds the
-    block orientation, iteration 1's credit, a later block's coefficients
-    and scores, and the coefficients' finite check, and says whether its
-    iterations pool the a-form (``a_form``, cleared for the rest of a call
-    once an a-form output update is not finite). Every class of the
-    hierarchy declares ``__slots__``: each call builds a kernel, and with
-    an instance ``__dict__`` the call's peak fell by 8 B a call over its
-    first 14 or so calls (:mod:`vecroute.memtrack`).
+    block orientation, a block's coefficients and scores, the
+    coefficients' finite check and its iteration 1: the fixed kernel's
+    blocks take the shared tails on the flat prior's shares, the variable
+    kernel's take a form of their own. A kernel says whether its iterations pool the a-form
+    (``a_form``, cleared for the rest of a call once an a-form output
+    update is not finite). Every class of the hierarchy declares
+    ``__slots__``: each call builds a kernel, and with an instance
+    ``__dict__`` the call's peak fell by 8 B a call over its first 14 or
+    so calls (:mod:`vecroute.memtrack`).
     """
 
     __slots__ = ("n_out", "params", "x", "gates", "blocks", "prior", "scale", "ones", "work", "row_sum_floor",
-                 "near_floor", "weight", "ignore_sums", "a_rows", "a_form", "closed_form", "first", "gain", "bias")
+                 "near_floor", "weight", "ignore_sums", "a_rows", "a_form", "gain", "bias")
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
         n_inp, dtype = x.shape[0], params.dtype
@@ -641,7 +660,7 @@ class _Blocks:
         self.row_sum_floor = tiny / eps
         self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
         self.weight = None  # the fused weight, from the first later iteration on
-        self.ignore_sums = None  # (Q, q) of the a-form, from iteration 1 on
+        self.ignore_sums = None  # (Q, q) of the a-form, from its first sweep on
 
     def score_against(self, predicted: np.ndarray) -> None:
         """Write -predicted^T into the fused weight's score columns,
@@ -659,30 +678,28 @@ class _Blocks:
         column totals."""
         d_inp, n_out, n_iters, dtype = self.x.shape[1], self.n_out, self.params.dims.n_iters, self.x.dtype
         a_form = self.a_form and pool
-        sums = None
-        if pool:
-            credit_total = np.zeros(n_out, dtype) if a_form and rec.get("credit") is not None else None
-            if a_form and it > 1:  # the blocks add sum_i w_i x_i^T to -Q, in Q's memory once it is dead
-                last = it == n_iters
-                sums = tuple(np.negative(q, out=q if last else None) for q in self.ignore_sums)
-            else:
-                sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-            sums += (credit_total,)
-            if a_form and it == 1:
-                self.ignore_sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
         self.ones = np.ones(max(self.blocks[0].stop, n_out), dtype)  # the first block is the longest
-        # What overflows in the a-form is redone below, or fails a check.
-        errors = "ignore" if a_form else None  # None leaves the caller's state
+        # What overflows in the a-form is redone below, or fails a check, and
+        # so does what overflows in iteration 1.
+        errors = "ignore" if a_form or it == 1 else None  # None leaves the caller's state
         with np.errstate(over=errors, invalid=errors):
+            sums = None
+            if pool:
+                credit_total = np.zeros(n_out, dtype) if a_form and rec.get("credit") is not None else None
+                if a_form:  # the blocks add sum_i w_i x_i^T to -Q, in Q's memory once it is dead
+                    if self.ignore_sums is None:
+                        self.gather_a_form()
+                    last = it == n_iters
+                    sums = tuple(np.negative(q, out=q if last else None) for q in self.ignore_sums)
+                else:
+                    sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
+                sums += (credit_total,)
             for blk in self.blocks:
                 self.route_block(rec, it, blk, sums)
             self.ones = None
             if not pool:
                 return None
             pooled, total, credit_total = sums
-            if a_form and it == 1:  # Q is complete only now
-                pooled -= self.ignore_sums[0]
-                total -= self.ignore_sums[1]
             if it == n_iters:  # dead: the last M-step's peak holds none of them
                 self.work = self.ignore_sums = None
                 if not a_form:  # a redo of the a-form needs it
@@ -701,6 +718,12 @@ class _Blocks:
             _check_finite(credit_total, "credit", it)
         return x_out
 
+    def pool(self, values: np.ndarray, blk: slice, sums: tuple) -> None:
+        """Add a block's ``values.T @ x`` and column totals into ``sums``."""
+        pooled, total = sums[:2]
+        pooled += values.T @ self.x[blk]
+        total += np.dot(self.ones[: blk.stop - blk.start], values)
+
     def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
         """Where a block computes a whole credit: a row-major block in the
         rows of a kept credit, or else of a_rows, free once the a-form is
@@ -710,6 +733,38 @@ class _Blocks:
             return self.block(self.work, blk.stop - blk.start, self.n_out)
         return (self.a_rows if kept is None else kept)[blk]
 
+    def shares(self, rec: dict, it: int, blk: slice, g: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(bu, bi, used) of a later iteration's block: the used shares
+        g * sigma / S written over -z, and the routing into a kept one."""
+        scores, routing = rec.get("scores"), rec.get("routing")
+        bu, bi, neg_z = self.later_block(blk)
+        top = neg_z.max()
+        if not top < np.inf:
+            raise NumericError(f"non-finite values in score at iteration {it}")
+        # Only rows whose every -z exceeds near_floor can need the
+        # rescue; their -z is copied before sigma overwrites it.
+        near = None
+        if top > self.near_floor:
+            near = np.flatnonzero(neg_z.min(axis=1) > self.near_floor)
+            near_z = neg_z[near]
+        _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
+        sigma = neg_z  # written over -z
+        row_sum = np.dot(sigma, self.ones[: self.n_out])  # S_i, then g_i / S_i
+        if near is not None:
+            hit = row_sum[near] < self.row_sum_floor
+            if hit.any():
+                low = near[hit]
+                rescued = np.negative(near_z[hit])
+                _softmax_rows_in_place(rescued)
+                sigma[low] = rescued
+                row_sum[low] = 1.0
+        if routing is not None:
+            np.divide(sigma, row_sum[:, None], out=routing[blk])
+        np.divide(g[:, 0], row_sum, out=row_sum)
+        used = sigma
+        np.multiply(sigma, row_sum[:, None], out=used)
+        return bu, bi, used
+
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
         """One block of an iteration: its share of ``sums`` (the pooled
         sums, the totals and, when it keeps a credit of the a-form, that
@@ -718,88 +773,55 @@ class _Blocks:
         keeps its credit computes none, and a block of the a-form computes
         one only to keep it. Its views of the workspace end with the call."""
         n, n_out = blk.stop - blk.start, self.n_out
-        scores, routing, kept = rec.get("scores"), rec.get("routing"), rec.get("credit")
-        x, ones = self.x[blk], self.ones[:n]
+        kept = rec.get("credit")
         a_form = self.a_form and sums is not None
 
         def keep(name: str, computed: np.ndarray) -> None:
             if rec.get(name) is not None:
                 rec[name][blk] = computed
 
-        def pool(values: np.ndarray, into: tuple) -> None:
-            pooled, total = into[:2]
-            pooled += values.T @ x
-            total += np.dot(ones, values)
-
         # Read before the block's last step writes its credit: in the final
         # credit's tail, that write may overwrite these gates.
         g = self.gates[blk, None]
-        if it == 1 and not a_form:
+        bu, bi, used = self.shares(rec, it, blk, g)
+        # Each result overwrites the slot of an operand dead from here on.
+        keep("share_used", used)
+        if a_form:
+            if rec.get("share_ignored") is not None:  # a replay's, before w overwrites used
+                np.subtract(g, used, out=rec["share_ignored"][blk])
+            w = self.block(self.work, n, n_out)
+            np.multiply(self.a_rows[blk], used, out=w)
+            self.pool(w, blk, sums)
+            if kept is not None:
+                credit = kept[blk]
+                np.multiply(bi, g, out=credit)
+                np.subtract(w, credit, out=credit)
+                credit_total = sums[2]
+                credit_total += np.dot(self.ones[:n], credit)
+            return
+        credit = None
+        if sums is not None or kept is not None:
             credit = self.credit_rows(blk, kept)
-            self.first_credit(blk, credit)
-            credit *= g
-        else:
-            if it == 1:  # the flat prior routes g * p of each input to every output
-                used = g * self.prior
-                bi, gated = self.start_a_form(blk, g)
-                pool(gated, self.ignore_sums)
-            else:
-                bu, bi, neg_z = self.later_block(blk)
-                top = neg_z.max()
-                if not top < np.inf:
-                    raise NumericError(f"non-finite values in score at iteration {it}")
-                # Only rows whose every -z exceeds near_floor can need the
-                # rescue; their -z is copied before sigma overwrites it.
-                near = None
-                if top > self.near_floor:
-                    near = np.flatnonzero(neg_z.min(axis=1) > self.near_floor)
-                    near_z = neg_z[near]
-                _logistic_of_negated_into(neg_z, None if scores is None else scores[blk])
-                sigma = neg_z  # written over -z
-                row_sum = np.dot(sigma, self.ones[:n_out])  # S_i, then g_i / S_i
-                if near is not None:
-                    hit = row_sum[near] < self.row_sum_floor
-                    if hit.any():
-                        low = near[hit]
-                        rescued = np.negative(near_z[hit])
-                        _softmax_rows_in_place(rescued)
-                        sigma[low] = rescued
-                        row_sum[low] = 1.0
-                if routing is not None:
-                    np.divide(sigma, row_sum[:, None], out=routing[blk])
-                np.divide(g[:, 0], row_sum, out=row_sum)
-                # Each result overwrites the slot of an operand dead from here on.
-                used = sigma
-                np.multiply(sigma, row_sum[:, None], out=used)
-                keep("share_used", used)
-            if a_form:
-                if rec.get("share_ignored") is not None:  # a replay's, before w overwrites used
-                    np.subtract(g, used, out=rec["share_ignored"][blk])
-                w = self.block(self.work, n, n_out)
-                np.multiply(self.a_rows[blk], used, out=w)
-                pool(w, sums)
-                if kept is not None:
-                    credit = kept[blk]
-                    np.multiply(bi, g, out=credit)
-                    np.subtract(w, credit, out=credit)
-                    credit_total = sums[2]
-                    credit_total += np.dot(ones, credit)
-                return
-            credit = None
-            if sums is not None or kept is not None:
-                credit = self.credit_rows(blk, kept)
-                np.multiply(bu, used, out=credit)
-            ignored = used
-            np.subtract(g, used, out=ignored)
-            keep("share_ignored", ignored)
-            if credit is None:
-                return
-            np.multiply(bi, ignored, out=ignored)
-            credit -= ignored
-        if not self.row_major:
-            keep("credit", credit)
+            np.multiply(bu, used, out=credit)
+        ignored = used
+        np.subtract(g, used, out=ignored)
+        keep("share_ignored", ignored)
+        if credit is None:
+            return
+        # A column of ignored shares, the flat prior's, cannot hold the
+        # product; the slot is free then.
+        product = ignored if ignored.shape == bi.shape else self.block(self.work, n, n_out)
+        np.multiply(bi, ignored, out=product)
+        credit -= product
+        self.keep_and_pool(rec, blk, credit, sums)
+
+    def keep_and_pool(self, rec: dict, blk: slice, credit: np.ndarray, sums: tuple | None) -> None:
+        """Copy a block's whole credit into a kept one, unless it was
+        computed there, and pool it."""
+        if not self.row_major and rec.get("credit") is not None:
+            rec["credit"][blk] = credit
         if sums is not None:
-            pool(credit, sums)
+            self.pool(credit, blk, sums)
 
 
 class _FixedBlocks(_Blocks):
@@ -816,7 +838,7 @@ class _FixedBlocks(_Blocks):
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows: np.ndarray):
         super().__init__(params, x, gates, rows, a_rows)
-        self.a_form, self.closed_form, self.first = True, False, None  # iteration 1 takes the tables
+        self.a_form = True
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
 
@@ -828,23 +850,23 @@ class _FixedBlocks(_Blocks):
         """-predicted^T alone; written per iteration."""
         return np.empty((self.params.dims.d_inp, self.n_out), self.params.dtype)
 
-    def first_credit(self, blk: slice, credit: np.ndarray) -> None:
-        """p * use - (1 - p) * ign: iteration 1's credit per unit gate.
+    def gather_a_form(self) -> None:
+        """One pass over the blocks: a = use + ign into a_rows, and the
+        sums (Q, q) of g * ign, taken in the slot."""
+        n_out, d_inp, dtype = self.n_out, self.x.shape[1], self.x.dtype
+        self.ignore_sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
+        for blk in self.blocks:
+            bi = self.ign[blk]
+            np.add(self.use[blk], bi, out=self.a_rows[blk])
+            gated = np.multiply(bi, self.gates[blk, None], out=self.block(self.work, blk.stop - blk.start, n_out))
+            self.pool(gated, blk, self.ignore_sums)
 
-        Each product is taken separately, so the result, a convex
-        combination of use and -ign, is finite wherever both are.
-        """
-        scratch = self.block(self.work, blk.stop - blk.start, self.n_out)
-        np.multiply(self.use[blk], self.prior, out=credit)
-        np.multiply(self.ign[blk], 1 - self.prior, out=scratch)
-        credit -= scratch
-
-    def start_a_form(self, blk: slice, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Writes a = use + ign into a_rows; returns (ign, g * ign), the
-        latter in the slot."""
-        bi = self.ign[blk]
-        np.add(self.use[blk], bi, out=self.a_rows[blk])
-        return bi, np.multiply(bi, g, out=self.block(self.work, blk.stop - blk.start, self.n_out))
+    def shares(self, rec: dict, it: int, blk: slice, g: np.ndarray) -> tuple[np.ndarray, ...]:
+        """In iteration 1, the tables and the flat prior's used shares g * p,
+        a column; later, the shared stages."""
+        if it == 1:
+            return self.use[blk], self.ign[blk], g * self.prior
+        return super().shares(rec, it, blk, g)
 
     def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
         """(bu, bi, -z): the tables stand in for bu and bi, so -z takes the slot."""
@@ -860,16 +882,16 @@ class _FixedBlocks(_Blocks):
 
 class _VariableBlocks(_Blocks):
     """Block kernel of the variable layout: output-major blocks, coefficients
-    from each block's inputs, whole credits (see the module docstring)."""
+    from each block's inputs, whole credits, and its own iteration 1 (see
+    the module docstring)."""
 
-    __slots__ = ()
+    __slots__ = ("first",)
     row_major = False
     slots = 3
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
         super().__init__(params, x, gates, rows)  # no a rows: whole credits
         self.a_form = False
-        self.closed_form = params.dims.d_inp < 3 * self.n_out
         self.gain = params.score_gain.array
         self.bias = np.concatenate(
             [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
@@ -890,9 +912,44 @@ class _VariableBlocks(_Blocks):
         weight[:, self.n_out : 2 * self.n_out] = p.beta_ign_weight.array
         return weight
 
-    def first_credit(self, blk: slice, credit: np.ndarray) -> None:
+    def sweep(self, rec: dict, it: int, pool: bool = True) -> np.ndarray | None:
+        """Iteration 1 in closed form where d_inp < 3 * n_out and its output
+        is finite, else on the blocks; a later one on the blocks. A replay's
+        closed-form iteration 1 has its blocks write its records, pooling
+        nothing, and scans the credit record, which no output update check
+        covers."""
+        if it > 1:
+            return super().sweep(rec, it, pool)
+        x_out = None
+        if self.params.dims.d_inp < 3 * self.n_out:
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output is redone on the blocks
+                x_out = _finish_m_step(
+                    *_closed_form_sums(self.x, self.gates, self.work, self.first), self.scale, self.params
+                )
+        if x_out is None or not _all_finite(x_out):
+            x_out = super().sweep(rec, it)
+        elif rec.get("credit") is not None:
+            super().sweep(rec, it, pool=False)
+            _check_finite(rec["credit"], "credit", it)
+        self.first = None  # output-sized, and needed no more
+        return x_out
+
+    def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
+        """A later iteration's block takes the shared stages; iteration 1's
+        takes the linear form g * (x . w1 + c1) in slot 0, and writes a
+        replay's flat-prior shares."""
+        if it > 1:
+            return super().route_block(rec, it, blk, sums)
+        g = self.gates[blk, None]
+        if rec.get("share_used") is not None:
+            used = g * self.prior
+            rec["share_used"][blk] = used
+            rec["share_ignored"][blk] = g - used
+        credit = self.block(self.work, blk.stop - blk.start, self.n_out)  # slot 0
         np.matmul(self.x[blk], self.first[:-1], out=credit)
         credit += self.first[-1]
+        credit *= g
+        self.keep_and_pool(rec, blk, credit, sums)
 
     def later_block(self, blk: slice) -> tuple[np.ndarray, ...]:
         """(bu, bi, -z) in workspace slots 0-2, from one matmul."""
@@ -988,7 +1045,7 @@ def route_optimized(
     # which only the last iteration writes its credit to.
     kernel = _kernel(params, x, gates, rows, final_credit)
     records = [{"credit": final_credit if it == n_iters else None} for it in range(1, n_iters + 1)]
-    output = _iterate(kernel, records)
+    output = DenseTensor._adopt(_iterate(kernel, records))  # checked as its iteration's output update
 
     final = DenseTensor._adopt(final_credit)
     if not capture_trace:
@@ -1004,49 +1061,38 @@ def route_optimized(
     return output, trace
 
 
-def _iterate(kernel: _Blocks, records: list[dict], output: DenseTensor | None = None) -> DenseTensor:
+def _iterate(kernel: _Blocks, records: list[dict], output: np.ndarray | None = None) -> np.ndarray:
     """The iteration loop of a call and of its records' replay; returns the
     last iteration's output. ``records[k]`` holds the arrays iteration
     k + 1 writes. A replay passes the call's ``output``: each record then
     also takes its iteration's prediction and output, and the last
-    iteration pools nothing and returns ``output``."""
-    x, params, n_iters = kernel.x, kernel.params, len(records)
+    iteration pools nothing and returns ``output``. Each iteration
+    predicts from the one before it, none in iteration 1, then sweeps."""
+    params, n_iters = kernel.params, len(records)
     replay = output is not None
+    x_out = None
     for it, rec in enumerate(records, start=1):
         pool = not (replay and it == n_iters)
         try:
-            if it == 1:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if kernel.closed_form:
-                        x_out = _finish_m_step(
-                            *_closed_form_sums(x, kernel.gates, kernel.work, kernel.first),
-                            kernel.scale,
-                            params,
-                        )
-                        kernel.closed_form = _all_finite(x_out)  # else redone on the blocks
-                    if not kernel.closed_form:
-                        x_out = kernel.sweep(rec, it)
-                    elif replay:  # the blocks write its records; the closed form pooled
-                        kernel.sweep(rec, it, pool=False)
-                kernel.first = None  # output-sized, and needed no more
-            else:
-                predicted = predict_inputs(last, params)  # a tensor: not scanned again
+            if x_out is not None:
+                # The one check of the normalized rows too: each is a term of
+                # every entry of its predicted row.
+                predicted = _predict(_normalized_rows(x_out), params)
                 _check_finite(predicted, "predict", it)
-                del last, x_out  # dead once predicted, unless a replay's record keeps them
+                x_out = None  # dead once predicted, unless a replay's record keeps it
                 kernel.score_against(predicted)
                 if replay:
                     rec["predicted"] = predicted
                 del predicted  # its negated copy in the weight serves the blocks
-                x_out = kernel.sweep(rec, it, pool)
+            x_out = kernel.sweep(rec, it, pool)
         except NumericError:
             kernel.check_betas()  # a bad coefficient is named first (module docstring)
             raise
-        # Adopted unscanned: the module docstring says which check proves
-        # each finite; the prediction and the output passed their own.
-        last = DenseTensor._adopt(x_out) if pool else output
+        if not pool:
+            x_out = output
         if replay:
-            rec["output"] = last.array
-    return last
+            rec["output"] = x_out
+    return x_out
 
 
 class _Records(Sequence):
@@ -1109,21 +1155,14 @@ def _replay(
     # A fixed-layout replay keeps a = bu + bi in the last iteration's
     # ignored shares, which only that iteration writes.
     kernel = _kernel(params, x, gates, rows, kept[-1]["share_ignored"])
-    # Iteration 1 routes by the flat prior p, so its shares are g * p and
-    # g - g * p; its blocks write only its credit.
-    first, g = kept[0], gates[:, None]
-    first["routing"].fill(kernel.prior)
-    np.multiply(g, kernel.prior, out=first["share_used"])
-    np.subtract(g, first["share_used"], out=first["share_ignored"])
+    kept[0]["routing"].fill(kernel.prior)  # iteration 1 routes by the flat prior
     # What the blocks overflow, the call overflowed first, under the
     # caller's error state; the replay repeats no warning.
     with np.errstate(all="ignore"):
-        _iterate(kernel, kept, output)
-    if kernel.closed_form:  # pooled by no block, so no output update check covers it
-        _check_finite(first["credit"], "credit", 1)
+        _iterate(kernel, kept, output.array)
     # Adopted unscanned: bitwise the values the call proved finite (the
     # module docstring says how), and iteration 1's closed-form credit was
-    # scanned above.
+    # scanned by its kernel.
     adopted = [{name: None if a is None else DenseTensor._adopt(a) for name, a in rec.items()} for rec in kept]
     adopted[-1].update(credit=final, output=output)
     return tuple(IterationRecord(**rec) for rec in adopted)
@@ -1151,17 +1190,6 @@ def materialized_votes(x_inp: np.ndarray, params: RoutingParams) -> DenseTensor:
     votes *= scale
     votes += params.vote_bias.array[None, :, :]
     return DenseTensor(votes, copy=False, context="materialized votes")
-
-
-def votes_for_input(x_inp: np.ndarray, index: int, params: RoutingParams) -> np.ndarray:
-    """Proposals of one input vector, shape (n_out, d_out).
-
-    Lets streaming checks walk the implicit tensor row by row without
-    ever holding more than one input's proposals.
-    """
-    scale = _scale(x_inp.shape[0], x_inp.dtype)
-    mixed = params.vote_mix.array * x_inp[index][None, :]
-    return (mixed @ params.vote_proj.array) * scale + params.vote_bias.array
 
 
 def as_plugins(x_inp: np.ndarray, params: RoutingParams) -> tuple[PluggableNetworks, BetaPair]:

@@ -54,8 +54,6 @@ __all__ = [
     "always_on_activation_plugin",
     "hopfield_reduction_check",
     "memory_votes_plugin",
-    "phi_of",
-    "relative_linf",
     "route_reference",
 ]
 
@@ -171,7 +169,7 @@ class RoutingTrace:
     final_credit: DenseTensor
 
 
-def relative_linf(value, reference) -> float:
+def _relative_linf(value, reference) -> float:
     """Max absolute deviation scaled by the reference's max magnitude."""
     a = as_array(value, "relative_linf value")
     b = as_array(reference, "relative_linf reference")
@@ -300,22 +298,6 @@ def route_reference(
     return result, trace
 
 
-def phi_of(record: IterationRecord, betas: BetaPair) -> DenseTensor:
-    """Recompute an iteration's credit coefficients from its shares.
-
-    credit[i, j] = beta_use[i, j] * share_used[i, j]
-                 - beta_ign[i, j] * share_ignored[i, j]
-
-    Contracting these coefficients with the proposal tensor reproduces the
-    iteration's output update; the difference-of-weighted-sums form and
-    this factored form are the same linear combination.
-    """
-    bu = betas.beta_use.array
-    bi = betas.beta_ign.array
-    out = bu * record.share_used.array - bi * record.share_ignored.array
-    return DenseTensor(out, copy=False, context="phi_of")
-
-
 def memory_votes_plugin(memories) -> Callable[[np.ndarray], np.ndarray]:
     """Proposal network that retrieves a stored tensor instead of computing.
 
@@ -415,8 +397,8 @@ def hopfield_reduction_check(
         out = record.output.array
         mixture = np.einsum("ij,ijh->jh", routing, votes)
         factored = np.einsum("ij,ijh->jh", routing, values) - bias_sum
-        mixture_dev = max(mixture_dev, relative_linf(mixture, out))
-        factored_dev = max(factored_dev, relative_linf(factored, out))
+        mixture_dev = max(mixture_dev, _relative_linf(mixture, out))
+        factored_dev = max(factored_dev, _relative_linf(factored, out))
 
     return HopfieldReductionReport(
         conditions_hold=conditions,

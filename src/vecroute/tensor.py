@@ -269,8 +269,14 @@ def normalize_vectors(x: DenseTensor | np.ndarray) -> DenseTensor:
     arr = as_array(x, "normalize_vectors input")
     if arr.ndim != 2:
         raise ShapeError(f"normalize_vectors expects rank 2, got rank {arr.ndim}")
+    return DenseTensor(_normalized_rows(arr), copy=False, context="normalize_vectors")
+
+
+def _normalized_rows(arr: np.ndarray) -> np.ndarray:
+    """:func:`normalize_vectors` of a rank-2 array, as a fresh C-order
+    array, not scanned."""
     arr = np.ascontiguousarray(arr)  # rows reduce in C order whatever the input's layout
     centered = arr - arr.mean(axis=1, keepdims=True)
     var = np.mean(centered * centered, axis=1, keepdims=True)
     centered /= np.sqrt(var + np.asarray(VARIANCE_EPS, dtype=arr.dtype))
-    return DenseTensor(centered, copy=False, context="normalize_vectors")
+    return centered

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from vecroute import RoutingDims, init_params
+from vecroute.tensor import as_array
 
 VAR_EPS = 1e-5
 
@@ -267,6 +268,35 @@ def credit_vote_sum_streamed(x, credit, mix, proj, bias, rows: int = 1024) -> np
         votes += bias
         out += np.einsum("ij,ijh->jh", credit[start : start + rows], votes)
     return out
+
+
+def votes_for_input(x_inp, index: int, params) -> np.ndarray:
+    """Proposals of one input vector, shape (n_out, d_out), in the inputs'
+    dtype: vote_mix * x_i, projected by vote_proj, damped by 1/sqrt(n_inp),
+    plus vote_bias. Walks the implicit tensor one input at a time."""
+    dtype = x_inp.dtype
+    scale = dtype.type(1.0) / np.sqrt(np.asarray(x_inp.shape[0], dtype=dtype))
+    mixed = params.vote_mix.array * x_inp[index][None, :]
+    return (mixed @ params.vote_proj.array) * scale + params.vote_bias.array
+
+
+def phi_of(record, betas) -> np.ndarray:
+    """An iteration's credit recomputed from its shares:
+    beta_use * share_used - beta_ign * share_ignored."""
+    bu, bi = betas.beta_use.array, betas.beta_ign.array
+    return bu * record.share_used.array - bi * record.share_ignored.array
+
+
+def relative_linf(value, reference) -> float:
+    """Max absolute deviation scaled by the reference's max magnitude, in
+    float64. Arrays or tensors; a non-finite array raises NumericError, so a
+    running maximum of these deviations cannot swallow a NaN."""
+    a = np.asarray(as_array(value, "relative_linf value"), dtype=np.float64)
+    b = np.asarray(as_array(reference, "relative_linf reference"), dtype=np.float64)
+    diff = float(np.max(np.abs(a - b)))
+    if diff == 0.0:
+        return 0.0
+    return diff / max(float(np.max(np.abs(b))), 1e-30)
 
 
 PARAM_FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "param-format.md"

@@ -31,7 +31,6 @@ from vecroute import (
     init_params,
     load_params,
     materialized_votes,
-    relative_linf,
     route_optimized,
     route_reference,
     save_params,
@@ -42,8 +41,9 @@ from vecroute import (
 )
 from vecroute.bench import DEFAULT_LADDERS, SweepSpec, big_route_demo, linear_fit, run_sweep
 from vecroute.memtrack import measure_peak
+from vecroute.tensor import NumericError
 
-from oracles import assert_share_laws, matmul_loops, rand_instance, std_all_loops
+from oracles import assert_share_laws, matmul_loops, rand_instance, relative_linf, std_all_loops
 
 # Pinned acceptance tolerances and budgets.
 EQUIV_INSTANCES = 200
@@ -87,6 +87,18 @@ def test_criterion_01_both_routers_agree_on_random_instances():
     assert worst32 <= EQUIV_TOL_F32, f"float32 worst deviation {worst32:.3e}"
     assert worst64 <= EQUIV_TOL_F64, f"float64 worst deviation {worst64:.3e}"
     assert elapsed < EQUIV_BUDGET_S, f"equivalence sweep took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_criterion_01_deviation_raises_on_a_non_finite_operand(bad):
+    # Criterion 1 keeps max(worst, deviation), and max(0.0, nan) is 0.0: only
+    # a raising deviation keeps a non-finite output from passing unseen.
+    good = np.ones((2, 3), np.float32)
+    broken = good.copy()
+    broken[1, 2] = bad
+    for value, reference in ((broken, good), (good, broken)):
+        with pytest.raises(NumericError, match="non-finite values in relative_linf"):
+            relative_linf(value, reference)
 
 
 def test_criterion_02_share_conservation_and_bounds_every_iteration():

@@ -24,12 +24,11 @@ from vecroute import (
     credit_from_trace,
     end_to_end_three,
     memory_votes_plugin,
-    relative_linf,
     route_reference,
     tensor,
 )
 
-from oracles import matmul_loops, std_all_loops
+from oracles import matmul_loops, relative_linf, std_all_loops
 
 
 def cm(rng, rows, cols, dtype=np.float32):

@@ -30,7 +30,6 @@ from vecroute import (
     m_step_factored,
     materialized_votes,
     predict_inputs,
-    relative_linf,
     route_optimized,
     route_reference,
     score_predictions,
@@ -39,7 +38,6 @@ from vecroute import (
     transient_element_bound,
     vote_param_budget,
     vote_param_count,
-    votes_for_input,
 )
 from vecroute import optimized
 from vecroute.memtrack import measure_peak
@@ -55,7 +53,9 @@ from oracles import (
     predict_loops,
     rand_instance,
     rand_params,
+    relative_linf,
     score_loops,
+    votes_for_input,
     votes_loops,
 )
 
@@ -677,9 +677,9 @@ class TestBlockedLoop:
                 assert relative_linf(g, w) <= later_tol, (dtype, it)
 
     def test_fixed_first_iteration_matches_the_float64_reference(self):
-        # The fixed layout's iteration-1 credit g * (p * beta_use - (1 - p)
-        # * beta_ign) comes from random stored tables; three blocks, the
-        # last ragged.
+        # The fixed layout's iteration-1 credit of the a-form, (beta_use +
+        # beta_ign) * (g * p) - g * beta_ign, comes from random stored
+        # tables; three blocks, the last ragged.
         rng = np.random.default_rng(44)
         dims, params, x, _ = multi_block_instance(rng, "fixed")
         p64, x64 = params.astype(np.float64), x.astype(np.float64)
@@ -693,8 +693,9 @@ class TestBlockedLoop:
             assert relative_linf(got.output.array, want.output.array) <= tol, dtype
 
     def test_fixed_first_iteration_is_finite_wherever_the_coefficients_are(self):
-        # With beta_use = beta_ign = 3e38, (beta_use + beta_ign) * p
-        # overflows but p * beta_use - (1 - p) * beta_ign does not. Gates
+        # With beta_use = beta_ign = 3e38, a = beta_use + beta_ign
+        # overflows, so iteration 1 gives up the a-form, but its whole
+        # credit beta_use * (g * p) - beta_ign * (g - g * p) does not. Gates
         # near e^-60 keep every credit and sum finite.
         rng = np.random.default_rng(45)
         dims, params, x, _ = multi_block_instance(rng, "fixed")
@@ -1122,8 +1123,8 @@ class TestBlockedLoop:
         # total_j = sum_i credit_ij reaches on every row, must catch them.
         # beta_use = 3e38, beta_ign = -3e38 makes iteration 1's credit
         # g * 3e38, whose sums overflow. beta_use = beta_ign = 3e38 with
-        # n_out = 2 makes it p * 3e38 - (1 - p) * 3e38 = 0, so iteration 2's
-        # 3e38 * (used - ignored) overflows first.
+        # n_out = 2 makes it 3e38 * (g * p) - 3e38 * (g - g * p) = 0, so
+        # iteration 2's 3e38 * (used - ignored) overflows first.
         rng = np.random.default_rng(47)
         dims, params, x, _ = multi_block_instance(rng, "fixed", n_out=2)
         big = np.full((dims.n_inp, dims.n_out), 3e38, np.float32)
@@ -1134,14 +1135,13 @@ class TestBlockedLoop:
             ):
                 route_optimized(x, bad, capture_trace=capture_trace)
 
-    def test_closed_form_traced_first_credit_record_is_scanned(self):
-        # The closed form's iteration 1 pools no block, so no output check
-        # covers its traced credit record, and that record keeps its scan.
-        # One input x = 2 against w1 = 3e38 overflows the block credit, while
-        # a gate of e^-60 keeps the closed form's gated sums finite. The
-        # scan fails inside iteration 1, so the coefficients are checked
-        # first, and the traced run names the stage the trace-off run meets
-        # in iteration 2's coefficients.
+    def test_closed_form_coefficient_overflow_names_the_coefficients_traced_or_not(self):
+        # One input x = 2 against W_use = 3e38 makes an infinite coefficient,
+        # while a gate of e^-60 keeps the closed form's gated sums, and so
+        # iteration 1's output, finite. Iteration 2's output update then
+        # fails, and the coefficients, checked first, are named, with the
+        # trace on as with it off: the traced call builds no records, so
+        # the credit record's scan (the next test) plays no part here.
         dims = RoutingDims(None, 1, 1, 1, 2)
         params = init_params(
             dims,
@@ -1198,11 +1198,11 @@ class TestBlockedLoop:
         # keeps its own stage: here the second prediction (iteration 3).
         rng = np.random.default_rng(49)
         _, params, x, _ = multi_block_instance(rng, "variable", **sizes)
-        predict, betas = optimized.predict_inputs, optimized.beta_pair_for
+        predict, betas = optimized._predict, optimized.beta_pair_for
         predictions, checked = [], []
 
-        def second_is_infinite(x_out, p):
-            predicted = predict(x_out, p)
+        def second_is_infinite(normalized, p):
+            predicted = predict(normalized, p)
             predictions.append(predicted)
             return predicted if len(predictions) == 1 else np.full_like(predicted, np.inf)
 
@@ -1210,7 +1210,7 @@ class TestBlockedLoop:
             checked.append(xx.shape[0])
             return betas(xx, p)
 
-        monkeypatch.setattr(optimized, "predict_inputs", second_is_infinite)
+        monkeypatch.setattr(optimized, "_predict", second_is_infinite)
         monkeypatch.setattr(optimized, "beta_pair_for", counted_betas)
         for capture_trace in (False, True):
             predictions.clear()
@@ -1233,9 +1233,9 @@ class TestBlockedLoop:
         assert relative_linf(trace_perm.final_credit.array, trace.final_credit.array[perm]) <= 1e-12
 
 
-# The fixed layout's iterations pool w = used * (beta_use + beta_ign) and
-# subtract Q = sum_i g_i beta_ign_i x_i^T, which iteration 1 pools; they
-# compute a credit, w - g * beta_ign, only to keep it. rand_params draws
+# The fixed layout's iterations pool w = used * (beta_use + beta_ign) into
+# sums that start at -Q, Q = sum_i g_i beta_ign_i x_i^T, which one pass
+# gathers before iteration 1's blocks; they compute a credit, w - g * beta_ign, only to keep it. rand_params draws
 # beta_ign away from 0, so Q is not 0 here. The variable layout pools whole
 # credits; both layouts run the same checks. Three blocks, the last ragged;
 # the variable layout takes iteration 1 in closed form at the default sizes
@@ -1319,6 +1319,35 @@ class TestAFormIterations:
         out_ref, trace_ref = route_reference(x, nets, betas, dims)
         assert relative_linf(out.array, out_ref.array) <= 1e-4
         assert relative_linf(trace.final_credit.array, trace_ref.final_credit.array) <= 1e-4
+
+    def test_first_iteration_given_up_credits_like_the_reference(self):
+        # beta_use and beta_ign near the dtype's max on a few rows of the
+        # second block make a = beta_use + beta_ign overflow, so iteration 1
+        # gives up the a-form and is redone on whole credits: bu * (g * p)
+        # - bi * (g - g * p), the reference's products in its order, bit for
+        # bit. Elsewhere the tables are random and n_out = 5, so p * bu is
+        # not exact and another order of products would round apart. Those
+        # rows' gates are 0 (a score of -5000), which keeps every credit and
+        # sum finite.
+        rng = np.random.default_rng(65)
+        dims, params, x, rows = multi_block_instance(rng, "fixed", n_out=5)
+        hit = slice(rows + 3, rows + 10)
+        for dtype in (np.float32, np.float64):
+            p, xx = params.astype(dtype), x.astype(dtype)
+            use, ign, act_bias = (getattr(p, name).array.copy() for name in ("beta_use", "beta_ign", "act_bias"))
+            big = np.finfo(dtype).max
+            use[hit] = big * rng.uniform(0.6, 0.95, use[hit].shape)
+            ign[hit] = big * rng.uniform(0.6, 0.95, ign[hit].shape)
+            act_bias[hit] = -5000.0
+            bad = replaced(p, dims, beta_use=use, beta_ign=ign, act_bias=act_bias)
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(use + ign).all()
+            out, trace = route_optimized(xx, bad, capture_trace=True)
+            nets, betas = as_plugins(xx, bad)
+            out_ref, trace_ref = route_reference(xx, nets, betas, dims)
+            assert np.array_equal(trace.iterations[0].credit.array, trace_ref.iterations[0].credit.array), dtype
+            tol = 1e-4 if dtype == np.float32 else 1e-10
+            assert relative_linf(out.array, out_ref.array) <= tol, dtype
 
     def test_a_credit_that_is_not_pooled_is_checked(self, monkeypatch):
         # A credit of the a-form, w - g * beta_ign, is not the array its
@@ -1456,6 +1485,29 @@ class TestNonFiniteStages:
         bad = replaced(params, dims, **overrides(params, x, big))
         with np.errstate(over="ignore", invalid="ignore"):
             assert raised_message(x, bad) == f"non-finite values in {message}"
+
+
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+def test_overflowing_normalization_fails_the_prediction_check(mode):
+    # Gates of 1, pure use and vote_mix = 0 make each output row
+    # vote_bias * total_j with total_j = n_inp * p = 1: a row of 3e38,
+    # finite. Its mean overflows in the next prediction's normalization,
+    # whose NaN rows no check of their own scans: each normalized value is
+    # a term of every entry of its predicted row, so the prediction's check
+    # names the failure.
+    n = 4
+    dims = RoutingDims(n if mode == "fixed" else None, n, n, n, 3)
+    shapes = optimized.field_shapes(dims)
+    overrides = {
+        "act_weight": np.zeros(shapes["act_weight"], np.float32),
+        "act_bias": np.full(shapes["act_bias"], 60.0, np.float32),
+        "vote_mix": np.zeros(shapes["vote_mix"], np.float32),
+        "vote_bias": np.full(shapes["vote_bias"], 3e38, np.float32),
+    }
+    params = init_params(dims, seed=0, overrides=overrides)
+    x = np.random.default_rng(53).standard_normal((n, n), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert raised_message(x, params) == "non-finite values in predict at iteration 2"
 
 
 @pytest.mark.parametrize("first", NONFINITE_SHAPES)

@@ -17,13 +17,11 @@ from vecroute import (
     always_on_activation_plugin,
     hopfield_reduction_check,
     memory_votes_plugin,
-    phi_of,
-    relative_linf,
     route_reference,
     tensor,
 )
 
-from oracles import assert_share_laws, route_general_loops
+from oracles import assert_share_laws, phi_of, relative_linf, route_general_loops
 
 
 def rand_nets(rng, n_out, d_inp, d_out, dtype=np.float32):
@@ -210,7 +208,7 @@ class TestPhiOf:
         betas = BetaPair(tensor(ones), tensor(np.zeros_like(ones)))
         _, trace = route_reference(x, nets, betas, dims)
         for record in trace.iterations:
-            assert np.array_equal(phi_of(record, betas).array, record.share_used.array)
+            assert np.array_equal(phi_of(record, betas), record.share_used.array)
 
     def test_equal_betas_algebra(self):
         rng = np.random.default_rng(8)
@@ -221,7 +219,7 @@ class TestPhiOf:
         gates = trace.activation_gates.array
         for record in trace.iterations:
             want = b * (2.0 * record.share_used.array - gates[:, None])
-            assert_allclose(phi_of(record, betas).array, want, atol=1e-6)
+            assert_allclose(phi_of(record, betas), want, atol=1e-6)
 
     def test_fully_gated_inputs_have_zero_credit(self):
         rng = np.random.default_rng(9)
@@ -235,7 +233,7 @@ class TestPhiOf:
         out, trace = route_reference(x, gated, betas, dims)
         assert np.all(trace.activation_gates.array == 0.0)
         for record in trace.iterations:
-            assert np.all(phi_of(record, betas).array == 0.0)
+            assert np.all(phi_of(record, betas) == 0.0)
         assert np.all(out.array == 0.0)
 
     def test_recomputation_matches_trace_credit(self):
@@ -243,7 +241,7 @@ class TestPhiOf:
         dims, nets, betas, x = rand_case(rng)
         _, trace = route_reference(x, nets, betas, dims)
         for record in trace.iterations:
-            assert np.array_equal(phi_of(record, betas).array, record.credit.array)
+            assert np.array_equal(phi_of(record, betas), record.credit.array)
 
 
 class TestMemoryVotesPlugin:
