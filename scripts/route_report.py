@@ -18,18 +18,26 @@ under ``WORKLOAD/routingK``, ``.../traced`` and ``.../first_read``, and the
 digests of what they returned under ``WORKLOAD/traceT/routingK/...``: the
 outputs, the final credit, the activation scores and gates, and every
 field of every iteration record, each array with its dtype and shape.
-After a workload's routings, each routing's parameters are saved with
-``save_params`` to a temporary directory, and the SHA-256 of that file is
-printed under ``WORKLOAD/routingK/params_file``. Two checkouts route
-bitwise alike on these inputs, at the same peaks, and write the same
-parameter files exactly when ``diff`` finds nothing. Digests compare only
-under one numpy, BLAS build and BLAS thread count. The peaks repeat
-exactly from process to process: two runs of one checkout printed identical bytes at full shapes,
-``--tiny`` and ``--tiny --block-elements 1000`` (2 CPUs, numpy 2.4,
-Linux). ``--block-elements N`` sets
-``vecroute.optimized.BLOCK_ELEMENTS`` to N before routing, so checkouts with
-different defaults can be digested at one block size, and small inputs can
-be split over several blocks, the last ragged. A negative ``--seed`` and
+After the routings of a chain workload (credit_chain), the credit
+algebra runs over their untraced final credits as the benchmark's pass
+runs it: ``end_to_end_three`` once to warm up and then once through
+``measure_peak`` (peak under ``WORKLOAD/end_to_end_three``), and
+``attribution_report`` over the benchmark's groups. The digests of the
+end-to-end credit and of the group totals are printed under
+``WORKLOAD/credit/end_to_end_three`` and
+``WORKLOAD/credit/attribution_totals``. After a workload's routings,
+each routing's parameters are saved with ``save_params`` to a temporary
+directory, and the SHA-256 of that file is printed under
+``WORKLOAD/routingK/params_file``. Two checkouts route bitwise alike on
+these inputs, take the same credit algebra, at the same peaks, and write
+the same parameter files exactly when ``diff`` finds nothing. Digests
+compare only under one numpy, BLAS build and BLAS thread count. The
+peaks repeat exactly from process to process: two runs of one checkout
+printed identical bytes at full shapes, ``--tiny`` and ``--tiny
+--block-elements 1000`` (2 CPUs, numpy 2.4, Linux). ``--block-elements
+N`` sets ``vecroute.optimized.BLOCK_ELEMENTS`` to N before routing, so
+checkouts with different defaults can be digested at one block size,
+and small inputs can be split over several blocks, the last ragged. A negative ``--seed`` and
 a ``--block-elements`` below 1 are usage errors (exit status 2).
 
 The outputs of ``route_optimized`` do not depend on ``capture_trace``: the
@@ -93,8 +101,15 @@ def at_least(least: int):
 
 
 def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> dict[str, object]:
-    from vecroute import measure_peak, optimized, route_optimized
-    from workloads import workloads
+    from vecroute import (
+        attribution_report,
+        credit_from_trace,
+        end_to_end_three,
+        measure_peak,
+        optimized,
+        route_optimized,
+    )
+    from workloads import ChainWorkload, _groups, workloads
 
     if block_elements is not None:
         optimized.BLOCK_ELEMENTS = block_elements
@@ -102,6 +117,7 @@ def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> di
     out = {}
     for name, wl in workloads(tiny).items():
         x, params = workload_inputs(seed, wl)
+        credits = []
         for k, p in enumerate(params):
             key = f"{name}/routing{k}"
             route_optimized(x, p)
@@ -118,6 +134,13 @@ def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> di
                     if value is not None:
                         out[f"{name}/trace{capture}/routing{k}/{field}"] = digest(value.array)
             x = untraced[0].array
+            credits.append(credit_from_trace(untraced[1]))
+        if isinstance(wl, ChainWorkload):
+            end_to_end_three(*credits)
+            e2e, out[f"{name}/end_to_end_three"] = measure_peak(lambda: end_to_end_three(*credits))
+            totals = attribution_report(e2e, _groups(wl.routings[0].n_inp)).totals
+            out[f"{name}/credit/end_to_end_three"] = digest(e2e.array)
+            out[f"{name}/credit/attribution_totals"] = digest(totals.array)
         for k, p in enumerate(params):
             out[f"{name}/routing{k}/params_file"] = params_file_digest(p)
     return out

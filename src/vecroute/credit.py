@@ -21,6 +21,7 @@ regions) and can serialize the result as CSV for plotting.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .reference import RoutingTrace
-from .tensor import DenseTensor, NumericError, ShapeError
+from .tensor import DenseTensor, NumericError, ShapeError, _check_finite
 
 __all__ = [
     "ArityError",
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 SIGMA_FLOOR = 1e-12
+# float64 elements of end_to_end_three's spread pass: 64 KiB, the size
+# of the buffer numpy takes for a cast in a ufunc or a reduction.
+_SPREAD_CHUNK = 8192
 
 
 class ArityError(ShapeError):
@@ -101,14 +105,18 @@ def compose_sequential(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
     Associative, so chains of any length reduce pairwise in any
     bracketing.
     """
+    _check_sequential(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a.array @ b.array
+    return CreditMatrix(DenseTensor(product, copy=False, context="sequential composition"))
+
+
+def _check_sequential(a: CreditMatrix, b: CreditMatrix) -> None:
     if a.output_arity != b.input_arity:
         raise ArityError(
             f"sequential composition needs a.output_arity == b.input_arity, "
             f"got {a.output_arity} and {b.input_arity}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = a.array @ b.array
-    return CreditMatrix(DenseTensor(product, copy=False, context="sequential composition"))
 
 
 def compose_residual(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
@@ -174,10 +182,27 @@ def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> Cr
     ``SIGMA_FLOOR`` (an all-constant product) leaves the normalization
     undefined and raises instead of returning infinities; so does a
     spread that overflows float64, which would scale the product to 0.
+
+    The stages multiply as c1.(c2.c3). A stack of routings narrows
+    (n > k1 > k2 > k3 for c1 of shape (n, k1) and c3 of shape (k2, k3)),
+    and for it that order takes fewer multiply-adds, k1*k2*k3 + n*k1*k3
+    against n*k1*k2 + n*k2*k3, and forms no n x k2 intermediate (the
+    matrix chain order of Hu and Shing, 1982). The intermediate and the
+    product are each checked as a sequential composition. The spread is
+    taken in float64 in two passes over the product, its mean and then
+    the squares of the deviations from it, the second over chunks of at
+    most ``_SPREAD_CHUNK`` elements, so no float64 copy of the product
+    exists; the product is then divided by it in place.
     """
-    product = compose_sequential(compose_sequential(c1, c2), c3).array
+    _check_sequential(c1, c2)
+    _check_sequential(c2, c3)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = float(np.std(product, dtype=np.float64))
+        inner = c2.array @ c3.array
+        _check_finite(inner, "sequential composition")
+        product = c1.array @ inner
+        del inner
+        _check_finite(product, "sequential composition")
+        sigma = _spread(product.reshape(-1))
         if sigma < SIGMA_FLOOR:
             raise DegenerateCreditError(
                 f"end-to-end credit spread {sigma:.3e} is below {SIGMA_FLOOR:.0e}; "
@@ -185,8 +210,22 @@ def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> Cr
             )
         if not sigma < np.inf:
             raise NumericError("non-finite values in end-to-end credit spread")
-        out = product / np.asarray(sigma, dtype=product.dtype)
-    return CreditMatrix(DenseTensor(out, copy=False, context="end-to-end normalization"))
+        product /= np.asarray(sigma, dtype=product.dtype)
+    return CreditMatrix(DenseTensor(product, copy=False, context="end-to-end normalization"))
+
+
+def _spread(flat: np.ndarray) -> float:
+    """Population standard deviation of ``flat`` in float64, two-pass: the
+    mean as np.mean takes it, then the deviations chunk by chunk."""
+    mean = float(np.add.reduce(flat, dtype=np.float64)) / flat.size
+    deviations = np.empty(min(flat.size, _SPREAD_CHUNK), np.float64)
+    squares = 0.0
+    for start in range(0, flat.size, _SPREAD_CHUNK):
+        d = deviations[: min(_SPREAD_CHUNK, flat.size - start)]
+        d[...] = flat[start : start + d.size]  # cast by assignment, which takes no buffer
+        d -= mean
+        squares += float(np.dot(d, d))
+    return math.sqrt(squares / flat.size)
 
 
 @dataclass(frozen=True)

@@ -227,11 +227,22 @@ n_inp passes about BLOCK_ELEMENTS, where the layout's four n_inp x n_out
 parameter tables are far larger. A trace returns the scores and the
 gates, so it keeps them in arrays of their own.
 
-A traced call routes as an untraced one, on the same sweep, and fails
-where it does. It keeps only what its records cannot be recomputed
-without: a private copy of the input, the activation scores and gates,
-the block rows in force at the call, the final credit and the returned
-output; no iteration's prediction or output. The first read of
+A traced call routes as an untraced one, on the same sweep, from the
+caller's array, and fails where it does. It keeps only what its records
+cannot be recomputed without: a private copy of the input, the
+activation scores and gates, the block rows in force at the call, the
+final credit and the returned output; no iteration's prediction or
+output. It copies the input once the loop has returned, when the
+workspace, the weight and Q are gone, so the copy does not add to the
+loop's peak, and a call that fails copies nothing. An input that is
+neither C- nor F-contiguous is the exception: any call, traced or not,
+routes it from a compact copy taken first, since a strided operand can
+take another matmul loop than a compact one, and a trace keeps that
+copy for its replay. The copy guards the
+records against a caller who writes ``x_inp`` after the call, a
+``DenseTensor``'s array too, which its owner can make writable again. A
+write during the call is a data race that the untraced call does not
+survive either. The first read of
 ``trace.iterations`` builds every record once: it reruns the call's
 iteration loop, the same code on the same inputs, so each block and each
 M-step computes the call's values bit for bit, and each block writes its
@@ -992,9 +1003,15 @@ def route_optimized(
     workspace, and the activation scores, then the gates, in an n_inp
     array (fixed layout) or in the final credit's last n_inp elements
     until each block's last step overwrites its own (variable layout).
-    With it on, the call routes the same way and fails where the untraced
-    call does; the trace also holds a private copy of the input and the
-    activation scores and gates, but no iteration's prediction or output.
+    With it on, the call routes the same way, from ``x_inp`` itself, and
+    fails where the untraced call does; the trace also holds the
+    activation scores and gates and a private copy of the input, taken
+    once the iteration loop has returned, but no iteration's prediction
+    or output. An ``x_inp`` that is neither C- nor F-contiguous is routed
+    from a compact copy, traced or not, so that the call and its replay
+    run the same matmuls. A replay is exact unless ``x_inp`` is written
+    during the call, a data race that the untraced call does not survive
+    either.
     Its ``iterations`` records are built on first read, by rerunning the
     iteration loop at the call's block size (the module docstring); the
     last record's output is the returned output. From then on they hold
@@ -1016,8 +1033,11 @@ def route_optimized(
     if x.dtype != params.dtype:
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
     n_out, n_iters, dtype = dims.n_out, dims.n_iters, x.dtype
-    if capture_trace:
-        x = x.copy(order="K")  # the records' replay may run after the caller writes x_inp
+    # A strided operand can take another matmul loop than a compact one,
+    # so route from the compact copy that a replay would route from.
+    compacted = not (x.flags.c_contiguous or x.flags.f_contiguous)
+    if compacted:
+        x = x.copy(order="K")
 
     # Allocated before the block workspace, like a replay's records (see
     # _replay). With the trace off the variable layout keeps the activation
@@ -1046,11 +1066,14 @@ def route_optimized(
     kernel = _kernel(params, x, gates, rows, final_credit)
     records = [{"credit": final_credit if it == n_iters else None} for it in range(1, n_iters + 1)]
     output = DenseTensor._adopt(_iterate(kernel, records))  # checked as its iteration's output update
+    del kernel  # with its weight, so that nothing of the loop is live below
 
     final = DenseTensor._adopt(final_credit)
     if not capture_trace:
         return output, RoutingTrace(None, None, (), final)
-    replay = partial(_replay, x, params, gates, rows, output, final)
+    # The records' replay may run after the caller writes x_inp. Taken
+    # here, the copy does not stack on the loop's workspace.
+    replay = partial(_replay, x if compacted else x.copy(order="K"), params, gates, rows, output, final)
     trace = RoutingTrace(
         # Checked by "activations" above; the gates are sigma in [0, 1].
         activation_scores=DenseTensor._adopt(raw),
@@ -1097,7 +1120,10 @@ def _iterate(kernel: _Blocks, records: list[dict], output: np.ndarray | None = N
 
 class _Records(Sequence):
     """A traced routing's iteration records, built by ``replay`` on first
-    read and cached; the replay's inputs are dropped once it has run."""
+    read and cached; the replay's inputs are dropped once it has run.
+    Built in every traced call, so it has ``__slots__`` (:mod:`vecroute.memtrack`)."""
+
+    __slots__ = ("_n_iters", "_replay", "_built")
 
     def __init__(self, n_iters: int, replay):
         self._n_iters, self._replay, self._built = n_iters, replay, None
@@ -1273,9 +1299,11 @@ def total_param_count(params: RoutingParams) -> int:
 # output-sized. The floor covers interpreter-level overhead that
 # dominates at toy sizes. Measured over fixed and variable shapes from
 # 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2 (float32), the peak
-# reaches at most half the bound. The bound assumes capture_trace off.
-# A traced call adds a copy of the input and the activation scores and
-# gates, and keeps no iteration's prediction or output; its records are
+# reaches at most half the bound. The bound assumes capture_trace off
+# and a C- or F-contiguous input; any other input adds its compact copy.
+# A traced call adds the activation scores and gates, and once its loop
+# has returned a copy of the input, and keeps no iteration's prediction
+# or output; its records are
 # allocated when first read, by a rerun of the iteration loop in a block
 # workspace of the same size, which recomputes those predictions and
 # outputs.

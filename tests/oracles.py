@@ -75,6 +75,17 @@ def std_all_loops(m) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in flat) / len(flat))
 
 
+def normalized_chain_f64(c1, c2, c3) -> np.ndarray:
+    """End-to-end credit in float64: the product taken left to right,
+    divided by its population standard deviation, taken in two passes
+    with exactly rounded sums."""
+    a, b, c = (np.asarray(m, dtype=np.float64) for m in (c1, c2, c3))
+    product = (a @ b) @ c
+    flat = product.ravel()
+    mean = math.fsum(flat) / flat.size
+    return product / math.sqrt(math.fsum((flat - mean) ** 2) / flat.size)
+
+
 def route_general_loops(
     x,
     a_scores,

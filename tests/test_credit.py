@@ -27,8 +27,9 @@ from vecroute import (
     route_reference,
     tensor,
 )
+from vecroute.memtrack import measure_peak
 
-from oracles import matmul_loops, relative_linf, std_all_loops
+from oracles import matmul_loops, normalized_chain_f64, relative_linf, std_all_loops
 
 
 def cm(rng, rows, cols, dtype=np.float32):
@@ -214,6 +215,54 @@ class TestEndToEndThree:
         zero = CreditMatrix(tensor(np.zeros((5, 4), np.float32)))
         with pytest.raises(DegenerateCreditError):
             end_to_end_three(cm(rng, 6, 5), zero, cm(rng, 4, 3))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((3000, 64), (64, 32), (32, 16)), ((8, 16), (16, 64), (64, 256))],
+        ids=["narrowing", "widening"],
+    )
+    def test_matches_the_float64_oracle_narrowing_or_widening(self, shapes):
+        # The oracle multiplies left to right, the function right first.
+        rng = np.random.default_rng(19)
+        stages = [cm(rng, *shape) for shape in shapes]
+        e2e = end_to_end_three(*stages)
+        assert e2e.array.dtype == np.float32
+        assert relative_linf(e2e.array, normalized_chain_f64(*(c.array for c in stages))) <= 1e-6
+
+    def test_offset_heavy_spread_is_taken_in_two_passes(self):
+        # Every element near 1e6 with unit spread: a one-pass spread
+        # (E[x^2] - E[x]^2 in float64) is off by about 1e-4 here, a float32
+        # mean by far more. Permutation stages keep the product exact, so
+        # only the spread can differ from the oracle's. 80000 elements take
+        # several chunks of the spread pass, the last ragged.
+        rng = np.random.default_rng(20)
+        base = (1e6 + rng.standard_normal((5000, 16))).astype(np.float32)
+        perms = [np.eye(16, dtype=np.float32)[rng.permutation(16)] for _ in range(2)]
+        stages = [CreditMatrix(tensor(m)) for m in (base, *perms)]
+        e2e = end_to_end_three(*stages)
+        oracle = normalized_chain_f64(base, *perms)
+        assert relative_linf(e2e.array, oracle) <= 1e-6
+
+    def test_overflowing_inner_product_is_a_sequential_composition_error(self):
+        # c2.c3 is multiplied first, and here it overflows.
+        rng = np.random.default_rng(21)
+        big = CreditMatrix(tensor(np.full((8, 4), 3e38, np.float32)))
+        bigger = CreditMatrix(tensor(np.full((4, 2), 3e38, np.float32)))
+        with pytest.raises(NumericError, match="^non-finite values in sequential composition$"):
+            end_to_end_three(cm(rng, 64, 8), big, bigger)
+
+    def test_peak_holds_the_product_and_no_wider_or_float64_array(self):
+        # 20000 x 64 -> 32 -> 16 multiplies right first. The result is the
+        # product, normalized in place; beside it live only the 64 x 16
+        # inner product and the spread pass's chunk. An N x 32 intermediate
+        # or a float64 N x 16 copy would each add twice the product, a
+        # float32 copy once.
+        rng = np.random.default_rng(22)
+        stages = cm(rng, 20000, 64), cm(rng, 64, 32), cm(rng, 32, 16)
+        end_to_end_three(*stages)  # warm-up
+        e2e, peak = measure_peak(lambda: end_to_end_three(*stages))
+        product = e2e.array.nbytes
+        assert 0 <= peak - product < product // 2
 
 
 def _full(value, dtype=np.float32):

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from vecroute import (
     BLOCK_ELEMENTS,
+    DenseTensor,
     NumericError,
     RoutingDims,
     RoutingParams,
@@ -1064,28 +1065,41 @@ class TestBlockedLoop:
     def test_records_read_late_equal_records_read_at_once(self, mode, sizes, monkeypatch):
         # The records are built on first read, from what the call kept: a
         # write into the caller's input and a new block size after the call
-        # change none of them. Three blocks, the last ragged; the variable
-        # layout's iteration 1 takes the closed form at the default sizes,
-        # the linear form on the blocks at the second, and the closed form
-        # and then, as its Gram matrix overflows, the blocks at the third
-        # (the fixed layout takes its tables at all three).
+        # change none of them. The call routes from the caller's array and
+        # copies it once its loop has returned, and the copy guards the
+        # records whether the input is a plain array or a DenseTensor,
+        # whose owner can make its array writable again. A column-strided
+        # view is routed from a compact copy taken first: its output, final
+        # credit and records are those of the compact input. Three blocks, the
+        # last ragged; the variable layout's iteration 1 takes the closed
+        # form at the default sizes, the linear form on the blocks at the
+        # second, and the closed form and then, as its Gram matrix
+        # overflows, the blocks at the third (the fixed layout takes its
+        # tables at all three).
         rng = np.random.default_rng(51)
         _, params, x, _ = multi_block_instance(rng, mode, **sizes)
         fields = [f.name for f in dataclasses.fields(optimized.IterationRecord)]
-        _, at_once = route_optimized(x, params, capture_trace=True)
+        out, at_once = route_optimized(x, params, capture_trace=True)
         want = [[getattr(r, f) for f in fields] for r in at_once.iterations]
-        caller_x = x.copy()
-        _, late = route_optimized(caller_x, params, capture_trace=True)
-        caller_x[:] = rng.standard_normal(x.shape, dtype=np.float32)
+        plain, wrapped = x.copy(), DenseTensor(x)
+        strided = np.zeros((x.shape[0], 2 * x.shape[1]), x.dtype)[:, ::2]
+        strided[:] = x
+        routed = [route_optimized(caller_x, params, capture_trace=True) for caller_x in (plain, wrapped, strided)]
+        for written in (plain, wrapped.array, strided):
+            written.setflags(write=True)
+            written[:] = rng.standard_normal(x.shape, dtype=np.float32)
         monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", optimized.BLOCK_ELEMENTS // 3)
-        first = list(late.iterations)
-        got = [[getattr(r, f) for f in fields] for r in first]
-        for record, record_want in zip(got, want):
-            for a, b in zip(record, record_want):
-                assert (a is None and b is None) or np.array_equal(a.array, b.array), mode
-        bases = [{id(t.array.base) for r in tensors for t in r if t is not None} for tensors in (got, want)]
-        assert len(bases[0]) == len(bases[1])
-        assert all(a is b for a, b in zip(late.iterations[:], first))
+        for caller, (late_out, late) in zip(("array", "DenseTensor", "strided"), routed):
+            assert np.array_equal(late_out.array, out.array), (mode, caller)
+            assert np.array_equal(late.final_credit.array, at_once.final_credit.array), (mode, caller)
+            first = list(late.iterations)
+            got = [[getattr(r, f) for f in fields] for r in first]
+            for record, record_want in zip(got, want):
+                for a, b in zip(record, record_want):
+                    assert (a is None and b is None) or np.array_equal(a.array, b.array), (mode, caller)
+            bases = [{id(t.array.base) for r in tensors for t in r if t is not None} for tensors in (got, want)]
+            assert len(bases[0]) == len(bases[1])
+            assert all(a is b for a, b in zip(late.iterations[:], first))
 
     @pytest.mark.parametrize(
         "sizes",
@@ -1648,11 +1662,14 @@ class TestTransientMemory:
         # block's, so numpy buffers no more over it than over a full one.
         # The slack is below one block array, so one more slot would fail,
         # and below one n_out * d array, so keeping the previous output
-        # would too. A traced call runs the same blocks and adds only what
-        # its records' replay cannot recompute: a copy of the input and
-        # the activation scores and gates in arrays of their own (2 * n_inp
-        # elements, one of which the untraced fixed call holds too). The
-        # first read of its records holds them, 5 * n_iters - 2 pair
+        # would too. A traced call runs the same blocks and keeps only what
+        # its records' replay cannot recompute. In the loop it adds the
+        # activation scores and gates in arrays of their own (2 * n_inp
+        # elements, one of which the untraced fixed call holds too). Its
+        # copy of the input is taken once the loop has returned, beside
+        # the final credit, those two arrays and the output, so the traced
+        # peak is the larger of the loop's set and that end-of-call set.
+        # The first read of its records holds them, 5 * n_iters - 2 pair
         # arrays beside the final credit, with the replay's block
         # workspace and weight and what its rerun of the iteration loop
         # recomputes: iteration 1's output and iteration 2's prediction.
@@ -1685,8 +1702,9 @@ class TestTransientMemory:
         out_on, trace_on = route_optimized(x, params, capture_trace=True)  # also the warm-up
         trace_on.iterations[0]  # the replay's warm-up
         (_, trace), traced_peak = measure_peak(lambda: route_optimized(x, params, capture_trace=True))
-        kept = n_inp * d + 2 * n_inp - own_gates
-        assert 0 <= traced_peak - peak - 4 * kept < 4 * rows * n_out // 2
+        at_end = n_inp * n_out + n_inp * d + 2 * n_inp + n_out * d
+        live = max(peak + 4 * (2 * n_inp - own_gates), 4 * at_end)
+        assert 0 <= traced_peak - live < 4 * rows * n_out // 2
         monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2 * BLOCK_ELEMENTS)  # the replay keeps the call's
         _, read_peak = measure_peak(lambda: trace.iterations[0])
         records = (5 * dims.n_iters - 2) * n_inp * n_out
@@ -1701,9 +1719,11 @@ class TestTransientMemory:
         # untraced call holds the final credit, its gates and one block
         # slot; the rest (the weight, the pooled sums, an output or two)
         # stays below half a slot, so a second slot would fail. A traced
-        # call adds the input copy and the activation scores (the gates
-        # array the untraced call has too), and no per-iteration array: one
-        # kept output or prediction (n_out * d) exceeds the slack.
+        # call's loop adds the activation scores (the gates array the
+        # untraced call has too), and no per-iteration array: one kept
+        # output or prediction (n_out * d) exceeds the slack. It copies the
+        # input after the loop, beside the final credit, the scores, the
+        # gates and the output, so its peak is the larger of the two sets.
         n_inp, n_out, d = 2048, 128, 64
         dims = RoutingDims(n_inp, n_out, d, d, 8)
         rows = BLOCK_ELEMENTS // n_out
@@ -1714,7 +1734,8 @@ class TestTransientMemory:
         assert 0 <= peak - 4 * (n_inp * n_out + n_inp + rows * n_out) < 4 * rows * n_out // 2
         route_optimized(x, params, capture_trace=True)[1].iterations[0]  # warm-up, and the replay's
         (out_on, trace), traced_peak = measure_peak(lambda: route_optimized(x, params, capture_trace=True))
-        assert 0 <= traced_peak - peak - 4 * (n_inp * d + n_inp) < 4 * n_out * d
+        at_end = n_inp * n_out + n_inp * d + 2 * n_inp + n_out * d
+        assert 0 <= traced_peak - max(peak + 4 * n_inp, 4 * at_end) < 4 * n_out * d
         assert np.array_equal(out_off.array, out_on.array)
         assert trace.iterations[-1].output is out_on
 

@@ -147,6 +147,21 @@ class TestLogistic:
         for dtype in (np.float32, np.float64):
             assert logistic(np.linspace(-100, 100, 9, dtype=dtype)).dtype == dtype
 
+    @pytest.mark.parametrize("dtype, int_view", [(np.float32, np.int32), (np.float64, np.int64)])
+    def test_is_the_reciprocal_of_one_plus_exp_bit_for_bit(self, dtype, int_view):
+        # The kernel takes the reciprocal of 1 + e^(-z) in place: the same
+        # bits, signed zeros, infinities, subnormals and NaN included.
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, info.smallest_subnormal, -info.smallest_subnormal,
+                   info.tiny / 4, -info.tiny / 4, info.max, -info.max]
+        random = np.random.default_rng(13).standard_normal(100_000) * 40
+        z = np.concatenate([special, random]).astype(dtype)
+        with np.errstate(over="ignore"):
+            want = np.reciprocal(np.exp(-z) + dtype(1))
+        got = logistic(z)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(int_view), want.view(int_view))
+
     def test_million_gates_take_one_input_sized_array(self):
         # The result is the only input-sized allocation: no branch
         # arrays, no dtype copy.
