@@ -22,9 +22,10 @@ n_out) input rows. A block computes its stages in place in a workspace
 of one or three block-sized slots, checks them for non-finite values
 once, and adds its ``credit.T @ x`` (in the fixed layout ``w.T @ x``
 of the a-form below) and its column totals into the output-sized
-partials that the M-step finishes once per iteration. With the trace
-off the only routing-pair-sized (n_inp * n_out) array is the returned
-final credit. Beside it the fixed layout holds one input-sized
+partials that the M-step finishes once per iteration; the n_out x d_inp
+product goes into workspace the block has left dead, where it fits
+(below). With the trace off the only routing-pair-sized (n_inp * n_out)
+array is the returned final credit. Beside it the fixed layout holds one input-sized
 (n_inp) array, its activation scores and then its gates; the variable
 layout holds none, its scores and gates living in the credit's
 unwritten tail (below the slot tables). Everything else is block-sized
@@ -63,9 +64,10 @@ Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out: its used shares are the column g * p and its ignored shares
 g - g * p. In the fixed layout it is the flat-prior case of a later
 block, whose tails (below) take that column for sigma * g / S: the
-a-form's w = a * (g * p), or, once the a-form is given up, the whole
-credit bu * (g * p) - bi * (g - g * p), the reference's products in the
-reference's order. Each product is taken separately, so that credit is
+a-form's w = a * (g * p), or, once the a-form is given up or with one
+output, the whole credit bu * (g * p) - bi * (g - g * p), the
+reference's products in the reference's order. Each product is taken
+separately, so that credit is
 finite wherever the coefficients are, but for rounding at the top of the
 range. The variable kernel takes its iteration 1 itself. There the
 credit g_i * (p * bu_ij - (1 - p) * bi_ij) is linear in the input,
@@ -117,7 +119,11 @@ rescued rows, with S_i = 1. Below that floor log sigma(z) rounds to z,
 so the rescue is the softmax of the scores, at full precision. The
 floor is a property of the dtype, not a setting. A trace records
 log sigma(z) as the scores and sigma / S as the routing; the outputs do
-not depend on whether it is on.
+not depend on whether it is on. With one output the routing is exactly
+1, and a block takes used = g itself, so ignored = g - g is exactly 0,
+as in the reference; sigma * (g / S) would leave an ulp of g ignored,
+and bi times that ulp in the credit. The shape alone decides that case
+(``one_output``).
 
 Sigma overwrites -z, so the rescue reads a copy of the rows it may
 need, taken first. Let T = log(eps / tiny) - 1 in the working dtype
@@ -128,10 +134,12 @@ stays above the floor. The block's max of -z, which its finite check
 takes anyway, decides: at or below T nothing is copied; above it the
 rows whose every -z exceeds T are, a superset of the rescued rows.
 
-The fixed layout's iterations pool the a-form, where the ignore half
-leaves the loop. With r_i = g_i / S_i and a = bu + bi, used = sigma * r
-and ignored = g - used give credit_ij = used_ij a_ij - g_i bi_ij, so
-with w = used * a
+With more than one output the fixed layout's iterations pool the
+a-form, where the ignore half leaves the loop; one output has no ignore
+half, so it pools whole credits, with no a = bu + bi to round bu away.
+With r_i = g_i / S_i and a = bu + bi, used = sigma * r and
+ignored = g - used give credit_ij = used_ij a_ij - g_i bi_ij, so with
+w = used * a
 
     pooled = w^T x - Q,    total = w^T 1 - q,
     Q = sum_i g_i bi_i x_i^T,    q = sum_i g_i bi_i,
@@ -177,17 +185,30 @@ both slot tables. The variable layout needs three block-sized arrays:
     slot 0: bu, then the credit (bu * used, then minus bi * ignored)
     slot 1: bi
     slot 2: -z, then sigma, the used and the ignored shares, bi * ignored
+    slots 1-2, once the credit is done: its pooled product credit^T x
 
-The fixed layout's tables stand in for bu and bi, a lives in rows of
-its own (above) and its credit is computed in the rows of a kept credit
-(after the a-form is given up, in the a rows when none is kept), so it
-needs one:
+The linear form of iteration 1 computes its credit in slot 0 and its
+pooled product in slots 1-2. The fixed layout's tables stand in for bu
+and bi, a lives in rows of its own (above) and its credit is computed in
+the rows of a kept credit (after the a-form is given up, in the a rows
+when none is kept), so it needs one:
 
     gathering:    slot 0: g * bi
-    iteration 1:  slot 0: w; given up, bi * (g - g * p)
+    iteration 1:  slot 0: w; given up, bi * (g - g * p), then the
+                          pooled product
     later:        slot 0: -z, then sigma, the used shares and w; given
                           up, the used and the ignored shares,
-                          bi * ignored
+                          bi * ignored, then the pooled product
+
+A block's n_out x d_inp product goes into the workspace behind the
+values that it pools, dead by then, where it fits: past slot 0's run
+when those values are slot 0's, the whole workspace when they lie in the
+rows of a credit. So the variable layout pools into its slots 1-2 once
+d_inp <= 2 * rows, and a whole fixed-layout credit into the one slot
+once d_inp <= rows. w and g * bi fill the fixed layout's only slot, so
+a full block of the a-form or of the gathering pass pools into a fresh
+product; so does any block whose product does not fit. The same BLAS
+call writes the same bytes into either.
 
 The workspace is one flat array, and slot k of an n-row block is its
 k-th run of n * n_out elements. So column group k of the variable
@@ -644,10 +665,10 @@ class _Blocks:
     block orientation, a block's coefficients and scores, the
     coefficients' finite check and its iteration 1: the fixed kernel's
     blocks take the shared tails on the flat prior's shares, the variable
-    kernel's take a form of their own. A kernel says whether its iterations pool the a-form
-    (``a_form``, cleared for the rest of a call once an a-form output
-    update is not finite). Every class of the hierarchy declares
-    ``__slots__``: each call builds a kernel, and with an instance
+    kernel's take a form of their own. A kernel says whether its
+    iterations pool the a-form (``a_form``, off with one output and
+    cleared for the rest of a call once an a-form output update is not
+    finite). Every class of the hierarchy declares ``__slots__``: each call builds a kernel, and with an instance
     ``__dict__`` the call's peak fell by 8 B a call over its first 14 or
     so calls (:mod:`vecroute.memtrack`).
     """
@@ -672,6 +693,13 @@ class _Blocks:
         self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
         self.weight = None  # the fused weight, from the first later iteration on
         self.ignore_sums = None  # (Q, q) of the a-form, from its first sweep on
+
+    @property
+    def one_output(self) -> bool:
+        """Whether every input routes wholly to one output: a block then takes
+        used = g and ignored = 0 exactly, as the reference does, and pools
+        no a-form (module docstring)."""
+        return self.n_out == 1
 
     def score_against(self, predicted: np.ndarray) -> None:
         """Write -predicted^T into the fused weight's score columns,
@@ -730,9 +758,17 @@ class _Blocks:
         return x_out
 
     def pool(self, values: np.ndarray, blk: slice, sums: tuple) -> None:
-        """Add a block's ``values.T @ x`` and column totals into ``sums``."""
+        """Add a block's ``values.T @ x`` and column totals into ``sums``.
+        The block is done with the rest of its workspace, and ``values`` is
+        slot 0's run or lies outside it, so the n_out x d_inp product goes
+        into the workspace behind ``values`` where it fits, else into a
+        fresh array (the module docstring)."""
         pooled, total = sums[:2]
-        pooled += values.T @ self.x[blk]
+        start = values.size if values.base is self.work else 0
+        product = None
+        if start + pooled.size <= self.work.size:
+            product = self.work[start : start + pooled.size].reshape(pooled.shape)
+        pooled += np.matmul(values.T, self.x[blk], out=product)
         total += np.dot(self.ones[: blk.stop - blk.start], values)
 
     def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
@@ -771,9 +807,12 @@ class _Blocks:
                 row_sum[low] = 1.0
         if routing is not None:
             np.divide(sigma, row_sum[:, None], out=routing[blk])
-        np.divide(g[:, 0], row_sum, out=row_sum)
         used = sigma
-        np.multiply(sigma, row_sum[:, None], out=used)
+        if self.one_output:
+            np.copyto(used, g)
+        else:
+            np.divide(g[:, 0], row_sum, out=row_sum)
+            np.multiply(sigma, row_sum[:, None], out=used)
         return bu, bi, used
 
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
@@ -849,7 +888,7 @@ class _FixedBlocks(_Blocks):
 
     def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows: np.ndarray):
         super().__init__(params, x, gates, rows, a_rows)
-        self.a_form = True
+        self.a_form = not self.one_output  # one output's ignore half is 0
         self.use, self.ign = params.beta_use.array, params.beta_ign.array
         self.gain, self.bias = params.score_gain.array, params.score_bias.array
 
@@ -1292,7 +1331,9 @@ def total_param_count(params: RoutingParams) -> int:
 # the fixed layout), traced or not, rows * n_out elements each, at most
 # max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
 # whole sequence fits in one block, so the block factor leaves headroom
-# too. The variable layout's closed-form first iteration adds no term:
+# too. A block's pooled product (n_out * d_inp) is output-sized; where it
+# fits, it lives in the workspace's dead slots (the module docstring).
+# The variable layout's closed-form first iteration adds no term:
 # its gated inputs reuse the block workspace, and it runs only when
 # d_inp < 3 * n_out, which makes its
 # (d_inp + 1) * d_inp Gram matrix and (d_inp + 1) * n_out coefficients

@@ -312,6 +312,46 @@ class TestRouteOptimized:
             assert relative_linf(rec_fast.routing.array, rec_ref.routing.array) <= 1e-4
             assert relative_linf(rec_fast.credit.array, rec_ref.credit.array) <= 1e-4
 
+    @pytest.mark.parametrize("dtype, scale", [(np.float32, 1e6), (np.float64, 1e12)], ids=["float32", "float64"])
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_one_output_routes_as_exactly_as_the_reference(self, mode, dtype, scale):
+        # With one output every input routes wholly to it: used = g and
+        # ignored = 0 exactly, as in the reference, in every iteration, so
+        # ignore coefficients scaled far past the use ones add nothing. A
+        # used share of sigma * g / S would leave an ulp of g ignored, times
+        # the scaled coefficient in the credit.
+        rng = np.random.default_rng(70)
+        names = ("beta_ign",) if mode == "fixed" else ("beta_ign_weight", "beta_ign_bias")
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        for _ in range(20):
+            dims, params, x = rand_instance(rng, mode, n_out_max=1)
+            p = params.astype(dtype)
+            p = replaced(p, dims, **{name: getattr(p, name).array * dtype(scale) for name in names})
+            x = x.astype(dtype)
+            out, trace = route_optimized(x, p, capture_trace=True)
+            nets, betas = as_plugins(x, p)
+            out_ref, _ = route_reference(x, nets, betas, dims)
+            assert relative_linf(out.array, out_ref.array) <= tol
+            assert all(not record.share_ignored.array.any() for record in trace.iterations)
+
+    def test_one_output_keeps_the_use_term_beside_a_huge_ignore_term(self):
+        # Float64, 6 x 1, with act_weight, vote_mix, pred_bias and beta_ign
+        # scaled by 1e60: the gates saturate to exactly 0 or 1, and in the
+        # a-form a = bu + bi rounds to bi, so w - g * bi cancelled bu away
+        # and every pooled sum was exactly 0, where the reference reads
+        # about 1e60. One output pools whole credits, whose ignore half is 0.
+        rng = np.random.default_rng(71)
+        dims = RoutingDims(6, 1, 28, 13, 4)
+        for _ in range(5):
+            params = rand_params(rng, dims, 6).astype(np.float64)
+            scaled = ("act_weight", "vote_mix", "pred_bias", "beta_ign")
+            p = replaced(params, dims, **{name: getattr(params, name).array * 1e60 for name in scaled})
+            x = rng.standard_normal((6, 28))
+            out, _ = route_optimized(x, p)
+            nets, betas = as_plugins(x, p)
+            out_ref, _ = route_reference(x, nets, betas, dims)
+            assert relative_linf(out.array, out_ref.array) <= 1e-10
+
     def test_always_on_configuration_is_softmax_mixture(self):
         rng = np.random.default_rng(20)
         dims, params, x = rand_instance(rng, "fixed", n_iters_choices=(3,))
@@ -599,6 +639,32 @@ class TestBlockedLoop:
             assert arrays.keys() == default.keys()
             for name, value in default.items():
                 assert relative_linf(arrays[name], value) <= 1e-12, name
+
+    @pytest.mark.parametrize("mode, n_out", [("fixed", 1), ("variable", 4)])
+    def test_product_that_does_not_fit_the_dead_workspace_is_pooled_fresh(self, mode, n_out, monkeypatch):
+        # A block of whole credits pools its n_out x d_inp product into the
+        # workspace that its credit leaves dead: the variable layout's slots
+        # 1-2, the fixed layout's one slot (one output pools whole credits,
+        # in the final credit's rows). At 5-row blocks, the last ragged,
+        # d_inp = 24 exceeds those free rows (2 * 5 and 5), so every product
+        # is a fresh array; at the default size, one block of 29 rows, it
+        # fits. Both route within criterion 1's tolerances of the
+        # reference, and trace on and off agree bitwise.
+        rng = np.random.default_rng(72)
+        n_inp, d = 29, 24
+        dims = RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, 3)
+        params = rand_params(rng, dims, n_inp)
+        x = rng.standard_normal((n_inp, d), dtype=np.float32)
+        for block_elements in (5 * n_out, BLOCK_ELEMENTS):
+            monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", block_elements)
+            for dtype, tol in ((np.float32, 1e-4), (np.float64, 1e-10)):
+                p, xx = params.astype(dtype), x.astype(dtype)
+                out, _ = route_optimized(xx, p)
+                out_on, _ = route_optimized(xx, p, capture_trace=True)
+                assert np.array_equal(out.array, out_on.array)
+                nets, betas = as_plugins(xx, p)
+                out_ref, _ = route_reference(xx, nets, betas, dims, capture_trace=False)
+                assert relative_linf(out.array, out_ref.array) <= tol, (block_elements, dtype)
 
     @pytest.mark.parametrize(
         "mode, d",
@@ -1655,14 +1721,23 @@ class TestTransientMemory:
         # alone. Fixed blocks compute their credit in the final credit's
         # rows, so that layout keeps its gates in an n_inp array of its
         # own; the variable layout keeps them in the credit's tail. The
-        # rest is output-sized or smaller: the pooled sums and the block's
-        # pooled part (n_out * d each, the previous output dropped once
-        # predicted), and in the fixed layout, whose iterations pool the
-        # a-form, Q and q (n_out * (d + 1)) from iteration 1 on. A ragged block's views are as compact as a full
-        # block's, so numpy buffers no more over it than over a full one.
-        # The slack is below one block array, so one more slot would fail,
-        # and below one n_out * d array, so keeping the previous output
-        # would too. A traced call runs the same blocks and keeps only what
+        # rest is output-sized or smaller: the pooled sums (n_out * d, the
+        # previous output dropped once predicted) and in the fixed layout,
+        # whose iterations pool the a-form, Q and q (n_out * (d + 1)) from
+        # iteration 1 on. A block pools its n_out * d product into the
+        # workspace that its values leave dead: the variable layout's slots
+        # 1-2. A fixed-layout block pools w out of its only slot, so its
+        # product is one more n_out * d array. The variable layout then
+        # peaks where an n_out * d array, the prediction, meets its
+        # negated write into the weight's score columns, whose strided
+        # operands take two numpy iterator buffers (np.getbufsize()
+        # elements each in numpy 2.4); a broadcast over an output-major
+        # block, live beside the pooled sums, takes one. A ragged block's
+        # views are as compact as a full block's, so numpy buffers no more
+        # over it than over a full one. The slack is below one block array,
+        # so one more slot would fail, and below one n_out * d array, so a
+        # per-block product of the variable layout or keeping the previous
+        # output would too. A traced call runs the same blocks and keeps only what
         # its records' replay cannot recompute. In the loop it adds the
         # activation scores and gates in arrays of their own (2 * n_inp
         # elements, one of which the untraced fixed call holds too). Its
@@ -1693,8 +1768,9 @@ class TestTransientMemory:
             + slots * rows * n_out
             + own_gates
             + d * weight_groups * n_out
-            + 2 * n_out * d
+            + (1 + a_form) * n_out * d
             + a_form * n_out * (d + 1)
+            + (mode == "variable") * 2 * np.getbufsize()
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
         assert peak < 4 * elements
