@@ -14,22 +14,20 @@ n_inp * n_out * d_out ever exists. The proposals stay implicit, but
 :func:`materialized_votes` can still build the tensor explicitly for
 small instances so tests can compare both execution orders.
 
-Every step of an iteration except that contraction is local to one
-input row: the use/ignore coefficients, the agreement score, the routing
-over outputs, the shares and the credit. :func:`route_optimized`
-therefore runs each iteration over blocks of B = max(1, BLOCK_ELEMENTS //
-n_out) input rows. A block computes its stages in place in a workspace
-of one or three block-sized slots, checks them for non-finite values
-once, and adds its ``credit.T @ x`` (in the fixed layout ``w.T @ x``
-of the a-form below) and its column totals into the output-sized
-partials that the M-step finishes once per iteration; the n_out x d_inp
-product goes into workspace the block has left dead, where it fits
-(below). With the trace off the only routing-pair-sized (n_inp * n_out)
-array is the returned final credit. Beside it the fixed layout holds one input-sized
-(n_inp) array, its activation scores and then its gates; the variable
-layout holds none, its scores and gates living in the credit's
-unwritten tail (below the slot tables). Everything else is block-sized
-or output-sized (n_out * max(d_inp, d_out)). The public stage functions
+Every step of an iteration except that contraction is local to one input
+row: the use/ignore coefficients, the agreement score, the routing over
+outputs, the shares and the credit. :func:`route_optimized` therefore
+runs each iteration over blocks of input rows. A block computes its
+stages in place in a workspace of one or three block-sized slots, checks
+them for non-finite values once, and adds its ``credit.T @ x`` (in the
+fixed layout ``w.T @ x`` of the a-form below) and its column totals into
+the output-sized partials that the M-step finishes once per iteration;
+the n_out x d_inp product goes into workspace the block has left dead,
+where it fits (below). With the trace off the only routing-pair-sized
+(n_inp * n_out) array is the returned final credit. Beside it the
+activation scores, then the gates, take one input-sized (n_inp) array or
+the credit's unwritten tail. Everything else is block-sized or
+output-sized (n_out * max(d_inp, d_out)). The public stage functions
 (:func:`activation_scores`, :func:`beta_pair_for`, :func:`predict_inputs`,
 :func:`score_predictions`, :func:`m_step_factored`) still take and return
 whole arrays; :func:`as_plugins` hands them to the reference router.
@@ -42,23 +40,24 @@ coefficients from the input vectors themselves, one block at a time, so
 one parameter set serves any sequence length. Each layout is one ordered
 table of (name, shape, init) rows, ``_LAYOUTS`` below; the parameter
 names, shapes, initialization, validation and file layout all derive
-from it. The router picks one block kernel per call from the layout
-(``_FixedBlocks``, ``_VariableBlocks``). The kernel owns the block
-orientation, a block's coefficients and scores, the coefficients' finite
-check, whether its iterations pool the a-form (below) and its iteration
-1's shares or credit. The loop that drives the kernel has neither a
-layout branch nor an iteration-1 case: each iteration predicts from the
-output before it, if there is one, and then sweeps the blocks.
-Fixed-layout blocks are row-major, the layout of its per-pair tables.
-Variable-layout blocks are output-major, so reductions and broadcasts
-over the outputs run along long contiguous runs even when n_out is
-small. A block computes its shares in its workspace, and a record that
-keeps them takes a copy of its rows. Only a row-major block computes its
-credit in place, in the rows of a kept credit, which is row-major too;
-an output-major block computes it in a slot and copies it in. A
-fixed-layout call keeps a = bu + bi of the a-form in the final credit's
-rows until its last iteration writes its credit there; in a replay
-(below) each iteration writes the rows of its own credit record.
+from it. A call takes each decision its shapes decide once, in one plan
+(``_Plan``, which documents each rule), the layout's block kernel
+(``_FixedBlocks``, ``_VariableBlocks``) among them. The kernel owns the
+block orientation, a block's coefficients and scores, the coefficients'
+finite check and its iteration 1's shares or credit. The loop that
+drives the kernel has neither a layout branch nor an iteration-1 case:
+each iteration predicts from the output before it, if there is one, and
+then sweeps the blocks. Fixed-layout blocks are row-major, the layout of
+its per-pair tables. Variable-layout blocks are output-major, so
+reductions and broadcasts over the outputs run along long contiguous
+runs even when n_out is small. A block computes its shares in its
+workspace, and a record that keeps them takes a copy of its rows. Only a
+row-major block computes its credit in place, in the rows of a kept
+credit, which is row-major too; an output-major block computes it in a
+slot and copies it in. A fixed-layout call keeps a = bu + bi of the
+a-form in the final credit's rows until its last iteration writes its
+credit there; in a replay (below) each iteration writes the rows of its
+own credit record.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out: its used shares are the column g * p and its ignored shares
@@ -67,9 +66,9 @@ block, whose tails (below) take that column for sigma * g / S: the
 a-form's w = a * (g * p), or, once the a-form is given up or with one
 output, the whole credit bu * (g * p) - bi * (g - g * p), the
 reference's products in the reference's order. Each product is taken
-separately, so that credit is
-finite wherever the coefficients are, but for rounding at the top of the
-range. The variable kernel takes its iteration 1 itself. There the
+separately, so that credit is finite wherever the coefficients are, but
+for rounding at the top of the range. The variable kernel takes its
+iteration 1 itself. There the
 credit g_i * (p * bu_ij - (1 - p) * bi_ij) is linear in the input,
 credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use
 - (1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, the same formula
@@ -80,24 +79,16 @@ s = sum_i g_i x_i:
 
     pooled = (G w1)^T + c1 s^T,    total = w1^T s + c1 * sum_i g_i
 
-Accumulating G costs 2 * d_inp**2 flops per input; its one-off
-n_out * d_inp**2 term is the size of the M-step's own projection matmul,
-so the count leaves it out. The variable kernel takes the closed form
-exactly when d_inp < 3 * n_out, an operation count on the input's shape,
-not a setting: it weighs G against a block path of about
-6 * n_out * d_inp flops (two coefficient sets and the pooling matmul).
-The linear block path costs about 4 * n_out * d_inp plus three
-pair-sized passes. At 100000 x 16 x 40 (d_inp = 2.5 * n_out, two
-iterations, 2 CPUs) it measured 27.8 ms against the closed form's
-35.8 ms, faster in 14 of 15 alternating calls. Neither variable-layout
-form computes the coefficients, and no block scans them: a non-finite
-one makes its credit non-finite (inf * 0 is NaN), which fails iteration
-2's output update check (the last paragraph). Any failure checks the
-coefficients first, so errors name the same stage as when iteration 1
-computed them; past iteration 2 they are finite, and a failure keeps its
-own message. The linear form can overflow where the coefficients do not,
-and G where the direct sums do not, so a non-finite closed-form output
-redoes iteration 1 on the blocks.
+The plan says when the variable kernel takes this closed form, and why.
+Neither variable-layout form computes the coefficients, and no block
+scans them: a non-finite one makes its credit non-finite (inf * 0 is
+NaN), which fails iteration 2's output update check (the last
+paragraph). Any failure checks the coefficients first, so errors name
+the same stage as when iteration 1 computed them; past iteration 2 they
+are finite, and a failure keeps its own message. The linear form can
+overflow where the coefficients do not, and G where the direct sums do
+not, so a non-finite closed-form output redoes iteration 1 on the
+blocks.
 
 Every later iteration routes input i by the softmax over outputs of its
 log-logistic scores, softmax_j(log sigma(z_ij)) with z = gain * inner +
@@ -119,11 +110,7 @@ rescued rows, with S_i = 1. Below that floor log sigma(z) rounds to z,
 so the rescue is the softmax of the scores, at full precision. The
 floor is a property of the dtype, not a setting. A trace records
 log sigma(z) as the scores and sigma / S as the routing; the outputs do
-not depend on whether it is on. With one output the routing is exactly
-1, and a block takes used = g itself, so ignored = g - g is exactly 0,
-as in the reference; sigma * (g / S) would leave an ulp of g ignored,
-and bi times that ulp in the credit. The shape alone decides that case
-(``one_output``).
+not depend on whether it is on. One output routes by the plan's rule.
 
 Sigma overwrites -z, so the rescue reads a copy of the rows it may
 need, taken first. Let T = log(eps / tiny) - 1 in the working dtype
@@ -134,12 +121,10 @@ stays above the floor. The block's max of -z, which its finite check
 takes anyway, decides: at or below T nothing is copied; above it the
 rows whose every -z exceeds T are, a superset of the rescued rows.
 
-With more than one output the fixed layout's iterations pool the
-a-form, where the ignore half leaves the loop; one output has no ignore
-half, so it pools whole credits, with no a = bu + bi to round bu away.
-With r_i = g_i / S_i and a = bu + bi, used = sigma * r and
-ignored = g - used give credit_ij = used_ij a_ij - g_i bi_ij, so with
-w = used * a
+Where the plan says so, the fixed layout's iterations pool the a-form,
+where the ignore half leaves the loop. With r_i = g_i / S_i and
+a = bu + bi, used = sigma * r and ignored = g - used give
+credit_ij = used_ij a_ij - g_i bi_ij, so with w = used * a
 
     pooled = w^T x - Q,    total = w^T 1 - q,
     Q = sum_i g_i bi_i x_i^T,    q = sum_i g_i bi_i,
@@ -169,10 +154,7 @@ then being free for a credit that is not kept; a replay redoes the same
 iteration, since it computes the same output update. The a-form's
 arithmetic, its M-step too, runs with overflow and invalid-operation
 warnings off, since each non-finite value it makes is redone or fails a
-check; so does every layout's iteration 1. The variable layout pools
-whole credits: its a would need a fourth column group in the block
-matmul, and no measured routing of that layout runs more than two
-iterations.
+check; so does every layout's iteration 1.
 
 Each workspace slot is overwritten in place once the value it holds is
 dead (the liveness rule of Chen et al., arXiv:1604.06174), with the
@@ -231,46 +213,35 @@ the invalid flag now and then (``ones @ credit`` warned in 3 of about
 sum and total is a term of its iteration's output update, whose check
 covers it.
 
-The final credit is allocated first. In the variable layout with the
-trace off, its last n_inp elements (flat) hold the activation scores,
-checked there, then the gates, by the sigma kernel in place: gate i sits
-at flat index n_inp * n_out - n_inp + i. Only the last iteration, never
-the first, writes that final credit, and a block writing rows [s, e)
-touches flat indices below e * n_out <= n_inp * n_out - n_inp + e, so it
-never overwrites a later row's gate. It may overwrite its own, but only
+The final credit is allocated first. Where the plan keeps the
+activation scores, checked there, then the gates, by the sigma kernel in
+place, in its last n_inp elements, gate i sits at flat index
+n_inp * n_out - n_inp + i. Only the last iteration, never the first,
+writes that final credit, and a block writing rows [s, e) touches flat
+indices below e * n_out <= n_inp * n_out - n_inp + e, so it never
+overwrites a later row's gate. It may overwrite its own, but only
 in its last step, which copies its credit in from slot 0 after its last
 read of those gates; so a block reads its gates where they lie. When
-n_out is 1, the tail is the whole credit. Fixed-layout blocks write the
-whole final credit in every iteration, so that layout keeps its scores,
-then its gates, in one n_inp array of its own. Against the slot it
-saves, about BLOCK_ELEMENTS elements, the array costs memory only once
-n_inp passes about BLOCK_ELEMENTS, where the layout's four n_inp x n_out
-parameter tables are far larger. A trace returns the scores and the
-gates, so it keeps them in arrays of their own.
+n_out is 1, the tail is the whole credit.
 
 A traced call routes as an untraced one, on the same sweep, from the
 caller's array, and fails where it does. It keeps only what its records
 cannot be recomputed without: a private copy of the input, the
-activation scores and gates, the block rows in force at the call, the
-final credit and the returned output; no iteration's prediction or
-output. It copies the input once the loop has returned, when the
-workspace, the weight and Q are gone, so the copy does not add to the
-loop's peak, and a call that fails copies nothing. An input that is
-neither C- nor F-contiguous is the exception: any call, traced or not,
-routes it from a compact copy taken first, since a strided operand can
-take another matmul loop than a compact one, and a trace keeps that
-copy for its replay. The copy guards the
-records against a caller who writes ``x_inp`` after the call, a
-``DenseTensor``'s array too, which its owner can make writable again. A
-write during the call is a data race that the untraced call does not
-survive either. The first read of
-``trace.iterations`` builds every record once: it reruns the call's
-iteration loop, the same code on the same inputs, so each block and each
-M-step computes the call's values bit for bit, and each block writes its
-rows of the records. Iteration 1 takes the form the call took, decided
-again on the same inputs; a closed-form iteration 1 reruns the closed
-form for its output and its blocks for its records, and scans its credit
-record. A replay's
+activation scores and gates, the call's plan, the final credit and the
+returned output; no iteration's prediction or output. It copies the
+input once the loop has returned, when the workspace, the weight and Q
+are gone, so the copy does not add to the loop's peak, and a call that
+fails copies nothing. An input routed from a compact copy (the plan's
+rule) is the exception: the trace keeps that copy for its replay. The
+copy guards the records against a caller who writes ``x_inp`` after the
+call, a ``DenseTensor``'s array too, which its owner can make writable
+again. A write during the call is a data race that the untraced call
+does not survive either. The first read of ``trace.iterations`` builds
+every record once: it reruns the call's iteration loop, the same code on
+the same inputs by the same plan, so each block and each M-step computes
+the call's values bit for bit, and each block writes its rows of the
+records. A closed-form iteration 1 reruns the closed form for its output
+and its blocks for its records, and scans its credit record. A replay's
 block of the a-form writes its shares into their records, pools w as
 the call did, and writes w - g * bi into its credit record. The last
 iteration pools nothing and computes no credit: its credit record is
@@ -665,21 +636,23 @@ class _Blocks:
     block orientation, a block's coefficients and scores, the
     coefficients' finite check and its iteration 1: the fixed kernel's
     blocks take the shared tails on the flat prior's shares, the variable
-    kernel's take a form of their own. A kernel says whether its
-    iterations pool the a-form (``a_form``, off with one output and
-    cleared for the rest of a call once an a-form output update is not
-    finite). Every class of the hierarchy declares ``__slots__``: each call builds a kernel, and with an instance
-    ``__dict__`` the call's peak fell by 8 B a call over its first 14 or
-    so calls (:mod:`vecroute.memtrack`).
+    kernel's take a form of their own. A kernel reads its decisions from
+    the call's ``plan``, and replaces it by one without the a-form for the
+    rest of a call once an a-form output update is not finite. ``a_rows``,
+    rows of the last iteration's record, hold a row-major kernel's a and
+    a whole credit that it does not keep. Every class of the hierarchy
+    declares ``__slots__``: each call builds a kernel, and with an
+    instance ``__dict__`` the call's peak fell by 8 B a call over its
+    first 14 or so calls (:mod:`vecroute.memtrack`).
     """
 
-    __slots__ = ("n_out", "params", "x", "gates", "blocks", "prior", "scale", "ones", "work", "row_sum_floor",
-                 "near_floor", "weight", "ignore_sums", "a_rows", "a_form", "gain", "bias")
+    __slots__ = ("n_out", "params", "x", "gates", "plan", "blocks", "prior", "scale", "ones", "work",
+                 "row_sum_floor", "near_floor", "weight", "ignore_sums", "a_rows", "gain", "bias")
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
-        n_inp, dtype = x.shape[0], params.dtype
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, plan: _Plan, a_rows: np.ndarray):
+        n_inp, dtype, rows = x.shape[0], params.dtype, plan.rows
         self.n_out = params.dims.n_out
-        self.params, self.x, self.gates, self.a_rows = params, x, gates, a_rows
+        self.params, self.x, self.gates, self.plan, self.a_rows = params, x, gates, plan, a_rows
         self.blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
         self.prior = dtype.type(1.0 / self.n_out)
         self.scale = _scale(n_inp, dtype)
@@ -687,19 +660,12 @@ class _Blocks:
         # The block workspace, each slot reused once its value is dead (the
         # module docstring's tables), held here alone so that dropping it
         # here frees it. The closed form borrows it for gated inputs.
-        self.work = np.empty(self.slots * rows * self.n_out, dtype)
+        self.work = np.empty(plan.workspace, dtype)
         tiny, eps = np.finfo(dtype).tiny, np.finfo(dtype).eps
         self.row_sum_floor = tiny / eps
         self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
         self.weight = None  # the fused weight, from the first later iteration on
         self.ignore_sums = None  # (Q, q) of the a-form, from its first sweep on
-
-    @property
-    def one_output(self) -> bool:
-        """Whether every input routes wholly to one output: a block then takes
-        used = g and ignored = 0 exactly, as the reference does, and pools
-        no a-form (module docstring)."""
-        return self.n_out == 1
 
     def score_against(self, predicted: np.ndarray) -> None:
         """Write -predicted^T into the fused weight's score columns,
@@ -716,8 +682,8 @@ class _Blocks:
         one, on whole credits; a credit that it keeps is checked through its
         column totals."""
         d_inp, n_out, n_iters, dtype = self.x.shape[1], self.n_out, self.params.dims.n_iters, self.x.dtype
-        a_form = self.a_form and pool
-        self.ones = np.ones(max(self.blocks[0].stop, n_out), dtype)  # the first block is the longest
+        a_form = self.plan.a_form and pool
+        self.ones = np.ones(max(self.plan.rows, n_out), dtype)
         # What overflows in the a-form is redone below, or fails a check, and
         # so does what overflows in iteration 1.
         errors = "ignore" if a_form or it == 1 else None  # None leaves the caller's state
@@ -749,9 +715,9 @@ class _Blocks:
         except NumericError:
             if not a_form:
                 raise
-            self.a_form, self.ignore_sums = False, None
-            if self.work is None:
-                self.work = np.empty(self.slots * self.blocks[0].stop * n_out, dtype)
+            self.plan, self.ignore_sums = self.plan._replace(a_form=False), None
+            if self.work is None:  # dropped for the last M-step
+                self.work = np.empty(self.plan.workspace, dtype)
             return self.sweep(rec, it)
         if credit_total is not None:
             _check_finite(credit_total, "credit", it)
@@ -808,7 +774,7 @@ class _Blocks:
         if routing is not None:
             np.divide(sigma, row_sum[:, None], out=routing[blk])
         used = sigma
-        if self.one_output:
+        if self.n_out == 1:  # the routing is exactly 1 (_Plan)
             np.copyto(used, g)
         else:
             np.divide(g[:, 0], row_sum, out=row_sum)
@@ -824,7 +790,7 @@ class _Blocks:
         one only to keep it. Its views of the workspace end with the call."""
         n, n_out = blk.stop - blk.start, self.n_out
         kept = rec.get("credit")
-        a_form = self.a_form and sums is not None
+        a_form = self.plan.a_form and sums is not None
 
         def keep(name: str, computed: np.ndarray) -> None:
             if rec.get(name) is not None:
@@ -875,22 +841,17 @@ class _Blocks:
 
 
 class _FixedBlocks(_Blocks):
-    """Block kernel of the fixed layout: row-major blocks, stored tables.
-
-    Its iterations pool the a-form, with a = bu + bi in ``a_rows``; a
-    credit it keeps goes straight into the kept rows, and a whole one
-    that it does not keep into ``a_rows``, so its workspace is one slot
+    """Block kernel of the fixed layout: row-major blocks, stored tables,
+    and a credit computed in the kept rows or ``a_rows``, so one slot
     (the module docstring)."""
 
     __slots__ = ("use", "ign")
     row_major = True
-    slots = 1
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows: np.ndarray):
-        super().__init__(params, x, gates, rows, a_rows)
-        self.a_form = not self.one_output  # one output's ignore half is 0
-        self.use, self.ign = params.beta_use.array, params.beta_ign.array
-        self.gain, self.bias = params.score_gain.array, params.score_bias.array
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.use, self.ign = self.params.beta_use.array, self.params.beta_ign.array
+        self.gain, self.bias = self.params.score_gain.array, self.params.score_bias.array
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
@@ -937,18 +898,15 @@ class _VariableBlocks(_Blocks):
 
     __slots__ = ("first",)
     row_major = False
-    slots = 3
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows=None):
-        super().__init__(params, x, gates, rows)  # no a rows: whole credits
-        self.a_form = False
-        self.gain = params.score_gain.array
-        self.bias = np.concatenate(
-            [params.beta_use_bias.array, params.beta_ign_bias.array, -params.score_bias.array]
-        )
+    def __init__(self, *args):
+        super().__init__(*args)
+        p = self.params
+        self.gain = p.score_gain.array
+        self.bias = np.concatenate([p.beta_use_bias.array, p.beta_ign_bias.array, -p.score_bias.array])
         # Overflow here surfaces as a non-finite iteration 1.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.first = _first_iteration_weights(params)
+            self.first = _first_iteration_weights(p)
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
@@ -963,7 +921,7 @@ class _VariableBlocks(_Blocks):
         return weight
 
     def sweep(self, rec: dict, it: int, pool: bool = True) -> np.ndarray | None:
-        """Iteration 1 in closed form where d_inp < 3 * n_out and its output
+        """Iteration 1 in closed form where the plan says so and its output
         is finite, else on the blocks; a later one on the blocks. A replay's
         closed-form iteration 1 has its blocks write its records, pooling
         nothing, and scans the credit record, which no output update check
@@ -971,7 +929,7 @@ class _VariableBlocks(_Blocks):
         if it > 1:
             return super().sweep(rec, it, pool)
         x_out = None
-        if self.params.dims.d_inp < 3 * self.n_out:
+        if self.plan.closed_form:
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output is redone on the blocks
                 x_out = _finish_m_step(
                     *_closed_form_sums(self.x, self.gates, self.work, self.first), self.scale, self.params
@@ -1017,11 +975,62 @@ class _VariableBlocks(_Blocks):
             beta_pair_for(self.x[blk], self.params)
 
 
-def _kernel(params: RoutingParams, x: np.ndarray, gates: np.ndarray, rows: int, a_rows: np.ndarray) -> _Blocks:
-    """The block kernel of the layout ``params`` selects; a fixed-layout
-    kernel keeps a = bu + bi in ``a_rows``."""
-    kernel_type = _VariableBlocks if params.dims.variable_length else _FixedBlocks
-    return kernel_type(params, x, gates, rows, a_rows)
+class _Plan(NamedTuple):
+    """What a call decides once, from its shapes alone. Its kernel reads
+    the plan, and so does its records' replay, which gets the call's.
+
+    - ``kernel``: the block kernel class of the call's layout.
+    - ``rows``: max(1, BLOCK_ELEMENTS // n_out) input rows a block, at
+      most n_inp, by ``BLOCK_ELEMENTS`` at the call.
+    - ``workspace``: the block workspace's elements, slots of rows * n_out
+      each: three in the variable layout, one in the fixed one.
+    - ``a_form``: the fixed layout pools the a-form with more than one
+      output. One output has no ignore half, and no a = bu + bi to round
+      bu away: its routing is exactly 1, and a block of either layout
+      takes used = g, so ignored = g - g is exactly 0, as in the
+      reference; sigma * (g / S) would leave bi times an ulp of g in the
+      credit. The variable layout pools whole credits: its a would need a
+      fourth column group in the block matmul, and no measured routing of
+      that layout runs more than two iterations.
+    - ``closed_form``: the variable layout takes iteration 1 in closed
+      form exactly when d_inp < 3 * n_out, an operation count, not a
+      setting. G costs 2 * d_inp**2 flops per input (its one-off
+      n_out * d_inp**2 term is the size of the M-step's projection, so
+      the count leaves it out), against a block path of about
+      6 * n_out * d_inp (two coefficient sets and the pooling matmul).
+      The linear block path costs about 4 * n_out * d_inp plus three
+      pair-sized passes; at 100000 x 16 x 40 (d_inp = 2.5 * n_out, two
+      iterations, 2 CPUs) it measured 27.8 ms against the closed form's
+      35.8 ms, faster in 14 of 15 alternating calls.
+
+    Two rules stay in :func:`route_optimized`, which reads each once, so
+    a field would add code. An input that is neither C- nor F-contiguous
+    is routed, traced or not, from a compact copy taken first, since a
+    strided operand can take another matmul loop than a compact one; a
+    trace keeps that copy for its replay. The variable layout with the
+    trace off keeps the activation scores, then the gates, in the final
+    credit's last n_inp elements. Fixed blocks write the final credit in
+    every iteration, so that layout keeps them in an n_inp array, which
+    outgrows the slot it saves only past about BLOCK_ELEMENTS inputs,
+    where its n_inp x n_out tables are far larger; a trace returns them
+    in arrays of its own. A named tuple has no instance ``__dict__``
+    (:mod:`vecroute.memtrack`).
+    """
+
+    kernel: type
+    rows: int
+    workspace: int
+    a_form: bool
+    closed_form: bool
+
+
+def _plan(dims: RoutingDims, n_inp: int) -> _Plan:
+    """The plan of a call on ``n_inp`` inputs (``_Plan`` gives each rule)."""
+    n_out = dims.n_out
+    rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
+    if dims.variable_length:
+        return _Plan(_VariableBlocks, rows, 3 * rows * n_out, a_form=False, closed_form=dims.d_inp < 3 * n_out)
+    return _Plan(_FixedBlocks, rows, rows * n_out, a_form=n_out > 1, closed_form=False)
 
 
 def route_optimized(
@@ -1033,27 +1042,25 @@ def route_optimized(
 
     ``x_inp`` is an (n_inp, d_inp) array of the parameters' dtype; the
     fixed layout needs n_inp to match its tables. Its rank, extents and
-    dtype are checked before its values. Returns the
-    (n_out, d_out) outputs and a :class:`RoutingTrace`. The outputs do
-    not depend on ``capture_trace``; the module docstring derives how they
-    are computed. With the trace off (the default, and the configuration
+    dtype are checked before its values. Returns the (n_out, d_out)
+    outputs and a :class:`RoutingTrace`. The outputs do not depend on
+    ``capture_trace``; the module docstring derives how they are
+    computed. With the trace off (the default, and the configuration
     that :func:`transient_element_bound` covers), the trace carries only
     the final credit; a block's intermediates live in one reused block
     workspace, and the activation scores, then the gates, in an n_inp
-    array (fixed layout) or in the final credit's last n_inp elements
-    until each block's last step overwrites its own (variable layout).
-    With it on, the call routes the same way, from ``x_inp`` itself, and
-    fails where the untraced call does; the trace also holds the
-    activation scores and gates and a private copy of the input, taken
-    once the iteration loop has returned, but no iteration's prediction
-    or output. An ``x_inp`` that is neither C- nor F-contiguous is routed
-    from a compact copy, traced or not, so that the call and its replay
-    run the same matmuls. A replay is exact unless ``x_inp`` is written
-    during the call, a data race that the untraced call does not survive
-    either.
-    Its ``iterations`` records are built on first read, by rerunning the
-    iteration loop at the call's block size (the module docstring); the
-    last record's output is the returned output. From then on they hold
+    array or the final credit's tail, by the layout. With it on, the call
+    routes the same way, from ``x_inp`` itself, and fails where the
+    untraced call does; the trace also holds the activation scores and
+    gates and a private copy of the input, taken once the iteration loop
+    has returned, but no iteration's prediction or output. A strided
+    ``x_inp``, neither C- nor F-contiguous, is routed from a compact copy,
+    traced or not, so that the call and its replay run the same matmuls.
+    A replay is exact unless ``x_inp`` is written during the call, a data
+    race that the untraced call does not survive either. Its
+    ``iterations`` records are built on first read, by rerunning the
+    iteration loop by the call's plan (the module docstring); the last
+    record's output is the returned output. From then on they hold
     O(n_iters * n_inp * n_out) memory. The records but the final credit
     are views of a few allocations shared when they are built, so one
     kept after its trace is dropped keeps its allocation alive.
@@ -1072,18 +1079,13 @@ def route_optimized(
     if x.dtype != params.dtype:
         raise TypeError(f"x_inp dtype {x.dtype} != parameter dtype {params.dtype}")
     n_out, n_iters, dtype = dims.n_out, dims.n_iters, x.dtype
-    # A strided operand can take another matmul loop than a compact one,
-    # so route from the compact copy that a replay would route from.
-    compacted = not (x.flags.c_contiguous or x.flags.f_contiguous)
+    plan = _plan(dims, n_inp)
+    compacted = not (x.flags.c_contiguous or x.flags.f_contiguous)  # routed from a copy (_Plan)
     if compacted:
         x = x.copy(order="K")
 
     # Allocated before the block workspace, like a replay's records (see
-    # _replay). With the trace off the variable layout keeps the activation
-    # scores, then the gates, in its last n_inp elements (the module
-    # docstring says why no block overwrites a gate it has yet to read).
-    # Fixed blocks write the final credit in every iteration, so they keep
-    # them in an array of their own; a trace keeps both.
+    # _replay). Where the activation scores and gates live: _Plan.
     final_credit = np.empty((n_inp, n_out), dtype)
     in_tail = dims.variable_length and not capture_trace
     raw = final_credit.reshape(-1)[-n_inp:] if in_tail else np.empty(n_inp, dtype)
@@ -1099,10 +1101,9 @@ def route_optimized(
     np.negative(raw, out=gates)
     _logistic_of_negated_into(gates)  # logistic's kernel
 
-    rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     # A fixed-layout kernel keeps a = bu + bi in the final credit's rows,
     # which only the last iteration writes its credit to.
-    kernel = _kernel(params, x, gates, rows, final_credit)
+    kernel = plan.kernel(params, x, gates, plan, final_credit)
     records = [{"credit": final_credit if it == n_iters else None} for it in range(1, n_iters + 1)]
     output = DenseTensor._adopt(_iterate(kernel, records))  # checked as its iteration's output update
     del kernel  # with its weight, so that nothing of the loop is live below
@@ -1112,7 +1113,7 @@ def route_optimized(
         return output, RoutingTrace(None, None, (), final)
     # The records' replay may run after the caller writes x_inp. Taken
     # here, the copy does not stack on the loop's workspace.
-    replay = partial(_replay, x if compacted else x.copy(order="K"), params, gates, rows, output, final)
+    replay = partial(_replay, x if compacted else x.copy(order="K"), params, gates, plan, output, final)
     trace = RoutingTrace(
         # Checked by "activations" above; the gates are sigma in [0, 1].
         activation_scores=DenseTensor._adopt(raw),
@@ -1181,14 +1182,15 @@ def _replay(
     x: np.ndarray,
     params: RoutingParams,
     gates: np.ndarray,
-    rows: int,
+    plan: _Plan,
     output: DenseTensor,
     final: DenseTensor,
 ) -> tuple[IterationRecord, ...]:
     """Every iteration's records, written by rerunning the traced call's
-    iteration loop: the same code on the same inputs, so the same values,
-    the form of iteration 1 included. ``output`` and ``final`` are the
-    call's output and final credit, the last record's."""
+    iteration loop: the same code on the same inputs by the call's
+    ``plan``, so the same values, the form of iteration 1 included.
+    ``output`` and ``final`` are the call's output and final credit, the
+    last record's."""
     n_inp, n_out, n_iters, dtype = x.shape[0], params.dims.n_out, params.dims.n_iters, x.dtype
     pair = (n_inp, n_out)
     # Allocated before the block workspace, so the space the workspace
@@ -1212,14 +1214,13 @@ def _replay(
             "share_used": next(shared),
             "share_ignored": next(shared),
             "credit": None if it == n_iters else next(shared),
-            "predicted": None,
-            "output": None,
+            "predicted": None,  # and "output": both written by _iterate
         }
         for it in range(1, n_iters + 1)
     ]
     # A fixed-layout replay keeps a = bu + bi in the last iteration's
     # ignored shares, which only that iteration writes.
-    kernel = _kernel(params, x, gates, rows, kept[-1]["share_ignored"])
+    kernel = plan.kernel(params, x, gates, plan, kept[-1]["share_ignored"])
     kept[0]["routing"].fill(kernel.prior)  # iteration 1 routes by the flat prior
     # What the blocks overflow, the call overflowed first, under the
     # caller's error state; the replay repeats no warning.
@@ -1324,31 +1325,29 @@ def total_param_count(params: RoutingParams) -> int:
 # intermediates share one factor that absorbs their simultaneously live
 # generations, and so does the one n_inp-sized array, the fixed layout's
 # activation scores and then gates (the variable layout keeps them in the
-# final credit's tail). The only
-# routing-pair-sized (n_inp * n_out) array is the returned final credit,
-# counted twice for headroom; pair-dominated shapes measure at most 1.14
-# pair arrays. The block workspace is three arrays of one block (one in
-# the fixed layout), traced or not, rows * n_out elements each, at most
-# max(BLOCK_ELEMENTS, n_out) however long the sequence and less when the
-# whole sequence fits in one block, so the block factor leaves headroom
-# too. A block's pooled product (n_out * d_inp) is output-sized; where it
-# fits, it lives in the workspace's dead slots (the module docstring).
-# The variable layout's closed-form first iteration adds no term:
-# its gated inputs reuse the block workspace, and it runs only when
-# d_inp < 3 * n_out, which makes its
-# (d_inp + 1) * d_inp Gram matrix and (d_inp + 1) * n_out coefficients
-# output-sized. The floor covers interpreter-level overhead that
-# dominates at toy sizes. Measured over fixed and variable shapes from
-# 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2 (float32), the peak
-# reaches at most half the bound. The bound assumes capture_trace off
+# final credit's tail). The only routing-pair-sized (n_inp * n_out) array
+# is the returned final credit, counted twice for headroom; pair-dominated
+# shapes measure at most 1.14 pair arrays. The block workspace is three
+# arrays of one block (one in the fixed layout), traced or not,
+# rows * n_out elements each, at most max(BLOCK_ELEMENTS, n_out) however
+# long the sequence and less when the whole sequence fits in one block,
+# so the block factor leaves headroom too. A block's pooled product
+# (n_out * d_inp) is output-sized; where it fits, it lives in the
+# workspace's dead slots (the module docstring). The variable layout's
+# closed-form first iteration adds no term: its gated inputs reuse the
+# block workspace, and the plan takes it only where d_inp < 3 * n_out,
+# which makes its (d_inp + 1) * d_inp Gram matrix and (d_inp + 1) * n_out
+# coefficients output-sized. The floor covers interpreter-level overhead
+# that dominates at toy sizes. Measured over fixed and variable shapes
+# from 1x1x1x1 up to 100000x16x64x64 and 3000x100000x2x2 (float32), the
+# peak reaches at most half the bound. The bound assumes capture_trace off
 # and a C- or F-contiguous input; any other input adds its compact copy.
 # A traced call adds the activation scores and gates, and once its loop
 # has returned a copy of the input, and keeps no iteration's prediction
-# or output; its records are
-# allocated when first read, by a rerun of the iteration loop in a block
-# workspace of the same size, which recomputes those predictions and
-# outputs.
-# The test suite asserts measured peaks stay under this bound.
+# or output; its records are allocated when first read, by a rerun of the
+# iteration loop in a block workspace of the same size, which recomputes
+# those predictions and outputs. The test suite asserts measured peaks
+# stay under this bound.
 TRANSIENT_ELEMENT_BOUND_FACTOR = 16
 TRANSIENT_PAIR_FACTOR = 2
 TRANSIENT_BLOCK_FACTOR = 8

@@ -257,15 +257,14 @@ def a_form_cancels(params, x, traced: bool, monkeypatch) -> bool:
     deviation fails the test."""
     if not a_form_cancellable(params):
         return False
-    init = optimized._FixedBlocks.__init__
+    plan = optimized._plan
 
-    def whole_credits(self, *args):
-        init(self, *args)
-        self.a_form = False
+    def whole_credits(*args):
+        return plan(*args)._replace(a_form=False)
 
     theirs = reference_routing(params, x, traced)
-    with monkeypatch.context() as patch:  # the records' replay too
-        patch.setattr(optimized._FixedBlocks, "__init__", whole_credits)
+    with monkeypatch.context() as patch:  # the records' replay reads the call's plan
+        patch.setattr(optimized, "_plan", whole_credits)
         mine = optimized_routing(params, x, traced)
         return not isinstance(mine, str) and worst_deviation(mine, theirs, traced)[1] <= TOLERANCE[params.dtype]
 

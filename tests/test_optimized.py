@@ -1354,8 +1354,10 @@ class TestAFormIterations:
         assert trace_on.iterations[-1].output is out_on
         assert_share_laws(trace_on)
 
-    @pytest.mark.parametrize("first", [True, False], ids=["iteration_1", "iteration_2"])
-    def test_a_form_sums_that_overflow_are_redone_on_whole_credits(self, first, monkeypatch):
+    @pytest.mark.parametrize(
+        "first, n_iters", [(True, 4), (False, 4), (False, 2)], ids=["iteration_1", "iteration_2", "last_iteration"]
+    )
+    def test_a_form_sums_that_overflow_are_redone_on_whole_credits(self, first, n_iters, monkeypatch):
         # Every input feature is about 1, and beta_use = beta_ign = c
         # everywhere, so w = used * 2c while the credit c * (used - ignored)
         # cancels. n_out = 2 and the scores alone route. iteration_1: every
@@ -1368,11 +1370,20 @@ class TestAFormIterations:
         # overflow, while its credits sum to 0.5 rows * c. The blocks add
         # to -Q, so only a block's own sum can overflow there. The iteration
         # and every later one are redone on whole credits, in the call and
-        # in the records' replay. Blocks of 1024 rows keep n, and the
-        # rounding of sums over it, as in the tests above.
+        # in the records' replay. last_iteration: iteration_2's instance
+        # routed for two iterations, so the redo runs after the last M-step
+        # has dropped the block workspace, and takes a fresh one. Blocks of 1024 rows
+        # keep n, and the rounding of sums over it, as in the tests above.
         monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2048)
+        sweeps = []  # (iteration, a-form, workspace) at each sweep of the untraced call
+        sweep = optimized._Blocks.sweep
+
+        def recorded_sweep(self, rec, it, pool=True):
+            sweeps.append((it, self.plan.a_form, self.work))
+            return sweep(self, rec, it, pool)
+
         rng = np.random.default_rng(64)
-        dims, params, x, rows = multi_block_instance(rng, "fixed", n_out=2, n_iters=4)
+        dims, params, x, rows = multi_block_instance(rng, "fixed", n_out=2, n_iters=n_iters)
         n = dims.n_inp
         x[:] = rng.uniform(0.9, 1.1, x.shape)
         c = np.float32(5e38 / n if first else 2.9e38 / rows)
@@ -1390,7 +1401,14 @@ class TestAFormIterations:
             vote_bias=params.vote_bias.array * np.float32(1e-30),
         )
         out, trace = route_optimized(x, p, capture_trace=True)
+        monkeypatch.setattr(optimized._Blocks, "sweep", recorded_sweep)
         out_off, trace_off = route_optimized(x, p)
+        monkeypatch.setattr(optimized._Blocks, "sweep", sweep)
+        redone = 1 if first else 2
+        a_form = [(it, True) for it in range(1, redone + 1)] + [(it, False) for it in range(redone, n_iters + 1)]
+        assert [s[:2] for s in sweeps] == a_form
+        # Only a redo of the last iteration allocates a second workspace.
+        assert [s[2] is not sweeps[0][2] for s in sweeps] == [False] * n_iters + [n_iters == redone]
         assert np.array_equal(out.array, out_off.array)
         assert np.array_equal(trace.final_credit.array, trace_off.final_credit.array)
         assert trace.iterations[-1].output is out
@@ -1460,6 +1478,91 @@ class TestAFormIterations:
         monkeypatch.undo()
         assert trace.iterations[-1].output is out
         assert np.isfinite(trace.iterations[1].credit.array).all()
+
+
+# The call plan's rules at their boundaries, and at the first routing of
+# each full-size benchmark workload: (layout, n_inp, n_out, d_inp) and the
+# plan a call takes there, (kernel, rows, workspace, a_form, closed_form),
+# at the default BLOCK_ELEMENTS. A change to a rule changes this table.
+_V, _F, _B = optimized._VariableBlocks, optimized._FixedBlocks, BLOCK_ELEMENTS
+PLAN_TABLE = {
+    "closed_form_edge": (("variable", 300, 8, 23), (_V, 300, 3 * 300 * 8, False, True)),  # d_inp = 3 * n_out - 1
+    "block_path_edge": (("variable", 300, 8, 24), (_V, 300, 3 * 300 * 8, False, False)),  # d_inp = 3 * n_out
+    "fixed_below_the_edge": (("fixed", 300, 8, 23), (_F, 300, 300 * 8, True, False)),
+    "one_output_closed_form": (("variable", 300, 1, 2), (_V, 300, 3 * 300, False, True)),
+    "one_output_block_path": (("variable", 300, 1, 3), (_V, 300, 3 * 300, False, False)),
+    "one_output_fixed": (("fixed", 300, 1, 2), (_F, 300, 300, False, False)),
+    "outputs_past_a_block": (("variable", 3, 2 * _B, 2), (_V, 1, 3 * 2 * _B, False, True)),
+    "pair_heavy": (("variable", 4096, 512, 128), (_V, _B // 512, 3 * _B, False, True)),
+    "long_seq": (("variable", 1_000_000, 16, 64), (_V, _B // 16, 3 * _B, False, False)),
+    "credit_chain": (("fixed", 2048, 128, 64), (_F, _B // 128, _B, True, False)),
+}
+# Each routed as a C-order, an F-order and a strided input: the plan does
+# not depend on the input's layout.
+INPUT_ORDERS = {
+    "c_order": lambda x: x,
+    "f_order": np.asfortranarray,
+    "strided": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+}
+
+
+def plan_dims(mode, n_inp, n_out, d) -> RoutingDims:
+    return RoutingDims(n_inp if mode == "fixed" else None, n_out, d, d, 2)
+
+
+class TestCallPlan:
+    @pytest.mark.parametrize("case", PLAN_TABLE)
+    def test_each_rule_at_its_boundary(self, case):
+        shape, plan = PLAN_TABLE[case]
+        assert optimized._plan(plan_dims(*shape), shape[1]) == optimized._Plan(*plan)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["trace_off", "trace_on"])
+    @pytest.mark.parametrize("order", INPUT_ORDERS)
+    @pytest.mark.parametrize("case", [case for case in PLAN_TABLE if case != "long_seq"])  # 244 MiB of input
+    def test_a_call_takes_the_plan_and_its_replay_reads_it(self, case, order, traced, monkeypatch):
+        # Each decision shows through its effect: the kernel that the
+        # iteration loop drives, its blocks and workspace, one gathering
+        # pass of the a-form and one closed-form sum per routing, or none.
+        # The replay runs at a BLOCK_ELEMENTS of two rows a block, so a
+        # plan it took afresh would show in its blocks.
+        (mode, n_inp, n_out, d), fields = PLAN_TABLE[case]
+        want = optimized._Plan(*fields)
+        plans, kernels, calls = [], [], {"closed_form": 0, "a_form": 0}
+        plan, iterate = optimized._plan, optimized._iterate
+        closed_form_sums, gather_a_form = optimized._closed_form_sums, optimized._FixedBlocks.gather_a_form
+
+        def recorded_plan(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        def recorded_iterate(kernel, *args):
+            kernels.append((type(kernel), kernel.plan, kernel.blocks[0].stop, len(kernel.blocks), kernel.work.size))
+            return iterate(kernel, *args)
+
+        def counted(name, function):
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return call
+
+        monkeypatch.setattr(optimized, "_plan", recorded_plan)
+        monkeypatch.setattr(optimized, "_iterate", recorded_iterate)
+        monkeypatch.setattr(optimized, "_closed_form_sums", counted("closed_form", closed_form_sums))
+        monkeypatch.setattr(optimized._FixedBlocks, "gather_a_form", counted("a_form", gather_a_form))
+        dims = plan_dims(mode, n_inp, n_out, d)
+        params = init_params(dims, seed=7)
+        x = INPUT_ORDERS[order](np.random.default_rng(66).standard_normal((n_inp, d), dtype=np.float32))
+        _, trace = route_optimized(x, params, capture_trace=traced)
+        routings = 1
+        if traced:
+            monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2 * n_out)
+            trace.iterations[0]
+            routings = 2
+        assert plans == [want]
+        blocks = -(-n_inp // want.rows)
+        assert kernels == [(want.kernel, want, want.rows, blocks, want.workspace)] * routings
+        assert calls == {"closed_form": routings * want.closed_form, "a_form": routings * want.a_form}
 
 
 # Non-finite values, stage by stage. Each case runs in both layouts, at a
