@@ -21,8 +21,9 @@ field of every iteration record, each array with its dtype and shape.
 After the routings of a chain workload (credit_chain), the credit
 algebra runs over their untraced final credits as the benchmark's pass
 runs it: ``end_to_end_three`` once to warm up and then once through
-``measure_peak`` (peak under ``WORKLOAD/end_to_end_three``), and
-``attribution_report`` over the benchmark's groups. The digests of the
+``measure_peak`` (peak under ``WORKLOAD/end_to_end_three``), and then
+``attribution_report`` over the benchmark's groups, likewise (peak under
+``WORKLOAD/attribution_report``). The digests of the
 end-to-end credit and of the group totals are printed under
 ``WORKLOAD/credit/end_to_end_three`` and
 ``WORKLOAD/credit/attribution_totals``. After a workload's routings,
@@ -138,7 +139,10 @@ def route_report(seed: int, tiny: bool, block_elements: int | None = None) -> di
         if isinstance(wl, ChainWorkload):
             end_to_end_three(*credits)
             e2e, out[f"{name}/end_to_end_three"] = measure_peak(lambda: end_to_end_three(*credits))
-            totals = attribution_report(e2e, _groups(wl.routings[0].n_inp)).totals
+            groups = _groups(wl.routings[0].n_inp)
+            attribution_report(e2e, groups)
+            report, out[f"{name}/attribution_report"] = measure_peak(lambda: attribution_report(e2e, groups))
+            totals = report.totals
             out[f"{name}/credit/end_to_end_three"] = digest(e2e.array)
             out[f"{name}/credit/attribution_totals"] = digest(totals.array)
         for k, p in enumerate(params):

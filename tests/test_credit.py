@@ -27,6 +27,7 @@ from vecroute import (
     route_reference,
     tensor,
 )
+from vecroute.credit import _SPREAD_CHUNK
 from vecroute.memtrack import measure_peak
 
 from oracles import matmul_loops, normalized_chain_f64, relative_linf, std_all_loops
@@ -254,15 +255,19 @@ class TestEndToEndThree:
     def test_peak_holds_the_product_and_no_wider_or_float64_array(self):
         # 20000 x 64 -> 32 -> 16 multiplies right first. The result is the
         # product, normalized in place; beside it live only the 64 x 16
-        # inner product and the spread pass's chunk. An N x 32 intermediate
-        # or a float64 N x 16 copy would each add twice the product, a
-        # float32 copy once.
+        # float32 inner product (4 KiB), then the spread pass's float64
+        # chunk (64 KiB), and a floor of small objects: the excess over
+        # the product measured 67,032 B, and inner + chunk + 4 KiB bounds
+        # it. An N x 32 intermediate or a float64 N x 16 copy
+        # would each add twice the product (1.28 MB), a float32 copy once,
+        # a second chunk 64 KiB.
         rng = np.random.default_rng(22)
         stages = cm(rng, 20000, 64), cm(rng, 64, 32), cm(rng, 32, 16)
         end_to_end_three(*stages)  # warm-up
         e2e, peak = measure_peak(lambda: end_to_end_three(*stages))
         product = e2e.array.nbytes
-        assert 0 <= peak - product < product // 2
+        inner, chunk, floor = 64 * 16 * 4, _SPREAD_CHUNK * 8, 4096
+        assert 0 <= peak - product < inner + chunk + floor
 
 
 def _full(value, dtype=np.float32):
@@ -340,6 +345,40 @@ class TestAttributionReport:
         assert np.array_equal(as_numpy.totals.array, fwd.totals.array)
         assert as_numpy.groups == fwd.groups and type(as_numpy.groups[1][0]) is int
 
+    def test_peak_holds_the_index_arrays_and_no_python_copy_of_the_groups(self):
+        # 200,000 inputs x 16 outputs in 12,500 groups of 16. The report
+        # needs the members (8 B an input, 1.6 MB), one bool an input for
+        # the cover check (0.2 MB), the float32 totals and one gathered
+        # step of the sums (12,500 x 16 x 4 B = 0.8 MB each), and a few
+        # arrays of one intp a group (at most eight, 0.8 MB): 4.2 MB in
+        # all, an upper bound since the bools are gone before the sums.
+        # Tuples of Python ints alone take about 36 B an input, 7.2 MB.
+        n, m, size = 200_000, 16, 16
+        n_groups = n // size
+        e2e = cm(np.random.default_rng(27), n, m)
+        groups = [range(g, g + size) for g in range(0, n, size)]
+        attribution_report(e2e, groups)  # warm-up
+        report, peak = measure_peak(lambda: attribution_report(e2e, groups))
+        step = n_groups * m * 4
+        assert peak < 8 * n + n + 2 * step + 8 * 8 * n_groups
+
+        # The tuples of ints are built on first read and kept, from lists,
+        # tuples, ranges and numpy integer arrays, and from a one-shot
+        # generator of groups.
+        eager = tuple(tuple(int(i) for i in group) for group in groups)
+        kinds = {
+            "list": [list(group) for group in groups],
+            "tuple": [tuple(group) for group in groups],
+            "range": groups,
+            "int32": [np.asarray(group, np.int32) for group in groups],
+            "generator": (group for group in groups),
+        }
+        for kind, given in kinds.items():
+            built = attribution_report(e2e, given)
+            assert np.array_equal(built.totals.array, report.totals.array), kind
+            assert built.groups == eager and type(built.groups[-1][-1]) is int, kind
+            assert built.groups is built.groups, kind
+
     def test_rejects_non_partitions(self):
         rng = np.random.default_rng(23)
         e2e = cm(rng, 4, 3)
@@ -367,6 +406,7 @@ class TestAttributionReport:
             ([[3], [2, 3, 2], [1]], "input 3 appears in more than one group"),
             ([[0], [2]], "groups do not cover inputs [1, 3]; not a partition"),
             ([[0, 1], [2, 0.5, 9]], "group 1 names input 0.5, not an integer"),
+            ([np.array([0, 1]), [2, 0.5, 3]], "group 1 names input 0.5, not an integer"),
         ],
     )
     def test_names_the_first_fault_of_the_scan(self, groups, message):
