@@ -17,7 +17,8 @@ comparable across networks. Group aggregation then sums end-to-end
 credit over user-chosen partitions of the inputs (tokens, patches,
 regions) and can serialize the result as CSV for plotting; the report
 holds its partition in two index arrays rather than one Python object
-per input, so a million-input report costs megabytes, not tens of them.
+per input, so a million-input report keeps 8 MB of members, not about
+36 MB of tuples of ints.
 """
 
 from __future__ import annotations
@@ -273,47 +274,46 @@ def attribution_report(e2e: CreditMatrix, groups: Iterable[Sequence[int]]) -> At
     ``groups`` must cover every input index exactly once (token, patch,
     or region aggregation). Singleton groups reproduce the matrix;
     a single all-covering group gives column sums. ``groups`` is read
-    once, so a one-shot iterator of groups will do, into the report's
-    ``members`` and ``sizes``; the check and the sums work on those.
-    At 1,000,000 inputs x 16 float32 outputs in groups of 16 the call
-    peaks at 17.6 MiB above its inputs: the members, the totals and one
-    gathered step of the sums.
+    once into the report's ``members`` and ``sizes``, and the check and
+    the sums work on those; a one-shot iterator of groups will do, held
+    as a list of its groups so that a fault can name its place. At
+    1,000,000 inputs x 16 float32 outputs in groups of 16 the call peaks
+    at 20.6 MiB above its inputs: the members, the totals, one gathered
+    step of the sums and the rows it adds into.
     """
     n = e2e.input_arity
+    if not isinstance(groups, Sequence):  # a fault rescans the groups read
+        groups = list(groups)
     counts: list[int] = []
+    iterated: dict[int, tuple] = {}
 
     def read(group):
         try:
             counts.append(len(group))
-        except TypeError:  # an iterator of members
-            group = tuple(group)
+        except TypeError:  # an iterator of members, kept for a fault's rescan
+            group = iterated[len(counts)] = tuple(group)
             counts.append(len(group))
         return map(operator.index, group)
 
     try:
         members = np.fromiter(chain.from_iterable(map(read, groups)), np.intp)
     except (TypeError, OverflowError):  # a member not an integer or too large for any index
-        raise ValueError(_partition_fault(groups, n)) from None
+        read_groups = (iterated.get(g, group) for g, group in enumerate(groups))
+        raise ValueError(_partition_fault(read_groups, n)) from None
     sizes = np.array(counts, np.intp)
-    del counts
+    del counts, iterated
     if not _is_partition(members, sizes, n):
         raise ValueError(_partition_fault(_split(members, sizes), n))
 
     # Every group's total adds its members one by one in the order given,
     # as a per-group sum does, but a step adds the k-th member of every
-    # group longer than k at once. Taken longest first, those groups are
-    # a leading run, so a step adds into a slice of the partial totals in
-    # place, and the steps together gather each input once.
+    # group at once: as many steps as the largest group has members.
     arr = e2e.array
-    order = np.argsort(-sizes, kind="stable")
-    firsts = (np.cumsum(sizes) - sizes)[order]
-    ascending = sizes[order[::-1]]
-    partial = arr[members[firsts]]
-    for k in range(1, int(ascending[-1])):
-        longer = sizes.size - int(np.searchsorted(ascending, k, side="right"))
-        partial[:longer] += arr[members[firsts[:longer] + k]]
-    totals = np.empty_like(partial)
-    totals[order] = partial
+    firsts = np.cumsum(sizes) - sizes
+    totals = arr[members[firsts]]
+    for k in range(1, int(sizes.max())):
+        longer = sizes > k
+        totals[longer] += arr[members[firsts[longer] + k]]
     members.setflags(write=False)
     sizes.setflags(write=False)
     return AttributionReport(members, sizes, DenseTensor(totals, copy=False, context="attribution totals"))
@@ -336,7 +336,7 @@ def _split(members: np.ndarray, sizes: np.ndarray) -> tuple[tuple[int, ...], ...
     return tuple(tuple(islice(scan, size)) for size in sizes.tolist())
 
 
-def _partition_fault(groups: Sequence[Sequence[object]], n: int) -> str:
+def _partition_fault(groups: Iterable[Sequence[object]], n: int) -> str:
     """The first fault of a partition of range(n), in scan order: group by
     group, an empty group before its members, a member that is not an
     integer or is outside the range before a repeat, and a missing input

@@ -347,12 +347,13 @@ class TestAttributionReport:
 
     def test_peak_holds_the_index_arrays_and_no_python_copy_of_the_groups(self):
         # 200,000 inputs x 16 outputs in 12,500 groups of 16. The report
-        # needs the members (8 B an input, 1.6 MB), one bool an input for
-        # the cover check (0.2 MB), the float32 totals and one gathered
-        # step of the sums (12,500 x 16 x 4 B = 0.8 MB each), and a few
-        # arrays of one intp a group (at most eight, 0.8 MB): 4.2 MB in
-        # all, an upper bound since the bools are gone before the sums.
-        # Tuples of Python ints alone take about 36 B an input, 7.2 MB.
+        # needs the members (8 B an input, 1.6 MB), then for the sums the
+        # float32 totals and two step-sized arrays, one gathered step and
+        # the masked rows it adds into (12,500 x 16 x 4 B = 0.8 MB each),
+        # and a few arrays of one intp a group (at most eight, 0.8 MB):
+        # 4.8 MB in all; it measured 4.32 MB. The cover check's bool an
+        # input (0.2 MB) is gone before the sums. Tuples of Python ints
+        # alone take about 36 B an input, 7.2 MB.
         n, m, size = 200_000, 16, 16
         n_groups = n // size
         e2e = cm(np.random.default_rng(27), n, m)
@@ -360,7 +361,7 @@ class TestAttributionReport:
         attribution_report(e2e, groups)  # warm-up
         report, peak = measure_peak(lambda: attribution_report(e2e, groups))
         step = n_groups * m * 4
-        assert peak < 8 * n + n + 2 * step + 8 * 8 * n_groups
+        assert peak < 8 * n + 3 * step + 8 * 8 * n_groups
 
         # The tuples of ints are built on first read and kept, from lists,
         # tuples, ranges and numpy integer arrays, and from a one-shot
@@ -407,6 +408,8 @@ class TestAttributionReport:
             ([[0], [2]], "groups do not cover inputs [1, 3]; not a partition"),
             ([[0, 1], [2, 0.5, 9]], "group 1 names input 0.5, not an integer"),
             ([np.array([0, 1]), [2, 0.5, 3]], "group 1 names input 0.5, not an integer"),
+            (iter([[0, 1], [2, 0.5, 3]]), "group 1 names input 0.5, not an integer"),
+            ([[0, 1], iter([2, 0.5, 3])], "group 1 names input 0.5, not an integer"),
         ],
     )
     def test_names_the_first_fault_of_the_scan(self, groups, message):
