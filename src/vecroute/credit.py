@@ -19,6 +19,13 @@ regions) and can serialize the result as CSV for plotting; the report
 holds its partition in two index arrays rather than one Python object
 per input, so a million-input report keeps 8 MB of members, not about
 36 MB of tuples of ints.
+
+The compositions that multiply (:func:`compose_sequential`,
+:func:`compose_residual` and :func:`end_to_end_three`) run under
+``np.errstate(all="ignore")``, whatever state the caller set: an
+overflow fails the finite check that names the operation, and an
+underflow rounds towards 0, so what they return or raise does not depend
+on ``np.seterr``.
 """
 
 from __future__ import annotations
@@ -102,6 +109,7 @@ def credit_from_trace(trace: RoutingTrace) -> CreditMatrix:
     return CreditMatrix(trace.final_credit)
 
 
+@np.errstate(all="ignore")
 def compose_sequential(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
     """Credit through routing a followed by routing b: the matrix product.
 
@@ -109,8 +117,7 @@ def compose_sequential(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
     bracketing.
     """
     _check_sequential(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = a.array @ b.array
+    product = a.array @ b.array
     return CreditMatrix(DenseTensor(product, copy=False, context="sequential composition"))
 
 
@@ -122,6 +129,7 @@ def _check_sequential(a: CreditMatrix, b: CreditMatrix) -> None:
         )
 
 
+@np.errstate(all="ignore")
 def compose_residual(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
     """Credit through a followed by a residual stage b: a + a.b.
 
@@ -139,8 +147,7 @@ def compose_residual(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
             f"residual composition needs a.output_arity == b.input_arity, "
             f"got {a.output_arity} and {b.input_arity}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a.array + a.array @ b.array
+    out = a.array + a.array @ b.array
     return CreditMatrix(DenseTensor(out, copy=False, context="residual composition"))
 
 
@@ -176,6 +183,7 @@ def compose_concat(a: CreditMatrix, b: CreditMatrix) -> CreditMatrix:
     return CreditMatrix(DenseTensor(out, copy=False))
 
 
+@np.errstate(all="ignore")
 def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> CreditMatrix:
     """Normalized end-to-end credit of a three-stage chain.
 
@@ -199,21 +207,20 @@ def end_to_end_three(c1: CreditMatrix, c2: CreditMatrix, c3: CreditMatrix) -> Cr
     """
     _check_sequential(c1, c2)
     _check_sequential(c2, c3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = c2.array @ c3.array
-        _check_finite(inner, "sequential composition")
-        product = c1.array @ inner
-        del inner
-        _check_finite(product, "sequential composition")
-        sigma = _spread(product.reshape(-1))
-        if sigma < SIGMA_FLOOR:
-            raise DegenerateCreditError(
-                f"end-to-end credit spread {sigma:.3e} is below {SIGMA_FLOOR:.0e}; "
-                "unit-variance normalization is undefined"
-            )
-        if not sigma < np.inf:
-            raise NumericError("non-finite values in end-to-end credit spread")
-        product /= np.asarray(sigma, dtype=product.dtype)
+    inner = c2.array @ c3.array
+    _check_finite(inner, "sequential composition")
+    product = c1.array @ inner
+    del inner
+    _check_finite(product, "sequential composition")
+    sigma = _spread(product.reshape(-1))
+    if sigma < SIGMA_FLOOR:
+        raise DegenerateCreditError(
+            f"end-to-end credit spread {sigma:.3e} is below {SIGMA_FLOOR:.0e}; "
+            "unit-variance normalization is undefined"
+        )
+    if not sigma < np.inf:
+        raise NumericError("non-finite values in end-to-end credit spread")
+    product /= np.asarray(sigma, dtype=product.dtype)
     return CreditMatrix(DenseTensor(product, copy=False, context="end-to-end normalization"))
 
 

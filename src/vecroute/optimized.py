@@ -151,10 +151,7 @@ are finite, and w^T x and Q where the credits they make cancel. An
 iteration whose output update is not finite in the a-form is redone on
 whole credits, and so is every later iteration of the call, the a rows
 then being free for a credit that is not kept; a replay redoes the same
-iteration, since it computes the same output update. The a-form's
-arithmetic, its M-step too, runs with overflow and invalid-operation
-warnings off, since each non-finite value it makes is redone or fails a
-check; so does every layout's iteration 1.
+iteration, since it computes the same output update.
 
 Each workspace slot is overwritten in place once the value it holds is
 dead (the liveness rule of Chen et al., arXiv:1604.06174), with the
@@ -205,13 +202,7 @@ the first later iteration on, Q and q from the gathering pass on, and
 the last M-step runs after the workspace and Q are dropped (with whole
 credits, the weight too; a redo of the a-form needs it). Row sums and
 column totals are BLAS products with a ones vector that lives only
-during a sweep, so no M-step or prediction holds it. They go through
-``np.dot``, which, unlike ``@``, does not turn the floating-point flags
-of the BLAS call into warnings: on finite inputs OpenBLAS's gemv raised
-the invalid flag now and then (``ones @ credit`` warned in 3 of about
-200 test processes), so a warning there says nothing, while every row
-sum and total is a term of its iteration's output update, whose check
-covers it.
+during a sweep, so no M-step or prediction holds it.
 
 The final credit is allocated first. Where the plan keeps the
 activation scores, checked there, then the gates, by the sigma kernel in
@@ -278,7 +269,23 @@ min/max predicate, which picks the fallback, is its check, and the
 replay scans its credit record, so a read can fail where the call did
 not. The next prediction reads the checked output unscanned, and its own
 check covers the normalized rows it is taken from: each normalized value
-is a term of every entry of its predicted row."""
+is a term of every entry of its predicted row.
+
+The router owns its floating-point error state. Its two entry points,
+:func:`route_optimized` and the records' replay, each run under
+``np.errstate(all="ignore")``, and no stage of this module picks a state
+of its own. An overflow or an underflow gives the value IEEE arithmetic
+defines, which the kernels are built for (sigma = 0 where e^(-z)
+overflows, the rescue where a row's sigmas fall below the row-sum
+floor), and a non-finite value is redone or found by the checks above,
+which name its stage, never by a floating-point flag. So what a call
+routes, the records it replays and the NumericError it raises do not
+depend on the state a caller set with ``np.seterr`` or ``np.errstate``,
+and a call emits no RuntimeWarning and raises no FloatingPointError. The
+invalid flag that OpenBLAS's gemv raised now and then on finite inputs
+(``ones @ credit`` warned in 3 of about 200 test processes) is ignored
+with the rest. The public stage functions above and the kernels of
+:mod:`vecroute.tensor` keep the caller's state."""
 
 from __future__ import annotations
 
@@ -684,32 +691,28 @@ class _Blocks:
         d_inp, n_out, n_iters, dtype = self.x.shape[1], self.n_out, self.params.dims.n_iters, self.x.dtype
         a_form = self.plan.a_form and pool
         self.ones = np.ones(max(self.plan.rows, n_out), dtype)
-        # What overflows in the a-form is redone below, or fails a check, and
-        # so does what overflows in iteration 1.
-        errors = "ignore" if a_form or it == 1 else None  # None leaves the caller's state
-        with np.errstate(over=errors, invalid=errors):
-            sums = None
-            if pool:
-                credit_total = np.zeros(n_out, dtype) if a_form and rec.get("credit") is not None else None
-                if a_form:  # the blocks add sum_i w_i x_i^T to -Q, in Q's memory once it is dead
-                    if self.ignore_sums is None:
-                        self.gather_a_form()
-                    last = it == n_iters
-                    sums = tuple(np.negative(q, out=q if last else None) for q in self.ignore_sums)
-                else:
-                    sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-                sums += (credit_total,)
-            for blk in self.blocks:
-                self.route_block(rec, it, blk, sums)
-            self.ones = None
-            if not pool:
-                return None
-            pooled, total, credit_total = sums
-            if it == n_iters:  # dead: the last M-step's peak holds none of them
-                self.work = self.ignore_sums = None
-                if not a_form:  # a redo of the a-form needs it
-                    self.weight = None
-            x_out = _finish_m_step(pooled, total, self.scale, self.params)
+        sums = None
+        if pool:
+            credit_total = np.zeros(n_out, dtype) if a_form and rec.get("credit") is not None else None
+            if a_form:  # the blocks add sum_i w_i x_i^T to -Q, in Q's memory once it is dead
+                if self.ignore_sums is None:
+                    self.gather_a_form()
+                last = it == n_iters
+                sums = tuple(np.negative(q, out=q if last else None) for q in self.ignore_sums)
+            else:
+                sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
+            sums += (credit_total,)
+        for blk in self.blocks:
+            self.route_block(rec, it, blk, sums)
+        self.ones = None
+        if not pool:
+            return None
+        pooled, total, credit_total = sums
+        if it == n_iters:  # dead: the last M-step's peak holds none of them
+            self.work = self.ignore_sums = None
+            if not a_form:  # a redo of the a-form needs it
+                self.weight = None
+        x_out = _finish_m_step(pooled, total, self.scale, self.params)
         try:  # every pooled sum and total is a term of the output update
             _check_finite(x_out, "output update", it)
         except NumericError:
@@ -904,9 +907,7 @@ class _VariableBlocks(_Blocks):
         p = self.params
         self.gain = p.score_gain.array
         self.bias = np.concatenate([p.beta_use_bias.array, p.beta_ign_bias.array, -p.score_bias.array])
-        # Overflow here surfaces as a non-finite iteration 1.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.first = _first_iteration_weights(p)
+        self.first = _first_iteration_weights(p)  # an overflow makes iteration 1 non-finite
 
     @staticmethod
     def block(buffer: np.ndarray, n: int, cols: int) -> np.ndarray:
@@ -930,10 +931,9 @@ class _VariableBlocks(_Blocks):
             return super().sweep(rec, it, pool)
         x_out = None
         if self.plan.closed_form:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite output is redone on the blocks
-                x_out = _finish_m_step(
-                    *_closed_form_sums(self.x, self.gates, self.work, self.first), self.scale, self.params
-                )
+            x_out = _finish_m_step(
+                *_closed_form_sums(self.x, self.gates, self.work, self.first), self.scale, self.params
+            )
         if x_out is None or not _all_finite(x_out):
             x_out = super().sweep(rec, it)
         elif rec.get("credit") is not None:
@@ -1033,6 +1033,7 @@ def _plan(dims: RoutingDims, n_inp: int) -> _Plan:
     return _Plan(_FixedBlocks, rows, rows * n_out, a_form=n_out > 1, closed_form=False)
 
 
+@np.errstate(all="ignore")
 def route_optimized(
     x_inp,
     params: RoutingParams,
@@ -1063,7 +1064,12 @@ def route_optimized(
     record's output is the returned output. From then on they hold
     O(n_iters * n_inp * n_out) memory. The records but the final credit
     are views of a few allocations shared when they are built, so one
-    kept after its trace is dropped keeps its allocation alive.
+    kept after its trace is dropped keeps its allocation alive. The call,
+    and the records' first read, run under ``np.errstate(all="ignore")``
+    whatever state the caller set: a non-finite stage raises the
+    :class:`NumericError` that names it, never a RuntimeWarning or a
+    FloatingPointError, and the outputs and records do not depend on the
+    caller's ``np.seterr``.
     """
     x = _float_array(x_inp)  # its values are checked through the activations
     if x.ndim != 2:
@@ -1090,9 +1096,7 @@ def route_optimized(
     in_tail = dims.variable_length and not capture_trace
     raw = final_credit.reshape(-1)[-n_inp:] if in_tail else np.empty(n_inp, dtype)
     try:
-        # inf * 0 is NaN without a warning here: the check below names it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            _activation_scores_into(x, params, raw)
+        _activation_scores_into(x, params, raw)
         _check_finite(raw, "activations")
     except NumericError:
         _check_finite(x, "x_inp")  # a non-finite input is named first
@@ -1178,6 +1182,7 @@ class _Records(Sequence):
         return self._built[index]
 
 
+@np.errstate(all="ignore")
 def _replay(
     x: np.ndarray,
     params: RoutingParams,
@@ -1222,10 +1227,7 @@ def _replay(
     # ignored shares, which only that iteration writes.
     kernel = plan.kernel(params, x, gates, plan, kept[-1]["share_ignored"])
     kept[0]["routing"].fill(kernel.prior)  # iteration 1 routes by the flat prior
-    # What the blocks overflow, the call overflowed first, under the
-    # caller's error state; the replay repeats no warning.
-    with np.errstate(all="ignore"):
-        _iterate(kernel, kept, output.array)
+    _iterate(kernel, kept, output.array)
     # Adopted unscanned: bitwise the values the call proved finite (the
     # module docstring says how), and iteration 1's closed-form credit was
     # scanned by its kernel.

@@ -290,11 +290,42 @@ def _diagonal(top, dtype=np.float64):
     ],
     ids=["sequential", "residual", "end_to_end_product", "end_to_end_spread"],
 )
-def test_overflow_names_the_operation(operation, operands, stage):
-    # Under pytest's error::RuntimeWarning filter an unguarded overflow
-    # would surface as a warning instead of the named NumericError.
-    with pytest.raises(NumericError, match=f"^non-finite values in {stage}$"):
+@pytest.mark.parametrize("state", ["warn", "raise"])
+def test_overflow_names_the_operation(operation, operands, stage, state):
+    # Under pytest's error::RuntimeWarning filter an overflow the operation
+    # did not own would surface as a warning, and under a raise state as a
+    # FloatingPointError, instead of the named NumericError.
+    with np.errstate(all=state), pytest.raises(NumericError, match=f"^non-finite values in {stage}$"):
         operation(*operands)
+
+
+@pytest.mark.parametrize(
+    "operation, arity",
+    [(compose_sequential, 2), (compose_residual, 2), (end_to_end_three, 3)],
+    ids=["sequential", "residual", "end_to_end"],
+)
+@pytest.mark.parametrize("state", ["warn", "raise"])
+def test_underflow_gives_the_default_states_result(operation, arity, state):
+    # Credits of scale 1e-20 multiply to 1e-40, below float32's smallest
+    # normal: numpy's default state ignores the underflow, and a caller's
+    # raise state would raise FloatingPointError in the matmul. The
+    # compositions keep their own state, so they return the same bits, or
+    # raise the same DegenerateCreditError: the three-stage product
+    # underflows to 0, whose spread is below the floor.
+    rng = np.random.default_rng(26)
+    operands = [CreditMatrix(tensor(rng.standard_normal((3, 3)) * 1e-20, np.float32)) for _ in range(arity)]
+
+    def outcome():
+        try:
+            return operation(*operands).array
+        except DegenerateCreditError as err:
+            return str(err)
+
+    want = outcome()
+    with np.errstate(all=state):
+        got = outcome()
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else np.array_equal(got, want)
 
 
 class TestAttributionReport:

@@ -6,6 +6,10 @@ ten, routed at a block size drawn from {1, 7, 64, the default}, so that
 many blocks, ragged last blocks and both places a block's pooled product
 can live are covered. A share of the cases is traced, and then every
 iteration record of the replay is compared with the reference's too.
+The optimized router, its records' first read too, runs under numpy's
+``all="raise"`` error state and the reference under ``all="ignore"``: the
+optimized router keeps its own error state, so a case in which the
+caller's state reached it would fail with a FloatingPointError.
 Every case falls into one outcome class, and each class has one rule:
 
 - both finite: within criterion 1's tolerances, outputs and records.
@@ -141,9 +145,10 @@ def scaled_case(rng: np.random.Generator):
         return None
 
 
-def routed(route):
-    """(output, trace) of ``route()``, or the message of its NumericError."""
-    with np.errstate(all="ignore"):
+def routed(route, state: str):
+    """(output, trace) of ``route()`` under numpy's error state ``state``
+    for all flags, or the message of its NumericError."""
+    with np.errstate(all=state):
         try:
             return route()
         except NumericError as err:
@@ -151,7 +156,16 @@ def routed(route):
 
 
 def optimized_routing(params, x, traced: bool):
-    return routed(lambda: route_optimized(x, params, traced))
+    """The optimized router's (output, trace), or its message, under a
+    raise state: the router keeps its own error state, so a caller's
+    changes nothing, in the call and in the first read of its records."""
+
+    def route():
+        out, trace = route_optimized(x, params, traced)
+        trace.iterations[:1]  # the records' first read builds them all
+        return out, trace
+
+    return routed(route, "raise")
 
 
 def reference_routing(params, x, traced: bool):
@@ -159,7 +173,7 @@ def reference_routing(params, x, traced: bool):
         nets, betas = as_plugins(x, params)
         return route_reference(x, nets, betas, params.dims, traced)
 
-    return routed(route)
+    return routed(route, "ignore")
 
 
 def stage(message: str) -> str:

@@ -581,6 +581,34 @@ class TestBlockedLoop:
             assert trace_on.final_credit is trace_on.iterations[-1].credit
             assert_share_laws(trace_on)
 
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    def test_routing_does_not_depend_on_the_callers_error_state(self, mode):
+        # A score gain of 1e3 puts z past 87 for about half the pairs of
+        # each block, and there e^(-z) underflows in the sigma kernel: numpy's
+        # default state ignores the underflow, and a caller's all="raise"
+        # would raise FloatingPointError in exp. The router keeps its own
+        # state, so under all="raise" it routes as under the default, bit for
+        # bit: the output, the final credit and every record of the first
+        # read, which runs under that state too.
+        rng = np.random.default_rng(66)
+        dims, params, x, _ = multi_block_instance(rng, mode)
+        params = replaced(params, dims, score_gain=params.score_gain.array * np.float32(1e3))
+
+        def routed(capture_trace):
+            out, trace = route_optimized(x, params, capture_trace=capture_trace)
+            arrays = [out, trace.final_credit]
+            for record in trace.iterations:
+                arrays += [getattr(record, f.name) for f in dataclasses.fields(record)]
+            return [None if a is None else a.array for a in arrays]
+
+        for capture_trace in (False, True):
+            default = routed(capture_trace)
+            with np.errstate(all="raise"):
+                raised = routed(capture_trace)
+            assert len(raised) == len(default) == (2 + 7 * dims.n_iters if capture_trace else 2)
+            for got, want in zip(raised, default):
+                assert (got is None and want is None) or np.array_equal(got, want), capture_trace
+
     def test_score_error_in_last_ragged_block_names_iteration(self):
         # Only the last block's score tables overflow: gain * inner + bias
         # reaches -inf wherever the inner product is below about -0.13.
@@ -592,7 +620,7 @@ class TestBlockedLoop:
         gain[last] = 3e38
         bias[last] = -3e38
         bad = replaced(params, dims, score_gain=gain, score_bias=bias)
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="score at iteration 2"):
+        with pytest.raises(NumericError, match="score at iteration 2"):
             route_optimized(x, bad)
 
     @pytest.mark.parametrize("which", ["beta_use", "beta_ign"])
@@ -602,11 +630,10 @@ class TestBlockedLoop:
         x[: 2 * rows] *= np.float32(1e-3)  # the first two blocks stay finite
         weight = np.full((dims.d_inp, dims.n_out), 3e38, np.float32)
         bad = replaced(params, dims, **{f"{which}_weight": weight})
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericError, match=f"{which} coefficients"):
-                route_optimized(x, bad)
-            with pytest.raises(NumericError, match=f"{which} coefficients"):
-                beta_pair_for(x, bad)
+        with pytest.raises(NumericError, match=f"{which} coefficients"):
+            route_optimized(x, bad)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"{which} coefficients"):
+            beta_pair_for(x, bad)
 
     @pytest.mark.parametrize("mode", ["fixed", "variable"])
     @pytest.mark.parametrize("d, n_out", [(16, 64), (64, 16)], ids=["closed_form_shape", "block_path_shape"])
@@ -724,7 +751,7 @@ class TestBlockedLoop:
         x[: 2 * rows] *= np.float32(1e-3)  # the first two blocks stay finite
         weight = np.full((dims.d_inp, dims.n_out), 3e38, np.float32)
         bad = replaced(params, dims, **{f"{which}_weight": weight})
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"{which} coefficients"):
+        with pytest.raises(NumericError, match=f"{which} coefficients"):
             route_optimized(x, bad)
 
     def test_direct_iterations_match_the_float64_reference(self):
@@ -793,9 +820,8 @@ class TestBlockedLoop:
         weight[0] = 1e38
         bad = replaced(params, dims, act_weight=act, **{f"{which}_weight": weight})
         for capture_trace in (False, True):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(NumericError, match=f"{which} coefficients"):
-                    route_optimized(x, bad, capture_trace=capture_trace)
+            with pytest.raises(NumericError, match=f"{which} coefficients"):
+                route_optimized(x, bad, capture_trace=capture_trace)
         assert np.all(logistic(activation_scores(x, bad))[hit] == 0.0)
 
     def test_closed_form_first_iteration_matches_direct_sums(self):
@@ -837,13 +863,12 @@ class TestBlockedLoop:
         both = replaced(
             params, dims, score_gain=gain, score_bias=bias, beta_use_weight=use, beta_ign_weight=ign
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="score at iteration 2"):
-                route_optimized(x, scores_only)
-            with pytest.raises(NumericError, match="beta_use coefficients"):
-                route_optimized(x, both)
-            with pytest.raises(NumericError, match="beta_use coefficients"):
-                route_optimized(x, both, capture_trace=True)
+        with pytest.raises(NumericError, match="score at iteration 2"):
+            route_optimized(x, scores_only)
+        with pytest.raises(NumericError, match="beta_use coefficients"):
+            route_optimized(x, both)
+        with pytest.raises(NumericError, match="beta_use coefficients"):
+            route_optimized(x, both, capture_trace=True)
 
     def test_gram_overflow_falls_back_to_the_direct_sums(self):
         rng = np.random.default_rng(36)
@@ -1038,9 +1063,7 @@ class TestBlockedLoop:
         x[:, 0] = 0.0
         x[rows : 2 * rows, 0] = 1e10
         for capture_trace in (False, True):
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericError, match="score at iteration 2"
-            ):
+            with pytest.raises(NumericError, match="score at iteration 2"):
                 route_optimized(x, params, capture_trace=capture_trace)
 
     @pytest.mark.parametrize("mode", ["fixed", "variable"])
@@ -1072,8 +1095,7 @@ class TestBlockedLoop:
             xx = x.astype(dtype)
             xx[2 * rows :, 0] = shift / big
             neg_zs.clear()
-            with np.errstate(over="ignore"):
-                _, trace = route_optimized(xx, p, capture_trace=True)
+            _, trace = route_optimized(xx, p, capture_trace=True)
             later = trace.iterations[1:]
             assert len(neg_zs) == 3 * len(later), dtype
             eps = np.finfo(dtype).eps
@@ -1210,9 +1232,7 @@ class TestBlockedLoop:
         big = np.full((dims.n_inp, dims.n_out), 3e38, np.float32)
         bad = replaced(params, dims, beta_use=big, beta_ign=big if later else -big)
         for capture_trace in (False, True):
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericError, match=f"non-finite values in output update at iteration {1 + later}$"
-            ):
+            with pytest.raises(NumericError, match=f"non-finite values in output update at iteration {1 + later}$"):
                 route_optimized(x, bad, capture_trace=capture_trace)
 
     def test_closed_form_coefficient_overflow_names_the_coefficients_traced_or_not(self):
@@ -1232,11 +1252,10 @@ class TestBlockedLoop:
             },
         )
         x = np.full((1, 1), 2.0, np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="beta_use coefficients"):
-                route_optimized(x, params, capture_trace=True)
-            with pytest.raises(NumericError, match="beta_use coefficients"):
-                route_optimized(x, params)
+        with pytest.raises(NumericError, match="beta_use coefficients"):
+            route_optimized(x, params, capture_trace=True)
+        with pytest.raises(NumericError, match="beta_use coefficients"):
+            route_optimized(x, params)
 
     def test_closed_form_first_credit_record_fails_when_read(self):
         # A traced call routes as the untraced one and fails only where it
@@ -1586,14 +1605,18 @@ def nonfinite_instance(mode, first, dtype, monkeypatch):
 
 
 def raised_message(x, params):
-    """route_optimized's NumericError message, the same with the trace off and on."""
-    messages = []
-    for capture_trace in (False, True):
-        with pytest.raises(NumericError) as raised:
-            route_optimized(x, params, capture_trace=capture_trace)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
-    return messages[0]
+    """route_optimized's NumericError message, the same with the trace off
+    and on, under numpy's warn and raise error states alike: the router
+    keeps its own, so the caller's neither warns (a RuntimeWarning fails
+    the suite), raises a FloatingPointError nor changes the message."""
+    messages = set()
+    for state in ("warn", "raise"):
+        for capture_trace in (False, True):
+            with np.errstate(all=state), pytest.raises(NumericError) as raised:
+                route_optimized(x, params, capture_trace=capture_trace)
+            messages.add(str(raised.value))
+    (message,) = messages
+    return message
 
 
 def full(params, name, value):
@@ -1666,8 +1689,7 @@ class TestNonFiniteStages:
         dims, params, x = nonfinite_instance(mode, first, dtype, monkeypatch)
         big = np.finfo(dtype).max
         bad = replaced(params, dims, **overrides(params, x, big))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert raised_message(x, bad) == f"non-finite values in {message}"
+        assert raised_message(x, bad) == f"non-finite values in {message}"
 
 
 @pytest.mark.parametrize("mode", ["fixed", "variable"])
@@ -1689,8 +1711,7 @@ def test_overflowing_normalization_fails_the_prediction_check(mode):
     }
     params = init_params(dims, seed=0, overrides=overrides)
     x = np.random.default_rng(53).standard_normal((n, n), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert raised_message(x, params) == "non-finite values in predict at iteration 2"
+    assert raised_message(x, params) == "non-finite values in predict at iteration 2"
 
 
 @pytest.mark.parametrize("first", NONFINITE_SHAPES)
