@@ -19,18 +19,18 @@ row: the use/ignore coefficients, the agreement score, the routing over
 outputs, the shares and the credit. :func:`route_optimized` therefore
 runs each iteration over blocks of input rows. A block computes its
 stages in place in a workspace of one or three block-sized slots, checks
-them for non-finite values once, and adds its ``credit.T @ x`` (in the
-fixed layout ``w.T @ x`` of the a-form below) and its column totals into
-the output-sized partials that the M-step finishes once per iteration;
-the n_out x d_inp product goes into workspace the block has left dead,
-where it fits (below). With the trace off the only routing-pair-sized
-(n_inp * n_out) array is the returned final credit. Beside it the
-activation scores, then the gates, take one input-sized (n_inp) array or
-the credit's unwritten tail. Everything else is block-sized or
-output-sized (n_out * max(d_inp, d_out)). The public stage functions
-(:func:`activation_scores`, :func:`beta_pair_for`, :func:`predict_inputs`,
-:func:`score_predictions`, :func:`m_step_factored`) still take and return
-whole arrays; :func:`as_plugins` hands them to the reference router.
+them for non-finite values once, and adds its ``credit.T @ x`` and its
+column totals into the output-sized partials that the M-step finishes
+once per iteration; the n_out x d_inp product goes into workspace the
+block has left dead, where it fits (below). With the trace off the only
+routing-pair-sized (n_inp * n_out) array is the returned final credit.
+Beside it the activation scores, then the gates, take one input-sized
+(n_inp) array or the credit's unwritten tail. Everything else is
+block-sized or output-sized (n_out * max(d_inp, d_out)). The public
+stage functions (:func:`activation_scores`, :func:`beta_pair_for`,
+:func:`predict_inputs`, :func:`score_predictions`,
+:func:`m_step_factored`) still take and return whole arrays;
+:func:`as_plugins` hands them to the reference router.
 
 Two parameter layouts are supported. Fixed-length mode keys activation,
 score, and use/ignore coefficients by input position, so n_inp is baked
@@ -54,21 +54,19 @@ runs even when n_out is small. A block computes its shares in its
 workspace, and a record that keeps them takes a copy of its rows. Only a
 row-major block computes its credit in place, in the rows of a kept
 credit, which is row-major too; an output-major block computes it in a
-slot and copies it in. A fixed-layout call keeps a = bu + bi of the
-a-form in the final credit's rows until its last iteration writes its
-credit there; in a replay (below) each iteration writes the rows of its
-own credit record.
+slot and copies it in. A fixed-layout call computes each earlier
+iteration's credit in the final credit's rows too, which its last
+iteration overwrites; in a replay (below) each iteration writes the rows
+of its own credit record.
 
 Iteration 1 routes every input to every output with the flat prior
 p = 1/n_out: its used shares are the column g * p and its ignored shares
 g - g * p. In the fixed layout it is the flat-prior case of a later
-block, whose tails (below) take that column for sigma * g / S: the
-a-form's w = a * (g * p), or, once the a-form is given up or with one
-output, the whole credit bu * (g * p) - bi * (g - g * p), the
-reference's products in the reference's order. Each product is taken
-separately, so that credit is finite wherever the coefficients are, but
-for rounding at the top of the range. The variable kernel takes its
-iteration 1 itself. There the
+block, whose tail (below) takes that column for sigma * g / S: the
+credit bu * (g * p) - bi * (g - g * p), the reference's products in the
+reference's order. Each product is taken separately, so that credit is
+finite wherever the coefficients are, but for rounding at the top of
+the range. The variable kernel takes its iteration 1 itself. There the
 credit g_i * (p * bu_ij - (1 - p) * bi_ij) is linear in the input,
 credit[i, j] = g_i * (x_i . w1_j + c1_j), with w1 = p * W_use
 - (1 - p) * W_ign and c1 = p * b_use - (1 - p) * b_ign, the same formula
@@ -110,7 +108,7 @@ rescued rows, with S_i = 1. Below that floor log sigma(z) rounds to z,
 so the rescue is the softmax of the scores, at full precision. The
 floor is a property of the dtype, not a setting. A trace records
 log sigma(z) as the scores and sigma / S as the routing; the outputs do
-not depend on whether it is on. One output routes by the plan's rule.
+not depend on whether it is on. One output routes exactly (``shares``).
 
 Sigma overwrites -z, so the rescue reads a copy of the rows it may
 need, taken first. Let T = log(eps / tiny) - 1 in the working dtype
@@ -121,45 +119,13 @@ stays above the floor. The block's max of -z, which its finite check
 takes anyway, decides: at or below T nothing is copied; above it the
 rows whose every -z exceeds T are, a superset of the rescued rows.
 
-Where the plan says so, the fixed layout's iterations pool the a-form,
-where the ignore half leaves the loop. With r_i = g_i / S_i and
-a = bu + bi, used = sigma * r and ignored = g - used give
-credit_ij = used_ij a_ij - g_i bi_ij, so with w = used * a
-
-    pooled = w^T x - Q,    total = w^T 1 - q,
-    Q = sum_i g_i bi_i x_i^T,    q = sum_i g_i bi_i,
-
-where Q and q are the same in every iteration of a call. The first sweep
-of the a-form opens with one gathering pass over the blocks: it writes a
-into rows that are scratch until the last iteration writes its credit
-there (the final credit's in a call; in a replay, the last iteration's
-ignored shares, which only that iteration writes), and sums g * bi into
-Q and q. Every iteration's sums then start at -Q (in the last iteration,
-in Q's own memory), and each block adds its w^T x and w^T 1 to them.
-Iteration 1's w is a * (g * p). A later block computes sigma and its row
-sums, then used = sigma * r and w = used * a, two pair-sized passes
-where the whole credit takes five (used, bu * used, ignored,
-bi * ignored, the difference). A block computes a credit only to keep
-it, w - g * bi: the call's last iteration, or a replay's record. So
-iteration k's output does not depend on how many iterations follow it,
-and record k of a longer routing is, bit for bit, the output of a
-k-iteration one. Q costs one more pooling matmul, in the gathering pass,
-so every fixed-layout routing, one of two iterations too, pays it once;
-each iteration saves three pair-sized passes. The a-form's sums can
-overflow where the credit's do not: a = bu + bi where both coefficients
-are finite, and w^T x and Q where the credits they make cancel. An
-iteration whose output update is not finite in the a-form is redone on
-whole credits, and so is every later iteration of the call, the a rows
-then being free for a credit that is not kept; a replay redoes the same
-iteration, since it computes the same output update.
-
 Each workspace slot is overwritten in place once the value it holds is
 dead (the liveness rule of Chen et al., arXiv:1604.06174), with the
-trace on or off. A later block of whole credits computes, in this
-order, used = sigma * g / S, the credit product bu * used,
-ignored = g - used and bi * ignored. Used, ignored and bi * ignored each
-overwrite the value before them in sigma's slot, so one order serves
-both slot tables. The variable layout needs three block-sized arrays:
+trace on or off. A later block computes, in this order,
+used = sigma * g / S, the credit product bu * used, ignored = g - used
+and bi * ignored. Used, ignored and bi * ignored each overwrite the
+value before them in sigma's slot, so one order serves both slot
+tables. The variable layout needs three block-sized arrays:
 
     slot 0: bu, then the credit (bu * used, then minus bi * ignored)
     slot 1: bi
@@ -168,26 +134,20 @@ both slot tables. The variable layout needs three block-sized arrays:
 
 The linear form of iteration 1 computes its credit in slot 0 and its
 pooled product in slots 1-2. The fixed layout's tables stand in for bu
-and bi, a lives in rows of its own (above) and its credit is computed in
-the rows of a kept credit (after the a-form is given up, in the a rows
-when none is kept), so it needs one:
+and bi, and its credit is computed in the rows of a kept credit, or of
+the final credit (above), so it needs one:
 
-    gathering:    slot 0: g * bi
-    iteration 1:  slot 0: w; given up, bi * (g - g * p), then the
-                          pooled product
-    later:        slot 0: -z, then sigma, the used shares and w; given
-                          up, the used and the ignored shares,
-                          bi * ignored, then the pooled product
+    iteration 1:  slot 0: bi * (g - g * p), then the pooled product
+    later:        slot 0: -z, then sigma, the used and the ignored
+                          shares, bi * ignored, then the pooled product
 
 A block's n_out x d_inp product goes into the workspace behind the
 values that it pools, dead by then, where it fits: past slot 0's run
 when those values are slot 0's, the whole workspace when they lie in the
 rows of a credit. So the variable layout pools into its slots 1-2 once
-d_inp <= 2 * rows, and a whole fixed-layout credit into the one slot
-once d_inp <= rows. w and g * bi fill the fixed layout's only slot, so
-a full block of the a-form or of the gathering pass pools into a fresh
-product; so does any block whose product does not fit. The same BLAS
-call writes the same bytes into either.
+d_inp <= 2 * rows, and the fixed layout into its one slot once
+d_inp <= rows; a block whose product does not fit pools into a fresh
+one. The same BLAS call writes the same bytes into either.
 
 The workspace is one flat array, and slot k of an n-row block is its
 k-th run of n * n_out elements. So column group k of the variable
@@ -198,29 +158,28 @@ computed, so the ignored shares take the used shares' slot traced too.
 Iteration 1's shares are columns of n elements beside the slots, which a
 replay's blocks copy into their records; the variable layout's linear
 form computes only its credit, in slot 0. The fused weight exists from
-the first later iteration on, Q and q from the gathering pass on, and
-the last M-step runs after the workspace and Q are dropped (with whole
-credits, the weight too; a redo of the a-form needs it). Row sums and
-column totals are BLAS products with a ones vector that lives only
-during a sweep, so no M-step or prediction holds it.
+the first later iteration on, and the last M-step runs after the
+workspace and the weight are dropped. Row sums and column totals are
+BLAS products with a ones vector that lives only during a sweep, so no
+M-step or prediction holds it.
 
 The final credit is allocated first. Where the plan keeps the
 activation scores, checked there, then the gates, by the sigma kernel in
 place, in its last n_inp elements, gate i sits at flat index
-n_inp * n_out - n_inp + i. Only the last iteration, never the first,
-writes that final credit, and a block writing rows [s, e) touches flat
-indices below e * n_out <= n_inp * n_out - n_inp + e, so it never
-overwrites a later row's gate. It may overwrite its own, but only
-in its last step, which copies its credit in from slot 0 after its last
-read of those gates; so a block reads its gates where they lie. When
-n_out is 1, the tail is the whole credit.
+n_inp * n_out - n_inp + i. In that layout only the last iteration,
+never the first, writes the final credit, and a block writing rows
+[s, e) touches flat indices below e * n_out <= n_inp * n_out - n_inp + e,
+so it never overwrites a later row's gate. It may overwrite its own, but
+only in its last step, which copies its credit in from slot 0 after its
+last read of those gates; so a block reads its gates where they lie.
+When n_out is 1, the tail is the whole credit.
 
 A traced call routes as an untraced one, on the same sweep, from the
 caller's array, and fails where it does. It keeps only what its records
 cannot be recomputed without: a private copy of the input, the
 activation scores and gates, the call's plan, the final credit and the
 returned output; no iteration's prediction or output. It copies the
-input once the loop has returned, when the workspace, the weight and Q
+input once the loop has returned, when the workspace and the weight
 are gone, so the copy does not add to the loop's peak, and a call that
 fails copies nothing. An input routed from a compact copy (the plan's
 rule) is the exception: the trace keeps that copy for its replay. The
@@ -232,9 +191,7 @@ every record once: it reruns the call's iteration loop, the same code on
 the same inputs by the same plan, so each block and each M-step computes
 the call's values bit for bit, and each block writes its rows of the
 records. A closed-form iteration 1 reruns the closed form for its output
-and its blocks for its records, and scans its credit record. A replay's
-block of the a-form writes its shares into their records, pools w as
-the call did, and writes w - g * bi into its credit record. The last
+and its blocks for its records, and scans its credit record. The last
 iteration pools nothing and computes no credit: its credit record is
 the final credit, and its output is the call's. The sigma kernel writes
 e^(-z) into the scores record and sigma from there over -z, then turns
@@ -254,16 +211,10 @@ input i's activation score, so the activations check covers the input,
 and x_inp is scanned only once that check fails, to name the input.
 Routing, shares and scores are finite by construction (sigma <= 1,
 S_i >= tiny / eps, gates in [0, 1], a rescued row is the softmax of a
-finite z). Every whole credit that a block pools, which each credit
-record replays bit for bit, feeds total_j and so, through
+finite z). Every credit that a block pools, the call's final credit
+and each credit record of the replay too, feeds total_j and so, through
 total_j * vote_bias_j, every entry of output row j, so the iteration's
-output update check fails first on a non-finite one. So does each a-form
-sum, w^T x - Q and w^T 1 - q, and there the check redoes the iteration
-(above). A credit of the a-form is not the array that was pooled, so the
-call checks its final credit, and the replay each credit record of the
-a-form, through their column totals: a fresh n_out vector, non-finite
-where the credit is or where its sum over the inputs overflows, and
-sharing memory with no other checked array. The closed form's
+output update check fails first on a non-finite one. The closed form's
 iteration 1 pools no block: its output's own finite test, the checks'
 min/max predicate, which picks the fallback, is its check, and the
 replay scans its credit record, so a read can fail where the call did
@@ -642,24 +593,23 @@ class _Blocks:
     A layout's kernel (``_FixedBlocks``, ``_VariableBlocks``) adds the
     block orientation, a block's coefficients and scores, the
     coefficients' finite check and its iteration 1: the fixed kernel's
-    blocks take the shared tails on the flat prior's shares, the variable
+    blocks take the shared tail on the flat prior's shares, the variable
     kernel's take a form of their own. A kernel reads its decisions from
-    the call's ``plan``, and replaces it by one without the a-form for the
-    rest of a call once an a-form output update is not finite. ``a_rows``,
-    rows of the last iteration's record, hold a row-major kernel's a and
-    a whole credit that it does not keep. Every class of the hierarchy
+    the call's ``plan``. ``spare``, the final credit in a call (None in a
+    replay, which keeps every credit it computes), holds a credit that a
+    row-major kernel does not keep. Every class of the hierarchy
     declares ``__slots__``: each call builds a kernel, and with an
     instance ``__dict__`` the call's peak fell by 8 B a call over its
     first 14 or so calls (:mod:`vecroute.memtrack`).
     """
 
     __slots__ = ("n_out", "params", "x", "gates", "plan", "blocks", "prior", "scale", "ones", "work",
-                 "row_sum_floor", "near_floor", "weight", "ignore_sums", "a_rows", "gain", "bias")
+                 "row_sum_floor", "near_floor", "weight", "spare", "gain", "bias")
 
-    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, plan: _Plan, a_rows: np.ndarray):
+    def __init__(self, params: RoutingParams, x: np.ndarray, gates: np.ndarray, plan: _Plan, spare: np.ndarray | None):
         n_inp, dtype, rows = x.shape[0], params.dtype, plan.rows
         self.n_out = params.dims.n_out
-        self.params, self.x, self.gates, self.plan, self.a_rows = params, x, gates, plan, a_rows
+        self.params, self.x, self.gates, self.plan, self.spare = params, x, gates, plan, spare
         self.blocks = [slice(i, min(i + rows, n_inp)) for i in range(0, n_inp, rows)]
         self.prior = dtype.type(1.0 / self.n_out)
         self.scale = _scale(n_inp, dtype)
@@ -672,7 +622,6 @@ class _Blocks:
         self.row_sum_floor = tiny / eps
         self.near_floor = dtype.type(np.log(eps / tiny) - 1.0)  # T of the module docstring
         self.weight = None  # the fused weight, from the first later iteration on
-        self.ignore_sums = None  # (Q, q) of the a-form, from its first sweep on
 
     def score_against(self, predicted: np.ndarray) -> None:
         """Write -predicted^T into the fused weight's score columns,
@@ -684,46 +633,19 @@ class _Blocks:
     def sweep(self, rec: dict, it: int, pool: bool = True) -> np.ndarray | None:
         """One iteration over the blocks, writing their rows of the arrays
         in ``rec``. With ``pool``, they add up their pooled sums, and it
-        returns the iteration's output update, checked. An iteration of the
-        a-form whose output update is not finite is redone, like every later
-        one, on whole credits; a credit that it keeps is checked through its
-        column totals."""
-        d_inp, n_out, n_iters, dtype = self.x.shape[1], self.n_out, self.params.dims.n_iters, self.x.dtype
-        a_form = self.plan.a_form and pool
+        returns the iteration's output update, checked."""
+        d_inp, n_out, dtype = self.x.shape[1], self.n_out, self.x.dtype
         self.ones = np.ones(max(self.plan.rows, n_out), dtype)
-        sums = None
-        if pool:
-            credit_total = np.zeros(n_out, dtype) if a_form and rec.get("credit") is not None else None
-            if a_form:  # the blocks add sum_i w_i x_i^T to -Q, in Q's memory once it is dead
-                if self.ignore_sums is None:
-                    self.gather_a_form()
-                last = it == n_iters
-                sums = tuple(np.negative(q, out=q if last else None) for q in self.ignore_sums)
-            else:
-                sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-            sums += (credit_total,)
+        sums = (np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)) if pool else None
         for blk in self.blocks:
             self.route_block(rec, it, blk, sums)
         self.ones = None
         if not pool:
             return None
-        pooled, total, credit_total = sums
-        if it == n_iters:  # dead: the last M-step's peak holds none of them
-            self.work = self.ignore_sums = None
-            if not a_form:  # a redo of the a-form needs it
-                self.weight = None
-        x_out = _finish_m_step(pooled, total, self.scale, self.params)
-        try:  # every pooled sum and total is a term of the output update
-            _check_finite(x_out, "output update", it)
-        except NumericError:
-            if not a_form:
-                raise
-            self.plan, self.ignore_sums = self.plan._replace(a_form=False), None
-            if self.work is None:  # dropped for the last M-step
-                self.work = np.empty(self.plan.workspace, dtype)
-            return self.sweep(rec, it)
-        if credit_total is not None:
-            _check_finite(credit_total, "credit", it)
+        if it == self.params.dims.n_iters:  # dead: the last M-step's peak holds neither
+            self.work = self.weight = None
+        x_out = _finish_m_step(*sums, self.scale, self.params)
+        _check_finite(x_out, "output update", it)  # every pooled sum and total is a term of it
         return x_out
 
     def pool(self, values: np.ndarray, blk: slice, sums: tuple) -> None:
@@ -732,7 +654,7 @@ class _Blocks:
         slot 0's run or lies outside it, so the n_out x d_inp product goes
         into the workspace behind ``values`` where it fits, else into a
         fresh array (the module docstring)."""
-        pooled, total = sums[:2]
+        pooled, total = sums
         start = values.size if values.base is self.work else 0
         product = None
         if start + pooled.size <= self.work.size:
@@ -741,13 +663,12 @@ class _Blocks:
         total += np.dot(self.ones[: blk.stop - blk.start], values)
 
     def credit_rows(self, blk: slice, kept: np.ndarray | None) -> np.ndarray:
-        """Where a block computes a whole credit: a row-major block in the
-        rows of a kept credit, or else of a_rows, free once the a-form is
-        given up; an output-major block in slot 0, copied into a kept
-        credit last."""
+        """Where a block computes its credit: a row-major block in the rows
+        of a kept credit, or else of ``spare``; an output-major block in
+        slot 0, copied into a kept credit last."""
         if not self.row_major:
             return self.block(self.work, blk.stop - blk.start, self.n_out)
-        return (self.a_rows if kept is None else kept)[blk]
+        return (self.spare if kept is None else kept)[blk]
 
     def shares(self, rec: dict, it: int, blk: slice, g: np.ndarray) -> tuple[np.ndarray, ...]:
         """(bu, bi, used) of a later iteration's block: the used shares
@@ -777,7 +698,10 @@ class _Blocks:
         if routing is not None:
             np.divide(sigma, row_sum[:, None], out=routing[blk])
         used = sigma
-        if self.n_out == 1:  # the routing is exactly 1 (_Plan)
+        # One output's routing is exactly 1, so used = g and ignored = g - g
+        # is exactly 0, as in the reference; sigma * (g / S) would leave bi
+        # times an ulp of g in the credit.
+        if self.n_out == 1:
             np.copyto(used, g)
         else:
             np.divide(g[:, 0], row_sum, out=row_sum)
@@ -786,14 +710,12 @@ class _Blocks:
 
     def route_block(self, rec: dict, it: int, blk: slice, sums: tuple | None) -> None:
         """One block of an iteration: its share of ``sums`` (the pooled
-        sums, the totals and, when it keeps a credit of the a-form, that
-        credit's column totals; None when the iteration pools nothing) and
-        its rows of the arrays in ``rec``. A block that neither pools nor
-        keeps its credit computes none, and a block of the a-form computes
-        one only to keep it. Its views of the workspace end with the call."""
+        sums and the totals; None when the iteration pools nothing) and its
+        rows of the arrays in ``rec``. A block that neither pools nor keeps
+        its credit computes none. Its views of the workspace end with the
+        call."""
         n, n_out = blk.stop - blk.start, self.n_out
         kept = rec.get("credit")
-        a_form = self.plan.a_form and sums is not None
 
         def keep(name: str, computed: np.ndarray) -> None:
             if rec.get(name) is not None:
@@ -805,19 +727,6 @@ class _Blocks:
         bu, bi, used = self.shares(rec, it, blk, g)
         # Each result overwrites the slot of an operand dead from here on.
         keep("share_used", used)
-        if a_form:
-            if rec.get("share_ignored") is not None:  # a replay's, before w overwrites used
-                np.subtract(g, used, out=rec["share_ignored"][blk])
-            w = self.block(self.work, n, n_out)
-            np.multiply(self.a_rows[blk], used, out=w)
-            self.pool(w, blk, sums)
-            if kept is not None:
-                credit = kept[blk]
-                np.multiply(bi, g, out=credit)
-                np.subtract(w, credit, out=credit)
-                credit_total = sums[2]
-                credit_total += np.dot(self.ones[:n], credit)
-            return
         credit = None
         if sums is not None or kept is not None:
             credit = self.credit_rows(blk, kept)
@@ -835,8 +744,8 @@ class _Blocks:
         self.keep_and_pool(rec, blk, credit, sums)
 
     def keep_and_pool(self, rec: dict, blk: slice, credit: np.ndarray, sums: tuple | None) -> None:
-        """Copy a block's whole credit into a kept one, unless it was
-        computed there, and pool it."""
+        """Copy a block's credit into a kept one, unless it was computed
+        there, and pool it."""
         if not self.row_major and rec.get("credit") is not None:
             rec["credit"][blk] = credit
         if sums is not None:
@@ -845,8 +754,8 @@ class _Blocks:
 
 class _FixedBlocks(_Blocks):
     """Block kernel of the fixed layout: row-major blocks, stored tables,
-    and a credit computed in the kept rows or ``a_rows``, so one slot
-    (the module docstring)."""
+    and a credit computed in the kept rows or ``spare``, so one slot (the
+    module docstring)."""
 
     __slots__ = ("use", "ign")
     row_major = True
@@ -863,17 +772,6 @@ class _FixedBlocks(_Blocks):
     def fused_weight(self) -> np.ndarray:
         """-predicted^T alone; written per iteration."""
         return np.empty((self.params.dims.d_inp, self.n_out), self.params.dtype)
-
-    def gather_a_form(self) -> None:
-        """One pass over the blocks: a = use + ign into a_rows, and the
-        sums (Q, q) of g * ign, taken in the slot."""
-        n_out, d_inp, dtype = self.n_out, self.x.shape[1], self.x.dtype
-        self.ignore_sums = np.zeros((n_out, d_inp), dtype), np.zeros(n_out, dtype)
-        for blk in self.blocks:
-            bi = self.ign[blk]
-            np.add(self.use[blk], bi, out=self.a_rows[blk])
-            gated = np.multiply(bi, self.gates[blk, None], out=self.block(self.work, blk.stop - blk.start, n_out))
-            self.pool(gated, blk, self.ignore_sums)
 
     def shares(self, rec: dict, it: int, blk: slice, g: np.ndarray) -> tuple[np.ndarray, ...]:
         """In iteration 1, the tables and the flat prior's used shares g * p,
@@ -984,14 +882,6 @@ class _Plan(NamedTuple):
       most n_inp, by ``BLOCK_ELEMENTS`` at the call.
     - ``workspace``: the block workspace's elements, slots of rows * n_out
       each: three in the variable layout, one in the fixed one.
-    - ``a_form``: the fixed layout pools the a-form with more than one
-      output. One output has no ignore half, and no a = bu + bi to round
-      bu away: its routing is exactly 1, and a block of either layout
-      takes used = g, so ignored = g - g is exactly 0, as in the
-      reference; sigma * (g / S) would leave bi times an ulp of g in the
-      credit. The variable layout pools whole credits: its a would need a
-      fourth column group in the block matmul, and no measured routing of
-      that layout runs more than two iterations.
     - ``closed_form``: the variable layout takes iteration 1 in closed
       form exactly when d_inp < 3 * n_out, an operation count, not a
       setting. G costs 2 * d_inp**2 flops per input (its one-off
@@ -1020,7 +910,6 @@ class _Plan(NamedTuple):
     kernel: type
     rows: int
     workspace: int
-    a_form: bool
     closed_form: bool
 
 
@@ -1029,8 +918,8 @@ def _plan(dims: RoutingDims, n_inp: int) -> _Plan:
     n_out = dims.n_out
     rows = min(n_inp, max(1, BLOCK_ELEMENTS // n_out))
     if dims.variable_length:
-        return _Plan(_VariableBlocks, rows, 3 * rows * n_out, a_form=False, closed_form=dims.d_inp < 3 * n_out)
-    return _Plan(_FixedBlocks, rows, rows * n_out, a_form=n_out > 1, closed_form=False)
+        return _Plan(_VariableBlocks, rows, 3 * rows * n_out, closed_form=dims.d_inp < 3 * n_out)
+    return _Plan(_FixedBlocks, rows, rows * n_out, closed_form=False)
 
 
 @np.errstate(all="ignore")
@@ -1105,8 +994,8 @@ def route_optimized(
     np.negative(raw, out=gates)
     _logistic_of_negated_into(gates)  # logistic's kernel
 
-    # A fixed-layout kernel keeps a = bu + bi in the final credit's rows,
-    # which only the last iteration writes its credit to.
+    # A fixed-layout kernel computes every iteration's credit in the final
+    # credit's rows, which the last iteration's credit overwrites.
     kernel = plan.kernel(params, x, gates, plan, final_credit)
     records = [{"credit": final_credit if it == n_iters else None} for it in range(1, n_iters + 1)]
     output = DenseTensor._adopt(_iterate(kernel, records))  # checked as its iteration's output update
@@ -1223,9 +1112,7 @@ def _replay(
         }
         for it in range(1, n_iters + 1)
     ]
-    # A fixed-layout replay keeps a = bu + bi in the last iteration's
-    # ignored shares, which only that iteration writes.
-    kernel = plan.kernel(params, x, gates, plan, kept[-1]["share_ignored"])
+    kernel = plan.kernel(params, x, gates, plan, None)  # every credit it computes is kept
     kept[0]["routing"].fill(kernel.prior)  # iteration 1 routes by the flat prior
     _iterate(kernel, kept, output.array)
     # Adopted unscanned: bitwise the values the call proved finite (the

@@ -21,16 +21,14 @@ Every case falls into one outcome class, and each class has one rule:
   (``pooled_first``).
 - the reference raises on its materialized votes, which the optimized
   router never forms, where the optimized router returns finite outputs.
-- the a-form's cancellation, an open finding (``a_form_cancels``): the
-  fixed layout's tables show its condition, and the case matches the
-  reference within tolerance once routed on whole credits.
 - any other float32 case is rerun in float64, where both routers must
   agree within its tolerance. Where the float32 reference matches that
   rerun, the optimized router must too; where it does not, or raises,
   float32 cannot route the case, and the rerun settles it: an optimized
   output that is finite must match the rerun. An output update that only
-  the optimized router fails is never settled so: an a-form iteration
-  whose sums overflow is redone on whole credits.
+  the optimized router fails is never settled so: it pools the
+  reference's own credits, so only its factored M-step can fail there
+  alone, an open finding that ``KNOWN`` lists.
 - a scaled parameter set that ``RoutingParams`` rejects is drawn again.
 - the cases of ``KNOWN``, open findings each, where only the optimized
   router raises on a case that the float32 reference routes as float64
@@ -61,7 +59,7 @@ from vecroute import (
 
 from oracles import rand_instance, relative_linf
 
-FUZZ_SEEDS = (0, 1)
+FUZZ_SEEDS = (0, 1, 2, 3)
 FUZZ_CASES = 400
 TRACED_SHARE = 0.25
 SCALED_SHARE = 0.3  # of the fields and the input, each drawn on its own
@@ -106,6 +104,8 @@ KNOWN = {
     (0, 284): ACTIVATIONS,
     (1, 187): f"{UPDATE} at iteration 1",
     (1, 339): f"{UPDATE} at iteration 2",
+    (2, 315): ACTIVATIONS,
+    (3, 295): ACTIVATIONS,
 }
 
 
@@ -113,10 +113,10 @@ def scaled_case(rng: np.random.Generator):
     """(params, x) of a random instance, some fields and the input scaled
     by powers of ten; None when ``RoutingParams`` rejects the scaled set.
     In float32 one scaled field in ``TOP_SHARE`` lands in the top decade
-    of the range. The a-form adds the fixed layout's coefficient tables,
-    so in ``TIED_SHARE`` of its cases ``beta_ign`` is ``beta_use``, and in
-    float32 both lie in the top decade: a = 2 bu overflows where the
-    credit bu (used - ignored) need not."""
+    of the range. In ``TIED_SHARE`` of the fixed layout's cases
+    ``beta_ign`` is ``beta_use``, and in float32 both lie in the top
+    decade: the credit bu * used - bu * ignored cancels, exactly where
+    used = ignored, and its terms can overflow where it need not."""
     mode = "fixed" if rng.random() < 0.5 else "variable"
     dtype = F32 if rng.random() < 0.5 else F64
     _, params, x = rand_instance(rng, mode)
@@ -233,57 +233,21 @@ def pooled_first(params, x, mine) -> bool:
         return np.isfinite(credit).all() and not np.isfinite(m_step_factored(x, credit, params)).all()
 
 
-def float64_rerun(params, x, traced: bool, monkeypatch):
+def float64_rerun(params, x, traced: bool):
     """The reference's float64 (output, trace) of a float32 case, or why
     it cannot settle the case: a router raises in float64, or the two
-    deviate beyond float64's tolerance, but for the a-form's cancellation."""
+    deviate beyond float64's tolerance."""
     p64, x64 = params.astype(F64), x.astype(F64)
     wide, wide_mine = reference_routing(p64, x64, traced), optimized_routing(p64, x64, traced)
     if isinstance(wide, str) or isinstance(wide_mine, str):
         return f"float64: reference {wide!r:.80}, optimized {wide_mine!r:.80}"
     name, gap = worst_deviation(wide_mine, wide, traced)
-    if gap <= TOLERANCE[F64] or a_form_cancels(p64, x64, traced, monkeypatch):
+    if gap <= TOLERANCE[F64]:
         return wide
     return f"float64 {name} deviates {gap:.3g}"
 
 
-def a_form_cancellable(params) -> bool:
-    """Whether the fixed layout's tables show the a-form's cancellation:
-    tied tables (bi = bu), where the reference's credit bu * (used -
-    ignored) is exactly 0 where used = ignored and w^T x - Q leaves a
-    rounding residual, or some |bi| > |bu| / eps, where a = bu + bi drops
-    bu. One output pools no a-form."""
-    if params.mode != "fixed" or params.dims.n_out == 1:
-        return False
-    bu, bi = params.beta_use.array, params.beta_ign.array
-    return np.array_equal(bu, bi) or bool((np.abs(bi) * np.finfo(params.dtype).eps > np.abs(bu)).any())
-
-
-def a_form_cancels(params, x, traced: bool, monkeypatch) -> bool:
-    """Whether a case whose tables show the a-form's cancellation deviates
-    only through the a-form: routed on whole credits, it matches the
-    reference within tolerance. An open finding: pooled = w^T x - Q
-    cancels where the credit is small beside its terms bu * used and
-    bi * ignored. The output stays within tolerance there or not; either
-    way a row whose own credits cancel loses its magnitude, which the next
-    prediction's normalization brings back to scale. Tables that show
-    neither condition are held to the reference, so that any other a-form
-    deviation fails the test."""
-    if not a_form_cancellable(params):
-        return False
-    plan = optimized._plan
-
-    def whole_credits(*args):
-        return plan(*args)._replace(a_form=False)
-
-    theirs = reference_routing(params, x, traced)
-    with monkeypatch.context() as patch:  # the records' replay reads the call's plan
-        patch.setattr(optimized, "_plan", whole_credits)
-        mine = optimized_routing(params, x, traced)
-        return not isinstance(mine, str) and worst_deviation(mine, theirs, traced)[1] <= TOLERANCE[params.dtype]
-
-
-def classify(params, x, traced: bool, monkeypatch) -> tuple[str, str | None]:
+def classify(params, x, traced: bool) -> tuple[str, str | None]:
     """(outcome class, failure or None) of one case."""
     tol = TOLERANCE[params.dtype]
     mine, theirs = optimized_routing(params, x, traced), reference_routing(params, x, traced)
@@ -292,8 +256,6 @@ def classify(params, x, traced: bool, monkeypatch) -> tuple[str, str | None]:
         name, gap = worst_deviation(mine, theirs, traced)
         if gap <= tol:
             return "agree", None
-        if a_form_cancels(params, x, traced, monkeypatch):
-            return "a-form cancellation", None
         failure = f"{name} deviates {gap:.3g}"
     elif mine_raised and theirs_raised:
         if stage(mine) == stage(theirs):
@@ -314,7 +276,7 @@ def classify(params, x, traced: bool, monkeypatch) -> tuple[str, str | None]:
     # Float32 may not be able to route the case: rounding at the top of its
     # range decides where it overflows. Float64 settles it, and whichever
     # float32 router returns finite outputs must match it.
-    wide = float64_rerun(params, x, traced, monkeypatch)
+    wide = float64_rerun(params, x, traced)
     if isinstance(wide, str):
         return "unlisted", f"{failure}; {wide}"
     gap = np.inf if mine_raised else worst_deviation(mine, wide, traced)[1]
@@ -349,7 +311,7 @@ def fuzz(seed: int, cases: int, monkeypatch) -> tuple[Counter, list[str]]:
         if (seed, index) in KNOWN:
             outcome, failure = known_refusal(*case, traced, KNOWN[seed, index])
         else:
-            outcome, failure = classify(*case, traced, monkeypatch)
+            outcome, failure = classify(*case, traced)
         counts[outcome] += 1
         if failure is not None:
             params, x = case

@@ -336,10 +336,10 @@ class TestRouteOptimized:
 
     def test_one_output_keeps_the_use_term_beside_a_huge_ignore_term(self):
         # Float64, 6 x 1, with act_weight, vote_mix, pred_bias and beta_ign
-        # scaled by 1e60: the gates saturate to exactly 0 or 1, and in the
-        # a-form a = bu + bi rounds to bi, so w - g * bi cancelled bu away
-        # and every pooled sum was exactly 0, where the reference reads
-        # about 1e60. One output pools whole credits, whose ignore half is 0.
+        # scaled by 1e60: the gates saturate to exactly 0 or 1, and
+        # a = bu + bi rounds to bi, so a credit taken as a * used - g * bi
+        # would cancel bu away and pool exactly 0, where the reference reads
+        # about 1e60. One output's ignore half is exactly 0.
         rng = np.random.default_rng(71)
         dims = RoutingDims(6, 1, 28, 13, 4)
         for _ in range(5):
@@ -771,9 +771,9 @@ class TestBlockedLoop:
                 assert relative_linf(g, w) <= later_tol, (dtype, it)
 
     def test_fixed_first_iteration_matches_the_float64_reference(self):
-        # The fixed layout's iteration-1 credit of the a-form, (beta_use +
-        # beta_ign) * (g * p) - g * beta_ign, comes from random stored
-        # tables; three blocks, the last ragged.
+        # The fixed layout's iteration-1 credit, beta_use * (g * p)
+        # - beta_ign * (g - g * p), comes from random stored tables; three
+        # blocks, the last ragged.
         rng = np.random.default_rng(44)
         dims, params, x, _ = multi_block_instance(rng, "fixed")
         p64, x64 = params.astype(np.float64), x.astype(np.float64)
@@ -787,10 +787,9 @@ class TestBlockedLoop:
             assert relative_linf(got.output.array, want.output.array) <= tol, dtype
 
     def test_fixed_first_iteration_is_finite_wherever_the_coefficients_are(self):
-        # With beta_use = beta_ign = 3e38, a = beta_use + beta_ign
-        # overflows, so iteration 1 gives up the a-form, but its whole
-        # credit beta_use * (g * p) - beta_ign * (g - g * p) does not. Gates
-        # near e^-60 keep every credit and sum finite.
+        # With beta_use = beta_ign = 3e38, beta_use + beta_ign overflows,
+        # but iteration 1's credit beta_use * (g * p) - beta_ign * (g - g * p)
+        # does not. Gates near e^-60 keep every credit and sum finite.
         rng = np.random.default_rng(45)
         dims, params, x, _ = multi_block_instance(rng, "fixed")
         big = np.full((dims.n_inp, dims.n_out), 3e38, np.float32)
@@ -1332,14 +1331,12 @@ class TestBlockedLoop:
         assert relative_linf(trace_perm.final_credit.array, trace.final_credit.array[perm]) <= 1e-12
 
 
-# The fixed layout's iterations pool w = used * (beta_use + beta_ign) into
-# sums that start at -Q, Q = sum_i g_i beta_ign_i x_i^T, which one pass
-# gathers before iteration 1's blocks; they compute a credit, w - g * beta_ign, only to keep it. rand_params draws
-# beta_ign away from 0, so Q is not 0 here. The variable layout pools whole
-# credits; both layouts run the same checks. Three blocks, the last ragged;
-# the variable layout takes iteration 1 in closed form at the default sizes
-# and on the blocks at the second.
-A_FORM_CASES = pytest.mark.parametrize(
+# Five iterations of both layouts, each pooling whole credits
+# beta_use * used - beta_ign * ignored; rand_params draws beta_ign away from
+# 0, so both halves count. Three blocks, the last ragged; the variable
+# layout takes iteration 1 in closed form at the default sizes and on the
+# blocks at the second.
+MANY_ITERATION_CASES = pytest.mark.parametrize(
     "mode, sizes",
     [("fixed", {}), ("variable", {}), ("variable", TestBlockedLoop.DIRECT_FIRST_ITERATION)],
     ids=["fixed", "variable_closed_form", "variable_block_path"],
@@ -1347,8 +1344,8 @@ A_FORM_CASES = pytest.mark.parametrize(
 
 
 @pytest.mark.usefixtures("pinned_block_size")
-class TestAFormIterations:
-    @A_FORM_CASES
+class TestManyIterations:
+    @MANY_ITERATION_CASES
     def test_outputs_and_every_credit_record_match_the_reference(self, mode, sizes):
         rng = np.random.default_rng(60)
         dims, params, x, _ = multi_block_instance(rng, mode, n_iters=5, **sizes)
@@ -1362,7 +1359,7 @@ class TestAFormIterations:
                 assert relative_linf(got.credit.array, want.credit.array) <= tol, (dtype, it)
                 assert relative_linf(got.output.array, want.output.array) <= tol, (dtype, it)
 
-    @A_FORM_CASES
+    @MANY_ITERATION_CASES
     def test_trace_on_and_off_agree_bitwise(self, mode, sizes):
         rng = np.random.default_rng(61)
         _, params, x, _ = multi_block_instance(rng, mode, n_iters=5, **sizes)
@@ -1376,31 +1373,21 @@ class TestAFormIterations:
     @pytest.mark.parametrize(
         "first, n_iters", [(True, 4), (False, 4), (False, 2)], ids=["iteration_1", "iteration_2", "last_iteration"]
     )
-    def test_a_form_sums_that_overflow_are_redone_on_whole_credits(self, first, n_iters, monkeypatch):
+    def test_tied_tables_whose_a_would_overflow_match_the_reference(self, first, n_iters, monkeypatch):
         # Every input feature is about 1, and beta_use = beta_ign = c
-        # everywhere, so w = used * 2c while the credit c * (used - ignored)
-        # cancels. n_out = 2 and the scores alone route. iteration_1: every
-        # gate is 1 and equal scores route each input half and half, so
-        # iteration 1's credit is 0 while the sums of w and of Q, about
-        # n * c, overflow. iteration_2: only the first block's gates are 1
-        # (the rest near e^-60), so Q and q are about rows * c, and scores
-        # that route three quarters to output 0 from iteration 2 on raise
-        # that block's sums of w for output 0 to 1.5 rows * c, which
-        # overflow, while its credits sum to 0.5 rows * c. The blocks add
-        # to -Q, so only a block's own sum can overflow there. The iteration
-        # and every later one are redone on whole credits, in the call and
-        # in the records' replay. last_iteration: iteration_2's instance
-        # routed for two iterations, so the redo runs after the last M-step
-        # has dropped the block workspace, and takes a fresh one. Blocks of 1024 rows
-        # keep n, and the rounding of sums over it, as in the tests above.
+        # everywhere, so sums of used * a, a = beta_use + beta_ign = 2c,
+        # overflow float32 while the credit c * (used - ignored) cancels.
+        # n_out = 2 and the scores alone route. iteration_1: every gate is 1
+        # and equal scores route each input half and half, so iteration 1's
+        # credit is 0 while sums of used * a and of g * c, about n * c,
+        # overflow. iteration_2: only the first block's gates are 1 (the
+        # rest near e^-60), and scores that route three quarters to output 0
+        # from iteration 2 on raise that block's sum of used * a for output
+        # 0 to 1.5 rows * c, which overflows, while its credits sum to
+        # 0.5 rows * c. last_iteration: iteration_2's instance routed for
+        # two iterations. Blocks of 1024 rows keep n, and the rounding of
+        # sums over it, as in the tests above.
         monkeypatch.setattr(optimized, "BLOCK_ELEMENTS", 2048)
-        sweeps = []  # (iteration, a-form, workspace) at each sweep of the untraced call
-        sweep = optimized._Blocks.sweep
-
-        def recorded_sweep(self, rec, it, pool=True):
-            sweeps.append((it, self.plan.a_form, self.work))
-            return sweep(self, rec, it, pool)
-
         rng = np.random.default_rng(64)
         dims, params, x, rows = multi_block_instance(rng, "fixed", n_out=2, n_iters=n_iters)
         n = dims.n_inp
@@ -1420,14 +1407,7 @@ class TestAFormIterations:
             vote_bias=params.vote_bias.array * np.float32(1e-30),
         )
         out, trace = route_optimized(x, p, capture_trace=True)
-        monkeypatch.setattr(optimized._Blocks, "sweep", recorded_sweep)
         out_off, trace_off = route_optimized(x, p)
-        monkeypatch.setattr(optimized._Blocks, "sweep", sweep)
-        redone = 1 if first else 2
-        a_form = [(it, True) for it in range(1, redone + 1)] + [(it, False) for it in range(redone, n_iters + 1)]
-        assert [s[:2] for s in sweeps] == a_form
-        # Only a redo of the last iteration allocates a second workspace.
-        assert [s[2] is not sweeps[0][2] for s in sweeps] == [False] * n_iters + [n_iters == redone]
         assert np.array_equal(out.array, out_off.array)
         assert np.array_equal(trace.final_credit.array, trace_off.final_credit.array)
         assert trace.iterations[-1].output is out
@@ -1437,28 +1417,36 @@ class TestAFormIterations:
         assert relative_linf(out.array, out_ref.array) <= 1e-4
         assert relative_linf(trace.final_credit.array, trace_ref.final_credit.array) <= 1e-4
 
-    def test_first_iteration_given_up_credits_like_the_reference(self):
-        # beta_use and beta_ign near the dtype's max on a few rows of the
-        # second block make a = beta_use + beta_ign overflow, so iteration 1
-        # gives up the a-form and is redone on whole credits: bu * (g * p)
-        # - bi * (g - g * p), the reference's products in its order, bit for
-        # bit. Elsewhere the tables are random and n_out = 5, so p * bu is
-        # not exact and another order of products would round apart. Those
-        # rows' gates are 0 (a score of -5000), which keeps every credit and
-        # sum finite.
+    @pytest.mark.parametrize("tables", ["random", "sum_overflows", "tied", "ignore_past_use"])
+    def test_first_iteration_credit_is_the_references_bit_for_bit(self, tables):
+        # Iteration 1's credit is bu * (g * p) - bi * (g - g * p), the
+        # reference's products in its order, so its record equals the
+        # reference's bit for bit whatever the tables hold. n_out = 5, so
+        # p * bu is not exact and another order of products would round
+        # apart. sum_overflows: beta_use and beta_ign near the dtype's max
+        # on a few rows of the second block, so beta_use + beta_ign
+        # overflows there; those rows' gates are 0 (a score of -5000), which
+        # keeps every credit and sum finite. tied: beta_ign is beta_use.
+        # ignore_past_use: beta_ign is beta_use times 2 / eps, so
+        # beta_use + beta_ign would round beta_use away.
         rng = np.random.default_rng(65)
         dims, params, x, rows = multi_block_instance(rng, "fixed", n_out=5)
         hit = slice(rows + 3, rows + 10)
         for dtype in (np.float32, np.float64):
             p, xx = params.astype(dtype), x.astype(dtype)
             use, ign, act_bias = (getattr(p, name).array.copy() for name in ("beta_use", "beta_ign", "act_bias"))
-            big = np.finfo(dtype).max
-            use[hit] = big * rng.uniform(0.6, 0.95, use[hit].shape)
-            ign[hit] = big * rng.uniform(0.6, 0.95, ign[hit].shape)
-            act_bias[hit] = -5000.0
+            if tables == "sum_overflows":
+                big = np.finfo(dtype).max
+                use[hit] = big * rng.uniform(0.6, 0.95, use[hit].shape)
+                ign[hit] = big * rng.uniform(0.6, 0.95, ign[hit].shape)
+                act_bias[hit] = -5000.0
+                with np.errstate(over="ignore"):
+                    assert not np.isfinite(use + ign).all()
+            elif tables == "tied":
+                ign = use
+            elif tables == "ignore_past_use":
+                ign = use * (2 / np.finfo(dtype).eps)
             bad = replaced(p, dims, beta_use=use, beta_ign=ign, act_bias=act_bias)
-            with np.errstate(over="ignore"):
-                assert not np.isfinite(use + ign).all()
             out, trace = route_optimized(xx, bad, capture_trace=True)
             nets, betas = as_plugins(xx, bad)
             out_ref, trace_ref = route_reference(xx, nets, betas, dims)
@@ -1466,55 +1454,23 @@ class TestAFormIterations:
             tol = 1e-4 if dtype == np.float32 else 1e-10
             assert relative_linf(out.array, out_ref.array) <= tol, dtype
 
-    def test_a_credit_that_is_not_pooled_is_checked(self, monkeypatch):
-        # A credit of the a-form, w - g * beta_ign, is not the array its
-        # iteration pools, so no output update check covers it: the call
-        # checks its final credit, and the records' replay each record it
-        # writes through the a-form, through their column totals. A later
-        # block's beta_ign of inf, read only where a block of the a-form
-        # keeps its credit (a = beta_use + beta_ign and Q come from the
-        # tables in iteration 1), leaves every pooled sum finite. In exact
-        # arithmetic |w - g * beta_ign| is at most g times the larger
-        # coefficient, so a finite one overflows only by rounding at the top
-        # of the float range, at scores no test can pin across BLAS and exp
-        # builds.
-        rng = np.random.default_rng(63)
-        dims, params, x, _ = multi_block_instance(rng, "fixed", n_iters=4)
-        later_block = optimized._FixedBlocks.later_block
-
-        def against_infinite_ignore(self, blk):
-            coef, bi, neg_z = later_block(self, blk)
-            return coef, np.full_like(bi, np.inf), neg_z
-
-        out, trace = route_optimized(x, params, capture_trace=True)
-        monkeypatch.setattr(optimized._FixedBlocks, "later_block", against_infinite_ignore)
-        for capture_trace in (False, True):
-            with pytest.raises(NumericError, match="^non-finite values in credit at iteration 4$"):
-                route_optimized(x, params, capture_trace=capture_trace)
-        for _ in range(2):  # a failed build is not cached
-            with pytest.raises(NumericError, match="^non-finite values in credit at iteration 2$"):
-                trace.iterations[0]
-        monkeypatch.undo()
-        assert trace.iterations[-1].output is out
-        assert np.isfinite(trace.iterations[1].credit.array).all()
-
 
 # The call plan's rules at their boundaries, and at the first routing of
 # each full-size benchmark workload: (layout, n_inp, n_out, d_inp) and the
-# plan a call takes there, (kernel, rows, workspace, a_form, closed_form),
+# plan a call takes there, (kernel, rows, workspace, closed_form),
 # at the default BLOCK_ELEMENTS. A change to a rule changes this table.
 _V, _F, _B = optimized._VariableBlocks, optimized._FixedBlocks, BLOCK_ELEMENTS
 PLAN_TABLE = {
-    "closed_form_edge": (("variable", 300, 8, 23), (_V, 300, 3 * 300 * 8, False, True)),  # d_inp = 3 * n_out - 1
-    "block_path_edge": (("variable", 300, 8, 24), (_V, 300, 3 * 300 * 8, False, False)),  # d_inp = 3 * n_out
-    "fixed_below_the_edge": (("fixed", 300, 8, 23), (_F, 300, 300 * 8, True, False)),
-    "one_output_closed_form": (("variable", 300, 1, 2), (_V, 300, 3 * 300, False, True)),
-    "one_output_block_path": (("variable", 300, 1, 3), (_V, 300, 3 * 300, False, False)),
-    "one_output_fixed": (("fixed", 300, 1, 2), (_F, 300, 300, False, False)),
-    "outputs_past_a_block": (("variable", 3, 2 * _B, 2), (_V, 1, 3 * 2 * _B, False, True)),
-    "pair_heavy": (("variable", 4096, 512, 128), (_V, _B // 512, 3 * _B, False, True)),
-    "long_seq": (("variable", 1_000_000, 16, 64), (_V, _B // 16, 3 * _B, False, False)),
-    "credit_chain": (("fixed", 2048, 128, 64), (_F, _B // 128, _B, True, False)),
+    "closed_form_edge": (("variable", 300, 8, 23), (_V, 300, 3 * 300 * 8, True)),  # d_inp = 3 * n_out - 1
+    "block_path_edge": (("variable", 300, 8, 24), (_V, 300, 3 * 300 * 8, False)),  # d_inp = 3 * n_out
+    "fixed_below_the_edge": (("fixed", 300, 8, 23), (_F, 300, 300 * 8, False)),
+    "one_output_closed_form": (("variable", 300, 1, 2), (_V, 300, 3 * 300, True)),
+    "one_output_block_path": (("variable", 300, 1, 3), (_V, 300, 3 * 300, False)),
+    "one_output_fixed": (("fixed", 300, 1, 2), (_F, 300, 300, False)),
+    "outputs_past_a_block": (("variable", 3, 2 * _B, 2), (_V, 1, 3 * 2 * _B, True)),
+    "pair_heavy": (("variable", 4096, 512, 128), (_V, _B // 512, 3 * _B, True)),
+    "long_seq": (("variable", 1_000_000, 16, 64), (_V, _B // 16, 3 * _B, False)),
+    "credit_chain": (("fixed", 2048, 128, 64), (_F, _B // 128, _B, False)),
 }
 # Each routed as a C-order, an F-order and a strided input: the plan does
 # not depend on the input's layout.
@@ -1540,15 +1496,14 @@ class TestCallPlan:
     @pytest.mark.parametrize("case", [case for case in PLAN_TABLE if case != "long_seq"])  # 244 MiB of input
     def test_a_call_takes_the_plan_and_its_replay_reads_it(self, case, order, traced, monkeypatch):
         # Each decision shows through its effect: the kernel that the
-        # iteration loop drives, its blocks and workspace, one gathering
-        # pass of the a-form and one closed-form sum per routing, or none.
+        # iteration loop drives, its blocks and workspace, and one
+        # closed-form sum per routing, or none.
         # The replay runs at a BLOCK_ELEMENTS of two rows a block, so a
         # plan it took afresh would show in its blocks.
         (mode, n_inp, n_out, d), fields = PLAN_TABLE[case]
         want = optimized._Plan(*fields)
-        plans, kernels, calls = [], [], {"closed_form": 0, "a_form": 0}
-        plan, iterate = optimized._plan, optimized._iterate
-        closed_form_sums, gather_a_form = optimized._closed_form_sums, optimized._FixedBlocks.gather_a_form
+        plans, kernels, sums = [], [], []
+        plan, iterate, closed_form_sums = optimized._plan, optimized._iterate, optimized._closed_form_sums
 
         def recorded_plan(*args):
             plans.append(plan(*args))
@@ -1558,17 +1513,13 @@ class TestCallPlan:
             kernels.append((type(kernel), kernel.plan, kernel.blocks[0].stop, len(kernel.blocks), kernel.work.size))
             return iterate(kernel, *args)
 
-        def counted(name, function):
-            def call(*args):
-                calls[name] += 1
-                return function(*args)
-
-            return call
+        def recorded_sums(*args):
+            sums.append(closed_form_sums(*args))
+            return sums[-1]
 
         monkeypatch.setattr(optimized, "_plan", recorded_plan)
         monkeypatch.setattr(optimized, "_iterate", recorded_iterate)
-        monkeypatch.setattr(optimized, "_closed_form_sums", counted("closed_form", closed_form_sums))
-        monkeypatch.setattr(optimized._FixedBlocks, "gather_a_form", counted("a_form", gather_a_form))
+        monkeypatch.setattr(optimized, "_closed_form_sums", recorded_sums)
         dims = plan_dims(mode, n_inp, n_out, d)
         params = init_params(dims, seed=7)
         x = INPUT_ORDERS[order](np.random.default_rng(66).standard_normal((n_inp, d), dtype=np.float32))
@@ -1581,7 +1532,7 @@ class TestCallPlan:
         assert plans == [want]
         blocks = -(-n_inp // want.rows)
         assert kernels == [(want.kernel, want, want.rows, blocks, want.workspace)] * routings
-        assert calls == {"closed_form": routings * want.closed_form, "a_form": routings * want.a_form}
+        assert len(sums) == routings * want.closed_form
 
 
 # Non-finite values, stage by stage. Each case runs in both layouts, at a
@@ -1836,8 +1787,8 @@ class TestTransientMemory:
         assert peak < 4 * elements
         assert 4 * elements - peak < 4 * block
 
-    @pytest.mark.parametrize("mode, slots, weight_groups, a_form", [("variable", 3, 3, 0), ("fixed", 1, 1, 1)])
-    def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups, a_form, monkeypatch):
+    @pytest.mark.parametrize("mode, slots, weight_groups", [("variable", 3, 3), ("fixed", 1, 1)])
+    def test_block_workspace_slots_with_a_ragged_last_block(self, mode, slots, weight_groups, monkeypatch):
         # Three blocks of the default size, the last ragged, on the block
         # path of iteration 2. Beside the returned final credit, a block
         # keeps three block arrays in the variable layout and one in the
@@ -1846,22 +1797,24 @@ class TestTransientMemory:
         # rows, so that layout keeps its gates in an n_inp array of its
         # own; the variable layout keeps them in the credit's tail. The
         # rest is output-sized or smaller: the pooled sums (n_out * d, the
-        # previous output dropped once predicted) and in the fixed layout,
-        # whose iterations pool the a-form, Q and q (n_out * (d + 1)) from
-        # iteration 1 on. A block pools its n_out * d product into the
-        # workspace that its values leave dead: the variable layout's slots
-        # 1-2. A fixed-layout block pools w out of its only slot, so its
-        # product is one more n_out * d array. The variable layout then
-        # peaks where an n_out * d array, the prediction, meets its
-        # negated write into the weight's score columns, whose strided
-        # operands take two numpy iterator buffers (np.getbufsize()
-        # elements each in numpy 2.4); a broadcast over an output-major
-        # block, live beside the pooled sums, takes one. A ragged block's
-        # views are as compact as a full block's, so numpy buffers no more
-        # over it than over a full one. The slack is below one block array,
-        # so one more slot would fail, and below one n_out * d array, so a
-        # per-block product of the variable layout or keeping the previous
-        # output would too. A traced call runs the same blocks and keeps only what
+        # previous output dropped once predicted). A block pools its
+        # n_out * d product into the workspace that its values leave dead:
+        # the variable layout's slots 1-2, the fixed layout's only slot.
+        # The variable layout then peaks where an n_out * d array, the
+        # prediction, meets its negated write into the weight's score
+        # columns, whose strided operands take two numpy iterator buffers
+        # (np.getbufsize() elements each in numpy 2.4); a broadcast over an
+        # output-major block, live beside the pooled sums, takes one. The
+        # fixed layout, whose weight is one n_out * d array, peaks a step
+        # earlier, at the prediction before the weight is built: the
+        # previous output beside its centered rows and their squares, then
+        # beside its normalized rows and the prediction, three n_out * d
+        # arrays beside the slot. A ragged block's views are as compact as
+        # a full block's, so numpy buffers no more over it than over a full
+        # one. The slack is below one block array, so one more
+        # slot would fail, and below one n_out * d array, so a per-block
+        # product of the variable layout or keeping its previous output
+        # would too. A traced call runs the same blocks and keeps only what
         # its records' replay cannot recompute. In the loop it adds the
         # activation scores and gates in arrays of their own (2 * n_inp
         # elements, one of which the untraced fixed call holds too). Its
@@ -1891,10 +1844,7 @@ class TestTransientMemory:
             n_inp * n_out
             + slots * rows * n_out
             + own_gates
-            + d * weight_groups * n_out
-            + (1 + a_form) * n_out * d
-            + a_form * n_out * (d + 1)
-            + (mode == "variable") * 2 * np.getbufsize()
+            + max(3 * n_out * d, d * weight_groups * n_out + n_out * d + (mode == "variable") * 2 * np.getbufsize())
             + optimized.TRANSIENT_ELEMENT_BOUND_FLOOR
         )
         assert peak < 4 * elements
@@ -1909,7 +1859,7 @@ class TestTransientMemory:
         _, read_peak = measure_peak(lambda: trace.iterations[0])
         records = (5 * dims.n_iters - 2) * n_inp * n_out
         recomputed = (dims.n_iters - 1) * 2 * n_out * d
-        replay = records + slots * rows * n_out + d * weight_groups * n_out + recomputed + a_form * n_out * (d + 1)
+        replay = records + slots * rows * n_out + d * weight_groups * n_out + recomputed
         assert 0 <= read_peak - 4 * replay < 4 * rows * n_out // 2
         assert np.array_equal(out_off.array, out_on.array)
         assert np.array_equal(trace_off.final_credit.array, trace_on.final_credit.array)
